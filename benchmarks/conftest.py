@@ -79,7 +79,7 @@ def run_once(
     (``repro bench-gate``) can enforce floors on them.
 
     The record also carries the dominant execution engine tier
-    (``"kernel"``, ``"batch"``, ``"single"`` or ``"scalar"``, from the
+    (``"kernel"``, ``"batch"`` or ``"scalar"``, from the
     ``repro.engine.runs`` instrument delta around the timed section;
     None for analysis-only benches), so ``repro trend`` series never
     silently mix scalar and kernel timings.

@@ -32,9 +32,8 @@ from repro.devices.mismatch import PelgromMismatch
 from repro.reporting.records import PaperComparison
 from repro.reporting.tables import Table
 from repro.runtime import SweepExecutor
-from repro.runtime.engine import use_engine
+from repro.runtime.engine import force_scalar, use_engine
 from repro.runtime.kernels import jit_status
-from repro.runtime.single import force_scalar
 from repro.runtime.sweeps import run_sweep, sweep_spec_for_design
 from repro.systems.montecarlo import CmffMonteCarlo
 from repro.systems.stimulus import coherent_frequency

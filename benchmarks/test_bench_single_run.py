@@ -1,9 +1,10 @@
-"""Extension: wall-time of the single-run fast path vs the scalar loop.
+"""Extension: wall-time of a single lowered run vs the scalar loop.
 
-The single-run fast path (:mod:`repro.runtime.single`) is what
-``repro report``, the :class:`~repro.systems.TestBench` and every
-telemetry design run through; its contract is byte-identity with the
-per-sample scalar loop at a large wall-time win.  This bench measures
+The single-run engine (:func:`repro.runtime.engine.run_single`, which
+runs the compiled kernel) is what ``repro report``, the
+:class:`~repro.systems.TestBench` and every telemetry design run
+through; its contract is byte-identity with the per-sample scalar loop
+at a large wall-time win.  This bench measures
 both for each baseline design, plus the polyphase
 :class:`~repro.deltasigma.decimator.SincDecimator` against its
 full-rate convolution reference at the paper's OSR of 128.
@@ -23,7 +24,7 @@ from benchmarks.conftest import run_once
 from repro.deltasigma.decimator import SincDecimator
 from repro.reporting.records import PaperComparison
 from repro.reporting.tables import Table
-from repro.runtime.single import consume_fallbacks, force_scalar
+from repro.runtime.engine import consume_fallbacks, force_scalar
 from repro.telemetry.designs import TRACE_DESIGNS, build_trace_setup
 
 #: Floor on the fast-path-vs-scalar speedup every design asserts (the

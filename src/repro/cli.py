@@ -1214,7 +1214,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--engine",
-        choices=["auto", "scalar", "batch", "kernel"],
+        choices=["auto", "scalar", "kernel"],
         default="auto",
         help="execution engine for the measurement and sweep "
         "(bit-identical values on every rung; stamped into the "

@@ -212,7 +212,7 @@ class ChopperStabilizedSIModulator:
         with span_context:
             fast = None
             if not record_states:
-                from repro.runtime.single import run_single
+                from repro.runtime.engine import run_single
 
                 fast = run_single(self, data)
             if fast is not None:

@@ -33,11 +33,11 @@ class DitheredQuantizer(CurrentQuantizer):
 
     Parameters
     ----------
-    The dither draws from a replayable
+    The dither draws from a chunked
     :class:`~repro.noise.streams.GaussianStream` (one draw per decision
     whenever ``dither_rms > 0``), so the stream position is a pure
     function of the step count and the lowered engines (batch, kernel)
-    can slice or drain it exactly like the metastability stream.
+    can drain it exactly like the metastability stream.
 
     Parameters
     ----------

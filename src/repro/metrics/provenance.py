@@ -92,8 +92,9 @@ class Provenance:
         The command line that produced the artifact.
     engine:
         Execution engine the numbers were produced on (``"auto"``,
-        ``"scalar"``, ``"batch"`` or ``"kernel"``; None for artifacts
-        that predate engine selection or do not run devices).  All
+        ``"scalar"`` or ``"kernel"``; older artifacts may carry
+        ``"batch"``; None for artifacts that predate engine selection
+        or do not run devices).  All
         engines are bit-identical, so this attributes *timings*, not
         values.
     """

@@ -142,7 +142,7 @@ def build_report(
     engine:
         Execution engine for the measurement and the sweep: ``auto``
         (default, compiled kernel where it lowers), or a pinned
-        ``scalar``/``batch``/``kernel`` rung.  Every engine is
+        ``scalar``/``kernel`` rung.  Every engine is
         bit-identical, so the manifest's metric values do not change
         with this knob -- it is stamped into the config block and the
         provenance so *timings* stay attributable.

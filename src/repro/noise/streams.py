@@ -1,9 +1,10 @@
-"""Pre-drawn, seed-sliceable random streams for per-sample device loops.
+"""Chunked random streams for per-sample device loops.
 
-The batch-execution engine (:mod:`repro.runtime.batch`) can only lower
-a randomised device bit-identically if it can reproduce the device's
-draw sequence as one bulk array.  These streams give
-:class:`~repro.deltasigma.quantizer.CurrentQuantizer` metastability and
+The lowered engines (the compiled kernel tier and the NumPy batch
+runners) run a randomised device bit-identically by draining the
+device's own streams in bulk.  These streams give
+:class:`~repro.deltasigma.quantizer.CurrentQuantizer` metastability,
+:class:`~repro.deltasigma.dither.DitheredQuantizer` dither and
 :class:`~repro.deltasigma.dac.FeedbackDac` reference noise the same
 contract the memory cell's ``_NoiseFeed`` already provides: values are
 pre-drawn in fixed-size chunks, ``next()`` and ``take()`` interleave
@@ -11,10 +12,11 @@ freely, and ``take(n)`` is bit-identical to ``n`` sequential ``next()``
 calls because refills happen at the same chunk boundaries either way.
 
 Slicing convention (documented in ``docs/RUNTIME.md``): a device draws
-exactly one stream value per consuming step, so lane ``k`` of a batch
-run that replays a scalar sweep consumes stream positions
-``[k * n_steps, (k + 1) * n_steps)``; a shard at ``lane_offset`` skips
-``lane_offset * n_steps`` values first.
+exactly one stream value per consuming step, so a batch run that
+replays ``n_lanes`` sequential runs of ``n_steps`` takes
+``n_lanes * n_steps`` values and lane ``k`` reads positions
+``[k * n_steps, (k + 1) * n_steps)``; a sweep shard whose first lane is
+``k`` takes and discards ``k * n_steps`` values first.
 """
 
 from __future__ import annotations
@@ -69,14 +71,6 @@ class _ChunkedStream:
             self._index += n
             filled += n
         return out
-
-    def skip(self, count: int) -> None:
-        """Advance the stream position by ``count`` values.
-
-        Used by sharded batch runs to fast-forward to a lane offset;
-        equivalent to discarding ``take(count)``.
-        """
-        self.take(count)
 
 
 class UniformStream(_ChunkedStream):

@@ -1,11 +1,11 @@
 """Process-wide instrument registry: counters, gauges and histograms.
 
-The runtime layer (cache, executor, batch engine, fast path) accounts
+The runtime layer (cache, executor, kernel and batch engines) accounts
 for itself through named instruments held in an
 :class:`InstrumentRegistry`:
 
 * a **counter** is a monotonically increasing sum (cache hits, shard
-  timeouts, fast-path fallbacks);
+  timeouts, kernel fallbacks);
 * a **gauge** is a last-value sample (cache size, effective jobs);
 * a **histogram** is a fixed-bucket distribution with a running sum
   and count (cache lookup latency, shard wall time, queue wait).
@@ -262,8 +262,8 @@ class InstrumentRegistry:
     """A named collection of instruments with snapshot/merge semantics.
 
     Instruments are created on first use (``registry.counter(name)``)
-    and are process-local Python objects -- cheap enough that the
-    single-run fast path pays only a dict lookup and a float add per
+    and are process-local Python objects -- cheap enough that a
+    single kernel run pays only a dict lookup and a float add per
     event, nothing per sample.
     """
 

@@ -6,8 +6,8 @@ and diffs them series by series with the same verdict ladder the
 manifest regression gate uses (:class:`~repro.metrics.compare.DiffStatus`):
 
 * a **gated** counter increasing (``repro.executor.timeouts``,
-  ``repro.cache.corruption`` -> REGRESS; retries, fast-path fallbacks,
-  batch refusals -> WARN) fails or warns;
+  ``repro.cache.corruption`` -> REGRESS; retries, kernel fallbacks to
+  the scalar loop, batch refusals -> WARN) fails or warns;
 * a series present on only one side -> WARN (``NEW`` / ``MISSING``);
 * any other change -> INFO (cache hit counts legitimately differ run
   to run); unchanged series -> PASS.

@@ -1,22 +1,22 @@
-"""Batch-execution engine: vectorized lanes, parallel shards, result cache.
+"""Execution engines: compiled kernels, lane batches, shards, result cache.
 
 The per-sample device loops in :mod:`repro.si` and
-:mod:`repro.deltasigma` are exact but slow: every amplitude-sweep
-level and every Monte-Carlo trial re-runs the same Python loop.  This
-package executes *independent lanes* (sweep points, Monte-Carlo draws,
-process corners) side by side:
+:mod:`repro.deltasigma` are exact but slow.  This package runs the
+same devices bit-identically on faster rungs, all lowered through one
+:class:`~repro.runtime.kernels.spec.KernelSpec`:
 
-* :mod:`repro.runtime.kernels` -- the elementwise class-AB store
-  pipeline (translinear split, transmission error, charge injection,
-  two-regime GGA settling) evaluated on whole lane arrays;
-* :mod:`repro.runtime.batch` -- batch runners that lower a scalar
-  device (memory cell, delay line, biquad cascade, all three
-  modulators) into fused kernel calls, bit-identical to the scalar
+* :mod:`repro.runtime.kernels` -- ``build_spec`` lowers a device into
+  its frozen spec (the one place that knows each device's shape), and
+  the compiled kernel tier runs single runs from it; the elementwise
+  class-AB store pipeline (:func:`store_batch`) serves the batch
+  runners;
+* :mod:`repro.runtime.engine` -- the single-run ladder every device
+  ``run`` method calls: kernel, then the scalar loop, with
+  :func:`force_scalar` as the parity oracle and
+  :func:`consume_fallbacks` naming every refusal;
+* :mod:`repro.runtime.batch` -- batch runners that run many lanes of
+  one spec lane-major on NumPy arrays, bit-identical to the scalar
   loop;
-* :mod:`repro.runtime.single` -- the lane-of-1 single-run fast path:
-  fused pure-Python loops (no per-sample allocations or dispatch) that
-  every device ``run`` method tries first, bit-identical to the scalar
-  loop, with :func:`force_scalar` as the parity oracle;
 * :mod:`repro.runtime.executor` -- :class:`SweepExecutor`, sharding
   lanes across a ``ProcessPoolExecutor`` with chunking, per-task
   timeouts and deterministic ``SeedSequence.spawn`` seeding;
@@ -27,8 +27,8 @@ process corners) side by side:
 * :mod:`repro.runtime.montecarlo` -- vectorized CMFF mismatch trials.
 
 The determinism contract (see ``docs/RUNTIME.md``): for supported
-configurations the batch engine reproduces the scalar path *bit for
-bit*, at any ``--jobs`` value.
+configurations every rung reproduces the scalar path *bit for bit*, at
+any ``--jobs`` value.
 """
 
 from repro.runtime.batch import (
@@ -41,11 +41,11 @@ from repro.runtime.batch import (
     BatchUnsupported,
     batch_runner_for,
     fast_forward_streams,
-    iter_cells,
 )
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import ShardContext, SweepExecutor, SweepTimeoutError
-from repro.runtime.kernels import CellKernel, store_batch
+from repro.runtime.engine import consume_fallbacks, force_scalar, run_single
+from repro.runtime.kernels import store_batch
 from repro.runtime.lowering import (
     LOWERING_PROTOCOL,
     PROTOCOL_BY_QUALNAME,
@@ -55,7 +55,6 @@ from repro.runtime.lowering import (
     probe_refusal,
     protocol_for,
 )
-from repro.runtime.single import consume_fallbacks, force_scalar, run_single
 from repro.runtime.montecarlo import (
     cmff_imbalance_draws,
     cmff_leakage_samples,
@@ -71,7 +70,6 @@ __all__ = [
     "BatchModulator1",
     "BatchModulator2",
     "BatchUnsupported",
-    "CellKernel",
     "LOWERING_PROTOCOL",
     "LoweredBase",
     "PROTOCOL_BY_QUALNAME",
@@ -87,7 +85,6 @@ __all__ = [
     "cmff_rejection_samples",
     "consume_fallbacks",
     "force_scalar",
-    "iter_cells",
     "lowering_refusal",
     "overridden_hooks",
     "probe_refusal",

@@ -1,59 +1,52 @@
-"""Batch runners: scalar devices lowered onto the fused lane kernel.
+"""Batch runners: many lanes of one kernel spec, lane-major on NumPy.
 
-A *batch runner* takes a freshly built scalar device (memory cell,
-delay line, biquad cascade, or one of the three modulators), reads its
-configuration, and simulates ``n_lanes`` independent runs side by
-side: one :func:`repro.runtime.kernels.store_batch` call per clock
-period stores every fused half-circuit of every lane at once, instead
-of two Python calls per cell per lane.
+A *batch runner* simulates ``n_lanes`` independent runs of one device
+side by side: one :func:`repro.runtime.kernels.store_batch` call per
+clock period stores every fused half-circuit of every lane at once.
+:func:`batch_runner_for` lowers the device through
+:func:`~repro.runtime.kernels.spec.build_spec` -- the spec the compiled
+kernel tier runs, so both engines refuse the same devices with the
+same messages -- and dispatches on ``spec.kind``.  The runners read
+the spec's cell, CMFF and loop constants; from the device itself they
+take only its live random streams and probes.
 
 Lane semantics reproduce the amplitude-sweep convention of
 :func:`repro.analysis.sweeps.run_amplitude_sweep`: one device object
 processes the lanes *sequentially*, with :meth:`reset` between lanes.
-``reset`` zeroes the loop state but keeps the noise generators
-running, so lane ``k`` consumes the noise-stream slice
-``[k * total, (k + 1) * total)`` of each cell -- the batch runners
-replicate exactly that slicing (``lane_offset`` shifts it for sharded
-execution), which is what makes the batch output bit-identical to the
-scalar loop.
+``reset`` zeroes the loop state but keeps the random streams running,
+so a batch run drains ``n_lanes * n_steps`` values from each of the
+device's own live streams -- cell noise, quantiser metastability and
+dither, DAC reference noise -- and slices them lane-major: lane ``k``
+sees exactly the draws the ``k``-th sequential scalar run would, which
+is what makes the batch output bit-identical to the scalar loop.  A
+shard that starts at lane ``k`` first advances the streams with
+:func:`fast_forward_streams`.
 
-Randomised loop elements (quantiser metastability, quantiser dither,
-DAC reference noise) lower through the same pre-drawn stream slicing
-as the cell noise, and attached :class:`~repro.telemetry.probes.SignalProbe`\\ s
-are fed lane-major through ``observe_array`` after the run.  Only
-configurations the kernel genuinely cannot reproduce -- unseeded
-randomness, which a fresh batch stream cannot replay -- raise
-:class:`BatchUnsupported` at lowering time; callers fall back to the
-scalar loop (see :mod:`repro.runtime.sweeps`).
+Attached :class:`~repro.telemetry.probes.SignalProbe`\\ s are fed
+lane-major through ``observe_array`` after the run.  Every refusal
+raises :class:`BatchUnsupported` before any stream is drained; callers
+fall back to the scalar loop (see :mod:`repro.runtime.sweeps`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
-from repro.deltasigma.dac import FeedbackDac
 from repro.deltasigma.dither import DitheredQuantizer
-from repro.deltasigma.modulator1 import SIModulator1
-from repro.deltasigma.modulator2 import SIModulator2
-from repro.deltasigma.quantizer import CurrentQuantizer
-from repro.noise.streams import GaussianStream, UniformStream
-from repro.runtime.kernels import CellKernel, store_batch
-from repro.runtime.lowering import (
-    UNSEEDED_DITHER_REFUSAL,
-    UNSEEDED_METASTABILITY_REFUSAL,
-    UNSEEDED_NOISE_REFUSAL,
-    UNSEEDED_REFERENCE_REFUSAL,
-    lowering_refusal,
-    probe_refusal,
-    subclass_refusal,
+from repro.runtime.kernels import store_batch
+from repro.runtime.kernels.spec import (
+    CellSpec,
+    CmffSpec,
+    KernelSpec,
+    KernelUnsupported,
+    LoopSpec,
+    StageSpec,
+    build_spec,
+    device_parts,
 )
-from repro.si.cascade import BiquadCascade
-from repro.si.cmff import CommonModeFeedforward
-from repro.si.delay_line import DelayLine
-from repro.si.memory_cell import ClassABMemoryCell, MemoryCellConfig, _NoiseFeed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.probes import SignalProbe
@@ -68,55 +61,11 @@ __all__ = [
     "BatchChopper",
     "batch_runner_for",
     "fast_forward_streams",
-    "iter_cells",
 ]
 
 
 class BatchUnsupported(Exception):
     """The device configuration has no bit-exact batch lowering."""
-
-
-def _check_lowerable(*components: object) -> None:
-    """Refuse any component outside the declared lowering protocol.
-
-    ``None`` entries (absent CMFF stages, detached probes) are
-    skipped.  See :mod:`repro.runtime.lowering` for the protocol.
-    """
-    for component in components:
-        if component is None:
-            continue
-        reason = lowering_refusal(component)
-        if reason is not None:
-            raise BatchUnsupported(reason)
-
-
-def _check_stage(stage: object) -> None:
-    """Refuse an integrator/differentiator wired outside the protocol."""
-    cmff = stage.cmff  # type: ignore[attr-defined]
-    mirrors: tuple[object, ...] = ()
-    if cmff is not None:
-        mirrors = (
-            cmff.sense_pos,
-            cmff.sense_neg,
-            cmff.subtract_pos,
-            cmff.subtract_neg,
-        )
-    _check_lowerable(stage, stage._cell, cmff, *mirrors)  # type: ignore[attr-defined]
-
-
-def _check_loop_probes(modulator: object) -> None:
-    """Refuse pre-registered loop probes the replay cannot feed."""
-    session = getattr(modulator, "_telemetry", None)
-    if session is None:
-        return
-    name = modulator._telemetry_name  # type: ignore[attr-defined]
-    for suffix in ("input", "bitstream"):
-        probe = session.probes.get(f"{name}.{suffix}")
-        if probe is None:
-            continue
-        reason = probe_refusal(probe)
-        if reason is not None:
-            raise BatchUnsupported(reason)
 
 
 def _halves(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,50 +79,49 @@ def _halves(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.0 + half, 0.0 - half
 
 
+def _lanes(stream: Any, n_lanes: int, n_steps: int) -> np.ndarray:
+    """Drain ``n_lanes * n_steps`` draws from a live stream, lane-major."""
+    draws: np.ndarray = stream.take(n_lanes * n_steps)
+    return draws.reshape(n_lanes, n_steps)
+
+
+def _store_constants(cell: CellSpec) -> CellSpec:
+    """Return ``cell`` without the wiring flags the store law ignores."""
+    return replace(cell, inverting=False, probed=False)
+
+
 class _FusedCellBank:
     """State, noise and slew tallies of fused cells across lanes.
 
     The bank holds one ``(2 * n_cells, n_lanes)`` state array (rows
-    alternate pos/neg per cell) and pre-draws each cell's noise stream
-    for every lane, preserving the scalar chunk order through
-    :meth:`_NoiseFeed.take`.
+    alternate pos/neg per cell) and drains each cell's live noise feed
+    for every lane.
     """
 
     def __init__(
         self,
-        configs: Sequence[MemoryCellConfig],
+        stages: Sequence[StageSpec],
+        parts: Sequence[tuple[Any, Any]],
         n_lanes: int,
         n_steps: int,
-        lane_offset: int = 0,
-        probes: "Sequence[tuple[SignalProbe | None, SignalProbe | None]] | None" = None,
     ) -> None:
-        if not configs:
-            raise BatchUnsupported("no cells to fuse")
-        for config in configs:
-            if config.seed is None and config.thermal_noise_rms > 0.0:
-                raise BatchUnsupported(UNSEEDED_NOISE_REFUSAL)
-        kernels = [CellKernel.from_config(config) for config in configs]
-        if any(kernel != kernels[0] for kernel in kernels[1:]):
+        cell = stages[0].cell
+        if any(
+            _store_constants(stage.cell) != _store_constants(cell)
+            for stage in stages[1:]
+        ):
             raise BatchUnsupported(
                 "fused cells must share one electrical configuration"
             )
-        self.kernel = kernels[0]
-        self.n_cells = len(configs)
-        self.n_lanes = n_lanes
-        self.n_steps = n_steps
+        self.cell = cell
+        self.n_cells = len(stages)
         self.state = np.zeros((2 * self.n_cells, n_lanes))
         self.slew_counts = np.zeros((self.n_cells, n_lanes), dtype=np.int64)
         self._step_index = 0
 
-        # Per-cell noise, sliced lane-major exactly as a sequentially
-        # reused scalar device would consume it; `lane_offset` skips
-        # the lanes a preceding shard owns.
         noise = np.empty((self.n_cells, n_lanes, n_steps))
-        for index, config in enumerate(configs):
-            feed = _NoiseFeed(config)
-            if lane_offset:
-                feed.take(lane_offset * n_steps)
-            noise[index] = feed.take(n_lanes * n_steps).reshape(n_lanes, n_steps)
+        for index, (live_cell, _) in enumerate(parts):
+            noise[index] = _lanes(live_cell._noise, n_lanes, n_steps)
         # Pre-assemble the per-step additive rows: +0.5*n on pos rows,
         # -(0.5*n) on neg rows (a - b == a + (-b) bitwise).
         half = 0.5 * noise
@@ -181,7 +129,7 @@ class _FusedCellBank:
         self._noise_add[:, 0::2, :] = half.transpose(2, 0, 1)
         self._noise_add[:, 1::2, :] = -half.transpose(2, 0, 1)
 
-        mismatch = self.kernel.mismatch
+        mismatch = cell.mismatch
         self._mismatch_factors: np.ndarray | None = None
         if mismatch != 0.0:
             factors = np.empty((2 * self.n_cells, 1))
@@ -195,16 +143,11 @@ class _FusedCellBank:
         # mode), so buffer those per step and feed them lane-major into
         # observe_array at flush time.
         self._probe_specs: list[tuple[int, "SignalProbe", bool]] = []
-        if probes is not None:
-            for index, (cell_probe, cmff_probe) in enumerate(probes):
-                if cell_probe is not None:
-                    self._probe_specs.append((2 * index, cell_probe, False))
-                if cmff_probe is not None:
-                    self._probe_specs.append((2 * index, cmff_probe, True))
-        for _row, spec_probe, _is_cm in self._probe_specs:
-            reason = probe_refusal(spec_probe)
-            if reason is not None:
-                raise BatchUnsupported(reason)
+        for index, (live_cell, cmff) in enumerate(parts):
+            if live_cell._probe is not None:
+                self._probe_specs.append((2 * index, live_cell._probe, False))
+            if cmff is not None and cmff._probe is not None:
+                self._probe_specs.append((2 * index, cmff._probe, True))
         self._probe_bufs = [
             np.empty((n_steps, n_lanes)) for _ in self._probe_specs
         ]
@@ -222,7 +165,7 @@ class _FusedCellBank:
                 self._probe_bufs[spec_index][self._step_index] = (
                     targets[row] - targets[row + 1]
                 )
-        settled, slewed = store_batch(self.state, targets, self.kernel)
+        settled, slewed = store_batch(self.state, targets, self.cell)
         if self._mismatch_factors is not None:
             settled = settled * self._mismatch_factors
         settled += self._noise_add[self._step_index]
@@ -244,80 +187,29 @@ class _FusedCellBank:
             probe.observe_array(np.ascontiguousarray(buffer.T).reshape(-1))
 
 
-def _check_quantizer(quantizer: CurrentQuantizer) -> CurrentQuantizer:
-    """Reject quantiser configs with no bit-exact lowering, eagerly.
-
-    Called from runner constructors so an unsupported configuration
-    refuses before any lane work starts, not mid-run.  A seeded
-    metastability band lowers exactly (the scalar quantiser consumes
-    one uniform draw per decision unconditionally, so the stream slices
-    per lane), and so does seeded :class:`DitheredQuantizer` dither
-    (one Gaussian draw per decision); only *unseeded* randomness has no
-    replayable stream.
-    """
-    qtype = type(quantizer)
-    if qtype is not CurrentQuantizer and qtype is not DitheredQuantizer:
-        raise BatchUnsupported(
-            lowering_refusal(quantizer)
-            or subclass_refusal("quantizer", qtype.__name__)
-        )
-    if quantizer.metastability_band > 0.0 and quantizer.seed is None:
-        raise BatchUnsupported(UNSEEDED_METASTABILITY_REFUSAL)
-    if (
-        qtype is DitheredQuantizer
-        and quantizer.dither_rms > 0.0
-        and quantizer.seed is None
-    ):
-        raise BatchUnsupported(UNSEEDED_DITHER_REFUSAL)
-    return quantizer
-
-
 class _BatchQuantizer:
     """Per-lane sign quantiser with offset, hysteresis and metastability."""
 
     def __init__(
-        self,
-        quantizer: CurrentQuantizer,
-        n_lanes: int,
-        n_steps: int,
-        lane_offset: int = 0,
+        self, loop: LoopSpec, quantizer: Any, n_lanes: int, n_steps: int
     ) -> None:
-        _check_quantizer(quantizer)
-        self.offset = quantizer.offset
-        self.hysteresis = quantizer.hysteresis
-        self.band = quantizer.metastability_band
+        self.offset = loop.offset
+        self.hysteresis = loop.hysteresis
+        self.band = loop.band
         # The scalar quantiser resets _last_decision to integer 1; the
         # float lane vector produces identical arithmetic.
         self.last = np.ones(n_lanes)
         self._step = 0
-        # One uniform draw per decision, sliced lane-major exactly like
-        # the cell noise feeds (the scalar decide() draws even outside
-        # the band, making the stream position a pure step count).
+        # One uniform metastability draw per decision (the scalar
+        # decide() draws even outside the band, making the stream
+        # position a pure step count) and one Gaussian dither draw per
+        # decision, both sliced lane-major like the cell noise.
         self._draws: np.ndarray | None = None
-        if self.band > 0.0:
-            stream = UniformStream(quantizer.seed)
-            if lane_offset:
-                stream.skip(lane_offset * n_steps)
-            self._draws = stream.take(n_lanes * n_steps).reshape(
-                n_lanes, n_steps
-            )
-        # Dither replays through a fresh GaussianStream with the same
-        # seed derivation as the scalar quantiser's constructor, sliced
-        # lane-major like every other per-decision stream.
+        if loop.band > 0.0:
+            self._draws = _lanes(quantizer._stream, n_lanes, n_steps)
         self._dither_draws: np.ndarray | None = None
-        if (
-            type(quantizer) is DitheredQuantizer
-            and quantizer.dither_rms > 0.0
-        ):
-            dither = GaussianStream(
-                quantizer.dither_rms,
-                None if quantizer.seed is None else quantizer.seed + 1,
-            )
-            if lane_offset:
-                dither.skip(lane_offset * n_steps)
-            self._dither_draws = dither.take(n_lanes * n_steps).reshape(
-                n_lanes, n_steps
-            )
+        if loop.dither_rms > 0.0:
+            self._dither_draws = _lanes(quantizer._dither, n_lanes, n_steps)
 
     def decide(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (decision array of +/-1.0, boolean positive mask)."""
@@ -343,27 +235,15 @@ class _BatchQuantizer:
 
 
 class _BatchDac:
-    """Per-lane 1-bit DAC with optional sliced reference-noise stream."""
+    """Per-lane 1-bit DAC with optional reference-noise draws."""
 
-    def __init__(
-        self,
-        dac: FeedbackDac,
-        n_lanes: int,
-        n_steps: int,
-        lane_offset: int = 0,
-    ) -> None:
-        _check_dac(dac)
-        self.level_pos = dac._level_pos
-        self.level_neg = dac._level_neg
+    def __init__(self, loop: LoopSpec, dac: Any, n_lanes: int, n_steps: int) -> None:
+        self.level_pos = loop.level_pos
+        self.level_neg = loop.level_neg
         self._step = 0
         self._noise: np.ndarray | None = None
-        if dac.reference_noise_rms > 0.0:
-            stream = GaussianStream(dac.reference_noise_rms, dac.seed)
-            if lane_offset:
-                stream.skip(lane_offset * n_steps)
-            self._noise = stream.take(n_lanes * n_steps).reshape(
-                n_lanes, n_steps
-            )
+        if loop.dac_rms > 0.0:
+            self._noise = _lanes(dac._stream, n_lanes, n_steps)
 
     def convert(self, mask: np.ndarray) -> np.ndarray:
         """Return per-lane feedback currents for a decision mask."""
@@ -374,66 +254,32 @@ class _BatchDac:
         return feedback
 
 
-def _check_dac(dac: FeedbackDac) -> FeedbackDac:
-    """Reject DAC configs with no bit-exact lowering, eagerly.
+def _apply_cmff(
+    cmff: CmffSpec, pos: np.ndarray, neg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract the sensed common mode from both halves.
 
-    Seeded reference noise lowers exactly (one Gaussian draw per
-    conversion, sliced per lane); only unseeded noise refuses.
+    Mirror copies evaluate ``gain*i + g_out*dv`` with ``dv = 0.0``; the
+    spec keeps the (+/-0.0) conductance terms so the batch addition
+    sequence matches the scalar one bitwise.
     """
-    if type(dac) is not FeedbackDac:
-        raise BatchUnsupported(
-            lowering_refusal(dac)
-            or subclass_refusal("DAC", type(dac).__name__)
-        )
-    if dac.reference_noise_rms > 0.0 and dac.seed is None:
-        raise BatchUnsupported(UNSEEDED_REFERENCE_REFUSAL)
-    return dac
-
-
-class _CmffStage:
-    """Precomputed common-mode feedforward wiring for one integrator."""
-
-    def __init__(self, cmff: CommonModeFeedforward) -> None:
-        # Mirror copies evaluate gain*i + g_out*dv with dv = 0.0; the
-        # conductance terms are kept (they are +/-0.0) so the batch
-        # addition sequence matches the scalar one bitwise.
-        self.sense_pos_gain = cmff.sense_pos.gain
-        self.sense_neg_gain = cmff.sense_neg.gain
-        self.subtract_pos_gain = cmff.subtract_pos.gain
-        self.subtract_neg_gain = cmff.subtract_neg.gain
-        self.sense_pos_bias = cmff.sense_pos.output_conductance * 0.0
-        self.sense_neg_bias = cmff.sense_neg.output_conductance * 0.0
-        self.subtract_pos_bias = cmff.subtract_pos.output_conductance * 0.0
-        self.subtract_neg_bias = cmff.subtract_neg.output_conductance * 0.0
-
-    def apply(
-        self, pos: np.ndarray, neg: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Subtract the sensed common mode from both halves."""
-        i_cm = (self.sense_pos_gain * pos + self.sense_pos_bias) + (
-            self.sense_neg_gain * neg + self.sense_neg_bias
-        )
-        out_pos = pos - (self.subtract_pos_gain * i_cm + self.subtract_pos_bias)
-        out_neg = neg - (self.subtract_neg_gain * i_cm + self.subtract_neg_bias)
-        return out_pos, out_neg
+    i_cm = (cmff.sense_pos_gain * pos + cmff.sense_pos_bias) + (
+        cmff.sense_neg_gain * neg + cmff.sense_neg_bias
+    )
+    out_pos = pos - (cmff.subtract_pos_gain * i_cm + cmff.subtract_pos_bias)
+    out_neg = neg - (cmff.subtract_neg_gain * i_cm + cmff.subtract_neg_bias)
+    return out_pos, out_neg
 
 
 class _IntegratorStage:
     """Wiring of one SI integrator/differentiator around a bank row pair."""
 
-    def __init__(
-        self,
-        bank: _FusedCellBank,
-        row: int,
-        gain: float,
-        cmff: CommonModeFeedforward | None,
-        crossed: bool,
-    ) -> None:
+    def __init__(self, bank: _FusedCellBank, row: int, stage: StageSpec) -> None:
         self.bank = bank
         self.row = row
-        self.gain = gain
-        self.cmff = _CmffStage(cmff) if cmff is not None else None
-        self.crossed = crossed
+        self.gain = stage.gain
+        self.cmff = stage.cmff
+        self.crossed = stage.crossed
 
     def state(self) -> tuple[np.ndarray, np.ndarray]:
         """Return the (pos, neg) state rows as of the start of the period."""
@@ -454,7 +300,7 @@ class _IntegratorStage:
         target_pos = state_pos + sample_pos
         target_neg = state_neg + sample_neg
         if self.cmff is not None:
-            target_pos, target_neg = self.cmff.apply(target_pos, target_neg)
+            target_pos, target_neg = _apply_cmff(self.cmff, target_pos, target_neg)
         return target_pos, target_neg
 
 
@@ -480,15 +326,6 @@ def _feed_loop_probes(
         bitstream_probe.observe_array(output[lane])
 
 
-def _stage_probes(stage: object) -> "tuple[SignalProbe | None, SignalProbe | None]":
-    """Return one integrator/differentiator's (cell, CMFF) probe pair."""
-    cmff = stage.cmff  # type: ignore[attr-defined]
-    return (
-        stage._cell._probe,  # type: ignore[attr-defined]
-        cmff._probe if cmff is not None else None,
-    )
-
-
 def _check_shape(stimuli: np.ndarray, n_lanes: int, n_steps: int) -> np.ndarray:
     data = np.asarray(stimuli, dtype=float)
     if data.shape != (n_lanes, n_steps):
@@ -504,32 +341,43 @@ def _transposed_halves(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(pos.T), np.ascontiguousarray(neg.T)
 
 
-class BatchClassABCell:
-    """Vectorized :meth:`ClassABMemoryCell.run` over a lane axis."""
+class _LaneRunner:
+    """What every batch runner builds from its spec: bank and stages.
+
+    The cell bank drains the cell noise feeds here; the quantiser and
+    DAC streams are drained when ``run`` builds its loop elements.
+    """
 
     def __init__(
-        self,
-        cell: ClassABMemoryCell,
-        n_lanes: int,
-        n_steps: int,
-        lane_offset: int = 0,
+        self, device: object, spec: KernelSpec, n_lanes: int, n_steps: int
     ) -> None:
-        _check_lowerable(cell)
+        stages, self._quantizer, self._dac = device_parts(device)
         self.n_lanes = n_lanes
         self.n_steps = n_steps
-        self.inverting = cell.config.inverting
-        self._bank = _FusedCellBank(
-            [cell.config],
-            n_lanes,
-            n_steps,
-            lane_offset,
-            probes=[(cell._probe, None)],
+        self._device = device
+        self._spec = spec
+        self._bank = _FusedCellBank(spec.all_stages, stages, n_lanes, n_steps)
+        self._stages = [
+            _IntegratorStage(self._bank, 2 * index, stage)
+            for index, stage in enumerate(spec.all_stages)
+        ]
+
+    def _loop_elements(self) -> tuple[_BatchQuantizer, _BatchDac, float]:
+        """Return the lane quantiser, DAC and full scale of the loop.
+
+        Building the quantiser and DAC drains their live streams.
+        """
+        loop = self._spec.loop
+        assert loop is not None
+        return (
+            _BatchQuantizer(loop, self._quantizer, self.n_lanes, self.n_steps),
+            _BatchDac(loop, self._dac, self.n_lanes, self.n_steps),
+            loop.full_scale,
         )
 
-    @property
-    def slew_counts(self) -> np.ndarray:
-        """Per-lane slew event counts (shape ``(n_lanes,)``)."""
-        return self._bank.slew_counts[0]
+
+class BatchClassABCell(_LaneRunner):
+    """Vectorized :meth:`ClassABMemoryCell.run` over a lane axis."""
 
     def run(self, stimuli: np.ndarray) -> np.ndarray:
         """Run every lane; returns the differential outputs (lanes, steps)."""
@@ -537,12 +385,13 @@ class BatchClassABCell:
         pos_t, neg_t = _transposed_halves(data)
         output = np.empty((self.n_steps, self.n_lanes))
         bank = self._bank
+        inverting = bank.cell.inverting
         targets = np.empty((2, self.n_lanes))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for n in range(self.n_steps):
                 held_pos = bank.state[0]
                 held_neg = bank.state[1]
-                if self.inverting:
+                if inverting:
                     output[n] = np.negative(held_pos) - np.negative(held_neg)
                 else:
                     output[n] = held_pos - held_neg
@@ -553,7 +402,7 @@ class BatchClassABCell:
         return np.ascontiguousarray(output.T)
 
 
-class BatchDelayLine:
+class BatchDelayLine(_LaneRunner):
     """Vectorized :class:`DelayLine` run over a lane axis.
 
     Every cell's store target depends only on the *previous* period's
@@ -562,26 +411,6 @@ class BatchDelayLine:
     period.
     """
 
-    def __init__(
-        self,
-        line: DelayLine,
-        n_lanes: int,
-        n_steps: int,
-        lane_offset: int = 0,
-    ) -> None:
-        _check_lowerable(line, *line.cells)
-        self.n_lanes = n_lanes
-        self.n_steps = n_steps
-        configs = [cell.config for cell in line.cells]
-        self._inverting = [config.inverting for config in configs]
-        self._bank = _FusedCellBank(
-            configs,
-            n_lanes,
-            n_steps,
-            lane_offset,
-            probes=[(cell._probe, None) for cell in line.cells],
-        )
-
     def run(self, stimuli: np.ndarray) -> np.ndarray:
         """Run every lane; returns the differential outputs (lanes, steps)."""
         data = _check_shape(stimuli, self.n_lanes, self.n_steps)
@@ -589,6 +418,7 @@ class BatchDelayLine:
         output = np.empty((self.n_steps, self.n_lanes))
         bank = self._bank
         n_cells = bank.n_cells
+        inverting = [stage.cell.inverting for stage in self._spec.stages]
         targets = np.empty((2 * n_cells, self.n_lanes))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for n in range(self.n_steps):
@@ -599,7 +429,7 @@ class BatchDelayLine:
                     targets[2 * cell + 1] = value_neg
                     held_pos = bank.state[2 * cell]
                     held_neg = bank.state[2 * cell + 1]
-                    if self._inverting[cell]:
+                    if inverting[cell]:
                         value_pos = np.negative(held_pos)
                         value_neg = np.negative(held_neg)
                     else:
@@ -611,37 +441,8 @@ class BatchDelayLine:
         return np.ascontiguousarray(output.T)
 
 
-class BatchBiquadCascade:
+class BatchBiquadCascade(_LaneRunner):
     """Vectorized :class:`BiquadCascade` band-pass run over a lane axis."""
-
-    def __init__(
-        self,
-        cascade: BiquadCascade,
-        n_lanes: int,
-        n_steps: int,
-        lane_offset: int = 0,
-    ) -> None:
-        _check_lowerable(cascade)
-        self.n_lanes = n_lanes
-        self.n_steps = n_steps
-        configs: list[MemoryCellConfig] = []
-        self._coefficients: list[tuple[float, float, float]] = []
-        stages: list[tuple[CommonModeFeedforward | None, float]] = []
-        probes: list[tuple["SignalProbe | None", "SignalProbe | None"]] = []
-        for section in cascade.sections:
-            self._coefficients.append((section.k1, section.k2, section.q))
-            for integrator in (section._int1, section._int2):
-                _check_stage(integrator)
-                configs.append(integrator._cell.config)
-                stages.append((integrator.cmff, integrator.gain))
-                probes.append(_stage_probes(integrator))
-        self._bank = _FusedCellBank(
-            configs, n_lanes, n_steps, lane_offset, probes=probes
-        )
-        self._stages = [
-            _IntegratorStage(self._bank, 2 * index, gain, cmff, crossed=False)
-            for index, (cmff, gain) in enumerate(stages)
-        ]
 
     def run(self, stimuli: np.ndarray) -> np.ndarray:
         """Run every lane; returns the band-pass outputs (lanes, steps)."""
@@ -649,11 +450,14 @@ class BatchBiquadCascade:
         stim_t = np.ascontiguousarray(data.T)
         output = np.empty((self.n_steps, self.n_lanes))
         bank = self._bank
+        coefficients = [
+            (section.k1, section.k2, section.q) for section in self._spec.sections
+        ]
         targets = np.empty((2 * bank.n_cells, self.n_lanes))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for n in range(self.n_steps):
                 signal: np.ndarray = stim_t[n]
-                for index, (k1, k2, q) in enumerate(self._coefficients):
+                for index, (k1, k2, q) in enumerate(coefficients):
                     stage1 = self._stages[2 * index]
                     stage2 = self._stages[2 * index + 1]
                     w1_pos, w1_neg = stage1.state()
@@ -676,132 +480,56 @@ class BatchBiquadCascade:
         return np.ascontiguousarray(output.T)
 
 
-class BatchModulator1:
+class BatchModulator1(_LaneRunner):
     """Vectorized first-order loop (:class:`SIModulator1`) over lanes."""
-
-    def __init__(
-        self,
-        modulator: SIModulator1,
-        n_lanes: int,
-        n_steps: int,
-        lane_offset: int = 0,
-    ) -> None:
-        self.n_lanes = n_lanes
-        self.n_steps = n_steps
-        self.full_scale = modulator.full_scale
-        self.a = modulator.a
-        self._lane_offset = lane_offset
-        self._modulator = modulator
-        integrator = modulator._integrator
-        _check_lowerable(modulator)
-        _check_stage(integrator)
-        _check_loop_probes(modulator)
-        self._bank = _FusedCellBank(
-            [integrator._cell.config],
-            n_lanes,
-            n_steps,
-            lane_offset,
-            probes=[_stage_probes(integrator)],
-        )
-        self._stage = _IntegratorStage(
-            self._bank, 0, integrator.gain, integrator.cmff, crossed=False
-        )
-        self._quantizer_source = _check_quantizer(modulator.quantizer)
-        self._dac_source = _check_dac(modulator.dac)
 
     def run(self, stimuli: np.ndarray) -> np.ndarray:
         """Run every lane; returns the bit-stream outputs (lanes, steps)."""
         data = _check_shape(stimuli, self.n_lanes, self.n_steps)
         stim_t = np.ascontiguousarray(data.T)
-        quantizer = _BatchQuantizer(
-            self._quantizer_source, self.n_lanes, self.n_steps, self._lane_offset
-        )
-        dac = _BatchDac(
-            self._dac_source, self.n_lanes, self.n_steps, self._lane_offset
-        )
+        quantizer, dac, full_scale = self._loop_elements()
         output = np.empty((self.n_steps, self.n_lanes))
         bank = self._bank
+        (stage,) = self._stages
         targets = np.empty((2, self.n_lanes))
-        a = self.a
-        full_scale = self.full_scale
+        a = self._spec.a1
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for n in range(self.n_steps):
-                w_pos, w_neg = self._stage.state()
+                w_pos, w_neg = stage.state()
                 decisions, mask = quantizer.decide(w_pos - w_neg)
                 feedback = dac.convert(mask)
                 u_pos, u_neg = _halves(a * (stim_t[n] - feedback))
-                targets[0], targets[1] = self._stage.targets(u_pos, u_neg)
+                targets[0], targets[1] = stage.targets(u_pos, u_neg)
                 output[n] = decisions * full_scale
                 bank.store(targets)
         bank.flush_probes()
         result = np.ascontiguousarray(output.T)
-        _feed_loop_probes(self._modulator, data, result)
+        _feed_loop_probes(self._device, data, result)
         return result
 
 
-class BatchModulator2:
+class BatchModulator2(_LaneRunner):
     """Vectorized second-order loop (:class:`SIModulator2`) over lanes.
 
     Both integrators step from pre-period states, so their four
     half-circuits fuse into one kernel call per period.
     """
 
-    def __init__(
-        self,
-        modulator: SIModulator2,
-        n_lanes: int,
-        n_steps: int,
-        lane_offset: int = 0,
-    ) -> None:
-        self.n_lanes = n_lanes
-        self.n_steps = n_steps
-        self.full_scale = modulator.full_scale
-        self.a1 = modulator.a1
-        self.a2 = modulator.a2
-        self.b2 = modulator.b2
-        self._lane_offset = lane_offset
-        self._modulator = modulator
-        int1 = modulator._int1
-        int2 = modulator._int2
-        _check_lowerable(modulator)
-        _check_stage(int1)
-        _check_stage(int2)
-        _check_loop_probes(modulator)
-        self._bank = _FusedCellBank(
-            [int1._cell.config, int2._cell.config],
-            n_lanes,
-            n_steps,
-            lane_offset,
-            probes=[_stage_probes(int1), _stage_probes(int2)],
-        )
-        self._stage1 = _IntegratorStage(
-            self._bank, 0, int1.gain, int1.cmff, crossed=False
-        )
-        self._stage2 = _IntegratorStage(
-            self._bank, 2, int2.gain, int2.cmff, crossed=False
-        )
-        self._quantizer_source = _check_quantizer(modulator.quantizer)
-        self._dac_source = _check_dac(modulator.dac)
-
     def run(self, stimuli: np.ndarray) -> np.ndarray:
         """Run every lane; returns the bit-stream outputs (lanes, steps)."""
         data = _check_shape(stimuli, self.n_lanes, self.n_steps)
         pos_t, neg_t = _transposed_halves(data)
-        quantizer = _BatchQuantizer(
-            self._quantizer_source, self.n_lanes, self.n_steps, self._lane_offset
-        )
-        dac = _BatchDac(
-            self._dac_source, self.n_lanes, self.n_steps, self._lane_offset
-        )
+        quantizer, dac, full_scale = self._loop_elements()
         output = np.empty((self.n_steps, self.n_lanes))
         bank = self._bank
+        stage1, stage2 = self._stages
         targets = np.empty((4, self.n_lanes))
-        a1, a2, b2 = self.a1, self.a2, self.b2
-        full_scale = self.full_scale
+        spec = self._spec
+        a1, a2, b2 = spec.a1, spec.a2, spec.b2
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for n in range(self.n_steps):
-                w1_pos, w1_neg = self._stage1.state()
-                w2_pos, w2_neg = self._stage2.state()
+                w1_pos, w1_neg = stage1.state()
+                w2_pos, w2_neg = stage2.state()
                 decisions, mask = quantizer.decide(w2_pos - w2_neg)
                 feedback = dac.convert(mask)
                 fb_pos, fb_neg = _halves(feedback)
@@ -809,55 +537,18 @@ class BatchModulator2:
                 u1_neg = (neg_t[n] - fb_neg) * a1
                 u2_pos = w1_pos * a2 - fb_pos * b2
                 u2_neg = w1_neg * a2 - fb_neg * b2
-                targets[0], targets[1] = self._stage1.targets(u1_pos, u1_neg)
-                targets[2], targets[3] = self._stage2.targets(u2_pos, u2_neg)
+                targets[0], targets[1] = stage1.targets(u1_pos, u1_neg)
+                targets[2], targets[3] = stage2.targets(u2_pos, u2_neg)
                 output[n] = decisions * full_scale
                 bank.store(targets)
         bank.flush_probes()
         result = np.ascontiguousarray(output.T)
-        _feed_loop_probes(self._modulator, data, result)
+        _feed_loop_probes(self._device, data, result)
         return result
 
 
-class BatchChopper:
+class BatchChopper(_LaneRunner):
     """Vectorized chopper-stabilised loop over lanes."""
-
-    def __init__(
-        self,
-        modulator: ChopperStabilizedSIModulator,
-        n_lanes: int,
-        n_steps: int,
-        lane_offset: int = 0,
-    ) -> None:
-        self.n_lanes = n_lanes
-        self.n_steps = n_steps
-        self.full_scale = modulator.full_scale
-        self.a1 = modulator.a1
-        self.a2 = modulator.a2
-        self.b2 = modulator.b2
-        self._lane_offset = lane_offset
-        self._modulator = modulator
-        diff1 = modulator._diff1
-        diff2 = modulator._diff2
-        _check_lowerable(modulator)
-        _check_stage(diff1)
-        _check_stage(diff2)
-        _check_loop_probes(modulator)
-        self._bank = _FusedCellBank(
-            [diff1._cell.config, diff2._cell.config],
-            n_lanes,
-            n_steps,
-            lane_offset,
-            probes=[_stage_probes(diff1), _stage_probes(diff2)],
-        )
-        self._stage1 = _IntegratorStage(
-            self._bank, 0, diff1.gain, diff1.cmff, crossed=True
-        )
-        self._stage2 = _IntegratorStage(
-            self._bank, 2, diff2.gain, diff2.cmff, crossed=True
-        )
-        self._quantizer_source = _check_quantizer(modulator.quantizer)
-        self._dac_source = _check_dac(modulator.dac)
 
     def run(self, stimuli: np.ndarray) -> np.ndarray:
         """Run every lane; returns the post-chopper outputs (lanes, steps)."""
@@ -868,22 +559,18 @@ class BatchChopper:
         signs = np.where(np.arange(self.n_steps) % 2 == 0, 1.0, -1.0)
         chopped = signs[np.newaxis, :] * data
         stim_t = np.ascontiguousarray(chopped.T)
-        quantizer = _BatchQuantizer(
-            self._quantizer_source, self.n_lanes, self.n_steps, self._lane_offset
-        )
-        dac = _BatchDac(
-            self._dac_source, self.n_lanes, self.n_steps, self._lane_offset
-        )
+        quantizer, dac, full_scale = self._loop_elements()
         raw = np.empty((self.n_steps, self.n_lanes))
         bank = self._bank
+        stage1, stage2 = self._stages
         targets = np.empty((4, self.n_lanes))
-        a1, a2, b2 = self.a1, self.a2, self.b2
+        spec = self._spec
+        a1, a2, b2 = spec.a1, spec.a2, spec.b2
         neg_a1 = -a1
-        full_scale = self.full_scale
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for n in range(self.n_steps):
-                w1_pos, w1_neg = self._stage1.state()
-                w2_pos, w2_neg = self._stage2.state()
+                w1_pos, w1_neg = stage1.state()
+                w2_pos, w2_neg = stage2.state()
                 decisions, mask = quantizer.decide(w2_pos - w2_neg)
                 feedback = dac.convert(mask)
                 fb_pos, fb_neg = _halves(feedback)
@@ -892,95 +579,59 @@ class BatchChopper:
                 s1_neg = (u_neg - fb_neg) * neg_a1
                 s2_pos = fb_pos * b2 - w1_pos * a2
                 s2_neg = fb_neg * b2 - w1_neg * a2
-                targets[0], targets[1] = self._stage1.targets(s1_pos, s1_neg)
-                targets[2], targets[3] = self._stage2.targets(s2_pos, s2_neg)
+                targets[0], targets[1] = stage1.targets(s1_pos, s1_neg)
+                targets[2], targets[3] = stage2.targets(s2_pos, s2_neg)
                 raw[n] = decisions * full_scale
                 bank.store(targets)
         bank.flush_probes()
         # Output chopper: again an exact +/-1.0 product per sample.
         output = signs[:, np.newaxis] * raw
         result = np.ascontiguousarray(output.T)
-        _feed_loop_probes(self._modulator, data, result)
+        _feed_loop_probes(self._device, data, result)
         return result
 
 
-def iter_cells(device: object) -> list[ClassABMemoryCell]:
-    """Return the memory cells of a supported device, in noise order.
-
-    Used by the scalar fallback path to fast-forward noise streams for
-    sharded lanes; the order matches each device's construction order.
-
-    Raises
-    ------
-    BatchUnsupported
-        If the device type is not recognised.
-    """
-    if isinstance(device, ClassABMemoryCell):
-        return [device]
-    if isinstance(device, DelayLine):
-        return list(device.cells)
-    if isinstance(device, BiquadCascade):
-        return [
-            integrator._cell
-            for section in device.sections
-            for integrator in (section._int1, section._int2)
-        ]
-    if isinstance(device, SIModulator1):
-        return [device._integrator._cell]
-    if isinstance(device, SIModulator2):
-        return [device._int1._cell, device._int2._cell]
-    if isinstance(device, ChopperStabilizedSIModulator):
-        return [device._diff1._cell, device._diff2._cell]
-    raise BatchUnsupported(f"no batch lowering for {type(device).__name__}")
-
-
-def _device_streams(device: object) -> list[object]:
-    """Return every live random stream a device run consumes, in order.
-
-    Cell noise feeds first (construction order), then the quantiser
-    metastability stream and the DAC reference-noise stream when those
-    draws are active.
-    """
-    streams: list[object] = [cell._noise for cell in iter_cells(device)]
-    quantizer = getattr(device, "quantizer", None)
-    if (
-        isinstance(quantizer, CurrentQuantizer)
-        and quantizer.metastability_band > 0.0
-    ):
-        streams.append(quantizer._stream)
-    if (
-        isinstance(quantizer, DitheredQuantizer)
-        and quantizer.dither_rms > 0.0
-    ):
-        streams.append(quantizer._dither)
-    dac = getattr(device, "dac", None)
-    if isinstance(dac, FeedbackDac) and dac.reference_noise_rms > 0.0:
-        streams.append(dac._stream)
-    return streams
+#: The batch runner for each :attr:`KernelSpec.kind`.
+_RUNNERS: dict[str, type[_LaneRunner]] = {
+    "cell": BatchClassABCell,
+    "delay": BatchDelayLine,
+    "cascade": BatchBiquadCascade,
+    "mod1": BatchModulator1,
+    "mod2": BatchModulator2,
+    "chopper": BatchChopper,
+}
 
 
 def fast_forward_streams(device: object, count: int) -> None:
-    """Advance every random stream of ``device`` by ``count`` draws.
+    """Advance every live random stream of ``device`` by ``count`` draws.
 
-    Used by the scalar fallback of sharded sweeps: a shard at
-    ``lane_offset`` skips ``lane_offset * total_samples`` draws of each
-    stream (cell noise, quantiser metastability, DAC reference noise)
-    so its lanes consume the same slices a single sequential device
-    would.
+    A shard whose first lane is ``k`` of a sweep calls this with
+    ``k * total_samples`` before running any rung, so its lanes consume
+    the stream slices a single sequential device would: the cell noise
+    feeds, and the quantiser metastability and dither and DAC
+    reference-noise streams when those draws are active.  Works on
+    devices every engine refuses too (the scalar fallback needs it).
     """
     if count <= 0:
         return
-    for stream in _device_streams(device):
-        stream.take(count)  # type: ignore[attr-defined]
+    stages, quantizer, dac = device_parts(device)
+    streams = [cell._noise for cell, _ in stages]
+    if quantizer is not None:
+        if quantizer.metastability_band > 0.0:
+            streams.append(quantizer._stream)
+        if isinstance(quantizer, DitheredQuantizer) and quantizer.dither_rms > 0.0:
+            streams.append(quantizer._dither)
+    if dac is not None and dac.reference_noise_rms > 0.0:
+        streams.append(dac._stream)
+    for stream in streams:
+        stream.take(count)
 
 
-def batch_runner_for(
-    device: object, n_lanes: int, n_steps: int, lane_offset: int = 0
-) -> (
-    "BatchClassABCell | BatchDelayLine | BatchBiquadCascade"
-    " | BatchModulator1 | BatchModulator2 | BatchChopper"
-):
-    """Lower a freshly built scalar device onto its batch runner.
+def batch_runner_for(device: object, n_lanes: int, n_steps: int) -> _LaneRunner:
+    """Lower a device onto the batch runner of its kernel spec.
+
+    Every refusal is raised before any of the device's streams is
+    drained, so a refused device falls back with its streams intact.
 
     Raises
     ------
@@ -992,23 +643,9 @@ def batch_runner_for(
             f"n_lanes and n_steps must be >= 1, got {n_lanes!r}, {n_steps!r}"
         )
     try:
-        reason = lowering_refusal(device)
-        if reason is not None:
-            raise BatchUnsupported(reason)
-        if isinstance(device, ClassABMemoryCell):
-            return BatchClassABCell(device, n_lanes, n_steps, lane_offset)
-        if isinstance(device, DelayLine):
-            return BatchDelayLine(device, n_lanes, n_steps, lane_offset)
-        if isinstance(device, BiquadCascade):
-            return BatchBiquadCascade(device, n_lanes, n_steps, lane_offset)
-        if isinstance(device, SIModulator1):
-            return BatchModulator1(device, n_lanes, n_steps, lane_offset)
-        if isinstance(device, SIModulator2):
-            return BatchModulator2(device, n_lanes, n_steps, lane_offset)
-        if isinstance(device, ChopperStabilizedSIModulator):
-            return BatchChopper(device, n_lanes, n_steps, lane_offset)
-        raise BatchUnsupported(f"no batch lowering for {type(device).__name__}")
-    except BatchUnsupported:
+        spec = build_spec(device)
+        return _RUNNERS[spec.kind](device, spec, n_lanes, n_steps)
+    except (KernelUnsupported, BatchUnsupported) as error:
         # Imported lazily: this module sits below the observability
         # layer in the import graph and only pays for it on refusal.
         from repro.observability.instruments import get_registry
@@ -1017,4 +654,4 @@ def batch_runner_for(
             "repro.batch.refusals",
             help="batch lowerings refused (scalar fallback taken)",
         ).inc(device=type(device).__name__)
-        raise
+        raise BatchUnsupported(str(error)) from None

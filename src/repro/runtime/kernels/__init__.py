@@ -2,12 +2,13 @@
 
 Public surface:
 
-* :class:`CellKernel` / :func:`store_batch` -- the vectorised memory-cell
-  settling update used by the batch engine (moved here from the old
-  flat ``repro.runtime.kernels`` module).
 * :func:`build_spec` / :class:`KernelSpec` -- lower a device into a
   frozen constant-folded spec, or raise :class:`KernelUnsupported`
-  with a named reason.
+  with a named reason; :func:`device_parts` returns its live cells,
+  CMFF stages, quantizer and DAC in the same order.  Both lowered
+  engines go through these two functions.
+* :func:`store_batch` -- the vectorised memory-cell settling update the
+  batch runners apply to a spec's cells.
 * :func:`compile_spec` / :class:`KernelProgram` -- generate and cache
   the fused scalar loop for a spec.
 * :func:`run_kernel` / :func:`kernel_refusal` -- execute a device's
@@ -24,17 +25,18 @@ from repro.runtime.kernels.spec import (
     KernelSpec,
     KernelUnsupported,
     build_spec,
+    device_parts,
     state_matrices,
 )
-from repro.runtime.kernels.store import CellKernel, store_batch
+from repro.runtime.kernels.store import store_batch
 
 __all__ = [
-    "CellKernel",
     "KernelProgram",
     "KernelSpec",
     "KernelUnsupported",
     "build_spec",
     "compile_spec",
+    "device_parts",
     "jit_status",
     "kernel_refusal",
     "run_kernel",

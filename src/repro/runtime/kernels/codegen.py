@@ -93,9 +93,11 @@ def _emit_store(
 ) -> None:
     """Emit the fused ``_store_half`` body with the cell's literals.
 
-    Line-for-line transliteration of
-    :func:`repro.runtime.single._store_half_fn`'s closure, with every
-    hoisted constant inlined as a literal.
+    Transliteration of
+    :meth:`repro.si.memory_cell.ClassABMemoryCell._store_half` with its
+    helpers (class-AB split, transmission error, charge injection, GGA
+    settling) inlined operation for operation and every configuration
+    constant inlined as a literal.
     """
     iq = _lit(cell.iq_squared)
     bias = _lit(cell.bias)

@@ -20,7 +20,7 @@ compiled :class:`~repro.runtime.kernels.codegen.KernelProgram`:
 
 so a kernel run is indistinguishable -- output bytes, device state,
 stream positions, probe statistics -- from the same run under
-:func:`repro.runtime.single.force_scalar`.
+:func:`repro.runtime.engine.force_scalar`.
 """
 
 from __future__ import annotations
@@ -29,63 +29,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
-from repro.deltasigma.modulator1 import SIModulator1
-from repro.deltasigma.modulator2 import SIModulator2
 from repro.runtime.kernels.codegen import KernelProgram, compile_spec
 from repro.runtime.kernels.jit import jit_compile, jit_status
-from repro.runtime.kernels.spec import KernelUnsupported, build_spec
-from repro.si.cascade import BiquadCascade
-from repro.si.delay_line import DelayLine
+from repro.runtime.kernels.spec import KernelUnsupported, build_spec, device_parts
 from repro.si.differential import DifferentialSample
-from repro.si.memory_cell import ClassABMemoryCell
 
 __all__ = ["kernel_refusal", "run_kernel"]
-
-
-def _device_parts(
-    device: object,
-) -> tuple[list[tuple[Any, Any]], Any, Any]:
-    """Return ``(stages, quantizer, dac)`` in kernel emission order.
-
-    ``stages`` is a list of ``(cell, cmff-or-None)`` pairs mirroring
-    :func:`build_spec`'s stage order exactly, so probe slots and state
-    writeback line up with the generated argument layout.
-    """
-    if isinstance(device, ClassABMemoryCell):
-        return [(device, None)], None, None
-    if isinstance(device, DelayLine):
-        return [(cell, None) for cell in device.cells], None, None
-    if isinstance(device, BiquadCascade):
-        stages = []
-        for section in device.sections:
-            for stage in (section._int1, section._int2):
-                stages.append((stage._cell, stage.cmff))
-        return stages, None, None
-    if isinstance(device, SIModulator1):
-        integ = device._integrator
-        return [(integ._cell, integ.cmff)], device.quantizer, device.dac
-    if isinstance(device, SIModulator2):
-        return (
-            [
-                (device._int1._cell, device._int1.cmff),
-                (device._int2._cell, device._int2.cmff),
-            ],
-            device.quantizer,
-            device.dac,
-        )
-    if isinstance(device, ChopperStabilizedSIModulator):
-        return (
-            [
-                (device._diff1._cell, device._diff1.cmff),
-                (device._diff2._cell, device._diff2.cmff),
-            ],
-            device.quantizer,
-            device.dac,
-        )
-    raise KernelUnsupported(
-        f"no kernel lowering for {type(device).__name__}"
-    )
 
 
 def kernel_refusal(device: object) -> str | None:
@@ -136,7 +85,7 @@ def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
         raise KernelUnsupported("input is not 1-D")
     spec = build_spec(device)
     program = compile_spec(spec)
-    stages, quantizer, dac = _device_parts(device)
+    stages, quantizer, dac = device_parts(device)
     n = data.shape[0]
     loop = spec.loop
 

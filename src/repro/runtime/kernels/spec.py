@@ -1,15 +1,16 @@
 """Kernel specs: frozen state-space descriptions of lowered designs.
 
-The compiled kernel tier executes a device by *transliterating* its
-configuration, never its Python methods -- the same contract the batch
-engine and the single-run fast path already honour.  This module is
-the lowering step: :func:`build_spec` walks a freshly built device,
-re-checks the declared lowering protocol
-(:mod:`repro.runtime.lowering`), and freezes every constant the run
-needs into a hashable :class:`KernelSpec`.  The spec is the *only*
+Both lowered engines execute a device by *transliterating* its
+configuration, never its Python methods.  This module is the one
+lowering step they share: :func:`build_spec` walks a device, checks
+the declared lowering protocol (:mod:`repro.runtime.lowering`), and
+freezes every constant the run needs into a hashable
+:class:`KernelSpec`; :func:`device_parts` returns the live cells, CMFF
+stages, quantizer and DAC in the same order.  The spec is the *only*
 input to code generation (:mod:`repro.runtime.kernels.codegen`), so
 two devices with identical electrical configuration share one compiled
-kernel.
+kernel, and the NumPy batch runners (:mod:`repro.runtime.batch`) read
+the same spec lane-major.
 
 The linear part of each design is also exposed as explicit state-space
 matrices (:func:`state_matrices`) -- the A/B/C/D formulation of the
@@ -21,14 +22,13 @@ a fused ``A @ state`` would re-associate those sums.  The matrices are
 the documentation and analysis view; the generated source is the
 executable one.
 
-Unlike the batch engine, the kernel tier consumes the device's **live**
-random streams (the cell noise feeds, the quantiser metastability and
-dither streams, the DAC reference-noise stream), so it does not need
-seeds to be byte-identical with the scalar loop on the same device
-instance -- unseeded configurations lower too.  Only protocol
-violations refuse: behavioural subclasses outside the declared hook
-allowlist, unpaired probe overrides, and device types without a
-transliteration.
+Both engines consume the device's **live** random streams (the cell
+noise feeds, the quantiser metastability and dither streams, the DAC
+reference-noise stream), so seeds are not needed for byte-equality with
+the scalar loop on the same device instance -- unseeded configurations
+lower too.  Only protocol violations refuse: behavioural subclasses
+outside the declared hook allowlist, unpaired probe overrides on the
+stage probes, and device types without a transliteration.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ __all__ = [
     "LoopSpec",
     "KernelSpec",
     "build_spec",
+    "device_parts",
     "state_matrices",
 ]
 
@@ -214,8 +215,6 @@ class KernelSpec:
 
 def _refuse(component: object) -> None:
     """Raise :class:`KernelUnsupported` if ``component`` refuses lowering."""
-    if component is None:
-        return
     reason = lowering_refusal(component)
     if reason is not None:
         raise KernelUnsupported(reason)
@@ -244,14 +243,14 @@ def _stage_spec(stage: Any, crossed: bool) -> StageSpec:
     cmff = stage.cmff
     cmff_spec: CmffSpec | None = None
     if cmff is not None:
-        _refuse(cmff)
-        for mirror in (
+        for component in (
+            cmff,
             cmff.sense_pos,
             cmff.sense_neg,
             cmff.subtract_pos,
             cmff.subtract_neg,
         ):
-            _refuse(mirror)
+            _refuse(component)
         _check_probe(cmff._probe)
         cmff_spec = CmffSpec.from_cmff(cmff)
     return StageSpec(
@@ -290,97 +289,106 @@ def _loop_spec(quantizer: Any, dac: Any, full_scale: float) -> LoopSpec:
     )
 
 
-def _check_loop_probes(modulator: Any) -> None:
-    """Refuse pre-registered top-level probes the replay cannot feed."""
-    session = getattr(modulator, "_telemetry", None)
-    if session is None:
-        return
-    name = modulator._telemetry_name
-    for suffix in ("input", "bitstream"):
-        probe = session.probes.get(f"{name}.{suffix}")
-        if probe is not None:
-            _check_probe(probe)
+def _stages_of(device: object) -> tuple[str, tuple[Any, ...]]:
+    """Return ``(kind, stages)``: the device's live stages in spec order.
+
+    A stage is a bare memory cell for the open-loop cell and delay
+    line, and an integrator/differentiator (``._cell`` plus ``.cmff``)
+    everywhere else.  This is the one place that knows each lowered
+    device's shape.
+    """
+    if isinstance(device, ClassABMemoryCell):
+        return "cell", (device,)
+    if isinstance(device, DelayLine):
+        return "delay", tuple(device.cells)
+    if isinstance(device, BiquadCascade):
+        return "cascade", tuple(
+            stage
+            for section in device.sections
+            for stage in (section._int1, section._int2)
+        )
+    if isinstance(device, SIModulator1):
+        return "mod1", (device._integrator,)
+    if isinstance(device, SIModulator2):
+        return "mod2", (device._int1, device._int2)
+    if isinstance(device, ChopperStabilizedSIModulator):
+        return "chopper", (device._diff1, device._diff2)
+    raise KernelUnsupported(
+        f"no kernel lowering for {type(device).__name__}"
+    )
+
+
+def device_parts(
+    device: object,
+) -> tuple[list[tuple[ClassABMemoryCell, Any]], Any, Any]:
+    """Return ``(stages, quantizer, dac)`` of a device in spec order.
+
+    ``stages`` pairs each live memory cell with its CMFF stage (or
+    None), index-aligned with :attr:`KernelSpec.all_stages`, so the
+    runners find the noise feed, probes and state of stage ``j`` at
+    ``stages[j]``.  The quantizer and DAC are None for the open-loop
+    devices.  No lowering checks run here: the sweep's scalar fallback
+    uses the parts of devices :func:`build_spec` refuses.
+    """
+    kind, stages = _stages_of(device)
+    if kind in ("cell", "delay"):
+        return [(cell, None) for cell in stages], None, None
+    pairs = [(stage._cell, stage.cmff) for stage in stages]
+    if kind == "cascade":
+        return pairs, None, None
+    return pairs, device.quantizer, device.dac  # type: ignore[attr-defined]
 
 
 def build_spec(device: object) -> KernelSpec:
     """Lower ``device`` to its kernel spec, or raise :class:`KernelUnsupported`.
 
-    Re-checks the declared lowering protocol on the device and every
-    sub-component exactly like the batch runner constructors do, so the
-    kernel tier and the batch engine agree on which subclasses lower.
-    Seeds are *not* required: the kernel runner consumes the device's
-    live streams (see the module docstring).
+    Checks the declared lowering protocol on the device and every
+    sub-component, and the probe pairing rule on every attached stage
+    probe.  Both lowered engines -- this tier and the NumPy batch
+    runners -- lower through here, so they refuse the same devices with
+    the same messages.  Seeds are *not* required: both consume the
+    device's live streams (see the module docstring).
     """
     _refuse(device)
-    if isinstance(device, ClassABMemoryCell):
+    kind, stages = _stages_of(device)
+    if kind in ("cell", "delay"):
         return KernelSpec(
-            kind="cell",
-            stages=(
-                StageSpec(
-                    cell=_cell_spec(device), gain=1.0, crossed=False, cmff=None
-                ),
-            ),
-        )
-    if isinstance(device, DelayLine):
-        return KernelSpec(
-            kind="delay",
+            kind=kind,
             stages=tuple(
                 StageSpec(
                     cell=_cell_spec(cell), gain=1.0, crossed=False, cmff=None
                 )
-                for cell in device.cells
+                for cell in stages
             ),
         )
-    if isinstance(device, BiquadCascade):
+    specs = tuple(
+        _stage_spec(stage, crossed=kind == "chopper") for stage in stages
+    )
+    if kind == "cascade":
         return KernelSpec(
-            kind="cascade",
+            kind=kind,
             sections=tuple(
                 SectionSpec(
                     k1=section.k1,
                     k2=section.k2,
                     q=section.q,
-                    first=_stage_spec(section._int1, crossed=False),
-                    second=_stage_spec(section._int2, crossed=False),
+                    first=specs[2 * index],
+                    second=specs[2 * index + 1],
                 )
-                for section in device.sections
+                for index, section in enumerate(device.sections)  # type: ignore[attr-defined]
             ),
         )
-    if isinstance(device, SIModulator1):
-        _check_loop_probes(device)
-        return KernelSpec(
-            kind="mod1",
-            stages=(_stage_spec(device._integrator, crossed=False),),
-            loop=_loop_spec(device.quantizer, device.dac, device.full_scale),
-            a1=device.a,
-        )
-    if isinstance(device, SIModulator2):
-        _check_loop_probes(device)
-        return KernelSpec(
-            kind="mod2",
-            stages=(
-                _stage_spec(device._int1, crossed=False),
-                _stage_spec(device._int2, crossed=False),
-            ),
-            loop=_loop_spec(device.quantizer, device.dac, device.full_scale),
-            a1=device.a1,
-            a2=device.a2,
-            b2=device.b2,
-        )
-    if isinstance(device, ChopperStabilizedSIModulator):
-        _check_loop_probes(device)
-        return KernelSpec(
-            kind="chopper",
-            stages=(
-                _stage_spec(device._diff1, crossed=True),
-                _stage_spec(device._diff2, crossed=True),
-            ),
-            loop=_loop_spec(device.quantizer, device.dac, device.full_scale),
-            a1=device.a1,
-            a2=device.a2,
-            b2=device.b2,
-        )
-    raise KernelUnsupported(
-        f"no kernel lowering for {type(device).__name__}"
+    modulator: Any = device
+    loop = _loop_spec(modulator.quantizer, modulator.dac, modulator.full_scale)
+    if kind == "mod1":
+        return KernelSpec(kind=kind, stages=specs, loop=loop, a1=modulator.a)
+    return KernelSpec(
+        kind=kind,
+        stages=specs,
+        loop=loop,
+        a1=modulator.a1,
+        a2=modulator.a2,
+        b2=modulator.b2,
     )
 
 

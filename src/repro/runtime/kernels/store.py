@@ -18,68 +18,18 @@ reason (see :func:`repro.si.gga._exp`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.si.memory_cell import MemoryCellConfig
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.kernels.spec import CellSpec
 
-__all__ = ["CellKernel", "store_batch"]
-
-
-@dataclass(frozen=True)
-class CellKernel:
-    """Scalar constants of one cell's store pipeline.
-
-    Every field is precomputed with the same expression the scalar
-    model evaluates per sample, so the per-element arithmetic in
-    :func:`store_batch` starts from identical 64-bit values.
-    """
-
-    #: ``I_Q ** 2``, the translinear product invariant.
-    iq_squared: float
-    #: Transmission error: effective ratio, reference current, floor.
-    trans_ratio: float
-    trans_iq: float
-    trans_floor: float
-    #: Charge injection: residual at quiescent, reference current, floor.
-    inj_residual: float
-    inj_iq: float
-    inj_floor: float
-    #: GGA settling: phase kick, bias (= slew threshold), tau fraction,
-    #: drive-margin floor.
-    kick: float
-    bias: float
-    tau_fraction: float
-    margin_floor: float
-    #: Half-circuit gain mismatch (0 disables the factor pass).
-    mismatch: float
-
-    @classmethod
-    def from_config(cls, config: MemoryCellConfig) -> "CellKernel":
-        """Extract the kernel constants from a cell configuration."""
-        iq = config.quiescent_current
-        trans = config.transmission
-        inj = config.injection
-        gga = config.gga
-        return cls(
-            iq_squared=iq * iq,
-            trans_ratio=trans.effective_ratio,
-            trans_iq=trans.quiescent_current,
-            trans_floor=1e-3 * trans.quiescent_current,
-            inj_residual=inj.residual_at_quiescent,
-            inj_iq=inj.quiescent_current,
-            inj_floor=1e-3 * inj.quiescent_current,
-            kick=gga.phase_kick_fraction,
-            bias=gga.bias_current,
-            tau_fraction=gga.settling_tau_fraction,
-            margin_floor=gga.drive_margin_floor,
-            mismatch=config.half_gain_mismatch,
-        )
+__all__ = ["store_batch"]
 
 
 def store_batch(
-    previous: np.ndarray, target: np.ndarray, kernel: CellKernel
+    previous: np.ndarray, target: np.ndarray, kernel: CellSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Store ``target`` over ``previous`` elementwise; return (settled, slewed).
 
@@ -87,7 +37,10 @@ def store_batch(
     arrays of half-circuit currents of identical shape (typically
     ``(rows, lanes)`` with one row per fused half-circuit).  The
     returned ``settled`` array holds the stored currents and ``slewed``
-    the boolean slew flags.
+    the boolean slew flags.  ``kernel`` is the cell's
+    :class:`~repro.runtime.kernels.spec.CellSpec`: its store constants
+    are computed with the scalar model's own expressions, so every
+    element starts from identical 64-bit values.
 
     The untaken branches of the scalar ``if`` cascade are evaluated for
     every element and selected with ``np.where``; their arguments are

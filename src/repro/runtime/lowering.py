@@ -1,15 +1,15 @@
-"""The declared lowering protocol: which subclasses still batch.
+"""The declared lowering protocol: which subclasses still lower.
 
-The batch engine (:mod:`repro.runtime.batch`) and the single-run fast
-path (:mod:`repro.runtime.single`) do not *execute* a device's Python
-methods -- they transliterate its configuration into fused kernels.
-That is what makes them bit-exact, and it is also why subclassing is
-dangerous: a subclass that overrides a behavioural hook (``run``,
-``step``, ``decide``, ``_store_half``, ...) changes the scalar
-reference while the lowered path keeps simulating the base class.
-Before this module the engine handled that with blanket exact-type
-checks; now the contract is *declared*, per base class, as an explicit
-allowlist of hooks a subclass may override while keeping its lowering:
+The lowered engines -- the compiled kernel tier and the NumPy batch
+runners, both built from :func:`repro.runtime.kernels.spec.build_spec`
+-- do not *execute* a device's Python methods; they transliterate its
+configuration into fused kernels.  That is what makes them bit-exact,
+and it is also why subclassing is dangerous: a subclass that overrides
+a behavioural hook (``run``, ``step``, ``decide``, ``_store_half``,
+...) changes the scalar reference while the lowered path keeps
+simulating the base class.  The contract is therefore *declared*, per
+base class, as an explicit allowlist of hooks a subclass may override
+while keeping its lowering:
 
 * ``__init__`` -- the lowering reads the constructed instance's
   configuration, never the constructor, so pinning defaults or adding
@@ -21,22 +21,21 @@ allowlist of hooks a subclass may override while keeping its lowering:
 
 Quantiser and DAC bases stay **exact-type-only** -- their behaviour is
 sampled so tightly that arbitrary overrides cannot be proven safe --
-but subclasses that draw their extra randomness from the replayable
+but subclasses that draw their extra randomness from the chunked
 streams in :mod:`repro.noise.streams` join the protocol as lowered
 bases of their own:
 :class:`~repro.deltasigma.dither.DitheredQuantizer` consumes one
 :class:`~repro.noise.streams.GaussianStream` draw per decision, so
-the lowered engines slice or drain its dither stream exactly like the
+the lowered engines drain its dither stream exactly like the
 metastability stream.  Telemetry probes have a paired-hook rule: the
 scalar loops feed :meth:`SignalProbe.observe` per sample while the
 lowered paths feed :meth:`SignalProbe.observe_array` once, so a
 subclass must override both or neither.
 
 The refusal messages are exported as helpers so the static analyzer
-(:mod:`repro.staticcheck`, rules SC010-SC012) can *predict* at
-class-definition time exactly what :class:`BatchUnsupported` the
-runtime would raise -- the cross-validation suite asserts the two
-never disagree.
+(:mod:`repro.staticcheck`, rules SC010 and SC012) can *predict* at
+class-definition time exactly what refusal the runtime would raise --
+the cross-validation suite asserts the two never disagree.
 """
 
 from __future__ import annotations
@@ -63,10 +62,6 @@ __all__ = [
     "LoweredBase",
     "LOWERING_PROTOCOL",
     "PROTOCOL_BY_QUALNAME",
-    "UNSEEDED_NOISE_REFUSAL",
-    "UNSEEDED_METASTABILITY_REFUSAL",
-    "UNSEEDED_REFERENCE_REFUSAL",
-    "UNSEEDED_DITHER_REFUSAL",
     "protocol_for",
     "overridden_hooks",
     "hooks_outside_protocol",
@@ -76,31 +71,6 @@ __all__ = [
     "lowering_refusal",
     "probe_refusal",
 ]
-
-#: Refusal raised when a memory cell draws noise from an unseeded
-#: generator (no replayable stream).
-UNSEEDED_NOISE_REFUSAL = (
-    "unseeded noise generator; a fresh batch feed cannot replay the "
-    "device's stream"
-)
-
-#: Refusal raised for an unseeded quantiser metastability band.
-UNSEEDED_METASTABILITY_REFUSAL = (
-    "unseeded metastability randomness; a fresh batch stream cannot "
-    "replay the device's draws"
-)
-
-#: Refusal raised for unseeded DAC reference noise.
-UNSEEDED_REFERENCE_REFUSAL = (
-    "unseeded reference noise; a fresh batch stream cannot replay the "
-    "device's draws"
-)
-
-#: Refusal raised for unseeded quantiser dither.
-UNSEEDED_DITHER_REFUSAL = (
-    "unseeded dither randomness; a fresh batch stream cannot replay "
-    "the device's draws"
-)
 
 #: Hook names never counted as behavioural overrides (interpreter and
 #: dataclass bookkeeping, plus display-only dunders).
@@ -276,9 +246,9 @@ def probe_pair_refusal(name: str) -> str:
 def lowering_refusal(component: object) -> str | None:
     """Return why ``component`` refuses lowering, or None when it lowers.
 
-    The runtime enforcement entry point: batch runner constructors call
-    this on every device, cell, stage, CMFF and mirror they are about
-    to transliterate.  Objects whose type is not governed by the
+    The runtime enforcement entry point: :func:`build_spec` calls this
+    on every device, cell, stage, CMFF and mirror it is about to
+    transliterate.  Objects whose type is not governed by the
     protocol return None here -- the caller's own dispatch decides
     whether an unknown type is an error.
     """

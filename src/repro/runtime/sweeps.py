@@ -10,17 +10,16 @@ runners of :mod:`repro.runtime.batch` and shards lanes across a
 Determinism contract (``docs/RUNTIME.md``):
 
 * the scalar sweep runs its levels against *one* device instance, so
-  lane ``k`` consumes the ``k``-th slice of every cell's noise stream;
-  a shard starting at ``lane_offset`` fast-forwards each stream by
-  exactly ``lane_offset * total_samples`` draws before running, which
-  makes the result independent of the shard layout -- and bit-identical
-  to the scalar loop;
-* seeded quantizer metastability, seeded DAC reference noise and
-  attached probes all lower through the batch engine (streams sliced
-  per lane, probes fed lane-major); only configurations with no
-  replayable randomness (unseeded streams, exotic device subclasses)
-  fall back to the scalar device per lane, with every stream -- cell
-  noise, metastability, reference noise -- fast-forwarded identically;
+  lane ``k`` consumes the ``k``-th slice of every random stream; a
+  shard starting at ``lane_offset`` fast-forwards each stream of its
+  fresh device by exactly ``lane_offset * total_samples`` draws before
+  any rung runs, which makes the result independent of the shard
+  layout -- and bit-identical to the scalar loop;
+* every rung drains the device's own live streams (cell noise,
+  quantizer metastability and dither, DAC reference noise), so seeded
+  and unseeded randomness and attached probes all lower; only devices
+  outside the lowering protocol fall back to the scalar device per
+  lane, on the same fast-forwarded streams;
 * a cache entry stores the five :class:`ToneMetrics` fields per lane as
   float64 arrays, so a hit reconstructs the sweep result bit for bit.
 """
@@ -262,29 +261,23 @@ def _run_lane_chunk(
         stimuli[lane] = amplitude * carrier
 
     device = _build_device(spec)
+    fast_forward_streams(device, context.lane_offset * total)
     outputs: np.ndarray | None = None
     if engine == "scalar":
-        fast_forward_streams(device, context.lane_offset * total)
         outputs = _sequential_lanes(device, stimuli, "scalar")
         engine_used = "scalar"
-    else:
-        want_kernel = engine == "kernel" or (
-            engine == "auto" and len(levels) <= _KERNEL_CROSSOVER_LANES
-        )
-        if want_kernel:
-            from repro.runtime.kernels import kernel_refusal
+    elif engine == "kernel" or (
+        engine == "auto" and len(levels) <= _KERNEL_CROSSOVER_LANES
+    ):
+        from repro.runtime.kernels import kernel_refusal
 
-            if kernel_refusal(device) is None:
-                fast_forward_streams(device, context.lane_offset * total)
-                outputs = _sequential_lanes(device, stimuli, "kernel")
-                engine_used = "kernel"
+        if kernel_refusal(device) is None:
+            outputs = _sequential_lanes(device, stimuli, "kernel")
+            engine_used = "kernel"
     if outputs is None:
         try:
             runner = batch_runner_for(
-                device,
-                n_lanes=len(levels),
-                n_steps=total,
-                lane_offset=context.lane_offset,
+                device, n_lanes=len(levels), n_steps=total
             )
             outputs = runner.run(stimuli)
             engine_used = "batch"
@@ -292,7 +285,6 @@ def _run_lane_chunk(
 
             record_engine_run("batch", device, count=len(levels))
         except BatchUnsupported:
-            fast_forward_streams(device, context.lane_offset * total)
             outputs = _sequential_lanes(device, stimuli, "auto")
             engine_used = "scalar"
 

@@ -107,7 +107,7 @@ class BiquadCascade:
             raise ConfigurationError(
                 f"stimulus must be 1-D, got shape {data.shape}"
             )
-        from repro.runtime.single import run_single
+        from repro.runtime.engine import run_single
 
         fast = run_single(self, data)
         if fast is not None:

@@ -147,7 +147,7 @@ class DelayLine:
         return output
 
     def _run_loop(self, data: np.ndarray) -> np.ndarray:
-        from repro.runtime.single import run_single
+        from repro.runtime.engine import run_single
 
         fast = run_single(self, data)
         if fast is not None:

@@ -397,7 +397,7 @@ class ClassABMemoryCell:
         common-mode input is taken as zero.
         """
         data = np.asarray(differential_input, dtype=float)
-        from repro.runtime.single import run_single
+        from repro.runtime.engine import run_single
 
         fast = run_single(self, data)
         if fast is not None:

@@ -9,7 +9,7 @@ on but cannot see until runtime:
   seeded generator plumbed through the API seed boundary
   (:mod:`repro.config`), never from the process-global RNG, the wall
   clock, or unordered iteration feeding cache keys.
-* **Lowerability** (SC010-SC012): code must stay inside the declared
+* **Lowerability** (SC010, SC012): code must stay inside the declared
   lowering protocol (:mod:`repro.runtime.lowering`); each finding
   *names the exact* :class:`~repro.runtime.batch.BatchUnsupported`
   refusal the runtime would raise, and the cross-validation suite

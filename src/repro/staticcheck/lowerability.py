@@ -1,14 +1,15 @@
-"""Lowerability rules: SC010-SC012.
+"""Lowerability rules: SC010 and SC012.
 
-These rules predict, at class-definition or construction time, the
-exact :class:`~repro.runtime.batch.BatchUnsupported` refusal the
-runtime engine would raise -- every finding carries the forecast
-message in its ``predicts`` field, and
+These rules predict, at class-definition time, the exact refusal the
+lowered engines would raise (:class:`~repro.runtime.batch.BatchUnsupported`
+on the batch runners, ``KernelUnsupported`` on the kernel tier, both
+from :func:`~repro.runtime.kernels.spec.build_spec`) -- every finding
+carries the forecast message in its ``predicts`` field, and
 ``tests/staticcheck/test_cross_validation.py`` asserts analyzer and
 runtime never disagree.  The shared source of truth is the declared
 lowering protocol in :mod:`repro.runtime.lowering`: the rules import
-the very same protocol table and refusal-message helpers the batch
-engine enforces with.
+the very same protocol table and refusal-message helpers the lowering
+enforces with.
 """
 
 from __future__ import annotations
@@ -20,23 +21,13 @@ from repro.findings import Severity
 from repro.runtime.lowering import (
     LOWERING_PROTOCOL,
     PROTOCOL_BY_QUALNAME,
-    UNSEEDED_DITHER_REFUSAL,
-    UNSEEDED_METASTABILITY_REFUSAL,
-    UNSEEDED_NOISE_REFUSAL,
-    UNSEEDED_REFERENCE_REFUSAL,
     LoweredBase,
     hook_refusal,
     hooks_outside_protocol,
     probe_pair_refusal,
     subclass_refusal,
 )
-from repro.staticcheck.model import (
-    LintFinding,
-    ModuleContext,
-    can_be_none,
-    keyword_arg,
-    literal_number,
-)
+from repro.staticcheck.model import LintFinding, ModuleContext
 from repro.staticcheck.rules import LintRule
 
 __all__ = ["LOWERABILITY_RULES"]
@@ -179,158 +170,6 @@ class ProtocolOverrideRule(LintRule):
         )
 
 
-class RefusingConfigRule(LintRule):
-    """SC011: construction that the batch engine will refuse to lower."""
-
-    code = "SC011"
-    name = "batch-refusing-config"
-    severity = Severity.WARNING
-    description = (
-        "Device construction combines active randomness with a missing "
-        "seed; every batch run of it will raise BatchUnsupported."
-    )
-
-    def _seed_missing(self, call: ast.Call) -> bool:
-        """True when the ``seed`` keyword is absent or can be None."""
-        seed = keyword_arg(call, "seed")
-        if seed is None:
-            return True
-        return can_be_none(seed)
-
-    def check(self, module: ModuleContext) -> Iterable[LintFinding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            finding = self._check_call(module, node)
-            if finding is not None:
-                yield finding
-
-    def _check_call(
-        self, module: ModuleContext, call: ast.Call
-    ) -> LintFinding | None:
-        if _matches_repro_class(
-            module,
-            call.func,
-            "repro.si.memory_cell.MemoryCellConfig",
-            "MemoryCellConfig",
-            "repro.si.memory_cell",
-        ):
-            return self._check_cell_config(module, call)
-        if _matches_repro_class(
-            module,
-            call.func,
-            "repro.deltasigma.quantizer.CurrentQuantizer",
-            "CurrentQuantizer",
-            "repro.deltasigma.quantizer",
-        ):
-            return self._check_randomised(
-                module,
-                call,
-                "metastability_band",
-                UNSEEDED_METASTABILITY_REFUSAL,
-                "CurrentQuantizer",
-            )
-        if _matches_repro_class(
-            module,
-            call.func,
-            "repro.deltasigma.dac.FeedbackDac",
-            "FeedbackDac",
-            "repro.deltasigma.dac",
-        ):
-            return self._check_randomised(
-                module,
-                call,
-                "reference_noise_rms",
-                UNSEEDED_REFERENCE_REFUSAL,
-                "FeedbackDac",
-            )
-        if _matches_repro_class(
-            module,
-            call.func,
-            "repro.deltasigma.dither.DitheredQuantizer",
-            "DitheredQuantizer",
-            "repro.deltasigma.dither",
-        ):
-            return self._check_dithered(module, call)
-        return None
-
-    def _check_dithered(
-        self, module: ModuleContext, call: ast.Call
-    ) -> LintFinding | None:
-        # dither_rms is the first positional parameter.
-        level = call.args[0] if call.args else keyword_arg(call, "dither_rms")
-        if level is None:
-            return None
-        value = literal_number(level)
-        if value is None or value <= 0.0:
-            return None
-        if not self._seed_missing(call):
-            return None
-        return self.finding(
-            module,
-            call,
-            "DitheredQuantizer with dither_rms > 0 and no replayable "
-            "seed; batch lowering of any loop using it will refuse with "
-            f"{UNSEEDED_DITHER_REFUSAL!r}",
-            predicts=UNSEEDED_DITHER_REFUSAL,
-        )
-
-    def _check_cell_config(
-        self, module: ModuleContext, call: ast.Call
-    ) -> LintFinding | None:
-        seed = keyword_arg(call, "seed")
-        noise = keyword_arg(call, "thermal_noise_rms")
-        noise_value = literal_number(noise) if noise is not None else None
-        noise_off = noise is not None and noise_value == 0.0
-        noise_unknown = noise is not None and noise_value is None
-        if noise_off or noise_unknown:
-            return None
-        # Noise is active: omitted -> the nonzero paper default, or an
-        # explicit positive literal.  Flag an explicitly-None seed; an
-        # omitted seed only when the noise level was spelled out (a bare
-        # MemoryCellConfig() is usually re-seeded via dataclasses.replace).
-        explicit_none = seed is not None and can_be_none(seed)
-        omitted_with_noise = (
-            seed is None
-            and noise_value is not None
-            and noise_value > 0.0
-        )
-        if not (explicit_none or omitted_with_noise):
-            return None
-        return self.finding(
-            module,
-            call,
-            "MemoryCellConfig with active thermal noise and no replayable "
-            "seed; batch lowering of any run using it will refuse with "
-            f"{UNSEEDED_NOISE_REFUSAL!r}",
-            predicts=UNSEEDED_NOISE_REFUSAL,
-        )
-
-    def _check_randomised(
-        self,
-        module: ModuleContext,
-        call: ast.Call,
-        knob: str,
-        refusal: str,
-        classname: str,
-    ) -> LintFinding | None:
-        level = keyword_arg(call, knob)
-        if level is None:
-            return None
-        value = literal_number(level)
-        if value is None or value <= 0.0:
-            return None
-        if not self._seed_missing(call):
-            return None
-        return self.finding(
-            module,
-            call,
-            f"{classname} with {knob} > 0 and no replayable seed; batch "
-            f"lowering of any loop using it will refuse with {refusal!r}",
-            predicts=refusal,
-        )
-
-
 class ProbePairRule(LintRule):
     """SC012: probe subclass overrides observe() xor observe_array()."""
 
@@ -377,6 +216,5 @@ class ProbePairRule(LintRule):
 
 LOWERABILITY_RULES: tuple[type[LintRule], ...] = (
     ProtocolOverrideRule,
-    RefusingConfigRule,
     ProbePairRule,
 )

@@ -29,14 +29,15 @@ __all__ = [
     "resolve_name",
     "keyword_arg",
     "can_be_none",
-    "literal_number",
 ]
 
 #: Path suffixes of the modules carrying the bit-exact kernel contract.
 KERNEL_MODULE_SUFFIXES: tuple[str, ...] = (
-    "repro/runtime/kernels.py",
     "repro/runtime/batch.py",
-    "repro/runtime/single.py",
+    "repro/runtime/kernels/codegen.py",
+    "repro/runtime/kernels/runner.py",
+    "repro/runtime/kernels/spec.py",
+    "repro/runtime/kernels/store.py",
 )
 
 #: Path suffixes of the modules that build hashed cache keys.
@@ -55,7 +56,7 @@ class LintFinding:
     report skeleton.  ``anchor`` is the stripped source line at the
     finding -- the suppression-baseline key, robust to line drift.
     ``predicts`` carries the exact runtime refusal message a
-    lowerability finding (SC010-SC012) forecasts; determinism findings
+    lowerability finding (SC010, SC012) forecasts; determinism findings
     leave it ``None``.
     """
 
@@ -138,18 +139,6 @@ def can_be_none(node: ast.expr) -> bool:
     if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
         return any(can_be_none(value) for value in node.values)
     return False
-
-
-def literal_number(node: ast.expr) -> float | None:
-    """Return the value of a numeric literal (handling unary minus)."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        if isinstance(node.value, bool):
-            return None
-        return float(node.value)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = literal_number(node.operand)
-        return -inner if inner is not None else None
-    return None
 
 
 def resolve_name(node: ast.expr, imports: dict[str, str]) -> str | None:

@@ -3,7 +3,7 @@
 Each rule carries a stable ``SC###`` code, a severity and a one-line
 description (the rule catalog in ``docs/STATICCHECK.md`` is generated
 from these).  Determinism rules (SC001-SC007) live in
-:mod:`repro.staticcheck.determinism`; lowerability rules (SC010-SC012)
+:mod:`repro.staticcheck.determinism`; lowerability rules (SC010, SC012)
 in :mod:`repro.staticcheck.lowerability`.  SC000 (stale suppression)
 is emitted by the baseline layer, not a rule instance, but appears in
 the catalog so ``--select``/``--ignore`` and the docs cover it.

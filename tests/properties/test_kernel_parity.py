@@ -26,17 +26,22 @@ from repro.deltasigma.dither import DitheredQuantizer
 from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
 from repro.deltasigma.quantizer import CurrentQuantizer
-from repro.runtime.engine import use_engine
-from repro.runtime.single import consume_fallbacks, force_scalar
+from repro.observability.instruments import get_registry, snapshot_delta
+from repro.runtime.engine import consume_fallbacks, force_scalar, use_engine
 from repro.runtime.sweeps import run_sweep, sweep_spec_for_design
 from repro.telemetry.designs import TRACE_DESIGNS
+from repro.telemetry.probes import SignalProbe
 from repro.telemetry.session import TelemetrySession
 
 CONFIG = paper_cell_config(sample_rate=2.45e6)
 
-#: Every selectable rung; ``scalar`` included so the pin itself is
-#: covered (it must reproduce the oracle trivially).
-ENGINES = ("auto", "batch", "kernel", "scalar")
+#: Every selectable single-run rung; ``scalar`` included so the pin
+#: itself is covered (it must reproduce the oracle trivially).
+ENGINES = ("auto", "kernel", "scalar")
+
+#: Every sweep rung: single-run rungs lane by lane, plus ``batch``,
+#: which runs all lanes of a shard lane-major.
+SWEEP_ENGINES = ("auto", "batch", "kernel", "scalar")
 
 MODULATOR_KINDS = {
     "chopper": ChopperStabilizedSIModulator,
@@ -69,6 +74,23 @@ def _stimulus(n, amplitude, seed):
     rng = np.random.default_rng(seed)
     tone = amplitude * np.sin(2.0 * np.pi * 2e3 * np.arange(n) / 2.45e6)
     return tone + 0.05 * amplitude * rng.standard_normal(n)
+
+
+def _assert_probe_stats_match(got_probes, want_probes):
+    """Counts exact; mean, RMS and peak to summation-order rounding."""
+    assert set(got_probes) == set(want_probes)
+    for name, want in want_probes.items():
+        got = got_probes[name]
+        assert got.count == want.count
+        for a, b in ((got.mean, want.mean), (got.rms, want.rms), (got.peak, want.peak)):
+            assert a == b or math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
+class UnpairedProbe(SignalProbe):
+    """Overrides ``observe`` without ``observe_array`` (unpaired)."""
+
+    def observe(self, value):
+        super().observe(value)
 
 
 @pytest.fixture(autouse=True)
@@ -135,6 +157,42 @@ class TestModulatorParity:
             )
 
 
+class TestLoopProbeParity:
+    @pytest.mark.parametrize("engine", ("auto", "kernel"))
+    @pytest.mark.parametrize("kind", sorted(MODULATOR_KINDS))
+    def test_unpaired_loop_probes_stay_on_the_kernel(self, kind, engine):
+        # Every rung's own run() feeds a modulator's <name>.input and
+        # <name>.bitstream probes through observe_array, so an unpaired
+        # probe subclass there cannot make rungs disagree: the run must
+        # stay on the kernel, byte-identical to the scalar oracle.
+        stimulus = _stimulus(256, 3e-6, seed=5)
+
+        def probed(context):
+            device = _build_modulator(kind, True, True, True)
+            session = TelemetrySession(f"loop-probes-{kind}")
+            device.attach_telemetry(session)
+            for suffix in ("input", "bitstream"):
+                name = f"{device._telemetry_name}.{suffix}"
+                session.probes[name] = UnpairedProbe(
+                    name, full_scale=device.full_scale
+                )
+            with context:
+                out = device.run(stimulus)
+            return out, session.probes
+
+        want, want_probes = probed(force_scalar())
+        registry = get_registry()
+        before = registry.snapshot()
+        got, got_probes = probed(use_engine(engine))
+        delta = snapshot_delta(before, registry.snapshot())
+        assert got.tobytes() == want.tobytes()
+        _assert_probe_stats_match(got_probes, want_probes)
+        runs = delta["instruments"]["repro.engine.runs"]["series"]
+        assert [
+            (entry["labels"]["engine"], entry["value"]) for entry in runs
+        ] == [("kernel", 1.0)]
+
+
 class TestTraceDesignParity:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", sorted(TRACE_DESIGNS))
@@ -154,21 +212,12 @@ class TestTraceDesignParity:
             device.attach_telemetry(session)
             with context:
                 out = device.run(stimulus)
-            stats = {
-                probe_name: (probe.count, probe.mean, probe.rms, probe.peak)
-                for probe_name, probe in session.probes.items()
-            }
-            return out, stats
+            return out, session.probes
 
-        want, want_stats = probed(force_scalar())
-        got, got_stats = probed(use_engine(engine))
+        want, want_probes = probed(force_scalar())
+        got, got_probes = probed(use_engine(engine))
         assert got.tobytes() == want.tobytes()
-        assert set(got_stats) == set(want_stats)
-        for key, (count, *floats) in want_stats.items():
-            got_count, *got_floats = got_stats[key]
-            assert got_count == count
-            for a, b in zip(got_floats, floats):
-                assert a == b or math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+        _assert_probe_stats_match(got_probes, want_probes)
 
 
 class TestSweepParity:
@@ -180,7 +229,7 @@ class TestSweepParity:
             "modulator2", levels_db=(-40.0, -20.0, -10.0)
         )
         results = {
-            engine: run_sweep(spec, engine=engine) for engine in ENGINES
+            engine: run_sweep(spec, engine=engine) for engine in SWEEP_ENGINES
         }
         want = results["scalar"]
         for engine, got in results.items():

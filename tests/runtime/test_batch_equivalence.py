@@ -2,11 +2,14 @@
 
 The whole value of :mod:`repro.runtime.batch` rests on one claim: for
 every supported device, running N lanes through the vectorized runner
-produces *byte-identical* output to driving the same freshly built
-scalar device lane by lane (reset between lanes, the noise stream
-running on).  These tests assert that claim with ``tobytes()`` -- no
-tolerance, ever -- across noise on/off, mismatch, and every device
-type, plus the refusal cases where a bit-exact lowering is impossible.
+produces *byte-identical* output to driving an identically built twin
+scalar device lane by lane (reset between lanes, the random streams
+running on).  The runner drains the device's own live streams, so the
+batch and the scalar reference each get their own device.  These tests
+assert that claim with ``tobytes()`` -- no tolerance, ever -- across
+noise on/off, mismatch, seeded and unseeded randomness, and every
+device type, plus the refusal cases where a bit-exact lowering is
+impossible.
 """
 
 import numpy as np
@@ -25,14 +28,38 @@ from repro.deltasigma import (
     SIModulator2,
 )
 from repro.deltasigma.dac import FeedbackDac
+from repro.deltasigma.dither import DitheredQuantizer
 from repro.deltasigma.quantizer import CurrentQuantizer
-from repro.runtime.batch import BatchUnsupported, batch_runner_for, iter_cells
+from repro.runtime.batch import (
+    BatchUnsupported,
+    batch_runner_for,
+    fast_forward_streams,
+)
+from repro.runtime.engine import force_scalar
+from repro.runtime.kernels import device_parts
 from repro.si import DelayLine
 from repro.si.cascade import BiquadCascade
 from repro.si.memory_cell import ClassABMemoryCell
 
 N_LANES = 3
 N_STEPS = 400
+
+#: One device per kind of unseeded randomness a run can draw.
+UNSEEDED_DEVICES = {
+    "noise": lambda config: ClassABMemoryCell(replace(config, seed=None)),
+    "metastability": lambda config: SIModulator2(
+        cell_config=config,
+        quantizer=CurrentQuantizer(metastability_band=8e-8, seed=None),
+    ),
+    "reference": lambda config: SIModulator2(
+        cell_config=config,
+        dac=FeedbackDac(reference_noise_rms=3e-8, seed=None),
+    ),
+    "dither": lambda config: SIModulator2(
+        cell_config=config,
+        quantizer=DitheredQuantizer(dither_rms=1e-8, seed=None),
+    ),
+}
 
 
 def _stimuli(n_lanes: int = N_LANES, n_steps: int = N_STEPS) -> np.ndarray:
@@ -51,59 +78,91 @@ def _scalar_lanes(device, stimuli: np.ndarray) -> np.ndarray:
     return outputs
 
 
-def _assert_bit_identical(device, stimuli: np.ndarray) -> None:
+def _assert_bit_identical(make_device, stimuli: np.ndarray) -> None:
+    """Batch-run one device and scalar-run an identically built twin."""
     runner = batch_runner_for(
-        device, n_lanes=stimuli.shape[0], n_steps=stimuli.shape[1]
+        make_device(), n_lanes=stimuli.shape[0], n_steps=stimuli.shape[1]
     )
     batch = runner.run(stimuli)
-    scalar = _scalar_lanes(device, stimuli)
+    with force_scalar():
+        scalar = _scalar_lanes(make_device(), stimuli)
     assert batch.tobytes() == scalar.tobytes()
 
 
 class TestDeviceEquivalence:
     def test_memory_cell(self):
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
-        _assert_bit_identical(ClassABMemoryCell(config), _stimuli())
+        _assert_bit_identical(lambda: ClassABMemoryCell(config), _stimuli())
 
     def test_memory_cell_noiseless(self):
         config = replace(
             paper_cell_config(sample_rate=MODULATOR_CLOCK),
             thermal_noise_rms=0.0,
         )
-        _assert_bit_identical(ClassABMemoryCell(config), _stimuli())
+        _assert_bit_identical(lambda: ClassABMemoryCell(config), _stimuli())
 
     def test_memory_cell_with_mismatch(self):
         config = replace(
             paper_cell_config(sample_rate=MODULATOR_CLOCK),
             half_gain_mismatch=0.01,
         )
-        _assert_bit_identical(ClassABMemoryCell(config), _stimuli())
+        _assert_bit_identical(lambda: ClassABMemoryCell(config), _stimuli())
 
     def test_delay_line(self):
-        line = DelayLine(delay_line_cell_config(), n_cells=2)
-        _assert_bit_identical(line, _stimuli())
+        _assert_bit_identical(
+            lambda: DelayLine(delay_line_cell_config(), n_cells=2), _stimuli()
+        )
+
+    def test_delay_line_with_one_probed_cell(self):
+        # The cells' specs differ only in their probe flag: the fused
+        # bank compares store constants, so the line still lowers, and
+        # the one probe sees exactly what the scalar run observes.
+        from repro.telemetry.session import TelemetrySession
+
+        def make(session):
+            line = DelayLine(delay_line_cell_config(), n_cells=2)
+            line.cells[0].attach_telemetry(session, "line.cell0")
+            return line
+
+        stimuli = _stimuli()
+        scalar_session = TelemetrySession("line-scalar")
+        with force_scalar():
+            scalar = _scalar_lanes(make(scalar_session), stimuli)
+        batch_session = TelemetrySession("line-batch")
+        batch = batch_runner_for(make(batch_session), *stimuli.shape).run(stimuli)
+
+        assert batch.tobytes() == scalar.tobytes()
+        (name,) = scalar_session.probes
+        expected = scalar_session.probes[name]
+        lowered = batch_session.probes[name]
+        assert lowered.count == expected.count
+        assert lowered.minimum == expected.minimum
+        assert lowered.maximum == expected.maximum
+        assert lowered.rms == pytest.approx(expected.rms, rel=1e-12)
 
     def test_biquad_cascade(self):
-        cascade = BiquadCascade(
-            center_frequency=10e3,
-            n_sections=2,
-            sample_rate=MODULATOR_CLOCK,
-            config=paper_cell_config(sample_rate=MODULATOR_CLOCK),
+        _assert_bit_identical(
+            lambda: BiquadCascade(
+                center_frequency=10e3,
+                n_sections=2,
+                sample_rate=MODULATOR_CLOCK,
+                config=paper_cell_config(sample_rate=MODULATOR_CLOCK),
+            ),
+            _stimuli(),
         )
-        _assert_bit_identical(cascade, _stimuli())
 
     def test_modulator1(self):
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
-        _assert_bit_identical(SIModulator1(cell_config=config), _stimuli())
+        _assert_bit_identical(lambda: SIModulator1(cell_config=config), _stimuli())
 
     def test_modulator2(self):
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
-        _assert_bit_identical(SIModulator2(cell_config=config), _stimuli())
+        _assert_bit_identical(lambda: SIModulator2(cell_config=config), _stimuli())
 
     def test_chopper(self):
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
         _assert_bit_identical(
-            ChopperStabilizedSIModulator(cell_config=config), _stimuli()
+            lambda: ChopperStabilizedSIModulator(cell_config=config), _stimuli()
         )
 
     def test_modulator2_with_degradations(self):
@@ -112,14 +171,14 @@ class TestDeviceEquivalence:
             thermal_noise_rms=66e-9,
             half_gain_mismatch=0.02,
         )
-        _assert_bit_identical(SIModulator2(cell_config=config), _stimuli())
+        _assert_bit_identical(lambda: SIModulator2(cell_config=config), _stimuli())
 
     def test_modulator2_metastable_quantizer(self):
-        # Seeded metastability lowers: the batch quantizer pre-draws the
-        # whole uniform stream and slices it lane-major.
+        # Metastability lowers: the batch quantizer drains the whole
+        # uniform stream up front and slices it lane-major.
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
         _assert_bit_identical(
-            SIModulator2(
+            lambda: SIModulator2(
                 cell_config=config,
                 quantizer=CurrentQuantizer(metastability_band=8e-8, seed=11),
             ),
@@ -129,7 +188,7 @@ class TestDeviceEquivalence:
     def test_modulator2_noisy_dac(self):
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
         _assert_bit_identical(
-            SIModulator2(
+            lambda: SIModulator2(
                 cell_config=config,
                 dac=FeedbackDac(reference_noise_rms=3e-8, seed=12),
             ),
@@ -139,7 +198,7 @@ class TestDeviceEquivalence:
     def test_chopper_metastable_and_noisy(self):
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
         _assert_bit_identical(
-            ChopperStabilizedSIModulator(
+            lambda: ChopperStabilizedSIModulator(
                 cell_config=config,
                 quantizer=CurrentQuantizer(
                     offset=1e-8, hysteresis=2e-8, metastability_band=8e-8, seed=13
@@ -184,17 +243,26 @@ class TestDeviceEquivalence:
 
 class TestLaneOffset:
     def test_offset_runner_matches_tail_lanes(self):
-        # A shard starting at lane_offset=k must reproduce lanes k..N of
-        # the full run exactly -- this is what makes the sharded sweep
-        # independent of its chunk layout.
+        # A shard whose first lane is k fast-forwards its fresh device's
+        # streams by k lanes and must reproduce lanes k..N of the full
+        # run exactly -- this is what makes the sharded sweep
+        # independent of its chunk layout.  Every stream kind is live.
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
+
+        def make():
+            return SIModulator2(
+                cell_config=config,
+                quantizer=DitheredQuantizer(
+                    dither_rms=1e-8, metastability_band=8e-8, seed=11
+                ),
+                dac=FeedbackDac(reference_noise_rms=3e-8, seed=12),
+            )
+
         stimuli = _stimuli(n_lanes=5)
-        full = batch_runner_for(
-            SIModulator2(cell_config=config), 5, N_STEPS
-        ).run(stimuli)
-        tail = batch_runner_for(
-            SIModulator2(cell_config=config), 3, N_STEPS, lane_offset=2
-        ).run(stimuli[2:])
+        full = batch_runner_for(make(), 5, N_STEPS).run(stimuli)
+        shard = make()
+        fast_forward_streams(shard, 2 * N_STEPS)
+        tail = batch_runner_for(shard, 3, N_STEPS).run(stimuli[2:])
         assert tail.tobytes() == full[2:].tobytes()
 
 
@@ -211,7 +279,7 @@ class TestBatchShapeProperty:
         carrier = np.sin(2.0 * np.pi * 3.0 * t / max(n_steps, 1))
         scales = np.linspace(1.0, 0.25, n_lanes)
         stimuli = amplitude * scales[:, None] * carrier[None, :]
-        _assert_bit_identical(ClassABMemoryCell(config), stimuli)
+        _assert_bit_identical(lambda: ClassABMemoryCell(config), stimuli)
 
 
 class TestRefusals:
@@ -224,14 +292,19 @@ class TestRefusals:
         with pytest.raises(ValueError):
             batch_runner_for(ClassABMemoryCell(config), 0, 16)
 
-    def test_unseeded_noise_refused(self):
-        # A fresh batch noise feed cannot replay an unseeded device
-        # stream, so the lowering must refuse rather than diverge.
-        config = replace(
-            paper_cell_config(sample_rate=MODULATOR_CLOCK), seed=None
+    @pytest.mark.parametrize("name", sorted(UNSEEDED_DEVICES))
+    def test_unseeded_device_lowers(self, name, monkeypatch):
+        # The runner drains the device's own live streams, so unseeded
+        # randomness lowers like seeded randomness.  Pinning what an
+        # unseeded generator draws lets two twins draw the same streams.
+        real_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random,
+            "default_rng",
+            lambda seed=None: real_rng(1234 if seed is None else seed),
         )
-        with pytest.raises(BatchUnsupported):
-            batch_runner_for(ClassABMemoryCell(config), 2, 16)
+        config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
+        _assert_bit_identical(lambda: UNSEEDED_DEVICES[name](config), _stimuli())
 
     def test_unseeded_noiseless_allowed(self):
         config = replace(
@@ -239,53 +312,18 @@ class TestRefusals:
             seed=None,
             thermal_noise_rms=0.0,
         )
-        _assert_bit_identical(ClassABMemoryCell(config), _stimuli())
-
-    def test_unseeded_metastability_refused(self):
-        # Seeded metastability lowers (see TestDeviceEquivalence); an
-        # unseeded band has no replayable stream, so it must refuse.
-        config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
-        modulator = SIModulator2(
-            cell_config=config,
-            quantizer=CurrentQuantizer(metastability_band=1e-9, seed=None),
-        )
-        with pytest.raises(BatchUnsupported):
-            batch_runner_for(modulator, 2, 16)
-
-    def test_unseeded_dac_noise_refused(self):
-        config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
-        modulator = SIModulator2(
-            cell_config=config,
-            dac=FeedbackDac(reference_noise_rms=1e-9, seed=None),
-        )
-        with pytest.raises(BatchUnsupported):
-            batch_runner_for(modulator, 2, 16)
+        _assert_bit_identical(lambda: ClassABMemoryCell(config), _stimuli())
 
     def test_seeded_dither_lowers(self):
         # A DitheredQuantizer joins the protocol: its dither comes from
-        # a replayable GaussianStream, so the batch engine slices it
-        # like the metastability stream instead of refusing.
-        from repro.deltasigma.dither import DitheredQuantizer
-
+        # a chunked GaussianStream, so the batch engine drains it like
+        # the metastability stream instead of refusing.
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
         modulator = SIModulator2(
             cell_config=config,
             quantizer=DitheredQuantizer(dither_rms=1e-8, seed=3),
         )
         batch_runner_for(modulator, 2, 16)
-
-    def test_unseeded_dither_refused(self):
-        # ... but only when seeded: a fresh batch stream cannot replay
-        # an unseeded quantiser's dither draws.
-        from repro.deltasigma.dither import DitheredQuantizer
-
-        config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
-        modulator = SIModulator2(
-            cell_config=config,
-            quantizer=DitheredQuantizer(dither_rms=1e-8, seed=None),
-        )
-        with pytest.raises(BatchUnsupported):
-            batch_runner_for(modulator, 2, 16)
 
     def test_quantizer_subclass_refused(self):
         # Exact-type checks: an arbitrary quantiser subclass changes
@@ -301,7 +339,11 @@ class TestRefusals:
         with pytest.raises(BatchUnsupported):
             batch_runner_for(modulator, 2, 16)
 
-    def test_iter_cells_counts(self):
+    def test_device_parts_counts(self):
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
-        assert len(iter_cells(SIModulator2(cell_config=config))) == 2
-        assert len(iter_cells(DelayLine(delay_line_cell_config()))) == 2
+        stages, quantizer, dac = device_parts(SIModulator2(cell_config=config))
+        assert len(stages) == 2
+        assert quantizer is not None and dac is not None
+        stages, quantizer, dac = device_parts(DelayLine(delay_line_cell_config()))
+        assert len(stages) == 2
+        assert quantizer is None and dac is None

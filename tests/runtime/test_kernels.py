@@ -16,7 +16,14 @@ from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
 from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.observability.instruments import get_registry, snapshot_delta
-from repro.runtime.engine import ENGINES, current_engine, record_engine_run, use_engine
+from repro.runtime.engine import (
+    ENGINES,
+    consume_fallbacks,
+    current_engine,
+    force_scalar,
+    record_engine_run,
+    use_engine,
+)
 from repro.runtime.kernels import (
     KernelUnsupported,
     build_spec,
@@ -26,7 +33,7 @@ from repro.runtime.kernels import (
     state_matrices,
 )
 from repro.runtime.kernels import jit as jit_module
-from repro.runtime.single import consume_fallbacks, force_scalar
+from repro.runtime.lowering import subclass_refusal
 from repro.si.cascade import BiquadCascade
 from repro.si.delay_line import DelayLine
 from repro.si.memory_cell import ClassABMemoryCell
@@ -78,8 +85,8 @@ class TestBuildSpec:
             build_spec(device)
 
     def test_unseeded_dither_still_lowers(self):
-        # Unlike the batch engine, the kernel consumes the device's
-        # live streams, so seeds are not required for byte-equality.
+        # The kernel consumes the device's live streams, so seeds are
+        # not required for byte-equality.
         device = SIModulator2(
             cell_config=MOD_CONFIG,
             quantizer=DitheredQuantizer(2e-7, seed=None),
@@ -181,11 +188,11 @@ class TestEngineSelector:
         assert current_engine() == "auto"
 
     def test_use_engine_nests_and_restores(self):
-        with use_engine("batch"):
-            assert current_engine() == "batch"
+        with use_engine("scalar"):
+            assert current_engine() == "scalar"
             with use_engine("kernel"):
                 assert current_engine() == "kernel"
-            assert current_engine() == "batch"
+            assert current_engine() == "scalar"
         assert current_engine() == "auto"
 
     def test_unknown_engine_rejected(self):
@@ -194,7 +201,7 @@ class TestEngineSelector:
                 pass  # pragma: no cover - context never entered
 
     def test_engines_tuple_is_the_cli_contract(self):
-        assert ENGINES == ("auto", "scalar", "batch", "kernel")
+        assert ENGINES == ("auto", "scalar", "kernel")
 
     def test_record_engine_run_counts_by_labels(self):
         registry = get_registry()
@@ -236,7 +243,7 @@ class TestEngineLadder:
         notes = consume_fallbacks()
         assert any("SaturatingQuantizer" in note for note in notes)
 
-    def test_auto_refusal_is_silent(self):
+    def test_auto_refusal_is_noted_once(self):
         class SaturatingQuantizer(CurrentQuantizer):
             def decide(self, value):
                 return super().decide(min(value, 1e-6))
@@ -244,9 +251,16 @@ class TestEngineLadder:
         device = SIModulator2(
             cell_config=MOD_CONFIG, quantizer=SaturatingQuantizer(seed=1)
         )
+        registry = get_registry()
+        before = registry.snapshot()
         consume_fallbacks()
         device.run(3e-6 * np.sin(np.linspace(0.0, 10.0, 128)))
-        # auto tries the kernel, then the fused path notes its refusal;
-        # the kernel attempt itself stays silent.
-        notes = consume_fallbacks()
-        assert all("kernel" not in note for note in notes)
+        # The kernel's refusal is the only one on the ladder: auto
+        # names it once, in the notes and in the fallback counter.
+        assert consume_fallbacks() == [
+            "SIModulator2: " + subclass_refusal("quantizer", "SaturatingQuantizer")
+        ]
+        delta = snapshot_delta(before, registry.snapshot())
+        (series,) = delta["instruments"]["repro.single.fallbacks"]["series"]
+        assert series["labels"] == {"device": "SIModulator2"}
+        assert series["value"] == 1.0

@@ -13,6 +13,7 @@ import pytest
 from repro.config import paper_cell_config
 from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.runtime.batch import BatchUnsupported, batch_runner_for
+from repro.runtime.engine import consume_fallbacks, force_scalar, run_single
 from repro.runtime.lowering import (
     LOWERING_PROTOCOL,
     PROTOCOL_BY_QUALNAME,
@@ -25,7 +26,6 @@ from repro.runtime.lowering import (
     protocol_for,
     subclass_refusal,
 )
-from repro.runtime.single import consume_fallbacks, run_single
 from repro.si.delay_line import DelayLine
 from repro.si.memory_cell import ClassABMemoryCell
 from repro.telemetry.probes import SignalProbe
@@ -124,16 +124,21 @@ def _stimuli(n_lanes=2, n_steps=64):
 def test_metadata_subclass_batches_bit_exactly():
     """The protocol's new capability: a metadata subclass still lowers
     and stays byte-identical to its own scalar loop."""
-    device = AnnotatedCell(paper_cell_config())
     stimuli = _stimuli()
     runner = batch_runner_for(
-        device, n_lanes=stimuli.shape[0], n_steps=stimuli.shape[1]
+        AnnotatedCell(paper_cell_config()),
+        n_lanes=stimuli.shape[0],
+        n_steps=stimuli.shape[1],
     )
     batch = runner.run(stimuli)
+    # The runner drains its device's streams; the scalar reference
+    # runs on an identically built twin.
+    device = AnnotatedCell(paper_cell_config())
     scalar = np.empty_like(stimuli)
-    for lane in range(stimuli.shape[0]):
-        device.reset()
-        scalar[lane] = device.run(stimuli[lane])
+    with force_scalar():
+        for lane in range(stimuli.shape[0]):
+            device.reset()
+            scalar[lane] = device.run(stimuli[lane])
     assert batch.tobytes() == scalar.tobytes()
 
 

@@ -1,13 +1,13 @@
-"""Bit-exact equivalence of the single-run fast path against the scalar loops.
+"""Bit-exact equivalence of single device runs against the scalar loops.
 
-The fast path (:mod:`repro.runtime.single`) is what every device
-``run`` method tries first; its whole contract is byte-identity with
-the per-sample scalar loop, which stays in the tree as the parity
-oracle behind :func:`force_scalar`.  These tests assert that contract
-with ``tobytes()`` across every supported device and every randomised
+Every device ``run`` method first tries :func:`run_single`, which runs
+the compiled kernel; its whole contract is byte-identity with the
+per-sample scalar loop, which stays in the tree as the parity oracle
+behind :func:`force_scalar`.  These tests assert that contract with
+``tobytes()`` across every supported device and every randomised
 element (cell noise, flicker, quantizer metastability, DAC reference
-noise), plus the live-stream property the batch engine cannot offer:
-state and stream continuation across sequential runs on one device.
+noise), plus the live-stream property: state and stream continuation
+across sequential runs on one device.
 """
 
 from dataclasses import replace
@@ -27,7 +27,7 @@ from repro.deltasigma import (
 )
 from repro.deltasigma.dac import FeedbackDac
 from repro.deltasigma.quantizer import CurrentQuantizer
-from repro.runtime.single import consume_fallbacks, force_scalar, run_single
+from repro.runtime.engine import consume_fallbacks, force_scalar, run_single
 from repro.si import DelayLine
 from repro.si.cascade import BiquadCascade
 from repro.si.memory_cell import ClassABMemoryCell

@@ -1,6 +1,6 @@
 """Analyzer vs runtime: the lowerability rules may never disagree.
 
-Every SC010-SC012 finding carries the exact
+Every SC010/SC012 finding carries the exact
 :class:`~repro.runtime.batch.BatchUnsupported` message it predicts.
 These tests put that claim under load from both directions:
 
@@ -33,7 +33,7 @@ N_STEPS = 16
 
 
 def lowerability_findings(source: str):
-    """Run only the SC010-SC012 rules over a source string."""
+    """Run only the lowerability rules over a source string."""
     module = ModuleContext.parse("case.py", source)
     findings = []
     for rule_cls in LOWERABILITY_RULES:
@@ -154,18 +154,6 @@ CASES = [
         build=lambda ns: _probed_cell(ns, "MirrorProbe"),
         expected_findings=0,
     ),
-    Case(
-        name="unseeded-noisy-config-refuses",
-        source=(
-            "from repro.si.memory_cell import ClassABMemoryCell, MemoryCellConfig\n"
-            "\n"
-            "\n"
-            "def build_cell():\n"
-            "    return ClassABMemoryCell(MemoryCellConfig(seed=None))\n"
-        ),
-        build=lambda ns: ns["build_cell"](),
-        expected_findings=1,
-    ),
 ]
 
 
@@ -213,7 +201,7 @@ def test_repo_sources_predict_no_unbaselined_refusals(monkeypatch):
         ["src/repro"], baseline=REPO_ROOT / "baselines" / "staticcheck.json"
     )
     codes = {f.rule for f in report.findings}
-    assert not codes & {"SC010", "SC011", "SC012"}
+    assert not codes & {"SC010", "SC012"}
     # The baseline is empty: nothing in the shipped sources needs a
     # suppression any more (DitheredQuantizer joined the protocol and
     # every RNG site is seeded at the API boundary).
