@@ -7,16 +7,17 @@ same devices bit-identically on faster rungs, all lowered through one
 
 * :mod:`repro.runtime.kernels` -- ``build_spec`` lowers a device into
   its frozen spec (the one place that knows each device's shape), and
-  the compiled kernel tier runs single runs from it; the elementwise
-  class-AB store pipeline (:func:`store_batch`) serves the batch
-  runners;
+  one codegen walk compiles it into a scalar layout, which runs single
+  runs, and a lane layout, which runs batches; the elementwise
+  class-AB store pipeline (:func:`store_batch`) is the lane layout's
+  fused store;
 * :mod:`repro.runtime.engine` -- the single-run ladder every device
   ``run`` method calls: kernel, then the scalar loop, with
   :func:`force_scalar` as the parity oracle and
   :func:`consume_fallbacks` naming every refusal;
-* :mod:`repro.runtime.batch` -- batch runners that run many lanes of
-  one spec lane-major on NumPy arrays, bit-identical to the scalar
-  loop;
+* :mod:`repro.runtime.batch` -- batch runners that lay many lanes out
+  step-major and run them through the spec's lane layout on NumPy
+  arrays, bit-identical to the scalar loop;
 * :mod:`repro.runtime.executor` -- :class:`SweepExecutor`, sharding
   lanes across a ``ProcessPoolExecutor`` with chunking, per-task
   timeouts and deterministic ``SeedSequence.spawn`` seeding;

@@ -7,10 +7,12 @@ Public surface:
   with a named reason; :func:`device_parts` returns its live cells,
   CMFF stages, quantizer and DAC in the same order.  Both lowered
   engines go through these two functions.
-* :func:`store_batch` -- the vectorised memory-cell settling update the
-  batch runners apply to a spec's cells.
 * :func:`compile_spec` / :class:`KernelProgram` -- generate and cache
-  the fused scalar loop for a spec.
+  both layouts of a spec's fused loop: the scalar ``fn`` single runs
+  use and the lane-major ``lane_fn`` the batch runners call.
+* :func:`store_batch` -- the vectorised memory-cell settling update;
+  the lane layout stores every cell of every lane with one call per
+  period.
 * :func:`run_kernel` / :func:`kernel_refusal` -- execute a device's
   run through the compiled tier (byte-identical to ``force_scalar()``),
   or predict why it would refuse.

@@ -1,12 +1,27 @@
-"""Per-spec source generation for the compiled kernel tier.
+"""Per-spec source generation for both lowered engines.
 
-Each :class:`~repro.runtime.kernels.spec.KernelSpec` is compiled into
-one flat Python function whose body is the scalar device loop with
+One wiring walk (:func:`kernel_source`) compiles each
+:class:`~repro.runtime.kernels.spec.KernelSpec` into two flat Python
+functions, one per data layout, whose bodies are the device loop with
 every abstraction *folded at generation time*: cell constants, loop
 coefficients and mirror gains become ``repr`` float literals, stages
 unroll, and identity operations are elided where IEEE-754 proves them
-bitwise-invisible.  The folding rules, each load-bearing for the
-byte-equality contract:
+bitwise-invisible.
+
+* The **scalar layout** (``kernel``) runs one device: one float per
+  variable, ``if`` branches, and each half-circuit store inlined.
+* The **lane layout** (``lanes``) runs many lanes at once: each
+  variable is a NumPy row over the lanes, the quantiser decision and
+  the DAC feedback select become ``where``, and the stages only write
+  their store targets.  The period ends with *one* fused
+  :func:`~repro.runtime.kernels.store.store_batch` call over every
+  half of every stage (one call per half would multiply the NumPy
+  dispatches), so the lane layout exists only for specs whose cells
+  share one electrical configuration.
+
+Both layouts emit the same statements in the same order, so every
+intermediate rounds identically.  The folding rules, each load-bearing
+for the byte-equality contract:
 
 * ``x * 1.0`` is the bitwise identity for every float (including
   ``-0.0``, ``inf``, NaN payload) -- unit gains and coefficients are
@@ -24,7 +39,7 @@ byte-equality contract:
   this pipeline's argument range); ``sqrt`` is correctly rounded
   everywhere and may come from ``math``.
 
-The generated source is shared verbatim between the pure-Python mode
+The scalar source is shared verbatim between the pure-Python mode
 (lists in, preallocated list out) and the optional numba JIT mode
 (arrays in, preallocated array out) -- see
 :mod:`repro.runtime.kernels.jit` for the bit-exactness probe that
@@ -34,7 +49,7 @@ gates the latter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -46,6 +61,7 @@ from repro.runtime.kernels.spec import (
     LoopSpec,
     StageSpec,
 )
+from repro.runtime.kernels.store import store_batch
 
 __all__ = ["KernelProgram", "compile_spec", "kernel_source"]
 
@@ -172,14 +188,20 @@ def _emit_cmff(src: _Source, depth: int, cmff: CmffSpec) -> None:
     src.line(depth, f"t_neg = t_neg - {subtract_neg}")
 
 
-@dataclass
 class _Layout:
-    """Argument and probe-slot bookkeeping shared with the runner."""
+    """The scalar layout, and the argument bookkeeping of both layouts.
 
-    arg_names: list[str] = field(default_factory=list)
-    probe_slots: list[tuple[int, str]] = field(default_factory=list)
-    state_names: list[str] = field(default_factory=list)
-    slew_names: list[str] = field(default_factory=list)
+    Every generated variable holds one float and every branch is an
+    ``if``; each stage stores its two halves inline the moment its
+    targets are known.  ``arg_names`` and ``probe_slots`` are what the
+    runner reads back to call the function and feed its probes.
+    """
+
+    def __init__(self) -> None:
+        self.arg_names: list[str] = []
+        self.probe_slots: list[tuple[int, str]] = []
+        self.state_names: list[str] = []
+        self.slew_names: list[str] = []
 
     def probe_arg(self, stage_index: int, tag: str) -> str:
         self.probe_slots.append((stage_index, tag))
@@ -187,9 +209,131 @@ class _Layout:
         self.arg_names.append(name)
         return name
 
+    def begin(self, src: _Source, spec: KernelSpec) -> None:
+        """Open the function: per-cell noise (``0.5 * draw``) and state in."""
+        n_cells = len(spec.all_stages)
+        self.arg_names.extend(f"hn{j}" for j in range(n_cells))
+        for j in range(n_cells):
+            self.state_names.extend((f"p{j}", f"m{j}"))
+        if spec.loop is not None:
+            self.state_names.append("last")
+        self.slew_names = [f"slews{j}" for j in range(n_cells)]
+        self.arg_names.extend(self.state_names)
+        src.line(0, f"def kernel({', '.join(self.arg_names)}):")
+        for name in self.slew_names:
+            src.line(1, f"{name} = 0")
+        src.line(1, "for i in range(n_steps):")
+
+    def end_step(self, src: _Source, depth: int) -> None:
+        """Close one period (the scalar layout stored inline)."""
+
+    def end(self, src: _Source) -> None:
+        src.line(1, f"return {', '.join(self.state_names + self.slew_names)}")
+
+    def decide(self, src: _Source, depth: int, loop: LoopSpec) -> None:
+        """Emit ``decision`` (+1/-1) from the effective input ``eff``."""
+        if loop.band > 0.0:
+            src.line(depth, f"if abs(eff) < {_lit(loop.band)}:")
+            src.line(depth + 1, "decision = 1 if meta[i] < 0.5 else -1")
+            src.line(depth, "else:")
+            src.line(depth + 1, "decision = 1 if eff >= 0.0 else -1")
+        else:
+            src.line(depth, "decision = 1 if eff >= 0.0 else -1")
+
+    def choose(
+        self, src: _Source, depth: int, rows: list[tuple[str, float, float]]
+    ) -> None:
+        """Bind each ``(name, if_up, if_down)`` literal by the decision."""
+        src.line(depth, "if decision == 1:")
+        for name, up, _ in rows:
+            src.line(depth + 1, f"{name} = {_lit(up)}")
+        src.line(depth, "else:")
+        for name, _, down in rows:
+            src.line(depth + 1, f"{name} = {_lit(down)}")
+
+    def store(
+        self, src: _Source, depth: int, j: int, cell: CellSpec, t_pos: str, t_neg: str
+    ) -> None:
+        """Store stage ``j``'s targets: both halves inline, then noise."""
+        _emit_store(src, depth, cell, f"p{j}", t_pos, "sp", "slp")
+        _emit_store(src, depth, cell, f"m{j}", t_neg, "sm", "slm")
+        if cell.mismatch != 0.0:
+            src.line(depth, f"sp = sp * {_lit(1.0 + 0.5 * cell.mismatch)}")
+            src.line(depth, f"sm = sm * {_lit(1.0 - 0.5 * cell.mismatch)}")
+        src.line(depth, f"p{j} = sp + hn{j}[i]")
+        src.line(depth, f"m{j} = sm - hn{j}[i]")
+        src.line(depth, "if slp or slm:")
+        src.line(depth + 1, f"slews{j} = slews{j} + 1")
+
+
+class _LaneLayout(_Layout):
+    """The lane layout: every variable is a row of ``n_lanes`` floats.
+
+    Arrays are step-major, so ``xa[i]`` is period ``i`` of every lane.
+    The state lives in one ``(2 * n_cells, n_lanes)`` array ``S`` (rows
+    alternate pos/neg per stage); each stage writes its targets into the
+    matching rows of ``T``, and the period ends with **one** fused
+    :func:`~repro.runtime.kernels.store.store_batch` call over all rows,
+    then the mismatch factors and the pre-assembled noise rows (``+h``
+    on pos rows, ``-h`` on neg rows: ``a - h == a + (-h)`` bitwise).
+    Every lane starts from the reset state: zero charge, last decision
+    +1.  Slew events are not counted.
+    """
+
+    def __init__(self, cell: CellSpec) -> None:
+        super().__init__()
+        self.cell = cell
+
+    def begin(self, src: _Source, spec: KernelSpec) -> None:
+        """Open the function: fused noise rows in, reset state inside."""
+        n_cells = len(spec.all_stages)
+        self.arg_names.append("noise")
+        src.line(0, f"def lanes({', '.join(self.arg_names)}):")
+        src.line(1, "S = np.zeros(noise.shape[1:])")
+        src.line(1, "T = np.empty_like(S)")
+        if spec.loop is not None:
+            src.line(1, "last = 1.0")
+        if self.cell.mismatch != 0.0:
+            up = _lit(1.0 + 0.5 * self.cell.mismatch)
+            down = _lit(1.0 - 0.5 * self.cell.mismatch)
+            src.line(1, f"mf = np.array([[{up}], [{down}]] * {n_cells})")
+        src.line(1, "for i in range(n_steps):")
+        names = ", ".join(f"p{j}, m{j}" for j in range(n_cells))
+        src.line(2, f"{names}, = S")
+
+    def end_step(self, src: _Source, depth: int) -> None:
+        src.line(depth, "S = store_batch(S, T, cell)")
+        if self.cell.mismatch != 0.0:
+            src.line(depth, "S = S * mf")
+        src.line(depth, "S += noise[i]")
+
+    def end(self, src: _Source) -> None:
+        """The lane function returns nothing: outputs land in ``out``."""
+
+    def decide(self, src: _Source, depth: int, loop: LoopSpec) -> None:
+        src.line(depth, "up = eff >= 0.0")
+        if loop.band > 0.0:
+            src.line(
+                depth, f"up = np.where(abs(eff) < {_lit(loop.band)}, meta[i] < 0.5, up)"
+            )
+        src.line(depth, "decision = np.where(up, 1.0, -1.0)")
+
+    def choose(
+        self, src: _Source, depth: int, rows: list[tuple[str, float, float]]
+    ) -> None:
+        for name, up, down in rows:
+            src.line(depth, f"{name} = np.where(up, {_lit(up)}, {_lit(down)})")
+
+    def store(
+        self, src: _Source, depth: int, j: int, cell: CellSpec, t_pos: str, t_neg: str
+    ) -> None:
+        src.line(depth, f"T[{2 * j}] = {t_pos}")
+        src.line(depth, f"T[{2 * j + 1}] = {t_neg}")
+
 
 def _emit_stage(
     src: _Source,
+    layout: _Layout,
     depth: int,
     stage: StageSpec,
     index: int,
@@ -197,7 +341,7 @@ def _emit_stage(
     u_neg: str,
     probe_args: dict[tuple[int, str], str],
 ) -> None:
-    """Emit one integrator/differentiator step updating ``p{j}``/``m{j}``."""
+    """Emit one integrator/differentiator step and store its targets."""
     j = index
     state_pos, state_neg = (f"m{j}", f"p{j}") if stage.crossed else (
         f"p{j}",
@@ -213,19 +357,11 @@ def _emit_stage(
     cell_arg = probe_args.get((j, "cell"))
     if cell_arg is not None:
         src.line(depth, f"{cell_arg}[i] = t_pos - t_neg")
-    _emit_store(src, depth, stage.cell, f"p{j}", "t_pos", "sp", "slp")
-    _emit_store(src, depth, stage.cell, f"m{j}", "t_neg", "sm", "slm")
-    if stage.cell.mismatch != 0.0:
-        src.line(depth, f"sp = sp * {_lit(1.0 + 0.5 * stage.cell.mismatch)}")
-        src.line(depth, f"sm = sm * {_lit(1.0 - 0.5 * stage.cell.mismatch)}")
-    src.line(depth, f"p{j} = sp + hn{j}[i]")
-    src.line(depth, f"m{j} = sm - hn{j}[i]")
-    src.line(depth, "if slp or slm:")
-    src.line(depth + 1, f"slews{j} = slews{j} + 1")
+    layout.store(src, depth, j, stage.cell, "t_pos", "t_neg")
 
 
 def _emit_decision(
-    src: _Source, depth: int, loop: LoopSpec, base: str
+    src: _Source, layout: _Layout, depth: int, loop: LoopSpec, base: str
 ) -> None:
     """Emit the quantiser decision for the differential value ``base``."""
     if loop.dither_rms > 0.0:
@@ -240,18 +376,21 @@ def _emit_decision(
             f"({_lit(loop.offset)} - {_lit(loop.hysteresis)} * last)"
         )
         src.line(depth, f"eff = {dithered} - {threshold}")
-    if loop.band > 0.0:
-        src.line(depth, f"if abs(eff) < {_lit(loop.band)}:")
-        src.line(depth + 1, "decision = 1 if meta[i] < 0.5 else -1")
-        src.line(depth, "else:")
-        src.line(depth + 1, "decision = 1 if eff >= 0.0 else -1")
-    else:
-        src.line(depth, "decision = 1 if eff >= 0.0 else -1")
+    layout.decide(src, depth, loop)
     src.line(depth, "last = decision")
 
 
+def _emit_feedback(
+    src: _Source, layout: _Layout, depth: int, loop: LoopSpec
+) -> None:
+    """Emit the DAC output ``feedback`` for the decision."""
+    layout.choose(src, depth, [("feedback", loop.level_pos, loop.level_neg)])
+    if loop.dac_rms > 0.0:
+        src.line(depth, "feedback = feedback + dacn[i]")
+
+
 def _emit_feedback_halves(
-    src: _Source, depth: int, loop: LoopSpec, b2: float
+    src: _Source, layout: _Layout, depth: int, loop: LoopSpec, b2: float
 ) -> None:
     """Emit ``fb_pos``/``fb_neg`` (and folded ``fb2_*`` = ``fb_* * b2``).
 
@@ -260,23 +399,16 @@ def _emit_feedback_halves(
     exact run-time expressions.
     """
     if loop.dac_rms == 0.0:
-        src.line(depth, "if decision == 1:")
-        for index, level in enumerate((loop.level_pos, loop.level_neg)):
-            if index == 1:
-                src.line(depth, "else:")
+        folded = []
+        for level in (loop.level_pos, loop.level_neg):
             fb_half = 0.5 * level
             fb_pos = 0.0 + fb_half
             fb_neg = 0.0 - fb_half
-            src.line(depth + 1, f"fb_pos = {_lit(fb_pos)}")
-            src.line(depth + 1, f"fb_neg = {_lit(fb_neg)}")
-            src.line(depth + 1, f"fb2_pos = {_lit(fb_pos * b2)}")
-            src.line(depth + 1, f"fb2_neg = {_lit(fb_neg * b2)}")
+            folded.append((fb_pos, fb_neg, fb_pos * b2, fb_neg * b2))
+        names = ("fb_pos", "fb_neg", "fb2_pos", "fb2_neg")
+        layout.choose(src, depth, list(zip(names, *folded)))
     else:
-        src.line(
-            depth,
-            f"feedback = ({_lit(loop.level_pos)} if decision == 1"
-            f" else {_lit(loop.level_neg)}) + dacn[i]",
-        )
+        _emit_feedback(src, layout, depth, loop)
         src.line(depth, "fb_half = 0.5 * feedback")
         src.line(depth, "fb_pos = 0.0 + fb_half")
         src.line(depth, "fb_neg = 0.0 - fb_half")
@@ -306,20 +438,19 @@ def _probe_args(
     return args
 
 
-def _state_args(layout: _Layout, n_cells: int, with_last: bool) -> None:
-    for j in range(n_cells):
-        layout.state_names.extend((f"p{j}", f"m{j}"))
-    if with_last:
-        layout.state_names.append("last")
-    layout.slew_names = [f"slews{j}" for j in range(n_cells)]
-    layout.arg_names.extend(layout.state_names)
+def kernel_source(
+    spec: KernelSpec, layout: _Layout | None = None
+) -> tuple[str, _Layout]:
+    """Generate the kernel source of ``spec`` in ``layout`` (default scalar).
 
-
-def kernel_source(spec: KernelSpec) -> tuple[str, _Layout]:
-    """Generate the kernel function source and its argument layout."""
+    This is the one wiring walk: both layouts emit the same statements
+    in the same order, and differ only where :class:`_Layout` and
+    :class:`_LaneLayout` do -- the stage store, the quantiser decision
+    and the DAC feedback select.
+    """
+    if layout is None:
+        layout = _Layout()
     stages = spec.all_stages
-    n_cells = len(stages)
-    layout = _Layout()
     src = _Source()
     layout.arg_names.append("n_steps")
     if spec.kind in ("cell", "delay", "mod2", "chopper"):
@@ -327,37 +458,15 @@ def kernel_source(spec: KernelSpec) -> tuple[str, _Layout]:
     else:
         layout.arg_names.append("xs")
     layout.arg_names.append("out")
-    layout.arg_names.extend(f"hn{j}" for j in range(n_cells))
     if spec.loop is not None:
         _loop_stream_args(layout, spec.loop)
     probe_args = _probe_args(layout, stages)
-    _state_args(layout, n_cells, with_last=spec.loop is not None)
-
-    src.line(0, f"def kernel({', '.join(layout.arg_names)}):")
-    for j in range(n_cells):
-        src.line(1, f"slews{j} = 0")
-    src.line(1, "for i in range(n_steps):")
+    layout.begin(src, spec)
     d = 2
 
-    if spec.kind == "cell":
-        stage = stages[0]
-        cell_arg = probe_args.get((0, "cell"))
-        if cell_arg is not None:
-            src.line(d, f"{cell_arg}[i] = xa[i] - xb[i]")
-        _emit_store(src, d, stage.cell, "p0", "xa[i]", "sp", "slp")
-        _emit_store(src, d, stage.cell, "m0", "xb[i]", "sm", "slm")
-        if stage.cell.mismatch != 0.0:
-            src.line(d, f"sp = sp * {_lit(1.0 + 0.5 * stage.cell.mismatch)}")
-            src.line(d, f"sm = sm * {_lit(1.0 - 0.5 * stage.cell.mismatch)}")
-        if stage.cell.inverting:
-            src.line(d, "out[i] = (-p0) - (-m0)")
-        else:
-            src.line(d, "out[i] = p0 - m0")
-        src.line(d, "p0 = sp + hn0[i]")
-        src.line(d, "m0 = sm - hn0[i]")
-        src.line(d, "if slp or slm:")
-        src.line(d + 1, "slews0 = slews0 + 1")
-    elif spec.kind == "delay":
+    if spec.kind in ("cell", "delay"):
+        # A lone memory cell is a one-cell line: it outputs the sample
+        # it held, negated when it inverts.
         src.line(d, "v_pos = xa[i]")
         src.line(d, "v_neg = xb[i]")
         for j, stage in enumerate(stages):
@@ -366,19 +475,7 @@ def kernel_source(spec: KernelSpec) -> tuple[str, _Layout]:
                 src.line(d, f"{cell_arg}[i] = v_pos - v_neg")
             src.line(d, f"hp = p{j}")
             src.line(d, f"hm = m{j}")
-            _emit_store(src, d, stage.cell, "hp", "v_pos", "sp", "slp")
-            _emit_store(src, d, stage.cell, "hm", "v_neg", "sm", "slm")
-            if stage.cell.mismatch != 0.0:
-                src.line(
-                    d, f"sp = sp * {_lit(1.0 + 0.5 * stage.cell.mismatch)}"
-                )
-                src.line(
-                    d, f"sm = sm * {_lit(1.0 - 0.5 * stage.cell.mismatch)}"
-                )
-            src.line(d, f"p{j} = sp + hn{j}[i]")
-            src.line(d, f"m{j} = sm - hn{j}[i]")
-            src.line(d, "if slp or slm:")
-            src.line(d + 1, f"slews{j} = slews{j} + 1")
+            layout.store(src, d, j, stage.cell, "v_pos", "v_neg")
             if stage.cell.inverting:
                 src.line(d, "v_pos = -hp")
                 src.line(d, "v_neg = -hm")
@@ -398,41 +495,30 @@ def kernel_source(spec: KernelSpec) -> tuple[str, _Layout]:
             src.line(d, "u1h = 0.5 * u1")
             src.line(d, "u1p = 0.0 + u1h")
             src.line(d, "u1m = 0.0 - u1h")
-            _emit_stage(src, d, section.first, j1, "u1p", "u1m", probe_args)
+            _emit_stage(src, layout, d, section.first, j1, "u1p", "u1m", probe_args)
             src.line(d, "u2h = 0.5 * u2")
             src.line(d, "u2p = 0.0 + u2h")
             src.line(d, "u2m = 0.0 - u2h")
-            _emit_stage(src, d, section.second, j2, "u2p", "u2m", probe_args)
+            _emit_stage(src, layout, d, section.second, j2, "u2p", "u2m", probe_args)
             src.line(d, "signal = w1")
         src.line(d, "out[i] = signal")
     elif spec.kind == "mod1":
         loop = spec.loop
         assert loop is not None
-        _emit_decision(src, d, loop, "p0 - m0")
-        if loop.dac_rms == 0.0:
-            src.line(
-                d,
-                f"feedback = {_lit(loop.level_pos)} if decision == 1"
-                f" else {_lit(loop.level_neg)}",
-            )
-        else:
-            src.line(
-                d,
-                f"feedback = ({_lit(loop.level_pos)} if decision == 1"
-                f" else {_lit(loop.level_neg)}) + dacn[i]",
-            )
+        _emit_decision(src, layout, d, loop, "p0 - m0")
+        _emit_feedback(src, layout, d, loop)
         src.line(
             d, f"u_half = 0.5 * ({_prescaled(spec.a1, '(xs[i] - feedback)')})"
         )
         src.line(d, "u_pos = 0.0 + u_half")
         src.line(d, "u_neg = 0.0 - u_half")
-        _emit_stage(src, d, stages[0], 0, "u_pos", "u_neg", probe_args)
+        _emit_stage(src, layout, d, stages[0], 0, "u_pos", "u_neg", probe_args)
         src.line(d, f"out[i] = decision * {_lit(loop.full_scale)}")
     elif spec.kind in ("mod2", "chopper"):
         loop = spec.loop
         assert loop is not None
-        _emit_decision(src, d, loop, "p1 - m1")
-        _emit_feedback_halves(src, d, loop, spec.b2)
+        _emit_decision(src, layout, d, loop, "p1 - m1")
+        _emit_feedback_halves(src, layout, d, loop, spec.b2)
         if spec.kind == "mod2":
             src.line(d, f"u1_pos = {_scaled('(xa[i] - fb_pos)', spec.a1)}")
             src.line(d, f"u1_neg = {_scaled('(xb[i] - fb_neg)', spec.a1)}")
@@ -444,20 +530,39 @@ def kernel_source(spec: KernelSpec) -> tuple[str, _Layout]:
             src.line(d, f"u1_neg = {_scaled('(xb[i] - fb_neg)', neg_a1)}")
             src.line(d, f"u2_pos = fb2_pos - {_scaled('p0', spec.a2)}")
             src.line(d, f"u2_neg = fb2_neg - {_scaled('m0', spec.a2)}")
-        _emit_stage(src, d, stages[0], 0, "u1_pos", "u1_neg", probe_args)
-        _emit_stage(src, d, stages[1], 1, "u2_pos", "u2_neg", probe_args)
+        _emit_stage(src, layout, d, stages[0], 0, "u1_pos", "u1_neg", probe_args)
+        _emit_stage(src, layout, d, stages[1], 1, "u2_pos", "u2_neg", probe_args)
         src.line(d, f"out[i] = decision * {_lit(loop.full_scale)}")
     else:  # pragma: no cover - build_spec never produces other kinds
         raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
-    returns = layout.state_names + layout.slew_names
-    src.line(1, f"return {', '.join(returns)}")
+    layout.end_step(src, d)
+    layout.end(src)
     return src.text(), layout
+
+
+def _fused_cell(stages: tuple[StageSpec, ...]) -> CellSpec | None:
+    """Return the store constants every stage shares, or None.
+
+    The lane layout stores all halves with one ``store_batch`` call,
+    which takes one cell's constants.  The wiring flags ``inverting``
+    and ``probed`` do not enter the store law.
+    """
+    cells = {replace(stage.cell, inverting=False, probed=False) for stage in stages}
+    return cells.pop() if len(cells) == 1 else None
+
+
+def _define(source: str, name: str, kind: str, namespace: dict[str, Any]) -> Any:
+    """Execute generated ``source`` and return its function ``name``."""
+    exec(  # noqa: S102 - the source is generated from frozen spec literals
+        compile(source, f"<repro-{name}:{kind}>", "exec"), namespace
+    )
+    return namespace[name]
 
 
 @dataclass
 class KernelProgram:
-    """One compiled kernel: source, callables, and argument layout."""
+    """One compiled spec: both layouts' callables and the argument layout."""
 
     spec: KernelSpec
     source: str
@@ -466,6 +571,9 @@ class KernelProgram:
     probe_slots: tuple[tuple[int, str], ...]
     state_names: tuple[str, ...]
     slew_names: tuple[str, ...]
+    #: The lane-major NumPy function, called by keyword; None when the
+    #: spec's cells do not share one electrical configuration.
+    lane_fn: Callable[..., Any] | None = None
     #: numba-compiled callable, populated lazily by the runner.
     jit_fn: Callable[..., Any] | None = None
     #: "untried", "active", or the named refusal reason.
@@ -481,18 +589,21 @@ def compile_spec(spec: KernelSpec) -> KernelProgram:
     if program is not None:
         return program
     source, layout = kernel_source(spec)
-    namespace: dict[str, Any] = {"sqrt": math.sqrt, "exp": np.exp}
-    exec(  # noqa: S102 - the source is generated from frozen spec literals
-        compile(source, f"<repro-kernel:{spec.kind}>", "exec"), namespace
-    )
+    lane_fn = None
+    cell = _fused_cell(spec.all_stages)
+    if cell is not None:
+        lane_source, _ = kernel_source(spec, _LaneLayout(cell))
+        lane_globals = {"np": np, "store_batch": store_batch, "cell": cell}
+        lane_fn = _define(lane_source, "lanes", spec.kind, lane_globals)
     program = KernelProgram(
         spec=spec,
         source=source,
-        fn=namespace["kernel"],
+        fn=_define(source, "kernel", spec.kind, {"sqrt": math.sqrt, "exp": np.exp}),
         arg_names=tuple(layout.arg_names),
         probe_slots=tuple(layout.probe_slots),
         state_names=tuple(layout.state_names),
         slew_names=tuple(layout.slew_names),
+        lane_fn=lane_fn,
     )
     _CACHE[spec] = program
     return program

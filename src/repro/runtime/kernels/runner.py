@@ -4,9 +4,10 @@ The runner is the glue between a *live* device instance and its
 compiled :class:`~repro.runtime.kernels.codegen.KernelProgram`:
 
 1. lower the device to a :class:`KernelSpec` (cached compile),
-2. drain every random stream the scalar loop would touch -- the cell
-   noise feeds, the quantiser metastability/dither streams, the DAC
-   reference-noise stream -- by exactly ``n`` draws from the device's
+2. drain every random stream the scalar loop would touch
+   (:func:`~repro.runtime.kernels.spec.drawn_streams`: the cell noise
+   feeds, the quantiser metastability/dither streams, the DAC
+   reference-noise stream) by exactly ``n`` draws from the device's
    **own** stream objects (chunked ``take`` is bit-identical to ``n``
    scalar ``next()`` calls, and independent streams make draw order
    across streams irrelevant),
@@ -25,13 +26,18 @@ stream positions, probe statistics -- from the same run under
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.runtime.kernels.codegen import KernelProgram, compile_spec
 from repro.runtime.kernels.jit import jit_compile, jit_status
-from repro.runtime.kernels.spec import KernelUnsupported, build_spec, device_parts
+from repro.runtime.kernels.spec import (
+    KernelUnsupported,
+    build_spec,
+    device_parts,
+    drawn_streams,
+)
 from repro.si.differential import DifferentialSample
 
 __all__ = ["kernel_refusal", "run_kernel"]
@@ -56,6 +62,30 @@ def _chopper_signs(n: int) -> np.ndarray:
     signs = np.ones(n)
     signs[1::2] = -1.0
     return signs
+
+
+def _kernel_inputs(
+    program: KernelProgram, data: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """Return a program's input arguments for ``data``, and chopper signs.
+
+    Elementwise along the last (time) axis, so one run and a
+    ``(lanes, steps)`` batch share it.  The signs, when not None, also
+    multiply the raw output.
+    """
+    signs = _chopper_signs(data.shape[-1]) if program.spec.kind == "chopper" else None
+    if "xs" in program.arg_names:
+        return {"xs": data}, signs
+    xa, xb = _half_split(data if signs is None else signs * data)
+    return {"xa": xa, "xb": xb}, signs
+
+
+def _probe_owners(program: KernelProgram, stages: Sequence[tuple[Any, Any]]) -> list[Any]:
+    """Return the probe each of ``program``'s probe buffers feeds."""
+    return [
+        (stages[index][1] if tag == "cmff" else stages[index][0])._probe
+        for index, tag in program.probe_slots
+    ]
 
 
 def _ensure_jit(program: KernelProgram) -> None:
@@ -83,49 +113,28 @@ def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 1:
         raise KernelUnsupported("input is not 1-D")
-    spec = build_spec(device)
-    program = compile_spec(spec)
-    stages, quantizer, dac = device_parts(device)
+    program = compile_spec(build_spec(device))
+    stages, quantizer, _ = device_parts(device)
     n = data.shape[0]
-    loop = spec.loop
 
-    arrays: dict[str, np.ndarray] = {}
+    arrays, signs = _kernel_inputs(program, data)
     scalars: dict[str, Any] = {"n_steps": n}
+    arrays["out"] = out = np.zeros(n)
 
-    signs: np.ndarray | None = None
-    if spec.kind in ("cell", "delay", "mod2"):
-        arrays["xa"], arrays["xb"] = _half_split(data)
-    elif spec.kind == "chopper":
-        signs = _chopper_signs(n)
-        arrays["xa"], arrays["xb"] = _half_split(signs * data)
-    else:
-        arrays["xs"] = data
+    noise, loop_streams = drawn_streams(device)
+    for j, stream in enumerate(noise):
+        arrays[f"hn{j}"] = 0.5 * stream.take(n)
+    for name, stream in loop_streams.items():
+        arrays[name] = np.asarray(stream.take(n))
 
-    out = np.zeros(n)
-    arrays["out"] = out
-
-    for j, (cell, _) in enumerate(stages):
-        arrays[f"hn{j}"] = 0.5 * cell._noise.take(n)
-    if loop is not None:
-        assert quantizer is not None and dac is not None
-        if loop.band > 0.0:
-            arrays["meta"] = np.asarray(quantizer._stream.take(n))
-        if loop.dither_rms > 0.0:
-            arrays["dith"] = np.asarray(quantizer._dither.take(n))
-        if loop.dac_rms > 0.0:
-            arrays["dacn"] = np.asarray(dac._stream.take(n))
-
-    probe_owners: list[Any] = []
-    for slot, (stage_index, tag) in enumerate(program.probe_slots):
-        cell, cmff = stages[stage_index]
-        owner = cmff._probe if tag == "cmff" else cell._probe
-        probe_owners.append(owner)
+    probe_owners = _probe_owners(program, stages)
+    for slot in range(len(probe_owners)):
         arrays[f"pb{slot}"] = np.zeros(n)
 
     for j, (cell, _) in enumerate(stages):
         scalars[f"p{j}"] = cell._stored.pos
         scalars[f"m{j}"] = cell._stored.neg
-    if loop is not None:
+    if quantizer is not None:
         scalars["last"] = quantizer._last_decision
 
     _ensure_jit(program)
@@ -170,12 +179,11 @@ def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
         )
         cell._steps += n
         cell._slew_events += int(values[f"slews{j}"])
-    if loop is not None:
+    if quantizer is not None:
         quantizer._last_decision = int(values["last"])
     if n > 0:
         for slot, owner in enumerate(probe_owners):
-            if owner is not None:
-                owner.observe_array(arrays[f"pb{slot}"])
+            owner.observe_array(arrays[f"pb{slot}"])
     if signs is not None:
         return signs * out
     return out

@@ -6,11 +6,13 @@ lowering step they share: :func:`build_spec` walks a device, checks
 the declared lowering protocol (:mod:`repro.runtime.lowering`), and
 freezes every constant the run needs into a hashable
 :class:`KernelSpec`; :func:`device_parts` returns the live cells, CMFF
-stages, quantizer and DAC in the same order.  The spec is the *only*
-input to code generation (:mod:`repro.runtime.kernels.codegen`), so
-two devices with identical electrical configuration share one compiled
-kernel, and the NumPy batch runners (:mod:`repro.runtime.batch`) read
-the same spec lane-major.
+stages, quantizer and DAC in the same order, and :func:`drawn_streams`
+the random streams a run draws.  The spec is the *only* input to code
+generation (:mod:`repro.runtime.kernels.codegen`), which emits both
+the scalar kernel and the lane-major function the NumPy batch runners
+(:mod:`repro.runtime.batch`) call, so two devices with identical
+electrical configuration share one compiled program.  Adding a device
+means lowering it here and wiring it once in the codegen walk.
 
 The linear part of each design is also exposed as explicit state-space
 matrices (:func:`state_matrices`) -- the A/B/C/D formulation of the
@@ -22,13 +24,14 @@ a fused ``A @ state`` would re-associate those sums.  The matrices are
 the documentation and analysis view; the generated source is the
 executable one.
 
-Both engines consume the device's **live** random streams (the cell
-noise feeds, the quantiser metastability and dither streams, the DAC
-reference-noise stream), so seeds are not needed for byte-equality with
-the scalar loop on the same device instance -- unseeded configurations
-lower too.  Only protocol violations refuse: behavioural subclasses
-outside the declared hook allowlist, unpaired probe overrides on the
-stage probes, and device types without a transliteration.
+Both engines consume the device's **live** random streams
+(:func:`drawn_streams`: the cell noise feeds, the quantiser
+metastability and dither streams, the DAC reference-noise stream), so
+seeds are not needed for byte-equality with the scalar loop on the same
+device instance -- unseeded configurations lower too.  Only protocol
+violations refuse: behavioural subclasses outside the declared hook
+allowlist, unpaired probe overrides on the stage probes, and device
+types without a transliteration.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ __all__ = [
     "KernelSpec",
     "build_spec",
     "device_parts",
+    "drawn_streams",
     "state_matrices",
 ]
 
@@ -337,6 +341,30 @@ def device_parts(
     if kind == "cascade":
         return pairs, None, None
     return pairs, device.quantizer, device.dac  # type: ignore[attr-defined]
+
+
+def drawn_streams(device: object) -> tuple[list[Any], dict[str, Any]]:
+    """Return the live random streams one run of ``device`` draws from.
+
+    The one rule every rung follows: a run of ``n`` steps takes exactly
+    ``n`` draws from each stream returned here, and from no other.
+    The first item lists each stage's cell-noise feed in spec order;
+    the second maps the loop's kernel argument names to streams: the
+    quantizer's metastability stream (``meta``) when its band is open,
+    its dither stream (``dith``) when it dithers, and the DAC reference
+    stream (``dacn``) when that is noisy.  Like :func:`device_parts`, it
+    runs no lowering checks, so refused devices can fast-forward too.
+    """
+    stages, quantizer, dac = device_parts(device)
+    loop: dict[str, Any] = {}
+    if quantizer is not None:
+        if quantizer.metastability_band > 0.0:
+            loop["meta"] = quantizer._stream
+        if isinstance(quantizer, DitheredQuantizer) and quantizer.dither_rms > 0.0:
+            loop["dith"] = quantizer._dither
+    if dac is not None and dac.reference_noise_rms > 0.0:
+        loop["dacn"] = dac._stream
+    return [cell._noise for cell, _ in stages], loop
 
 
 def build_spec(device: object) -> KernelSpec:

@@ -30,14 +30,13 @@ __all__ = ["store_batch"]
 
 def store_batch(
     previous: np.ndarray, target: np.ndarray, kernel: CellSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Store ``target`` over ``previous`` elementwise; return (settled, slewed).
+) -> np.ndarray:
+    """Store ``target`` over ``previous`` elementwise; return the settled currents.
 
     Vectorized transliteration of ``_store_half``: both inputs are
     arrays of half-circuit currents of identical shape (typically
-    ``(rows, lanes)`` with one row per fused half-circuit).  The
-    returned ``settled`` array holds the stored currents and ``slewed``
-    the boolean slew flags.  ``kernel`` is the cell's
+    ``(rows, lanes)`` with one row per fused half-circuit).  Slew events
+    are not reported.  ``kernel`` is the cell's
     :class:`~repro.runtime.kernels.spec.CellSpec`: its store constants
     are computed with the scalar model's own expressions, so every
     element starts from identical 64-bit values.
@@ -86,5 +85,5 @@ def store_batch(
 
     slewed = magnitude > kernel.bias
     residual = np.where(slewed, np.where(slew_time >= n_tau, full, partial), small)
-    settled = value - residual
-    return settled, slewed
+    settled: np.ndarray = value - residual
+    return settled

@@ -208,10 +208,14 @@ class _ShardResult:
     engine: str
 
 
-#: Measured crossover between the compiled kernel run lane-by-lane and
-#: the NumPy batch engine running all lanes at once: below this many
-#: lanes the kernel's per-sample fusion beats the batch's lane
-#: vectorisation, above it the lanes amortise the Python dispatch.
+#: Crossover between the scalar kernel run lane by lane and the lane
+#: layout running all lanes at once: below it the kernel's per-sample
+#: fusion wins, above it the lanes amortise the NumPy dispatch.  On the
+#: generated lane layout (16,640-step lanes, no numba, one pinned Xeon
+#: core) batch overtakes the kernel at about 15 lanes for the delay
+#: line, 19-20 for modulator2 and the chopper and 31 for modulator1.
+#: No sweep workload sits between 8 and 32 lanes, so a move off 16
+#: could not be measured end to end.
 _KERNEL_CROSSOVER_LANES = 16
 
 

@@ -5,7 +5,9 @@ The kernel tier's contract (docs/RUNTIME.md) is *byte*-equality with
 lowerable design, including dithered quantizers, metastability bands,
 DAC reference noise, and telemetry-probed runs.  Hypothesis drives the
 device variants and stimuli; each drawn case runs once through the
-scalar loop and once per engine rung on an identically-seeded twin.
+scalar loop and once per engine rung on an identically-seeded twin;
+the batch rung runs many lanes at once against the oracle run lane by
+lane on a twin reset between lanes.
 
 Probe statistics are the one deliberate exception: ``observe_array``
 accumulates with pairwise summation while the scalar loop's
@@ -27,7 +29,9 @@ from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
 from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.observability.instruments import get_registry, snapshot_delta
+from repro.runtime.batch import batch_runner_for
 from repro.runtime.engine import consume_fallbacks, force_scalar, use_engine
+from repro.runtime.kernels.spec import drawn_streams
 from repro.runtime.sweeps import run_sweep, sweep_spec_for_design
 from repro.telemetry.designs import TRACE_DESIGNS
 from repro.telemetry.probes import SignalProbe
@@ -128,6 +132,47 @@ class TestModulatorParity:
             device.quantizer._last_decision
             == reference.quantizer._last_decision
         )
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(MODULATOR_KINDS)),
+        dither=st.booleans(),
+        metastable=st.booleans(),
+        dac_noise=st.booleans(),
+        n_lanes=st.integers(min_value=1, max_value=40),
+        amplitude=st.floats(min_value=1e-7, max_value=6e-6),
+        n=st.integers(min_value=16, max_value=96),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_batch_matches_lane_sequential_oracle(
+        self, kind, dither, metastable, dac_noise, n_lanes, amplitude, n, seed
+    ):
+        # The batch rung runs all lanes of one device at once; lane k
+        # must equal the k-th run of a twin reset between lanes, and
+        # every stream must end where the twin's does.
+        scales = np.linspace(1.0, 0.05, n_lanes)
+        stimuli = np.array(
+            [
+                _stimulus(n, amplitude * scale, seed + lane)
+                for lane, scale in enumerate(scales)
+            ]
+        )
+        reference = _build_modulator(kind, dither, metastable, dac_noise)
+        want = np.empty_like(stimuli)
+        with force_scalar():
+            for lane in range(n_lanes):
+                reference.reset()
+                want[lane] = reference.run(stimuli[lane])
+        device = _build_modulator(kind, dither, metastable, dac_noise)
+        got = batch_runner_for(device, n_lanes, n).run(stimuli)
+        assert got.tobytes() == want.tobytes()
+        noise, loop = drawn_streams(device)
+        want_noise, want_loop = drawn_streams(reference)
+        assert sorted(loop) == sorted(want_loop)
+        for stream, oracle in zip(
+            [*noise, *loop.values()], [*want_noise, *want_loop.values()]
+        ):
+            assert stream.next() == oracle.next()
 
     @settings(max_examples=12, deadline=None)
     @given(

@@ -35,8 +35,11 @@ from repro.runtime.batch import (
     batch_runner_for,
     fast_forward_streams,
 )
+from repro.observability.instruments import get_registry, snapshot_delta
 from repro.runtime.engine import force_scalar
 from repro.runtime.kernels import device_parts
+from repro.runtime.kernels.spec import drawn_streams
+from repro.runtime.sweeps import run_sweep, sweep_spec_for_design
 from repro.si import DelayLine
 from repro.si.cascade import BiquadCascade
 from repro.si.memory_cell import ClassABMemoryCell
@@ -338,6 +341,66 @@ class TestRefusals:
         )
         with pytest.raises(BatchUnsupported):
             batch_runner_for(modulator, 2, 16)
+
+    def test_shape_error_drains_nothing(self):
+        # Building a runner has no side effect, and run() checks the
+        # stimulus shape before it draws from any stream.
+        def make():
+            return SIModulator2(
+                cell_config=paper_cell_config(sample_rate=MODULATOR_CLOCK),
+                quantizer=DitheredQuantizer(
+                    dither_rms=1e-8, metastability_band=8e-8, seed=11
+                ),
+                dac=FeedbackDac(reference_noise_rms=3e-8, seed=12),
+            )
+
+        device, twin = make(), make()
+        with pytest.raises(ValueError):
+            batch_runner_for(device, 3, 100).run(np.zeros((3, 99)))
+        noise, loop = drawn_streams(device)
+        twin_noise, twin_loop = drawn_streams(twin)
+        assert sorted(loop) == ["dacn", "dith", "meta"]
+        for got, want in zip(
+            [*noise, *loop.values()], [*twin_noise, *twin_loop.values()]
+        ):
+            assert got.next() == want.next()
+
+    def test_mixed_cell_configurations_refused(self, monkeypatch):
+        # The lane layout stores every half with one store_batch call,
+        # which takes one cell's constants.  A line whose cells differ
+        # electrically refuses by name before drawing anything, and the
+        # sweep's fallback still returns the scalar oracle's bytes.
+        import repro.runtime.sweeps as sweeps_module
+
+        def make():
+            line = DelayLine(delay_line_cell_config(), n_cells=2)
+            config = replace(line.cells[1].config, quiescent_current=3e-6)
+            line.cells[1] = ClassABMemoryCell(config)
+            return line
+
+        device, twin = make(), make()
+        registry = get_registry()
+        before = registry.snapshot()
+        with pytest.raises(BatchUnsupported) as refusal:
+            batch_runner_for(device, 2, 64)
+        assert str(refusal.value) == (
+            "fused cells must share one electrical configuration"
+        )
+        delta = snapshot_delta(before, registry.snapshot())["instruments"]
+        assert [
+            (entry["labels"], entry["value"])
+            for entry in delta["repro.batch.refusals"]["series"]
+        ] == [({"device": "DelayLine"}, 1.0)]
+        for cell, twin_cell in zip(device.cells, twin.cells):
+            assert cell._noise.next() == twin_cell._noise.next()
+
+        monkeypatch.setattr(sweeps_module, "_build_device", lambda spec: make())
+        spec = sweep_spec_for_design("delay-line", levels_db=(-20.0, -6.0))
+        with force_scalar():
+            want = run_sweep(spec, engine="scalar")
+        got = run_sweep(spec, engine="batch")
+        assert got.sndr_db.tobytes() == want.sndr_db.tobytes()
+        assert got.metrics == want.metrics
 
     def test_device_parts_counts(self):
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
