@@ -27,7 +27,8 @@ Attached :class:`~repro.telemetry.probes.SignalProbe`\\ s are fed
 lane-major through ``observe_array`` after the run.  Building a runner
 has no side effect: every refusal raises :class:`BatchUnsupported`
 there, and the streams are drained only by ``run``, after its shape
-check.  Callers fall back to the scalar loop (see
+check.  Callers fall back to single runs lane by lane: the compiled
+kernel when the device lowers there, else the scalar loop (see
 :mod:`repro.runtime.sweeps`).
 """
 

@@ -11,26 +11,35 @@ bitwise-invisible.
 * The **scalar layout** (``kernel``) runs one device: one float per
   variable, ``if`` branches, and each half-circuit store inlined.
 * The **lane layout** (``lanes``) runs many lanes at once: each
-  variable is a NumPy row over the lanes, the quantiser decision and
-  the DAC feedback select become ``where``, and the stages only write
-  their store targets.  The period ends with *one* fused
+  variable is a NumPy row over the lanes, the quantiser decision is a
+  boolean row ``up``, the DAC feedback select is *one* ``where`` over
+  literal columns, and the stages only write their store targets.  The
+  period ends with *one* fused
   :func:`~repro.runtime.kernels.store.store_batch` call over every
   half of every stage (one call per half would multiply the NumPy
   dispatches), so the lane layout exists only for specs whose cells
-  share one electrical configuration.
+  share one electrical configuration.  A loop's bit stream is written
+  once after the last period from the recorded ``up`` rows.
 
-Both layouts emit the same statements in the same order, so every
-intermediate rounds identically.  The folding rules, each load-bearing
-for the byte-equality contract:
+Both layouts emit the same arithmetic in the same order, so every
+intermediate rounds identically; the lane layout only omits the
+per-period ``decision`` (kept when hysteresis reads it back as
+``last``) and the per-period output of a loop.  The folding rules,
+each load-bearing for the byte-equality contract:
 
 * ``x * 1.0`` is the bitwise identity for every float (including
   ``-0.0``, ``inf``, NaN payload) -- unit gains and coefficients are
   elided;
 * ``a - 0.0`` is the identity for every ``a`` (even ``-0.0``), so a
   zero quantiser threshold folds away;
+* without hysteresis the threshold ``offset - 0.0 * last`` is
+  ``offset - (+/-0.0)``, exactly ``offset`` for a nonzero offset, so it
+  folds to the literal and nothing reads ``last``;
 * ``a + 0.0`` is **not** the identity (``-0.0 + 0.0 == +0.0``), so the
   half-splitting ``0.0 + half`` / ``0.0 - half`` normalisations and the
   CMFF bias terms are always kept;
+* two CMFF subtract mirrors with equal literal gain and bias compute
+  the same value, so it is computed once (``i_sub``) for both halves;
 * constants combined *at generation time* with the same operations the
   scalar loop performs at run time (``1.0 + 0.5 * mismatch``,
   ``fb_pos * b2``) produce the identical 64-bit value, so feedback
@@ -184,6 +193,10 @@ def _emit_cmff(src: _Source, depth: int, cmff: CmffSpec) -> None:
     )
     subtract_pos = sense(cmff.subtract_pos_gain, cmff.subtract_pos_bias, "i_cm")
     subtract_neg = sense(cmff.subtract_neg_gain, cmff.subtract_neg_bias, "i_cm")
+    if subtract_pos == subtract_neg:
+        # Same literals (the sign of a zero bias included), same value.
+        src.line(depth, f"i_sub = {subtract_pos}")
+        subtract_pos = subtract_neg = "i_sub"
     src.line(depth, f"t_pos = t_pos - {subtract_pos}")
     src.line(depth, f"t_neg = t_neg - {subtract_neg}")
 
@@ -227,11 +240,11 @@ class _Layout:
     def end_step(self, src: _Source, depth: int) -> None:
         """Close one period (the scalar layout stored inline)."""
 
-    def end(self, src: _Source) -> None:
+    def end(self, src: _Source, spec: KernelSpec) -> None:
         src.line(1, f"return {', '.join(self.state_names + self.slew_names)}")
 
     def decide(self, src: _Source, depth: int, loop: LoopSpec) -> None:
-        """Emit ``decision`` (+1/-1) from the effective input ``eff``."""
+        """Emit ``decision`` (+1/-1) from ``eff``; it becomes ``last``."""
         if loop.band > 0.0:
             src.line(depth, f"if abs(eff) < {_lit(loop.band)}:")
             src.line(depth + 1, "decision = 1 if meta[i] < 0.5 else -1")
@@ -239,6 +252,11 @@ class _Layout:
             src.line(depth + 1, "decision = 1 if eff >= 0.0 else -1")
         else:
             src.line(depth, "decision = 1 if eff >= 0.0 else -1")
+        src.line(depth, "last = decision")
+
+    def bitstream(self, src: _Source, depth: int, loop: LoopSpec) -> None:
+        """Emit the period's loop output sample."""
+        src.line(depth, f"out[i] = decision * {_lit(loop.full_scale)}")
 
     def choose(
         self, src: _Source, depth: int, rows: list[tuple[str, float, float]]
@@ -278,11 +296,21 @@ class _LaneLayout(_Layout):
     on pos rows, ``-h`` on neg rows: ``a - h == a + (-h)`` bitwise).
     Every lane starts from the reset state: zero charge, last decision
     +1.  Slew events are not counted.
+
+    A loop's decision is the boolean row ``up``.  The feedback select
+    is one ``where`` over ``(k, 1)`` literal columns, unpacked into its
+    ``k`` names; the columns are collected in :attr:`constants`, which
+    the lane function reads as globals, so no array is built per
+    period.  ``up`` is recorded in the ``(steps, lanes)`` buffer
+    ``ups`` and the bit stream is written once after the loop:
+    ``where(ups, fs, -fs)`` is ``decision * fs`` bitwise, as the
+    decision is +/-1.
     """
 
     def __init__(self, cell: CellSpec) -> None:
         super().__init__()
         self.cell = cell
+        self.constants: dict[str, np.ndarray] = {}
 
     def begin(self, src: _Source, spec: KernelSpec) -> None:
         """Open the function: fused noise rows in, reset state inside."""
@@ -292,7 +320,9 @@ class _LaneLayout(_Layout):
         src.line(1, "S = np.zeros(noise.shape[1:])")
         src.line(1, "T = np.empty_like(S)")
         if spec.loop is not None:
-            src.line(1, "last = 1.0")
+            src.line(1, "ups = np.empty(out.shape, dtype=bool)")
+            if spec.loop.hysteresis != 0.0:
+                src.line(1, "last = 1.0")
         if self.cell.mismatch != 0.0:
             up = _lit(1.0 + 0.5 * self.cell.mismatch)
             down = _lit(1.0 - 0.5 * self.cell.mismatch)
@@ -307,8 +337,11 @@ class _LaneLayout(_Layout):
             src.line(depth, "S = S * mf")
         src.line(depth, "S += noise[i]")
 
-    def end(self, src: _Source) -> None:
-        """The lane function returns nothing: outputs land in ``out``."""
+    def end(self, src: _Source, spec: KernelSpec) -> None:
+        """Write a loop's bit stream; per-period outputs are already in ``out``."""
+        if spec.loop is not None:
+            fs = spec.loop.full_scale
+            src.line(1, f"out[:] = np.where(ups, {_lit(fs)}, {_lit(-fs)})")
 
     def decide(self, src: _Source, depth: int, loop: LoopSpec) -> None:
         src.line(depth, "up = eff >= 0.0")
@@ -316,13 +349,23 @@ class _LaneLayout(_Layout):
             src.line(
                 depth, f"up = np.where(abs(eff) < {_lit(loop.band)}, meta[i] < 0.5, up)"
             )
-        src.line(depth, "decision = np.where(up, 1.0, -1.0)")
+        if loop.hysteresis != 0.0:
+            src.line(depth, "decision = np.where(up, 1.0, -1.0)")
+            src.line(depth, "last = decision")
+
+    def bitstream(self, src: _Source, depth: int, loop: LoopSpec) -> None:
+        src.line(depth, "ups[i] = up")
 
     def choose(
         self, src: _Source, depth: int, rows: list[tuple[str, float, float]]
     ) -> None:
-        for name, up, down in rows:
-            src.line(depth, f"{name} = np.where(up, {_lit(up)}, {_lit(down)})")
+        names, if_up, if_down = zip(*rows)
+        index = len(self.constants) // 2
+        for key, values in ((f"UP{index}", if_up), (f"DOWN{index}", if_down)):
+            column = np.array(values).reshape(-1, 1)
+            column.flags.writeable = False
+            self.constants[key] = column
+        src.line(depth, f"{', '.join(names)}, = np.where(up, UP{index}, DOWN{index})")
 
     def store(
         self, src: _Source, depth: int, j: int, cell: CellSpec, t_pos: str, t_neg: str
@@ -368,16 +411,16 @@ def _emit_decision(
         dithered = f"(({base}) + dith[i])"
     else:
         dithered = f"({base})"
-    if loop.offset == 0.0 and loop.hysteresis == 0.0:
+    if loop.hysteresis != 0.0:
+        threshold = f"({_lit(loop.offset)} - {_lit(loop.hysteresis)} * last)"
+        src.line(depth, f"eff = {dithered} - {threshold}")
+    elif loop.offset != 0.0:
+        # offset - 0.0 * last == offset - (+/-0.0) == offset exactly.
+        src.line(depth, f"eff = {dithered} - {_lit(loop.offset)}")
+    else:
         # threshold == +0.0 and `a - 0.0` is the IEEE identity.
         src.line(depth, f"eff = {dithered if loop.dither_rms > 0.0 else base}")
-    else:
-        threshold = (
-            f"({_lit(loop.offset)} - {_lit(loop.hysteresis)} * last)"
-        )
-        src.line(depth, f"eff = {dithered} - {threshold}")
     layout.decide(src, depth, loop)
-    src.line(depth, "last = decision")
 
 
 def _emit_feedback(
@@ -443,10 +486,10 @@ def kernel_source(
 ) -> tuple[str, _Layout]:
     """Generate the kernel source of ``spec`` in ``layout`` (default scalar).
 
-    This is the one wiring walk: both layouts emit the same statements
+    This is the one wiring walk: both layouts emit the same arithmetic
     in the same order, and differ only where :class:`_Layout` and
-    :class:`_LaneLayout` do -- the stage store, the quantiser decision
-    and the DAC feedback select.
+    :class:`_LaneLayout` do -- the stage store, the quantiser decision,
+    the DAC feedback select and a loop's output.
     """
     if layout is None:
         layout = _Layout()
@@ -513,7 +556,7 @@ def kernel_source(
         src.line(d, "u_pos = 0.0 + u_half")
         src.line(d, "u_neg = 0.0 - u_half")
         _emit_stage(src, layout, d, stages[0], 0, "u_pos", "u_neg", probe_args)
-        src.line(d, f"out[i] = decision * {_lit(loop.full_scale)}")
+        layout.bitstream(src, d, loop)
     elif spec.kind in ("mod2", "chopper"):
         loop = spec.loop
         assert loop is not None
@@ -532,12 +575,12 @@ def kernel_source(
             src.line(d, f"u2_neg = fb2_neg - {_scaled('m0', spec.a2)}")
         _emit_stage(src, layout, d, stages[0], 0, "u1_pos", "u1_neg", probe_args)
         _emit_stage(src, layout, d, stages[1], 1, "u2_pos", "u2_neg", probe_args)
-        src.line(d, f"out[i] = decision * {_lit(loop.full_scale)}")
+        layout.bitstream(src, d, loop)
     else:  # pragma: no cover - build_spec never produces other kinds
         raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
     layout.end_step(src, d)
-    layout.end(src)
+    layout.end(src, spec)
     return src.text(), layout
 
 
@@ -592,8 +635,9 @@ def compile_spec(spec: KernelSpec) -> KernelProgram:
     lane_fn = None
     cell = _fused_cell(spec.all_stages)
     if cell is not None:
-        lane_source, _ = kernel_source(spec, _LaneLayout(cell))
+        lane_source, lane_layout = kernel_source(spec, _LaneLayout(cell))
         lane_globals = {"np": np, "store_batch": store_batch, "cell": cell}
+        lane_globals.update(lane_layout.constants)
         lane_fn = _define(lane_source, "lanes", spec.kind, lane_globals)
     program = KernelProgram(
         spec=spec,

@@ -45,6 +45,7 @@ from repro.runtime.batch import (
     batch_runner_for,
     fast_forward_streams,
 )
+from repro.runtime.kernels import kernel_refusal
 from repro.observability.instruments import get_registry
 from repro.observability.spanio import WorkerTelemetry, graft_spans
 from repro.runtime.cache import ResultCache
@@ -212,8 +213,8 @@ class _ShardResult:
 #: layout running all lanes at once: below it the kernel's per-sample
 #: fusion wins, above it the lanes amortise the NumPy dispatch.  On the
 #: generated lane layout (16,640-step lanes, no numba, one pinned Xeon
-#: core) batch overtakes the kernel at about 15 lanes for the delay
-#: line, 19-20 for modulator2 and the chopper and 31 for modulator1.
+#: core) batch overtakes the kernel at about 10 lanes for the delay
+#: line, 13-15 for modulator2 and the chopper and 21 for modulator1.
 #: No sweep workload sits between 8 and 32 lanes, so a move off 16
 #: could not be measured end to end.
 _KERNEL_CROSSOVER_LANES = 16
@@ -273,8 +274,6 @@ def _run_lane_chunk(
     elif engine == "kernel" or (
         engine == "auto" and len(levels) <= _KERNEL_CROSSOVER_LANES
     ):
-        from repro.runtime.kernels import kernel_refusal
-
         if kernel_refusal(device) is None:
             outputs = _sequential_lanes(device, stimuli, "kernel")
             engine_used = "kernel"
@@ -289,8 +288,10 @@ def _run_lane_chunk(
 
             record_engine_run("batch", device, count=len(levels))
         except BatchUnsupported:
+            # ``auto`` runs each lane on the kernel when the device
+            # lowers there, so the shard is labelled by the rung that ran.
             outputs = _sequential_lanes(device, stimuli, "auto")
-            engine_used = "scalar"
+            engine_used = "kernel" if kernel_refusal(device) is None else "scalar"
 
     window = WindowKind(spec.window)
     metrics = []

@@ -16,10 +16,12 @@ bitwise (the same contract ``tests/telemetry`` asserts).
 """
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import paper_cell_config
 from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
@@ -31,8 +33,11 @@ from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.observability.instruments import get_registry, snapshot_delta
 from repro.runtime.batch import batch_runner_for
 from repro.runtime.engine import consume_fallbacks, force_scalar, use_engine
-from repro.runtime.kernels.spec import drawn_streams
+from repro.runtime.kernels import store_batch
+from repro.runtime.kernels.spec import CellSpec, drawn_streams
 from repro.runtime.sweeps import run_sweep, sweep_spec_for_design
+from repro.si.memory_cell import ClassABMemoryCell, class_ab_split
+from repro.systems.stimulus import coherent_frequency
 from repro.telemetry.designs import TRACE_DESIGNS
 from repro.telemetry.probes import SignalProbe
 from repro.telemetry.session import TelemetrySession
@@ -54,11 +59,21 @@ MODULATOR_KINDS = {
 }
 
 
-def _build_modulator(kind, dither, metastable, dac_noise):
+#: Quantiser nonidealities, drawn independently: (offset, hysteresis,
+#: metastability band).  Each switches a different fold of the
+#: generated decision, so all eight combinations must be reachable.
+QUANTIZER_FLAGS = st.tuples(st.booleans(), st.booleans(), st.booleans())
+
+#: Every quantiser nonideality on.
+ALL_NONIDEAL = (True, True, True)
+
+
+def _build_modulator(kind, dither, quantizer_flags, dac_noise):
+    offset, hysteresis, band = quantizer_flags
     kwargs = dict(
-        offset=1e-8 if metastable else 0.0,
-        hysteresis=2e-9 if metastable else 0.0,
-        metastability_band=5e-8 if metastable else 0.0,
+        offset=1e-8 if offset else 0.0,
+        hysteresis=2e-9 if hysteresis else 0.0,
+        metastability_band=5e-8 if band else 0.0,
         seed=11,
     )
     quantizer = (
@@ -109,7 +124,7 @@ class TestModulatorParity:
     @given(
         kind=st.sampled_from(sorted(MODULATOR_KINDS)),
         dither=st.booleans(),
-        metastable=st.booleans(),
+        quantizer=QUANTIZER_FLAGS,
         dac_noise=st.booleans(),
         engine=st.sampled_from(ENGINES),
         amplitude=st.floats(min_value=1e-7, max_value=6e-6),
@@ -117,13 +132,13 @@ class TestModulatorParity:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_engine_matches_scalar_oracle(
-        self, kind, dither, metastable, dac_noise, engine, amplitude, n, seed
+        self, kind, dither, quantizer, dac_noise, engine, amplitude, n, seed
     ):
         stimulus = _stimulus(n, amplitude, seed)
-        reference = _build_modulator(kind, dither, metastable, dac_noise)
+        reference = _build_modulator(kind, dither, quantizer, dac_noise)
         with force_scalar():
             want = reference.run(stimulus)
-        device = _build_modulator(kind, dither, metastable, dac_noise)
+        device = _build_modulator(kind, dither, quantizer, dac_noise)
         with use_engine(engine):
             got = device.run(stimulus)
         assert got.tobytes() == want.tobytes()
@@ -137,15 +152,27 @@ class TestModulatorParity:
     @given(
         kind=st.sampled_from(sorted(MODULATOR_KINDS)),
         dither=st.booleans(),
-        metastable=st.booleans(),
+        quantizer=QUANTIZER_FLAGS,
         dac_noise=st.booleans(),
         n_lanes=st.integers(min_value=1, max_value=40),
         amplitude=st.floats(min_value=1e-7, max_value=6e-6),
         n=st.integers(min_value=16, max_value=96),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    # An offset without hysteresis folds the threshold to a literal, so
+    # nothing may read the decision the lane layout no longer keeps.
+    @example(
+        kind="modulator2",
+        dither=False,
+        quantizer=(True, False, False),
+        dac_noise=False,
+        n_lanes=3,
+        amplitude=3e-6,
+        n=64,
+        seed=0,
+    )
     def test_batch_matches_lane_sequential_oracle(
-        self, kind, dither, metastable, dac_noise, n_lanes, amplitude, n, seed
+        self, kind, dither, quantizer, dac_noise, n_lanes, amplitude, n, seed
     ):
         # The batch rung runs all lanes of one device at once; lane k
         # must equal the k-th run of a twin reset between lanes, and
@@ -157,13 +184,13 @@ class TestModulatorParity:
                 for lane, scale in enumerate(scales)
             ]
         )
-        reference = _build_modulator(kind, dither, metastable, dac_noise)
+        reference = _build_modulator(kind, dither, quantizer, dac_noise)
         want = np.empty_like(stimuli)
         with force_scalar():
             for lane in range(n_lanes):
                 reference.reset()
                 want[lane] = reference.run(stimuli[lane])
-        device = _build_modulator(kind, dither, metastable, dac_noise)
+        device = _build_modulator(kind, dither, quantizer, dac_noise)
         got = batch_runner_for(device, n_lanes, n).run(stimuli)
         assert got.tobytes() == want.tobytes()
         noise, loop = drawn_streams(device)
@@ -187,10 +214,10 @@ class TestModulatorParity:
         # first post-run draw is compared for the quantizer, dither and
         # DAC streams.
         stimulus = _stimulus(n, 3e-6, seed=1)
-        reference = _build_modulator(kind, dither, True, True)
+        reference = _build_modulator(kind, dither, ALL_NONIDEAL, True)
         with force_scalar():
             reference.run(stimulus)
-        device = _build_modulator(kind, dither, True, True)
+        device = _build_modulator(kind, dither, ALL_NONIDEAL, True)
         with use_engine(engine):
             device.run(stimulus)
         assert device.quantizer._stream.next() == reference.quantizer._stream.next()
@@ -213,7 +240,7 @@ class TestLoopProbeParity:
         stimulus = _stimulus(256, 3e-6, seed=5)
 
         def probed(context):
-            device = _build_modulator(kind, True, True, True)
+            device = _build_modulator(kind, True, ALL_NONIDEAL, True)
             session = TelemetrySession(f"loop-probes-{kind}")
             device.attach_telemetry(session)
             for suffix in ("input", "bitstream"):
@@ -280,3 +307,114 @@ class TestSweepParity:
         for engine, got in results.items():
             assert got.sndr_db.tobytes() == want.sndr_db.tobytes(), engine
             assert got.metrics == want.metrics, engine
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(MODULATOR_KINDS)),
+        dither=st.booleans(),
+        quantizer=QUANTIZER_FLAGS,
+        dac_noise=st.booleans(),
+    )
+    def test_drawn_loops_sweep_identically(self, kind, dither, quantizer, dac_noise):
+        # The sweep's shard routing on drawn loop variants: a short
+        # two-level sweep returns the same metrics on every rung.
+        base = sweep_spec_for_design("modulator2", levels_db=(-30.0, -6.0))
+        n = 2048
+        spec = replace(
+            base,
+            n_samples=n,
+            settle_samples=64,
+            signal_frequency=coherent_frequency(20e3, base.sample_rate, n),
+            bandwidth=60e3,
+        )
+
+        def build(_spec):
+            return _build_modulator(kind, dither, quantizer, dac_noise)
+
+        with mock.patch("repro.runtime.sweeps._build_device", build):
+            results = {
+                engine: run_sweep(spec, engine=engine) for engine in SWEEP_ENGINES
+            }
+        want = results["scalar"]
+        for engine, got in results.items():
+            assert got.metrics == want.metrics, engine
+
+
+def _store_value(config, target):
+    """The value ``_store_half`` settles towards: split, then both error models."""
+    device_n, _ = class_ab_split(target, config.quiescent_current)
+    value = config.transmission.apply(target, device_n)
+    return value + config.injection.error_current(device_n)
+
+
+@st.composite
+def _store_cases(draw):
+    """A cell, the drawn slew mode, and ``(rows, lanes)`` previous/target arrays.
+
+    ``mode`` fixes whether none, some or all elements slew
+    (``|delta| > bias``); every step sits at least 10% of the bias away
+    from that boundary, so rounding cannot move an element across it.
+    Targets and previous values include zero, and targets below
+    -2.5 mA put the n-device current under both clamp floors.
+    """
+    config = CONFIG
+    if draw(st.booleans()):
+        # Distinct transmission and injection clamp floors.
+        config = replace(
+            config, injection=replace(config.injection, quiescent_current=4e-6)
+        )
+    bias = config.gga.bias_current
+    kick = config.gga.phase_kick_fraction
+    mode = draw(st.sampled_from(("none", "some", "all")))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    lanes = draw(st.integers(min_value=2 if mode == "some" else 1, max_value=6))
+    size = rows * lanes
+    if mode == "some":
+        rest = draw(st.lists(st.booleans(), min_size=size - 2, max_size=size - 2))
+        slews = draw(st.permutations([True, False, *rest]))
+    else:
+        slews = [mode == "all"] * size
+    previous, target = [], []
+    for slew in slews:
+        ratio = st.floats(1.1, 40.0) if slew else st.floats(0.0, 0.9)
+        step = draw(st.sampled_from((1.0, -1.0))) * bias * draw(ratio)
+        if draw(st.booleans()):
+            # From zero charge, delta = (1 + kick) * value, about that
+            # times the target.
+            previous.append(0.0)
+            target.append(step / (1.0 + kick))
+        else:
+            current = draw(
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(-1.5 * bias, 1.5 * bias),
+                    st.floats(-6e-3, -2.5e-3),
+                )
+            )
+            value = _store_value(config, current)
+            previous.append(value + kick * value - step)
+            target.append(current)
+    shape = (rows, lanes)
+    cell = ClassABMemoryCell(config)
+    return cell, mode, np.reshape(previous, shape), np.reshape(target, shape)
+
+
+class TestStoreBatchParity:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_store_cases())
+    def test_matches_scalar_store_half(self, case):
+        # Both settling regimes in one call: store_batch must equal the
+        # scalar half-circuit store element by element, whether no
+        # element, some or every element slews.
+        cell, mode, previous, target = case
+        want, slewed = zip(
+            *(
+                cell._store_half(p, t)
+                for p, t in zip(previous.ravel().tolist(), target.ravel().tolist())
+            )
+        )
+        assert any(slewed) == (mode != "none")
+        assert all(slewed) == (mode == "all")
+        got = store_batch(previous, target, CellSpec.from_cell(cell))
+        assert got.shape == previous.shape
+        assert got.tobytes() == np.array(want).reshape(previous.shape).tobytes()

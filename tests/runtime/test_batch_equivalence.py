@@ -43,6 +43,7 @@ from repro.runtime.sweeps import run_sweep, sweep_spec_for_design
 from repro.si import DelayLine
 from repro.si.cascade import BiquadCascade
 from repro.si.memory_cell import ClassABMemoryCell
+from repro.telemetry.session import TelemetrySession
 
 N_LANES = 3
 N_STEPS = 400
@@ -398,9 +399,24 @@ class TestRefusals:
         spec = sweep_spec_for_design("delay-line", levels_db=(-20.0, -6.0))
         with force_scalar():
             want = run_sweep(spec, engine="scalar")
-        got = run_sweep(spec, engine="batch")
+        session = TelemetrySession("mixed-cells")
+        before = registry.snapshot()
+        got = run_sweep(spec, engine="batch", telemetry=session)
         assert got.sndr_db.tobytes() == want.sndr_db.tobytes()
         assert got.metrics == want.metrics
+        # The fallback ran each lane on the kernel, and the shard says so.
+        runs = snapshot_delta(before, registry.snapshot())["instruments"][
+            "repro.engine.runs"
+        ]["series"]
+        assert [(entry["labels"]["engine"], entry["value"]) for entry in runs] == [
+            ("kernel", 2.0)
+        ]
+        (sweep,) = [root for root in session.roots if root.name == "sweep"]
+        assert [
+            child.attrs["engine"]
+            for child in sweep.children
+            if child.name.startswith("shard:")
+        ] == ["kernel"]
 
     def test_device_parts_counts(self):
         config = paper_cell_config(sample_rate=MODULATOR_CLOCK)

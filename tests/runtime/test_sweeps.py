@@ -174,7 +174,8 @@ class TestWorker:
 
     def test_scalar_fallback_with_lane_offset(self, monkeypatch):
         # Disable the batch lowering to force the per-lane fallback and
-        # check it lands on the same numbers (same noise slicing).
+        # check it lands on the same numbers (same noise slicing).  The
+        # design lowers, so the fallback runs (and is labelled) kernel.
         import repro.runtime.sweeps as sweeps_module
         from repro.runtime.batch import BatchUnsupported
         from repro.runtime.executor import ShardContext
@@ -189,7 +190,7 @@ class TestWorker:
 
         monkeypatch.setattr(sweeps_module, "batch_runner_for", refuse)
         scalar = _run_lane_chunk(spec, list(LEVELS), context, engine="batch")
-        assert scalar.engine == "scalar"
+        assert scalar.engine == "kernel"
         assert scalar.metrics == batch.metrics
         tail_context = ShardContext(
             1, 2, 1, len(LEVELS) - 1, seed_entropy=(0, 0, 1)
@@ -197,5 +198,5 @@ class TestWorker:
         tail = _run_lane_chunk(
             spec, list(LEVELS[1:]), tail_context, engine="batch"
         )
-        assert tail.engine == "scalar"
+        assert tail.engine == "kernel"
         assert tail.metrics == batch.metrics[1:]
