@@ -72,37 +72,27 @@ requests onto one execution and one byte-identical manifest.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import TYPE_CHECKING, Callable
 
-if TYPE_CHECKING:  # imported lazily at runtime to keep startup light
+if TYPE_CHECKING:
+    import numpy as np
+
     from repro.runtime.sweeps import SweepSpec
 
-import numpy as np
+# The report verb's engine -- numpy, the device models, the metrics
+# layer -- loads with this module: ``repro report`` is how the paper's
+# numbers reach a user, and perfbench's traced report op counts
+# ``import repro.cli`` as its import layer and wraps the engine's calls
+# before ``main`` runs.  Every other verb imports what it uses inside
+# its ``cmd_*`` function.
+from repro.errors import ObservabilityError
+from repro.metrics import build_report, collect_provenance
+from repro.observability.ledger import RunLedger
+from repro.observability.live import open_event_stream
 
-from repro.analysis.fitting import dynamic_range_from_sweep
-from repro.errors import AnalysisError
-from repro.analysis.sweeps import run_amplitude_sweep
-from repro.config import (
-    DELAY_LINE_BANDWIDTH,
-    DELAY_LINE_CLOCK,
-    MODULATOR_CLOCK,
-    MODULATOR_FULL_SCALE,
-    SIGNAL_BANDWIDTH,
-    delay_line_cell_config,
-    paper_cell_config,
-)
-from repro.deltasigma import ChopperStabilizedSIModulator, SIModulator2
-from repro.erc import Severity, build_design, run_erc
-from repro.erc.designs import DESIGNS
-from repro.metrics.spectral import db_to_bits
-from repro.reporting.tables import Table
-from repro.sc.tradeoff import ScSiTradeoff
-from repro.si import DelayLine, HeadroomAnalysis
-from repro.systems import TestBench
-from repro.systems.stimulus import coherent_frequency
-
-__all__ = ["main"]
+__all__ = ["entry", "main"]
 
 
 def _fft_length(fast: bool) -> int:
@@ -117,9 +107,6 @@ def _ledger_append(
     ledger_dir: str | None = None,
 ) -> None:
     """Append one run-ledger entry; never fail the run over bookkeeping."""
-    from repro.errors import ObservabilityError
-    from repro.observability.ledger import RunLedger
-
     ledger = RunLedger(ledger_dir)
     try:
         entry = ledger.append(
@@ -136,6 +123,15 @@ def _ledger_append(
 
 def cmd_table1(fast: bool) -> None:
     """Print the Table 1 delay-line measurements."""
+    from repro.config import (
+        DELAY_LINE_BANDWIDTH,
+        DELAY_LINE_CLOCK,
+        delay_line_cell_config,
+    )
+    from repro.reporting.tables import Table
+    from repro.si import DelayLine
+    from repro.systems import TestBench
+
     config = delay_line_cell_config(sample_rate=DELAY_LINE_CLOCK)
     bench = TestBench(
         sample_rate=DELAY_LINE_CLOCK,
@@ -157,6 +153,11 @@ def cmd_table1(fast: bool) -> None:
 
 def cmd_fig5(fast: bool) -> None:
     """Print the Fig. 5 modulator measurement."""
+    from repro.config import MODULATOR_CLOCK, SIGNAL_BANDWIDTH, paper_cell_config
+    from repro.deltasigma import SIModulator2
+    from repro.reporting.tables import Table
+    from repro.systems import TestBench
+
     modulator = SIModulator2(cell_config=paper_cell_config(sample_rate=MODULATOR_CLOCK))
     bench = TestBench(
         sample_rate=MODULATOR_CLOCK,
@@ -173,6 +174,11 @@ def cmd_fig5(fast: bool) -> None:
 
 def cmd_fig6(fast: bool) -> None:
     """Print the Fig. 6 chopper-modulator measurement."""
+    from repro.config import MODULATOR_CLOCK, SIGNAL_BANDWIDTH, paper_cell_config
+    from repro.deltasigma import ChopperStabilizedSIModulator
+    from repro.reporting.tables import Table
+    from repro.systems import TestBench
+
     modulator = ChopperStabilizedSIModulator(
         cell_config=paper_cell_config(sample_rate=MODULATOR_CLOCK)
     )
@@ -193,6 +199,19 @@ def cmd_fig6(fast: bool) -> None:
 
 def cmd_fig7(fast: bool) -> None:
     """Print the Fig. 7 sweep and the extracted dynamic range."""
+    from repro.analysis.fitting import dynamic_range_from_sweep
+    from repro.analysis.sweeps import run_amplitude_sweep
+    from repro.config import (
+        MODULATOR_CLOCK,
+        MODULATOR_FULL_SCALE,
+        SIGNAL_BANDWIDTH,
+        paper_cell_config,
+    )
+    from repro.deltasigma import ChopperStabilizedSIModulator, SIModulator2
+    from repro.metrics.spectral import db_to_bits
+    from repro.reporting.tables import Table
+    from repro.systems.stimulus import coherent_frequency
+
     config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
     n_samples = 1 << 13 if fast else 1 << 15
     frequency = coherent_frequency(2e3, MODULATOR_CLOCK, n_samples)
@@ -232,6 +251,9 @@ def cmd_fig7(fast: bool) -> None:
 
 def cmd_headroom(fast: bool) -> None:
     """Print the Eqs. (1)-(2) supply sweep."""
+    from repro.reporting.tables import Table
+    from repro.si import HeadroomAnalysis
+
     analysis = HeadroomAnalysis()
     table = Table(
         "Eqs. (1)-(2): minimum supply vs modulation index",
@@ -249,6 +271,9 @@ def cmd_headroom(fast: bool) -> None:
 
 def cmd_tradeoff(fast: bool) -> None:
     """Print the SI-vs-SC dynamic-range trade-off table."""
+    from repro.reporting.tables import Table
+    from repro.sc.tradeoff import ScSiTradeoff
+
     tradeoff = ScSiTradeoff()
     table = Table(
         "SI vs SC at the paper's operating point (6 uA FS, OSR 128)",
@@ -269,6 +294,9 @@ def cmd_tradeoff(fast: bool) -> None:
 
 def cmd_erc(design: str, min_severity: str, strict: bool) -> int:
     """Statically check a named design against the ERC rule set."""
+    from repro.erc import Severity, build_design, run_erc
+    from repro.erc.designs import DESIGNS
+
     names = sorted(DESIGNS) if design == "all" else [design]
     exit_code = 0
     for name in names:
@@ -293,6 +321,7 @@ def cmd_lint(
 ) -> int:
     """Statically check source files for determinism/lowerability contracts."""
     from repro.errors import ConfigurationError
+    from repro.findings import Severity
     from repro.staticcheck import run_lint
 
     def split_codes(raw: str | None) -> list[str] | None:
@@ -334,6 +363,7 @@ def cmd_trace(
     strict: bool = False,
 ) -> int:
     """Run a traced simulation; print span, probe and event tables."""
+    from repro.systems import TestBench
     from repro.telemetry import TelemetrySession, build_trace_setup, export_jsonl
 
     setup = build_trace_setup(design)
@@ -390,8 +420,11 @@ def cmd_sweep(
     """Run a dynamic-range sweep through the parallel batch engine."""
     import json
 
+    from repro.analysis.fitting import dynamic_range_from_sweep
+    from repro.errors import AnalysisError
+    from repro.metrics.spectral import db_to_bits
     from repro.observability.instruments import InstrumentRegistry, use_registry
-    from repro.observability.live import open_event_stream
+    from repro.reporting.tables import Table
     from repro.runtime import ResultCache, SweepExecutor
     from repro.runtime.sweeps import (
         DEFAULT_LEVELS_DB,
@@ -497,7 +530,7 @@ def cmd_stats(
     prometheus: bool = False,
 ) -> int:
     """Run a sweep and print its instrument counters, or diff two snapshots."""
-    from repro.errors import ConfigurationError, ObservabilityError
+    from repro.errors import ConfigurationError
     from repro.observability.instruments import InstrumentRegistry, use_registry
     from repro.observability.stats import (
         diff_snapshots,
@@ -631,8 +664,6 @@ def cmd_profile(
             telemetry=session,
         )
     else:
-        from repro.metrics import build_report
-
         n_samples = (
             samples if samples is not None else (1 << 14 if fast else 1 << 16)
         )
@@ -719,7 +750,6 @@ def cmd_history(
     ledger_dir: str | None = None,
 ) -> int:
     """Show a design's run-ledger trajectory (metrics and entries)."""
-    from repro.observability.ledger import RunLedger
     from repro.observability.trend import render_history
 
     ledger = RunLedger(ledger_dir)
@@ -740,7 +770,6 @@ def cmd_trend(
     ledger_dir: str | None = None,
 ) -> int:
     """Gate on sustained cross-run drift in the run ledger."""
-    from repro.observability.ledger import RunLedger
     from repro.observability.trend import (
         DEFAULT_SUSTAIN,
         DEFAULT_THRESHOLD,
@@ -784,9 +813,6 @@ def cmd_report(
     argv: list[str] | None = None,
 ) -> int:
     """Measure a design and emit its paper-metrics run manifest."""
-    from repro.metrics import build_report, collect_provenance
-    from repro.observability.live import open_event_stream
-
     n_samples = samples if samples is not None else (1 << 14 if fast else 1 << 16)
     stream = open_event_stream(events, follow=follow, source=design)
     session = None
@@ -1018,6 +1044,8 @@ def _add_live_ledger_options(sub: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """Return the argument parser with one sub-command per command."""
+    from repro.erc.designs import DESIGNS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate results from the DATE 1995 switched-current paper.",
@@ -1864,5 +1892,20 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def entry() -> int:
+    """Process entry point of ``python -m repro`` and the ``repro`` script.
+
+    Runs :func:`main`, then moves every object still tracked by the
+    garbage collector into its permanent generation, so the collection
+    the interpreter runs at exit does not walk the tens of thousands of
+    objects the imports created.  Exit otherwise runs as usual: atexit
+    handlers, thread joins and stream flushes all still happen.
+    :func:`main` itself never freezes, because tests call it in-process.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())
+    sys.exit(entry())

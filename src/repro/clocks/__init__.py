@@ -6,18 +6,22 @@ This subpackage provides the phase bookkeeping the behavioural cell
 models use to enforce correct sample/hold sequencing.
 """
 
-from repro.clocks.phases import (
-    Phase,
-    TwoPhaseClock,
-    ClockEvent,
-    alternating_phases,
-)
-from repro.clocks.scheduler import SampledDataScheduler
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Phase",
-    "TwoPhaseClock",
-    "ClockEvent",
-    "alternating_phases",
-    "SampledDataScheduler",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.clocks.phases import ClockEvent, Phase, TwoPhaseClock, alternating_phases
+    from repro.clocks.scheduler import SampledDataScheduler
+
+_EXPORTS = {
+    "repro.clocks.phases": (
+        "Phase",
+        "TwoPhaseClock",
+        "ClockEvent",
+        "alternating_phases",
+    ),
+    "repro.clocks.scheduler": ("SampledDataScheduler",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

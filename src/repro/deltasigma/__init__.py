@@ -6,36 +6,53 @@ chopper-stabilised), an ideal discrete-time reference, the z-domain
 linear model that verifies Eq. (3), and a sinc^3 decimator.
 """
 
-from repro.deltasigma.quantizer import CurrentQuantizer
-from repro.deltasigma.dac import FeedbackDac
-from repro.deltasigma.chopper import ChopperSequence, chop
-from repro.deltasigma.modulator1 import SIModulator1
-from repro.deltasigma.modulator2 import SIModulator2, ModulatorTrace
-from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
-from repro.deltasigma.ideal import IdealSecondOrderModulator
-from repro.deltasigma.linear_model import (
-    LinearLoopModel,
-    ntf_second_order,
-    stf_second_order,
-    impulse_response_check,
-)
-from repro.deltasigma.decimator import SincDecimator
-from repro.deltasigma.predictions import expected_dynamic_range_db
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CurrentQuantizer",
-    "FeedbackDac",
-    "ChopperSequence",
-    "chop",
-    "SIModulator1",
-    "SIModulator2",
-    "ModulatorTrace",
-    "ChopperStabilizedSIModulator",
-    "IdealSecondOrderModulator",
-    "LinearLoopModel",
-    "ntf_second_order",
-    "stf_second_order",
-    "impulse_response_check",
-    "SincDecimator",
-    "expected_dynamic_range_db",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.deltasigma.quantizer import CurrentQuantizer
+    from repro.deltasigma.dither import DitheredQuantizer, idle_tone_power_ratio
+    from repro.deltasigma.dac import FeedbackDac
+    from repro.deltasigma.chopper import ChopperSequence, chop
+    from repro.deltasigma.modulator1 import SIModulator1
+    from repro.deltasigma.modulator2 import ModulatorTrace, SIModulator2
+    from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
+    from repro.deltasigma.ideal import IdealSecondOrderModulator
+    from repro.deltasigma.linear_model import (
+        LinearLoopModel,
+        impulse_response_check,
+        ntf_second_order,
+        stf_second_order,
+    )
+    from repro.deltasigma.decimator import SincDecimator
+    from repro.deltasigma.predictions import (
+        expected_dynamic_range_db,
+        oversampling_gain_db,
+        thermal_limited_dynamic_range_db,
+    )
+
+_EXPORTS = {
+    "repro.deltasigma.quantizer": ("CurrentQuantizer",),
+    "repro.deltasigma.dither": ("DitheredQuantizer", "idle_tone_power_ratio"),
+    "repro.deltasigma.dac": ("FeedbackDac",),
+    "repro.deltasigma.chopper": ("ChopperSequence", "chop"),
+    "repro.deltasigma.modulator1": ("SIModulator1",),
+    "repro.deltasigma.modulator2": ("SIModulator2", "ModulatorTrace"),
+    "repro.deltasigma.chopper_modulator": ("ChopperStabilizedSIModulator",),
+    "repro.deltasigma.ideal": ("IdealSecondOrderModulator",),
+    "repro.deltasigma.linear_model": (
+        "LinearLoopModel",
+        "ntf_second_order",
+        "stf_second_order",
+        "impulse_response_check",
+    ),
+    "repro.deltasigma.decimator": ("SincDecimator",),
+    "repro.deltasigma.predictions": (
+        "expected_dynamic_range_db",
+        "thermal_limited_dynamic_range_db",
+        "oversampling_gain_db",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -7,23 +7,25 @@ process descriptor for the paper's 0.8 um single-poly digital CMOS
 technology and a Pelgrom-style mismatch sampler.
 """
 
-from repro.devices.mosfet import Mosfet, MosfetParameters, OperatingPoint
-from repro.devices.process import ProcessParameters, CMOS_08UM
-from repro.devices.switch import MosSwitch, ChargeInjectionModel
-from repro.devices.current_mirror import CurrentMirror
-from repro.devices.current_source import CascodeCurrentSource
-from repro.devices.mismatch import PelgromMismatch, MismatchSample
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Mosfet",
-    "MosfetParameters",
-    "OperatingPoint",
-    "ProcessParameters",
-    "CMOS_08UM",
-    "MosSwitch",
-    "ChargeInjectionModel",
-    "CurrentMirror",
-    "CascodeCurrentSource",
-    "PelgromMismatch",
-    "MismatchSample",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.devices.mosfet import Mosfet, MosfetParameters, OperatingPoint
+    from repro.devices.process import CMOS_08UM, ProcessParameters
+    from repro.devices.switch import ChargeInjectionModel, MosSwitch
+    from repro.devices.current_mirror import CurrentMirror
+    from repro.devices.current_source import CascodeCurrentSource
+    from repro.devices.mismatch import MismatchSample, PelgromMismatch
+
+_EXPORTS = {
+    "repro.devices.mosfet": ("Mosfet", "MosfetParameters", "OperatingPoint"),
+    "repro.devices.process": ("ProcessParameters", "CMOS_08UM"),
+    "repro.devices.switch": ("MosSwitch", "ChargeInjectionModel"),
+    "repro.devices.current_mirror": ("CurrentMirror",),
+    "repro.devices.current_source": ("CascodeCurrentSource",),
+    "repro.devices.mismatch": ("PelgromMismatch", "MismatchSample"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

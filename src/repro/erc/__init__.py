@@ -30,32 +30,37 @@ automatically before every measurement (pass ``erc=False`` to opt
 out), and ``repro erc <design>`` runs it from the shell.
 """
 
-from repro.erc.graph import CircuitGraph, CircuitNode
-from repro.erc.rules import (
-    DEFAULT_MAX_FANOUT,
-    MAX_MODELED_MODULATION_INDEX,
-    ErcViolation,
-    Rule,
-    RuleRegistry,
-    Severity,
-    default_registry,
-)
-from repro.erc.checker import ErcReport, check_design, run_erc
-from repro.erc.designs import DESIGNS, build_design
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CircuitGraph",
-    "CircuitNode",
-    "DEFAULT_MAX_FANOUT",
-    "MAX_MODELED_MODULATION_INDEX",
-    "ErcViolation",
-    "Rule",
-    "RuleRegistry",
-    "Severity",
-    "default_registry",
-    "ErcReport",
-    "check_design",
-    "run_erc",
-    "DESIGNS",
-    "build_design",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.erc.graph import CircuitGraph, CircuitNode
+    from repro.erc.rules import (
+        DEFAULT_MAX_FANOUT,
+        ErcViolation,
+        MAX_MODELED_MODULATION_INDEX,
+        Rule,
+        RuleRegistry,
+        Severity,
+        default_registry,
+    )
+    from repro.erc.checker import ErcReport, check_design, run_erc
+    from repro.erc.designs import DESIGNS, build_design
+
+_EXPORTS = {
+    "repro.erc.graph": ("CircuitGraph", "CircuitNode"),
+    "repro.erc.rules": (
+        "DEFAULT_MAX_FANOUT",
+        "MAX_MODELED_MODULATION_INDEX",
+        "ErcViolation",
+        "Rule",
+        "RuleRegistry",
+        "Severity",
+        "default_registry",
+    ),
+    "repro.erc.checker": ("ErcReport", "check_design", "run_erc"),
+    "repro.erc.designs": ("DESIGNS", "build_design"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

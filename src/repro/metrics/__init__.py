@@ -20,82 +20,93 @@ Typical use::
     raise SystemExit(report.exit_code(strict=True))
 """
 
-from repro.metrics.benchgate import (
-    BenchGateReport,
-    BenchGateRow,
-    compare_bench_telemetry,
-    run_bench_gate,
-)
-from repro.metrics.compare import (
-    CompareReport,
-    DiffStatus,
-    MetricDiff,
-    compare_manifests,
-)
-from repro.metrics.extractors import (
-    delay_line_error_records,
-    fit_delay_line_error,
-    sweep_records,
-    telemetry_event_records,
-    throughput_records,
-    tone_records,
-)
-from repro.metrics.manifest import (
-    BENCH_SCHEMA,
-    MANIFEST_SCHEMA,
-    RunManifest,
-    load_manifest,
-    manifest_from_registry,
-    write_bench_telemetry,
-)
-from repro.metrics.provenance import Provenance, collect_provenance, git_sha
-from repro.metrics.records import Direction, MetricRecord, MetricSpec
-from repro.metrics.registry import MetricRegistry, registry_for
-from repro.metrics.report import REPORT_DESIGNS, build_report
-from repro.metrics.spectral import (
-    bits_to_db,
-    db_to_bits,
-    enob_bits,
-    full_scale_reference_power,
-    harmonic_visibility_db,
-    spectrum_view,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Direction",
-    "MetricSpec",
-    "MetricRecord",
-    "MetricRegistry",
-    "registry_for",
-    "Provenance",
-    "collect_provenance",
-    "git_sha",
-    "RunManifest",
-    "MANIFEST_SCHEMA",
-    "BENCH_SCHEMA",
-    "manifest_from_registry",
-    "load_manifest",
-    "write_bench_telemetry",
-    "CompareReport",
-    "MetricDiff",
-    "DiffStatus",
-    "compare_manifests",
-    "BenchGateReport",
-    "BenchGateRow",
-    "compare_bench_telemetry",
-    "run_bench_gate",
-    "REPORT_DESIGNS",
-    "build_report",
-    "tone_records",
-    "sweep_records",
-    "fit_delay_line_error",
-    "delay_line_error_records",
-    "telemetry_event_records",
-    "throughput_records",
-    "db_to_bits",
-    "bits_to_db",
-    "enob_bits",
-    "full_scale_reference_power",
-    "harmonic_visibility_db",
-    "spectrum_view",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.metrics.benchgate import (
+        BenchGateReport,
+        BenchGateRow,
+        compare_bench_telemetry,
+        run_bench_gate,
+    )
+    from repro.metrics.compare import (
+        CompareReport,
+        DiffStatus,
+        MetricDiff,
+        compare_manifests,
+    )
+    from repro.metrics.extractors import (
+        delay_line_error_records,
+        fit_delay_line_error,
+        sweep_records,
+        telemetry_event_records,
+        throughput_records,
+        tone_records,
+    )
+    from repro.metrics.manifest import (
+        BENCH_SCHEMA,
+        MANIFEST_SCHEMA,
+        RunManifest,
+        load_manifest,
+        manifest_from_registry,
+        write_bench_telemetry,
+    )
+    from repro.metrics.provenance import Provenance, collect_provenance, git_sha
+    from repro.metrics.records import Direction, MetricRecord, MetricSpec
+    from repro.metrics.registry import MetricRegistry, registry_for
+    from repro.metrics.report import REPORT_DESIGNS, build_report
+    from repro.metrics.spectral import (
+        bits_to_db,
+        db_to_bits,
+        enob_bits,
+        full_scale_reference_power,
+        harmonic_visibility_db,
+        spectrum_view,
+    )
+
+_EXPORTS = {
+    "repro.metrics.benchgate": (
+        "BenchGateReport",
+        "BenchGateRow",
+        "compare_bench_telemetry",
+        "run_bench_gate",
+    ),
+    "repro.metrics.compare": (
+        "CompareReport",
+        "MetricDiff",
+        "DiffStatus",
+        "compare_manifests",
+    ),
+    "repro.metrics.extractors": (
+        "tone_records",
+        "sweep_records",
+        "fit_delay_line_error",
+        "delay_line_error_records",
+        "telemetry_event_records",
+        "throughput_records",
+    ),
+    "repro.metrics.manifest": (
+        "RunManifest",
+        "MANIFEST_SCHEMA",
+        "BENCH_SCHEMA",
+        "manifest_from_registry",
+        "load_manifest",
+        "write_bench_telemetry",
+    ),
+    "repro.metrics.provenance": ("Provenance", "collect_provenance", "git_sha"),
+    "repro.metrics.records": ("Direction", "MetricSpec", "MetricRecord"),
+    "repro.metrics.registry": ("MetricRegistry", "registry_for"),
+    "repro.metrics.report": ("REPORT_DESIGNS", "build_report"),
+    "repro.metrics.spectral": (
+        "db_to_bits",
+        "bits_to_db",
+        "enob_bits",
+        "full_scale_reference_power",
+        "harmonic_visibility_db",
+        "spectrum_view",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

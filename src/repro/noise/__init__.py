@@ -9,32 +9,41 @@ thermal anyway.  This subpackage provides each of those ingredients as
 an explicit, testable model.
 """
 
-from repro.noise.sources import (
-    NoiseSource,
-    WhiteNoiseSource,
-    CompositeNoiseSource,
-    NoiseBudget,
-)
-from repro.noise.thermal import MemoryCellThermalNoise
-from repro.noise.flicker import FlickerNoiseSource, correlated_double_sampling_gain
-from repro.noise.quantization import (
-    QuantizationNoiseModel,
-    sqnr_second_order_db,
-    inband_noise_fraction,
-)
-from repro.noise.streams import UniformStream, GaussianStream
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "NoiseSource",
-    "WhiteNoiseSource",
-    "CompositeNoiseSource",
-    "NoiseBudget",
-    "MemoryCellThermalNoise",
-    "FlickerNoiseSource",
-    "correlated_double_sampling_gain",
-    "QuantizationNoiseModel",
-    "sqnr_second_order_db",
-    "inband_noise_fraction",
-    "UniformStream",
-    "GaussianStream",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.noise.sources import (
+        CompositeNoiseSource,
+        NoiseBudget,
+        NoiseSource,
+        WhiteNoiseSource,
+    )
+    from repro.noise.thermal import MemoryCellThermalNoise
+    from repro.noise.flicker import FlickerNoiseSource, correlated_double_sampling_gain
+    from repro.noise.quantization import (
+        QuantizationNoiseModel,
+        inband_noise_fraction,
+        sqnr_second_order_db,
+    )
+    from repro.noise.streams import GaussianStream, UniformStream
+
+_EXPORTS = {
+    "repro.noise.sources": (
+        "NoiseSource",
+        "WhiteNoiseSource",
+        "CompositeNoiseSource",
+        "NoiseBudget",
+    ),
+    "repro.noise.thermal": ("MemoryCellThermalNoise",),
+    "repro.noise.flicker": ("FlickerNoiseSource", "correlated_double_sampling_gain"),
+    "repro.noise.quantization": (
+        "QuantizationNoiseModel",
+        "sqnr_second_order_db",
+        "inband_noise_fraction",
+    ),
+    "repro.noise.streams": ("UniformStream", "GaussianStream"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -25,54 +25,115 @@ See ``docs/OBSERVABILITY.md`` for the instrument naming convention and
 the cross-process propagation contract.
 """
 
-from repro.observability.instruments import (
-    DEFAULT_BUCKETS,
-    SNAPSHOT_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    InstrumentRegistry,
-    get_registry,
-    render_prometheus,
-    reset_registry,
-    set_registry,
-    snapshot_delta,
-    use_registry,
-)
-from repro.observability.profile import (
-    ProfileRow,
-    aggregate_profile,
-    collapsed_stacks,
-    render_profile_table,
-)
-from repro.observability.ledger import (
-    LEDGER_SCHEMA,
-    LedgerEntry,
-    RunLedger,
-    entry_id_for,
-)
-from repro.observability.live import (
-    EVENT_SCHEMA,
-    EventBuffer,
-    EventRecorder,
-    EventSink,
-    EventStream,
-    open_event_stream,
-)
-from repro.observability.spanio import (
-    WorkerTelemetry,
-    graft_spans,
-    span_from_dict,
-    span_to_dict,
-)
+from typing import TYPE_CHECKING
 
-#: Names re-exported lazily from :mod:`repro.observability.stats`.
-#: That module shares the verdict ladder with ``repro.metrics.compare``,
-#: and ``repro.metrics`` imports the runtime layer (which imports this
-#: package) -- an eager import here would be circular.  Import from
-#: ``repro.observability.stats`` directly for precise static types.
-_STATS_EXPORTS = frozenset(
-    {
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.observability.instruments import (
+        DEFAULT_BUCKETS,
+        SNAPSHOT_SCHEMA,
+        Counter,
+        Gauge,
+        Histogram,
+        InstrumentRegistry,
+        get_registry,
+        render_prometheus,
+        reset_registry,
+        set_registry,
+        snapshot_delta,
+        use_registry,
+    )
+    from repro.observability.ledger import (
+        LEDGER_SCHEMA,
+        LedgerEntry,
+        RunLedger,
+        entry_id_for,
+    )
+    from repro.observability.live import (
+        EVENT_SCHEMA,
+        EventBuffer,
+        EventRecorder,
+        EventSink,
+        EventStream,
+        open_event_stream,
+    )
+    from repro.observability.profile import (
+        ProfileRow,
+        aggregate_profile,
+        collapsed_stacks,
+        render_profile_table,
+    )
+    from repro.observability.spanio import (
+        WorkerTelemetry,
+        graft_spans,
+        span_from_dict,
+        span_to_dict,
+    )
+    from repro.observability.stats import (
+        GATED_COUNTERS,
+        PROFILE_SCHEMA,
+        STATS_SCHEMA,
+        InstrumentDiff,
+        StatsDiffReport,
+        diff_snapshots,
+        load_stats_json,
+        write_stats_json,
+    )
+    from repro.observability.trend import (
+        TREND_SCHEMA,
+        MetricSeries,
+        TrendFinding,
+        TrendReport,
+        analyze_ledger,
+        analyze_series,
+        collect_series,
+        render_history,
+        sparkline,
+    )
+
+_EXPORTS = {
+    "repro.observability.instruments": (
+        "DEFAULT_BUCKETS",
+        "SNAPSHOT_SCHEMA",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "InstrumentRegistry",
+        "get_registry",
+        "render_prometheus",
+        "reset_registry",
+        "set_registry",
+        "snapshot_delta",
+        "use_registry",
+    ),
+    "repro.observability.ledger": (
+        "LEDGER_SCHEMA",
+        "LedgerEntry",
+        "RunLedger",
+        "entry_id_for",
+    ),
+    "repro.observability.live": (
+        "EVENT_SCHEMA",
+        "EventBuffer",
+        "EventRecorder",
+        "EventSink",
+        "EventStream",
+        "open_event_stream",
+    ),
+    "repro.observability.profile": (
+        "ProfileRow",
+        "aggregate_profile",
+        "collapsed_stacks",
+        "render_profile_table",
+    ),
+    "repro.observability.spanio": (
+        "WorkerTelemetry",
+        "graft_spans",
+        "span_from_dict",
+        "span_to_dict",
+    ),
+    "repro.observability.stats": (
         "GATED_COUNTERS",
         "PROFILE_SCHEMA",
         "STATS_SCHEMA",
@@ -81,13 +142,8 @@ _STATS_EXPORTS = frozenset(
         "diff_snapshots",
         "load_stats_json",
         "write_stats_json",
-    }
-)
-
-#: Names re-exported lazily from :mod:`repro.observability.trend`,
-#: which imports ``repro.metrics.compare`` for the same reason.
-_TREND_EXPORTS = frozenset(
-    {
+    ),
+    "repro.observability.trend": (
         "TREND_SCHEMA",
         "MetricSeries",
         "TrendFinding",
@@ -97,69 +153,7 @@ _TREND_EXPORTS = frozenset(
         "collect_series",
         "render_history",
         "sparkline",
-    }
-)
+    ),
+}
 
-
-def __getattr__(name: str) -> object:
-    if name in _STATS_EXPORTS:
-        from repro.observability import stats
-
-        return getattr(stats, name)
-    if name in _TREND_EXPORTS:
-        from repro.observability import trend
-
-        return getattr(trend, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "EVENT_SCHEMA",
-    "LEDGER_SCHEMA",
-    "SNAPSHOT_SCHEMA",
-    "STATS_SCHEMA",
-    "PROFILE_SCHEMA",
-    "GATED_COUNTERS",
-    "TREND_SCHEMA",
-    "Counter",
-    "EventBuffer",
-    "EventRecorder",
-    "EventSink",
-    "EventStream",
-    "Gauge",
-    "Histogram",
-    "InstrumentRegistry",
-    "InstrumentDiff",
-    "LedgerEntry",
-    "MetricSeries",
-    "RunLedger",
-    "StatsDiffReport",
-    "ProfileRow",
-    "TrendFinding",
-    "TrendReport",
-    "WorkerTelemetry",
-    "aggregate_profile",
-    "analyze_ledger",
-    "analyze_series",
-    "collapsed_stacks",
-    "collect_series",
-    "diff_snapshots",
-    "entry_id_for",
-    "get_registry",
-    "graft_spans",
-    "load_stats_json",
-    "open_event_stream",
-    "render_history",
-    "render_profile_table",
-    "render_prometheus",
-    "reset_registry",
-    "set_registry",
-    "snapshot_delta",
-    "span_from_dict",
-    "span_to_dict",
-    "sparkline",
-    "use_registry",
-    "write_stats_json",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -32,66 +32,73 @@ configurations every rung reproduces the scalar path *bit for bit*, at
 any ``--jobs`` value.
 """
 
-from repro.runtime.batch import (
-    BatchBiquadCascade,
-    BatchChopper,
-    BatchClassABCell,
-    BatchDelayLine,
-    BatchModulator1,
-    BatchModulator2,
-    BatchUnsupported,
-    batch_runner_for,
-    fast_forward_streams,
-)
-from repro.runtime.cache import ResultCache
-from repro.runtime.executor import ShardContext, SweepExecutor, SweepTimeoutError
-from repro.runtime.engine import consume_fallbacks, force_scalar, run_single
-from repro.runtime.kernels import store_batch
-from repro.runtime.lowering import (
-    LOWERING_PROTOCOL,
-    PROTOCOL_BY_QUALNAME,
-    LoweredBase,
-    lowering_refusal,
-    overridden_hooks,
-    probe_refusal,
-    protocol_for,
-)
-from repro.runtime.montecarlo import (
-    cmff_imbalance_draws,
-    cmff_leakage_samples,
-    cmff_rejection_samples,
-)
-from repro.runtime.sweeps import SweepSpec, run_sweep, sweep_spec_for_design
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BatchBiquadCascade",
-    "BatchChopper",
-    "BatchClassABCell",
-    "BatchDelayLine",
-    "BatchModulator1",
-    "BatchModulator2",
-    "BatchUnsupported",
-    "LOWERING_PROTOCOL",
-    "LoweredBase",
-    "PROTOCOL_BY_QUALNAME",
-    "ResultCache",
-    "ShardContext",
-    "SweepExecutor",
-    "SweepSpec",
-    "SweepTimeoutError",
-    "batch_runner_for",
-    "cmff_imbalance_draws",
-    "fast_forward_streams",
-    "cmff_leakage_samples",
-    "cmff_rejection_samples",
-    "consume_fallbacks",
-    "force_scalar",
-    "lowering_refusal",
-    "overridden_hooks",
-    "probe_refusal",
-    "protocol_for",
-    "run_single",
-    "run_sweep",
-    "store_batch",
-    "sweep_spec_for_design",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.runtime.batch import (
+        BatchBiquadCascade,
+        BatchChopper,
+        BatchClassABCell,
+        BatchDelayLine,
+        BatchModulator1,
+        BatchModulator2,
+        BatchUnsupported,
+        batch_runner_for,
+        fast_forward_streams,
+    )
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.executor import ShardContext, SweepExecutor, SweepTimeoutError
+    from repro.runtime.engine import consume_fallbacks, force_scalar, run_single
+    from repro.runtime.kernels.store import store_batch
+    from repro.runtime.lowering import (
+        LOWERING_PROTOCOL,
+        LoweredBase,
+        PROTOCOL_BY_QUALNAME,
+        lowering_refusal,
+        overridden_hooks,
+        probe_refusal,
+        protocol_for,
+    )
+    from repro.runtime.montecarlo import (
+        cmff_imbalance_draws,
+        cmff_leakage_samples,
+        cmff_rejection_samples,
+    )
+    from repro.runtime.sweeps import SweepSpec, run_sweep, sweep_spec_for_design
+
+_EXPORTS = {
+    "repro.runtime.batch": (
+        "BatchBiquadCascade",
+        "BatchChopper",
+        "BatchClassABCell",
+        "BatchDelayLine",
+        "BatchModulator1",
+        "BatchModulator2",
+        "BatchUnsupported",
+        "batch_runner_for",
+        "fast_forward_streams",
+    ),
+    "repro.runtime.cache": ("ResultCache",),
+    "repro.runtime.executor": ("ShardContext", "SweepExecutor", "SweepTimeoutError"),
+    "repro.runtime.engine": ("consume_fallbacks", "force_scalar", "run_single"),
+    "repro.runtime.kernels.store": ("store_batch",),
+    "repro.runtime.lowering": (
+        "LOWERING_PROTOCOL",
+        "LoweredBase",
+        "PROTOCOL_BY_QUALNAME",
+        "lowering_refusal",
+        "overridden_hooks",
+        "probe_refusal",
+        "protocol_for",
+    ),
+    "repro.runtime.montecarlo": (
+        "cmff_imbalance_draws",
+        "cmff_leakage_samples",
+        "cmff_rejection_samples",
+    ),
+    "repro.runtime.sweeps": ("SweepSpec", "run_sweep", "sweep_spec_for_design"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -35,8 +35,6 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
@@ -381,6 +379,11 @@ class SweepExecutor:
                     result = worker(payload, context)
                 results.append(result)
             return results, telemetries
+        # Imported here: the pool pulls in multiprocessing, pickle,
+        # socket and logging, which an inline run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
+
         with ProcessPoolExecutor(max_workers=n_processes) as pool:
             futures: list[Any]
             if instrument:

@@ -20,28 +20,35 @@ Public surface:
   docs and analysis.
 """
 
-from repro.runtime.kernels.codegen import KernelProgram, compile_spec
-from repro.runtime.kernels.jit import jit_status
-from repro.runtime.kernels.runner import kernel_refusal, run_kernel
-from repro.runtime.kernels.spec import (
-    KernelSpec,
-    KernelUnsupported,
-    build_spec,
-    device_parts,
-    state_matrices,
-)
-from repro.runtime.kernels.store import store_batch
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "KernelProgram",
-    "KernelSpec",
-    "KernelUnsupported",
-    "build_spec",
-    "compile_spec",
-    "device_parts",
-    "jit_status",
-    "kernel_refusal",
-    "run_kernel",
-    "state_matrices",
-    "store_batch",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.runtime.kernels.codegen import KernelProgram, compile_spec
+    from repro.runtime.kernels.jit import jit_status
+    from repro.runtime.kernels.runner import kernel_refusal, run_kernel
+    from repro.runtime.kernels.spec import (
+        KernelSpec,
+        KernelUnsupported,
+        build_spec,
+        device_parts,
+        state_matrices,
+    )
+    from repro.runtime.kernels.store import store_batch
+
+_EXPORTS = {
+    "repro.runtime.kernels.codegen": ("KernelProgram", "compile_spec"),
+    "repro.runtime.kernels.jit": ("jit_status",),
+    "repro.runtime.kernels.runner": ("kernel_refusal", "run_kernel"),
+    "repro.runtime.kernels.spec": (
+        "KernelSpec",
+        "KernelUnsupported",
+        "build_spec",
+        "device_parts",
+        "state_matrices",
+    ),
+    "repro.runtime.kernels.store": ("store_batch",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -16,14 +16,19 @@ quantitatively: dynamic range versus storage capacitance (i.e. chip
 area and the double-poly process requirement).
 """
 
-from repro.sc.integrator import ScIntegrator, kt_over_c_noise_rms
-from repro.sc.modulator import ScModulator2
-from repro.sc.tradeoff import ScSiTradeoff, TradeoffPoint
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ScIntegrator",
-    "kt_over_c_noise_rms",
-    "ScModulator2",
-    "ScSiTradeoff",
-    "TradeoffPoint",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sc.integrator import ScIntegrator, kt_over_c_noise_rms
+    from repro.sc.modulator import ScModulator2
+    from repro.sc.tradeoff import ScSiTradeoff, TradeoffPoint
+
+_EXPORTS = {
+    "repro.sc.integrator": ("ScIntegrator", "kt_over_c_noise_rms"),
+    "repro.sc.modulator": ("ScModulator2",),
+    "repro.sc.tradeoff": ("ScSiTradeoff", "TradeoffPoint"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

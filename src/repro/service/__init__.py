@@ -9,29 +9,35 @@ canonical digests, so identical submissions -- concurrent or repeated
 ``docs/SERVICE.md``.
 """
 
-from repro.service.app import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    ServiceConfig,
-    SimulationService,
-    build_server,
-    normalize_request,
-    serve,
-)
-from repro.service.client import ServiceClient
-from repro.service.queue import Job, JobQueue, JobRequest, JobState
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "Job",
-    "JobQueue",
-    "JobRequest",
-    "JobState",
-    "ServiceClient",
-    "ServiceConfig",
-    "SimulationService",
-    "build_server",
-    "normalize_request",
-    "serve",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.app import (
+        DEFAULT_HOST,
+        DEFAULT_PORT,
+        ServiceConfig,
+        SimulationService,
+        build_server,
+        normalize_request,
+        serve,
+    )
+    from repro.service.client import ServiceClient
+    from repro.service.queue import Job, JobQueue, JobRequest, JobState
+
+_EXPORTS = {
+    "repro.service.app": (
+        "DEFAULT_HOST",
+        "DEFAULT_PORT",
+        "ServiceConfig",
+        "SimulationService",
+        "build_server",
+        "normalize_request",
+        "serve",
+    ),
+    "repro.service.client": ("ServiceClient",),
+    "repro.service.queue": ("Job", "JobQueue", "JobRequest", "JobState"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

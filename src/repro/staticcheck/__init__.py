@@ -20,21 +20,23 @@ Deliberate exceptions live in a committed suppression baseline
 with a human reason per entry; stale entries surface as SC000.
 """
 
-from repro.findings import Severity
-from repro.staticcheck.analyzer import LintReport, run_lint
-from repro.staticcheck.baseline import Baseline, BaselineEntry
-from repro.staticcheck.model import LintFinding, ModuleContext
-from repro.staticcheck.rules import LintRule, default_rules, rule_catalog
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "LintFinding",
-    "LintReport",
-    "LintRule",
-    "ModuleContext",
-    "Severity",
-    "default_rules",
-    "rule_catalog",
-    "run_lint",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.findings import Severity
+    from repro.staticcheck.analyzer import LintReport, run_lint
+    from repro.staticcheck.baseline import Baseline, BaselineEntry
+    from repro.staticcheck.model import LintFinding, ModuleContext
+    from repro.staticcheck.rules import LintRule, default_rules, rule_catalog
+
+_EXPORTS = {
+    "repro.findings": ("Severity",),
+    "repro.staticcheck.analyzer": ("LintReport", "run_lint"),
+    "repro.staticcheck.baseline": ("Baseline", "BaselineEntry"),
+    "repro.staticcheck.model": ("LintFinding", "ModuleContext"),
+    "repro.staticcheck.rules": ("LintRule", "default_rules", "rule_catalog"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

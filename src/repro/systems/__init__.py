@@ -9,28 +9,25 @@ produce measurements, the complete ADC (modulator + decimator), and a
 the die does.
 """
 
-from repro.systems.stimulus import (
-    SineStimulus,
-    coherent_frequency,
-    interferer_tone,
-)
-from repro.systems.testbench import TestBench, BenchMeasurement
-from repro.systems.adc import OversamplingAdc, AdcKind
-from repro.systems.chip import TestChip
-from repro.systems.low_voltage import LowVoltageDesign, LowVoltageDesigner
-from repro.systems.montecarlo import CmffMonteCarlo, MonteCarloSummary
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "SineStimulus",
-    "coherent_frequency",
-    "interferer_tone",
-    "TestBench",
-    "BenchMeasurement",
-    "OversamplingAdc",
-    "AdcKind",
-    "TestChip",
-    "LowVoltageDesign",
-    "LowVoltageDesigner",
-    "CmffMonteCarlo",
-    "MonteCarloSummary",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.systems.stimulus import SineStimulus, coherent_frequency, interferer_tone
+    from repro.systems.testbench import BenchMeasurement, TestBench
+    from repro.systems.adc import AdcKind, OversamplingAdc
+    from repro.systems.chip import ChipOperatingPoint, TestChip
+    from repro.systems.low_voltage import LowVoltageDesign, LowVoltageDesigner
+    from repro.systems.montecarlo import CmffMonteCarlo, MonteCarloSummary
+
+_EXPORTS = {
+    "repro.systems.stimulus": ("SineStimulus", "coherent_frequency", "interferer_tone"),
+    "repro.systems.testbench": ("TestBench", "BenchMeasurement"),
+    "repro.systems.adc": ("OversamplingAdc", "AdcKind"),
+    "repro.systems.chip": ("TestChip", "ChipOperatingPoint"),
+    "repro.systems.low_voltage": ("LowVoltageDesign", "LowVoltageDesigner"),
+    "repro.systems.montecarlo": ("CmffMonteCarlo", "MonteCarloSummary"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

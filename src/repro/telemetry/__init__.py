@@ -21,38 +21,43 @@ Telemetry is strictly opt-in: devices hold no probe until
 without ``telemetry=`` runs the exact untraced code path.
 """
 
-from repro.telemetry.designs import TRACE_DESIGNS, TraceSetup, build_trace_setup
-from repro.telemetry.events import Severity, TelemetryEvent
-from repro.telemetry.export import export_jsonl
-from repro.telemetry.monitor import (
-    ClipRule,
-    CmffResidualRule,
-    DynamicRule,
-    DynamicRuleMonitor,
-    ObservedClassABRule,
-    ObservedHeadroomRule,
-    default_monitor,
-)
-from repro.telemetry.probes import SignalProbe
-from repro.telemetry.session import TelemetrySession
-from repro.telemetry.spans import Span, render_span_tree
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Span",
-    "render_span_tree",
-    "SignalProbe",
-    "TelemetryEvent",
-    "Severity",
-    "DynamicRule",
-    "ClipRule",
-    "ObservedHeadroomRule",
-    "CmffResidualRule",
-    "ObservedClassABRule",
-    "DynamicRuleMonitor",
-    "default_monitor",
-    "TelemetrySession",
-    "export_jsonl",
-    "TraceSetup",
-    "TRACE_DESIGNS",
-    "build_trace_setup",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.telemetry.designs import TRACE_DESIGNS, TraceSetup, build_trace_setup
+    from repro.telemetry.events import Severity, TelemetryEvent
+    from repro.telemetry.export import export_jsonl
+    from repro.telemetry.monitor import (
+        ClipRule,
+        CmffResidualRule,
+        DynamicRule,
+        DynamicRuleMonitor,
+        ObservedClassABRule,
+        ObservedHeadroomRule,
+        default_monitor,
+    )
+    from repro.telemetry.probes import SignalProbe
+    from repro.telemetry.session import TelemetrySession
+    from repro.telemetry.spans import Span, render_span_tree
+
+_EXPORTS = {
+    "repro.telemetry.designs": ("TraceSetup", "TRACE_DESIGNS", "build_trace_setup"),
+    "repro.telemetry.events": ("TelemetryEvent", "Severity"),
+    "repro.telemetry.export": ("export_jsonl",),
+    "repro.telemetry.monitor": (
+        "DynamicRule",
+        "ClipRule",
+        "ObservedHeadroomRule",
+        "CmffResidualRule",
+        "ObservedClassABRule",
+        "DynamicRuleMonitor",
+        "default_monitor",
+    ),
+    "repro.telemetry.probes": ("SignalProbe",),
+    "repro.telemetry.session": ("TelemetrySession",),
+    "repro.telemetry.spans": ("Span", "render_span_tree"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -124,7 +124,9 @@ class SignalProbe:
         self._min = min(self._min, float(np.min(data)))
         self._max = max(self._max, float(np.max(data)))
         self._sum += float(np.sum(data))
-        self._sum_squares += float(np.dot(data, data))
+        # Not np.dot: BLAS may split the sum across threads, so its
+        # bits would depend on the thread count.
+        self._sum_squares += float(np.sum(data * data))
         if self.clip_limit is not None:
             clipped = np.abs(data) > self.clip_limit
             n_clipped = int(np.count_nonzero(clipped))

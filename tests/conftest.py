@@ -8,15 +8,24 @@ results are reproducible.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.config import (
     MODULATOR_CLOCK,
     delay_line_cell_config,
     ideal_cell_config,
     paper_cell_config,
 )
+
+#: The ``src`` directory this test run imports ``repro`` from.
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 @pytest.fixture(autouse=True)
@@ -58,3 +67,30 @@ def ideal_config():
 def delay_config():
     """The calibrated delay-line cell configuration."""
     return delay_line_cell_config()
+
+
+@pytest.fixture
+def fresh_python():
+    """Return a runner of fresh ``python`` processes that import this ``repro``.
+
+    ``run(*args, env=..., cwd=...)`` runs ``python *args`` with this
+    checkout's ``src`` first on ``PYTHONPATH`` and ``env`` laid over the
+    current environment, and returns the finished process.
+    """
+
+    def run(*args: str, env: dict[str, str] | None = None, cwd: Path | None = None):
+        merged = {**os.environ, **(env or {})}
+        merged["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (SRC, os.environ.get("PYTHONPATH")))
+        )
+        return subprocess.run(
+            [sys.executable, *args],
+            env=merged,
+            cwd=cwd,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=False,
+        )
+
+    return run

@@ -157,10 +157,3 @@ class TestDocuments:
         path.write_text("[1, 2]")
         with pytest.raises(ObservabilityError):
             load_stats_json(path)
-
-    def test_lazy_package_reexport(self):
-        import repro.observability as observability
-
-        assert observability.diff_snapshots is diff_snapshots
-        with pytest.raises(AttributeError):
-            observability.no_such_name

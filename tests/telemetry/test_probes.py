@@ -252,3 +252,40 @@ class TestChunkingProperty:
         assert target.count == 2
         assert target.minimum == -1.0
         assert target.maximum == 3.0
+
+
+#: The RMS of 200 probes, each fed one random 16,640-sample array (the
+#: length of a 16K report run plus its settling samples), printed
+#: bit-exactly.  One probe per array: a running sum over many arrays
+#: would round away a last-bit difference in any one of them.
+_PROBE_BITS = """
+import numpy as np
+from repro.telemetry.probes import SignalProbe
+
+rng = np.random.default_rng(2026)
+for index in range(200):
+    probe = SignalProbe(f"p{index}")
+    probe.observe_array(rng.standard_normal(16_640))
+    print(probe.rms.hex(), probe.mean.hex())
+"""
+
+
+class TestThreadCountIndependence:
+    def test_stats_bits_do_not_depend_on_blas_threads(self, fresh_python):
+        # A BLAS reduction may split long sums across threads, so its bits
+        # can depend on the thread count; on one CPU the two runs agree
+        # whatever the reduction.
+        outputs = set()
+        for threads in ("1", "2"):
+            done = fresh_python(
+                "-c",
+                _PROBE_BITS,
+                env={
+                    "OPENBLAS_NUM_THREADS": threads,
+                    "OMP_NUM_THREADS": threads,
+                    "MKL_NUM_THREADS": threads,
+                },
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, "probe bits differ between 1 and 2 BLAS threads"

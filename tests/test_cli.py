@@ -1,8 +1,26 @@
 """Tests for the command-line interface."""
 
+import gc
+import sys
+
 import pytest
 
-from repro.cli import COMMANDS, main
+from repro.cli import COMMANDS, entry, main
+
+
+class TestEntryPoint:
+    def test_main_never_freezes_the_collector(self, capsys):
+        assert main(["headroom"]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_entry_freezes_after_main_returns(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["repro", "headroom"])
+        try:
+            assert entry() == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert "V_dd,min" in capsys.readouterr().out
 
 
 class TestArgumentHandling:
