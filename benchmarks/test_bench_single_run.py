@@ -22,10 +22,10 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.deltasigma.decimator import SincDecimator
+from repro.designs import DESIGNS
 from repro.reporting.records import PaperComparison
 from repro.reporting.tables import Table
 from repro.runtime.engine import consume_fallbacks, force_scalar
-from repro.telemetry.designs import TRACE_DESIGNS, build_trace_setup
 
 #: Floor on the fast-path-vs-scalar speedup every design asserts (the
 #: committed ``baselines/bench.json`` gates the same figure in CI).
@@ -39,24 +39,24 @@ N_SAMPLES = 1 << 14
 
 
 def _design_stimulus(name: str) -> np.ndarray:
-    setup = build_trace_setup(name)
+    point = DESIGNS[name].point
     t = np.arange(N_SAMPLES)
-    return setup.amplitude * np.sin(
-        2.0 * np.pi * setup.frequency * t / setup.sample_rate
+    return point.amplitude * np.sin(
+        2.0 * np.pi * point.frequency * t / point.sample_rate
     )
 
 
 def _run_single_run_bench(benchmark, design: str) -> None:
-    setup = build_trace_setup(design)
+    setup = DESIGNS[design]
     stimulus = _design_stimulus(design)
 
-    scalar_device = setup.build(None)
+    scalar_device = setup.build()
     t0 = time.perf_counter()
     with force_scalar():
         scalar_output = scalar_device(stimulus)
     scalar_s = time.perf_counter() - t0
 
-    fast_device = setup.build(None)
+    fast_device = setup.build()
     consume_fallbacks()
     t0 = time.perf_counter()
     fast_output = fast_device(stimulus)
@@ -66,7 +66,7 @@ def _run_single_run_bench(benchmark, design: str) -> None:
 
     run_once(
         benchmark,
-        lambda: setup.build(None)(stimulus),
+        lambda: setup.build()(stimulus),
         n_samples=N_SAMPLES,
         extra={"speedup": speedup, "scalar_wall_s": scalar_s},
     )
@@ -110,7 +110,9 @@ def _run_single_run_bench(benchmark, design: str) -> None:
     assert comparison.all_shapes_hold
 
 
-@pytest.mark.parametrize("design", sorted(TRACE_DESIGNS))
+@pytest.mark.parametrize(
+    "design", sorted(name for name, entry in DESIGNS.items() if entry.operating_point)
+)
 def test_bench_single_run(benchmark, design):
     _run_single_run_bench(benchmark, design)
 

@@ -294,19 +294,18 @@ def cmd_tradeoff(fast: bool) -> None:
 
 def cmd_erc(design: str, min_severity: str, strict: bool) -> int:
     """Statically check a named design against the ERC rule set."""
-    from repro.erc import Severity, build_design, run_erc
-    from repro.erc.designs import DESIGNS
+    from repro.designs import DESIGNS, resolve
+    from repro.erc import Severity, run_erc
 
     names = sorted(DESIGNS) if design == "all" else [design]
     exit_code = 0
     for name in names:
         report = run_erc(
-            build_design(name), min_severity=Severity.from_name(min_severity)
+            resolve(name).graph(), min_severity=Severity.from_name(min_severity)
         )
         print(report.render_table())
         print(report.summary())
-        if not report.ok or (strict and report.warnings):
-            exit_code = 1
+        exit_code = max(exit_code, report.exit_code(strict))
     return exit_code
 
 
@@ -363,30 +362,32 @@ def cmd_trace(
     strict: bool = False,
 ) -> int:
     """Run a traced simulation; print span, probe and event tables."""
+    from repro.designs import resolve
     from repro.systems import TestBench
-    from repro.telemetry import TelemetrySession, build_trace_setup, export_jsonl
+    from repro.telemetry import TelemetrySession, export_jsonl
 
-    setup = build_trace_setup(design)
+    entry = resolve(design)
+    point = entry.point
     n_samples = samples if samples is not None else (1 << 14 if fast else 1 << 16)
-    session = TelemetrySession(setup.name)
-    device = setup.build()
+    session = TelemetrySession(entry.name)
+    device = entry.build()
     # Attach before the bench does so --supply reaches the probe
     # metadata; the bench's auto-attach then finds the probes existing.
     device.attach_telemetry(session, supply_voltage=supply)
     bench = TestBench(
-        sample_rate=setup.sample_rate,
+        sample_rate=point.sample_rate,
         n_samples=n_samples,
-        bandwidth=setup.bandwidth,
+        bandwidth=point.bandwidth,
         telemetry=session,
     )
     result = bench.measure(
         device,
-        amplitude=overdrive * setup.amplitude,
-        frequency=setup.frequency,
+        amplitude=overdrive * point.amplitude,
+        frequency=point.frequency,
     )
-    print(f"{setup.name}: {setup.description}")
+    print(f"{entry.name}: {entry.description}")
     print(
-        f"drive: {overdrive * setup.amplitude * 1e6:.2f} uA peak at "
+        f"drive: {overdrive * point.amplitude * 1e6:.2f} uA peak at "
         f"{result.stimulus.frequency / 1e3:.3f} kHz, "
         f"{n_samples} analysed samples"
     )
@@ -744,6 +745,22 @@ def cmd_bench_gate(
     return report.exit_code()
 
 
+def _ledger_design(name: str) -> str | None:
+    """Return the canonical name the ledger records ``name`` under.
+
+    Prints the catalog's refusal and returns None for a name outside
+    the catalog.
+    """
+    from repro.designs import resolve
+    from repro.errors import ConfigurationError
+
+    try:
+        return resolve(name).name
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_history(
     design: str,
     limit: int = 10,
@@ -752,10 +769,13 @@ def cmd_history(
     """Show a design's run-ledger trajectory (metrics and entries)."""
     from repro.observability.trend import render_history
 
+    canonical = _ledger_design(design)
+    if canonical is None:
+        return 2
     ledger = RunLedger(ledger_dir)
-    print(render_history(ledger, design, limit=limit))
+    print(render_history(ledger, canonical, limit=limit))
     known = ledger.designs()
-    if design not in known and known:
+    if canonical not in known and known:
         print(f"(designs with history: {', '.join(known)})")
     return 0
 
@@ -777,6 +797,10 @@ def cmd_trend(
         analyze_ledger,
     )
 
+    if design is not None:
+        design = _ledger_design(design)
+        if design is None:
+            return 2
     report = analyze_ledger(
         RunLedger(ledger_dir),
         design=design,
@@ -1044,7 +1068,7 @@ def _add_live_ledger_options(sub: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """Return the argument parser with one sub-command per command."""
-    from repro.erc.designs import DESIGNS
+    from repro.designs import design_names
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1072,7 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     erc.add_argument(
         "design",
-        choices=sorted(DESIGNS) + ["all"],
+        choices=design_names() + ["all"],
         help="design to check, or 'all'",
     )
     erc.add_argument(
@@ -1143,11 +1167,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=_first_doc_line(cmd_trace),
         description=_first_doc_line(cmd_trace),
     )
-    from repro.telemetry.designs import TRACE_ALIASES, TRACE_DESIGNS
-
+    runnable = design_names(runnable=True)
     trace.add_argument(
         "design",
-        choices=sorted(TRACE_DESIGNS) + sorted(TRACE_ALIASES),
+        choices=runnable,
         help="design to trace",
     )
     trace.add_argument(
@@ -1188,8 +1211,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also exit non-zero on WARNING events",
     )
-    from repro.metrics.report import REPORT_DESIGNS
-
     report = subparsers.add_parser(
         "report",
         help=_first_doc_line(cmd_report),
@@ -1197,7 +1218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "design",
-        choices=list(REPORT_DESIGNS),
+        choices=runnable,
         help="design to measure and report",
     )
     report.add_argument(
@@ -1289,7 +1310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "design",
-        choices=list(REPORT_DESIGNS),
+        choices=runnable,
         help="design to sweep",
     )
     sweep.add_argument(

@@ -40,11 +40,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.clocks.phases import Phase
 from repro.errors import ConfigurationError
 from repro.si.differential import DifferentialSample
 from repro.si.differentiator import SIDifferentiator
 from repro.si.memory_cell import MemoryCellConfig
 from repro.deltasigma.dac import FeedbackDac
+from repro.deltasigma.loop import FeedbackLoop
 from repro.deltasigma.quantizer import CurrentQuantizer
 
 __all__ = ["ChopperStabilizedSIModulator", "ChopperModulatorTrace"]
@@ -84,14 +86,19 @@ class ChopperModulatorTrace:
         )
 
 
-class ChopperStabilizedSIModulator:
+class ChopperStabilizedSIModulator(FeedbackLoop):
     """Fig. 3(b): chopper-stabilised second-order SI modulator.
 
     Constructor parameters mirror
     :class:`~repro.deltasigma.modulator2.SIModulator2`; the loop
     coefficients have the same Eq. (3) bit-stream condition
-    (``b2 = 2 a1 a2``) and the same swing-optimising defaults.
+    (``b2 = 2 a1 a2``) and the same swing-optimising defaults.  An
+    input chopper ahead of the first stage and an output chopper
+    translating the bit stream back to baseband frame the loop.
     """
+
+    telemetry_name = "chopper"
+    chopped = True
 
     def __init__(
         self,
@@ -126,40 +133,14 @@ class ChopperStabilizedSIModulator:
         self._diff1 = SIDifferentiator(gain=1.0, config=base, seed_offset=303)
         self._diff2 = SIDifferentiator(gain=1.0, config=base, seed_offset=404)
         self._telemetry = None
-        self._telemetry_name = "chopper"
+        self._telemetry_name = self.telemetry_name
 
-    def attach_telemetry(
-        self,
-        session,
-        name: str = "chopper",
-        supply_voltage: float | None = None,
-    ) -> None:
-        """Attach probes and trace subsequent :meth:`run` calls.
-
-        Mirrors :meth:`repro.deltasigma.modulator2.SIModulator2
-        .attach_telemetry`, with differentiator stages; a traced run
-        also records the chopper pair as structural stages.
-        """
-        self._telemetry = session
-        self._telemetry_name = name
-        self._diff1.attach_telemetry(
-            session,
-            f"{name}.diff1",
-            full_scale=2.0 * self.full_scale,
-            supply_voltage=supply_voltage,
+    def loop_stages(self) -> tuple[tuple[str, SIDifferentiator, Phase], ...]:
+        """Declare the two delaying differentiators, on alternating phases."""
+        return (
+            ("diff1", self._diff1, Phase.PHI1),
+            ("diff2", self._diff2, Phase.PHI2),
         )
-        self._diff2.attach_telemetry(
-            session,
-            f"{name}.diff2",
-            full_scale=2.0 * self.full_scale,
-            supply_voltage=supply_voltage,
-        )
-
-    def detach_telemetry(self) -> None:
-        """Drop the session and every loop probe."""
-        self._telemetry = None
-        self._diff1.detach_telemetry()
-        self._diff2.detach_telemetry()
 
     @property
     def realizes_eq3(self) -> bool:
@@ -282,55 +263,3 @@ class ChopperStabilizedSIModulator:
         """Run with a fresh state: the device-under-test interface."""
         self.reset()
         return self.run(stimulus)
-
-    def describe_graph(self, supply_voltage: float = 3.3):
-        """Return the loop's circuit graph for static rule checking.
-
-        Structurally the Fig. 3(a) loop with differentiator stages plus
-        the chopper pair: an input chopper ahead of the first stage and
-        an output chopper translating the bit stream back to baseband.
-        The chopper-pairing rule (ERC008) checks exactly this pairing.
-        """
-        from repro.clocks.phases import Phase
-        from repro.erc.graph import CircuitGraph
-
-        peak = 2.0 * self.full_scale
-        graph = CircuitGraph(
-            "ChopperStabilizedSIModulator",
-            supply_voltage=supply_voltage,
-            sample_rate=self.sample_rate,
-            full_scale=self.full_scale,
-        )
-        graph.add_node("in", "source")
-        graph.add_node("chop_in", "chopper", role="input")
-        for prefix, stage, phase in (
-            ("diff1", self._diff1, Phase.PHI1),
-            ("diff2", self._diff2, Phase.PHI2),
-        ):
-            graph.include(
-                stage.describe_subgraph(
-                    sample_phase=phase, peak_signal_current=peak
-                ),
-                prefix,
-            )
-        graph.add_node("quantizer", "quantizer", offset=self.quantizer.offset)
-        graph.add_node(
-            "dac",
-            "dac",
-            full_scale=self.dac.full_scale,
-            level_mismatch=self.dac.level_mismatch,
-        )
-        graph.add_node("chop_out", "chopper", role="output")
-        graph.add_node("out", "sink")
-        out1 = f"diff1.{self._diff1.output_node}"
-        out2 = f"diff2.{self._diff2.output_node}"
-        graph.connect("in", "chop_in")
-        graph.connect("chop_in", "diff1.cell")
-        graph.connect(out1, "diff2.cell")
-        graph.connect(out2, "quantizer")
-        graph.connect("quantizer", "dac")
-        graph.connect("quantizer", "chop_out")
-        graph.connect("chop_out", "out")
-        graph.connect("dac", "diff1.cell")
-        graph.connect("dac", "diff2.cell")
-        return graph

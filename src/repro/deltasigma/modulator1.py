@@ -22,17 +22,19 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.clocks.phases import Phase
 from repro.errors import ConfigurationError
 from repro.si.differential import DifferentialSample
 from repro.si.integrator import SIIntegrator
 from repro.si.memory_cell import MemoryCellConfig
 from repro.deltasigma.dac import FeedbackDac
+from repro.deltasigma.loop import FeedbackLoop
 from repro.deltasigma.quantizer import CurrentQuantizer
 
 __all__ = ["SIModulator1"]
 
 
-class SIModulator1:
+class SIModulator1(FeedbackLoop):
     """First-order SI delta-sigma modulator.
 
     Loop equations (delaying integrator):
@@ -53,6 +55,8 @@ class SIModulator1:
     quantizer, dac, sample_rate:
         As for :class:`~repro.deltasigma.modulator2.SIModulator2`.
     """
+
+    telemetry_name = "modulator1"
 
     def __init__(
         self,
@@ -79,40 +83,16 @@ class SIModulator1:
         self.dac = dac if dac is not None else FeedbackDac(full_scale=full_scale)
         self._integrator = SIIntegrator(gain=1.0, config=base, seed_offset=505)
         self._telemetry = None
-        self._telemetry_name = "modulator1"
+        self._telemetry_name = self.telemetry_name
 
     @property
     def order(self) -> int:
         """Return the noise-shaping order (1)."""
         return 1
 
-    def attach_telemetry(
-        self,
-        session,
-        name: str = "modulator1",
-        supply_voltage: float | None = None,
-    ) -> None:
-        """Attach probes and trace subsequent :meth:`run` calls.
-
-        The integrator's cell and CMFF probes use twice the full scale
-        as reference -- the loop's designed state swing ("slightly
-        larger than twice the full-scale input range").  A traced run
-        additionally records ``<name>.input`` and ``<name>.bitstream``
-        probes against the modulator full scale.
-        """
-        self._telemetry = session
-        self._telemetry_name = name
-        self._integrator.attach_telemetry(
-            session,
-            f"{name}.int",
-            full_scale=2.0 * self.full_scale,
-            supply_voltage=supply_voltage,
-        )
-
-    def detach_telemetry(self) -> None:
-        """Drop the session and every loop probe."""
-        self._telemetry = None
-        self._integrator.detach_telemetry()
+    def loop_stages(self) -> tuple[tuple[str, SIIntegrator, Phase], ...]:
+        """Declare the one delaying integrator."""
+        return (("int", self._integrator, Phase.PHI1),)
 
     def reset(self) -> None:
         """Zero the loop state."""
@@ -178,38 +158,3 @@ class SIModulator1:
         """Run with a fresh state: the device-under-test interface."""
         self.reset()
         return self.run(stimulus)
-
-    def describe_graph(self, supply_voltage: float = 3.3):
-        """Return the loop's circuit graph for static rule checking."""
-        from repro.clocks.phases import Phase
-        from repro.erc.graph import CircuitGraph
-
-        graph = CircuitGraph(
-            "SIModulator1",
-            supply_voltage=supply_voltage,
-            sample_rate=self.sample_rate,
-            full_scale=self.full_scale,
-        )
-        graph.add_node("in", "source")
-        graph.include(
-            self._integrator.describe_subgraph(
-                sample_phase=Phase.PHI1,
-                peak_signal_current=2.0 * self.full_scale,
-            ),
-            "int",
-        )
-        graph.add_node("quantizer", "quantizer", offset=self.quantizer.offset)
-        graph.add_node(
-            "dac",
-            "dac",
-            full_scale=self.dac.full_scale,
-            level_mismatch=self.dac.level_mismatch,
-        )
-        graph.add_node("out", "sink")
-        out = f"int.{self._integrator.output_node}"
-        graph.connect("in", "int.cell")
-        graph.connect(out, "quantizer")
-        graph.connect("quantizer", "dac")
-        graph.connect("quantizer", "out")
-        graph.connect("dac", "int.cell")
-        return graph

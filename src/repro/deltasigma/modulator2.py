@@ -37,11 +37,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.clocks.phases import Phase
 from repro.errors import ConfigurationError
 from repro.si.differential import DifferentialSample
 from repro.si.integrator import SIIntegrator
 from repro.si.memory_cell import MemoryCellConfig
 from repro.deltasigma.dac import FeedbackDac
+from repro.deltasigma.loop import FeedbackLoop
 from repro.deltasigma.quantizer import CurrentQuantizer
 
 __all__ = ["SIModulator2", "ModulatorTrace"]
@@ -80,7 +82,7 @@ class ModulatorTrace:
         )
 
 
-class SIModulator2:
+class SIModulator2(FeedbackLoop):
     """Fig. 3(a): conventional second-order SI delta-sigma modulator.
 
     Parameters
@@ -101,6 +103,8 @@ class SIModulator2:
         Clock frequency in hertz (2.45 MHz in the paper); propagated
         into the cell configuration for the flicker synthesiser.
     """
+
+    telemetry_name = "modulator2"
 
     def __init__(
         self,
@@ -135,42 +139,14 @@ class SIModulator2:
         self._int1 = SIIntegrator(gain=1.0, config=base, seed_offset=101)
         self._int2 = SIIntegrator(gain=1.0, config=base, seed_offset=202)
         self._telemetry = None
-        self._telemetry_name = "modulator2"
+        self._telemetry_name = self.telemetry_name
 
-    def attach_telemetry(
-        self,
-        session,
-        name: str = "modulator2",
-        supply_voltage: float | None = None,
-    ) -> None:
-        """Attach probes and trace subsequent :meth:`run` calls.
-
-        Both integrator stages get cell and CMFF-residual probes
-        referenced to twice the full scale (the designed state swing);
-        a traced run additionally records ``<name>.input`` and
-        ``<name>.bitstream`` probes plus one structural stage record
-        per loop element with its clock phase.
-        """
-        self._telemetry = session
-        self._telemetry_name = name
-        self._int1.attach_telemetry(
-            session,
-            f"{name}.int1",
-            full_scale=2.0 * self.full_scale,
-            supply_voltage=supply_voltage,
+    def loop_stages(self) -> tuple[tuple[str, SIIntegrator, Phase], ...]:
+        """Declare the two delaying integrators, on alternating phases."""
+        return (
+            ("int1", self._int1, Phase.PHI1),
+            ("int2", self._int2, Phase.PHI2),
         )
-        self._int2.attach_telemetry(
-            session,
-            f"{name}.int2",
-            full_scale=2.0 * self.full_scale,
-            supply_voltage=supply_voltage,
-        )
-
-    def detach_telemetry(self) -> None:
-        """Drop the session and every loop probe."""
-        self._telemetry = None
-        self._int1.detach_telemetry()
-        self._int2.detach_telemetry()
 
     @property
     def realizes_eq3(self) -> bool:
@@ -296,52 +272,3 @@ class SIModulator2:
         """
         self.reset()
         return self.run(stimulus)
-
-    def describe_graph(self, supply_voltage: float = 3.3):
-        """Return the loop's circuit graph for static rule checking.
-
-        The two integrator stages sample on alternating phases ("there
-        is delay in both integrators ... to decouple settling chain"),
-        and their cells' design swing is twice the full scale -- the
-        paper's swing-scaling target ("only require a signal range ...
-        slightly larger than twice the full-scale input range").
-        """
-        from repro.clocks.phases import Phase
-        from repro.erc.graph import CircuitGraph
-
-        peak = 2.0 * self.full_scale
-        graph = CircuitGraph(
-            "SIModulator2",
-            supply_voltage=supply_voltage,
-            sample_rate=self.sample_rate,
-            full_scale=self.full_scale,
-        )
-        graph.add_node("in", "source")
-        for prefix, stage, phase in (
-            ("int1", self._int1, Phase.PHI1),
-            ("int2", self._int2, Phase.PHI2),
-        ):
-            graph.include(
-                stage.describe_subgraph(
-                    sample_phase=phase, peak_signal_current=peak
-                ),
-                prefix,
-            )
-        graph.add_node("quantizer", "quantizer", offset=self.quantizer.offset)
-        graph.add_node(
-            "dac",
-            "dac",
-            full_scale=self.dac.full_scale,
-            level_mismatch=self.dac.level_mismatch,
-        )
-        graph.add_node("out", "sink")
-        out1 = f"int1.{self._int1.output_node}"
-        out2 = f"int2.{self._int2.output_node}"
-        graph.connect("in", "int1.cell")
-        graph.connect(out1, "int2.cell")
-        graph.connect(out2, "quantizer")
-        graph.connect("quantizer", "dac")
-        graph.connect("quantizer", "out")
-        graph.connect("dac", "int1.cell")
-        graph.connect("dac", "int2.cell")
-        return graph

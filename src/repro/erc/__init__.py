@@ -46,7 +46,6 @@ if TYPE_CHECKING:
         default_registry,
     )
     from repro.erc.checker import ErcReport, check_design, run_erc
-    from repro.erc.designs import DESIGNS, build_design
 
 _EXPORTS = {
     "repro.erc.graph": ("CircuitGraph", "CircuitNode"),
@@ -60,7 +59,6 @@ _EXPORTS = {
         "default_registry",
     ),
     "repro.erc.checker": ("ErcReport", "check_design", "run_erc"),
-    "repro.erc.designs": ("DESIGNS", "build_design"),
 }
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

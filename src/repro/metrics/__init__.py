@@ -56,7 +56,7 @@ if TYPE_CHECKING:
     from repro.metrics.provenance import Provenance, collect_provenance, git_sha
     from repro.metrics.records import Direction, MetricRecord, MetricSpec
     from repro.metrics.registry import MetricRegistry, registry_for
-    from repro.metrics.report import REPORT_DESIGNS, build_report
+    from repro.metrics.report import build_report
     from repro.metrics.spectral import (
         bits_to_db,
         db_to_bits,
@@ -98,7 +98,7 @@ _EXPORTS = {
     "repro.metrics.provenance": ("Provenance", "collect_provenance", "git_sha"),
     "repro.metrics.records": ("Direction", "MetricSpec", "MetricRecord"),
     "repro.metrics.registry": ("MetricRegistry", "registry_for"),
-    "repro.metrics.report": ("REPORT_DESIGNS", "build_report"),
+    "repro.metrics.report": ("build_report",),
     "repro.metrics.spectral": (
         "db_to_bits",
         "bits_to_db",

@@ -16,10 +16,10 @@ specs differ per design even though the metric names are shared).
 
 from __future__ import annotations
 
-from repro.errors import MetricsError
+from repro.errors import ConfigurationError, MetricsError
 from repro.metrics.records import Direction, MetricRecord, MetricSpec
 
-__all__ = ["MetricRegistry", "registry_for", "BASE_SPECS", "PAPER_REFERENCES"]
+__all__ = ["MetricRegistry", "registry_for", "BASE_SPECS"]
 
 
 def _spec(
@@ -82,39 +82,6 @@ BASE_SPECS: tuple[MetricSpec, ...] = (
     _spec("samples_per_s", "1/s", "device simulation throughput",
           Direction.HIGHER, None, gate=False),
 )
-
-
-#: The paper's published values as (value, acceptance half-width),
-#: keyed by design then metric.  The bands mirror the shape criteria
-#: the benchmark suite has always asserted, so a run that passes the
-#: benches also matches the paper here.
-PAPER_REFERENCES: dict[str, dict[str, tuple[float, float]]] = {
-    "modulator2": {
-        "thd_db": (-61.0, 9.0),
-        "snr_db": (58.0, 8.0),
-        "signal_amplitude_ua": (3.0, 0.3),
-        "dr_db": (63.0, 8.0),
-        "dr_bits": (10.5, 1.3),
-        "power_mw": (3.2, 2.5),
-    },
-    "chopper": {
-        "thd_db": (-62.0, 9.0),
-        "snr_db": (58.0, 8.0),
-        "signal_amplitude_ua": (3.0, 0.3),
-        "dr_db": (63.0, 8.0),
-        "dr_bits": (10.5, 1.3),
-        "power_mw": (3.2, 2.5),
-    },
-    # The first-order modulator is this library's baseline, not a chip
-    # the paper characterised; it has no published reference values.
-    "modulator1": {},
-    "delay-line": {
-        "thd_db": (-50.0, 6.0),
-        "snr_pp_db": (50.0, 4.0),
-        "noise_rms_na": (33.0, 8.0),
-        "power_mw": (0.7, 0.8),
-    },
-}
 
 
 class MetricRegistry:
@@ -215,23 +182,28 @@ class MetricRegistry:
 def registry_for(design: str) -> MetricRegistry:
     """Return a registry whose specs carry ``design``'s paper values.
 
+    The values are the design's :attr:`~repro.designs.Design.references`
+    in the design catalog; the registry reports under the canonical
+    name.
+
     Raises
     ------
     MetricsError
-        If the design has no paper-reference entry.  Use
+        If the design is not in the catalog.  Use
         ``MetricRegistry(design)`` directly for ad-hoc designs without
         published numbers.
     """
+    # Imported here: the catalog loads the cell models, which the
+    # metric declarations themselves never need.
+    from repro.designs import resolve
+
     try:
-        references = PAPER_REFERENCES[design]
-    except KeyError:
-        raise MetricsError(
-            f"no paper references for design {design!r}; known: "
-            f"{', '.join(sorted(PAPER_REFERENCES))}"
-        ) from None
+        entry = resolve(design)
+    except ConfigurationError as exc:
+        raise MetricsError(str(exc)) from None
     specs = []
     for base in BASE_SPECS:
-        reference = references.get(base.name)
+        reference = entry.references.get(base.name)
         if reference is None:
             specs.append(base)
         else:
@@ -248,4 +220,4 @@ def registry_for(design: str) -> MetricRegistry:
                     gate=base.gate,
                 )
             )
-    return MetricRegistry(design, specs=tuple(specs))
+    return MetricRegistry(entry.name, specs=tuple(specs))

@@ -22,6 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.designs import resolve
 from repro.errors import MetricsError
 from repro.metrics.extractors import (
     delay_line_error_records,
@@ -42,18 +43,9 @@ from repro.si.memory_cell import MemoryCellConfig
 from repro.si.power import ClassKind
 from repro.systems.chip import TestChip
 from repro.systems.testbench import TestBench
-from repro.telemetry.designs import (
-    TRACE_ALIASES,
-    TRACE_DESIGNS,
-    ConfigTransform,
-    build_trace_setup,
-)
 from repro.telemetry.session import TelemetrySession
 
-__all__ = ["REPORT_DESIGNS", "build_report"]
-
-#: Designs ``repro report`` accepts (the runnable trace designs).
-REPORT_DESIGNS: tuple[str, ...] = tuple(sorted(TRACE_DESIGNS) + sorted(TRACE_ALIASES))
+__all__ = ["build_report"]
 
 #: Input levels of the compact dynamic-range sweep (dB re full scale);
 #: the -10 dB cap keeps the fit in the noise-limited linear region.
@@ -64,23 +56,6 @@ MODULATOR_POWER_INDEX = 3.0
 
 #: Modulation index the power model evaluates the delay line at.
 DELAY_LINE_POWER_INDEX = 4.0
-
-
-def _degrade_transform(
-    noise_scale: float, mismatch: float
-) -> ConfigTransform | None:
-    """Return a cell-config transform applying the degradation knobs."""
-    if noise_scale == 1.0 and mismatch == 0.0:
-        return None
-
-    def transform(config: MemoryCellConfig) -> MemoryCellConfig:
-        return replace(
-            config,
-            thermal_noise_rms=config.thermal_noise_rms * noise_scale,
-            half_gain_mismatch=mismatch,
-        )
-
-    return transform
 
 
 def build_report(
@@ -152,7 +127,7 @@ def build_report(
     MetricsError
         If the degradation knobs are out of range (design-name errors
         raise :class:`~repro.errors.ConfigurationError` from the
-        trace-design lookup).
+        catalog lookup, :func:`repro.designs.resolve`).
     """
     if noise_scale < 0.0:
         raise MetricsError(
@@ -167,9 +142,9 @@ def build_report(
     if provenance is not None:
         provenance = replace(provenance, engine=engine)
 
-    setup = build_trace_setup(design)
-    registry = registry_for(setup.name)
-    transform = _degrade_transform(noise_scale, mismatch)
+    entry = resolve(design)
+    point = entry.point
+    registry = registry_for(entry.name)
 
     # Snapshot the process-wide instrument registry up front: the
     # manifest embeds the *delta* -- what this run did, not what the
@@ -178,42 +153,42 @@ def build_report(
     instruments_before = instrument_registry.snapshot()
 
     if session is None:
-        session = TelemetrySession(setup.name)
-    device = setup.build(transform)
+        session = TelemetrySession(entry.name)
+    device = entry.build(noise_scale, mismatch)
     device.attach_telemetry(session)
     bench = TestBench(
-        sample_rate=setup.sample_rate,
+        sample_rate=point.sample_rate,
         n_samples=n_samples,
-        bandwidth=setup.bandwidth,
+        bandwidth=point.bandwidth,
         telemetry=session,
         observe=instrument_registry,
     )
     with use_engine(engine):
         result = bench.measure(
-            device, amplitude=setup.amplitude, frequency=setup.frequency
+            device, amplitude=point.amplitude, frequency=point.frequency
         )
     tone_records(registry, result.metrics, provenance="span:measure/analysis")
 
     config: dict[str, object] = {
-        "design": setup.name,
+        "design": entry.name,
         "n_samples": n_samples,
-        "sample_rate": setup.sample_rate,
-        "bandwidth": setup.bandwidth,
-        "amplitude": setup.amplitude,
-        "frequency": setup.frequency,
+        "sample_rate": point.sample_rate,
+        "bandwidth": point.bandwidth,
+        "amplitude": point.amplitude,
+        "frequency": point.frequency,
         "noise_scale": noise_scale,
         "mismatch": mismatch,
         "engine": engine,
     }
 
-    # The device's (possibly transformed) cell configuration drives the
+    # The device's (possibly degraded) cell configuration drives the
     # power model: modulators expose .cell_config, the delay line .config.
     cell_config = getattr(device, "cell_config", None) or getattr(
         device, "config", None
     )
     chip = TestChip(cell_config if isinstance(cell_config, MemoryCellConfig) else None)
 
-    if setup.name == "delay-line":
+    if entry.name == "delay-line":
         # Table 1: static gain/offset errors against the ideal delayed
         # stimulus, fitted over the analysed (post-settle) samples.
         total = n_samples + bench.settle_samples
@@ -227,13 +202,13 @@ def build_report(
         )
         # Table 1 noise rows: wideband output noise of a zero-input run
         # and the paper's peak-to-peak SNR convention against it.
-        quiet = setup.build(transform)
+        quiet = entry.build(noise_scale, mismatch)
         noise_rms = float(np.std(quiet(np.zeros(1 << 13))[2:]))
         registry.record("noise_rms_na", noise_rms * 1e9, "run:zero-input 8K")
         if noise_rms > 0.0:
             registry.record(
                 "snr_pp_db",
-                20.0 * math.log10(2.0 * setup.amplitude / noise_rms),
+                20.0 * math.log10(2.0 * point.amplitude / noise_rms),
                 "run:zero-input 8K",
             )
         power = chip.delay_line_power(modulation_index=DELAY_LINE_POWER_INDEX)
@@ -249,7 +224,7 @@ def build_report(
             # (the 8K floor keeps the 2 kHz tone clear of the Blackman
             # window's DC lobe at the modulator clock).
             spec = sweep_spec_for_design(
-                setup.name,
+                entry.name,
                 n_samples=n_samples,
                 levels_db=SWEEP_LEVELS_DB,
                 noise_scale=noise_scale,

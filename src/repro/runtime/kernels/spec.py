@@ -44,6 +44,7 @@ import numpy as np
 from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
 from repro.deltasigma.dac import FeedbackDac
 from repro.deltasigma.dither import DitheredQuantizer
+from repro.deltasigma.loop import FeedbackLoop
 from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
 from repro.deltasigma.quantizer import CurrentQuantizer
@@ -293,13 +294,22 @@ def _loop_spec(quantizer: Any, dac: Any, full_scale: float) -> LoopSpec:
     )
 
 
+#: The kernel kind of each modulator loop.
+_LOOP_KINDS: tuple[tuple[type[FeedbackLoop], str], ...] = (
+    (SIModulator1, "mod1"),
+    (SIModulator2, "mod2"),
+    (ChopperStabilizedSIModulator, "chopper"),
+)
+
+
 def _stages_of(device: object) -> tuple[str, tuple[Any, ...]]:
     """Return ``(kind, stages)``: the device's live stages in spec order.
 
     A stage is a bare memory cell for the open-loop cell and delay
     line, and an integrator/differentiator (``._cell`` plus ``.cmff``)
-    everywhere else.  This is the one place that knows each lowered
-    device's shape.
+    everywhere else.  This is the one place that maps each lowered
+    device to its shape; a modulator loop's stages are its own
+    :meth:`~repro.deltasigma.loop.FeedbackLoop.loop_stages`.
     """
     if isinstance(device, ClassABMemoryCell):
         return "cell", (device,)
@@ -311,12 +321,9 @@ def _stages_of(device: object) -> tuple[str, tuple[Any, ...]]:
             for section in device.sections
             for stage in (section._int1, section._int2)
         )
-    if isinstance(device, SIModulator1):
-        return "mod1", (device._integrator,)
-    if isinstance(device, SIModulator2):
-        return "mod2", (device._int1, device._int2)
-    if isinstance(device, ChopperStabilizedSIModulator):
-        return "chopper", (device._diff1, device._diff2)
+    for loop, kind in _LOOP_KINDS:
+        if isinstance(device, loop):
+            return kind, tuple(stage for _, stage, _ in device.loop_stages())
     raise KernelUnsupported(
         f"no kernel lowering for {type(device).__name__}"
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -39,6 +39,7 @@ from repro.analysis.spectrum import compute_spectrum
 from repro.analysis.sweeps import AmplitudeSweepResult
 from repro.analysis.windows import WindowKind
 from repro.config import MODULATOR_FULL_SCALE
+from repro.designs import resolve
 from repro.errors import AnalysisError
 from repro.runtime.batch import (
     BatchUnsupported,
@@ -51,9 +52,7 @@ from repro.observability.spanio import WorkerTelemetry, graft_spans
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import ShardContext, SweepExecutor
 from repro.telemetry.spans import Span
-from repro.si.memory_cell import MemoryCellConfig
 from repro.systems.stimulus import coherent_frequency
-from repro.telemetry.designs import build_trace_setup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.live import EventSink
@@ -133,18 +132,19 @@ def sweep_spec_for_design(
     half the main FFT length (8K floor), a bin-centred tone, 256 settle
     samples.
     """
-    setup = build_trace_setup(design)
+    entry = resolve(design)
+    point = entry.point
     sweep_n = max(1 << 13, n_samples // 2)
     return SweepSpec(
-        design=setup.name,
+        design=entry.name,
         levels_db=tuple(float(level) for level in levels_db),
         full_scale=MODULATOR_FULL_SCALE,
         signal_frequency=coherent_frequency(
-            setup.frequency, setup.sample_rate, sweep_n
+            point.frequency, point.sample_rate, sweep_n
         ),
-        sample_rate=setup.sample_rate,
+        sample_rate=point.sample_rate,
         n_samples=sweep_n,
-        bandwidth=setup.bandwidth,
+        bandwidth=point.bandwidth,
         settle_samples=256,
         noise_scale=noise_scale,
         mismatch=mismatch,
@@ -181,23 +181,13 @@ def sweep_spec_from_mapping(raw: Mapping[str, Any]) -> SweepSpec:
 
 
 def _build_device(spec: SweepSpec) -> Any:
-    """Build a fresh device for the spec, with degradations applied.
+    """Build a fresh device for the spec, with its degradations applied.
 
-    Replays the transform of ``repro.metrics.report._degrade_transform``
-    so a sharded worker reconstructs the identical device.
+    It is the catalog's builder, the one
+    :func:`repro.metrics.report.build_report` measures with, so a
+    sharded worker reconstructs the identical device.
     """
-    setup = build_trace_setup(spec.design)
-    if spec.noise_scale == 1.0 and spec.mismatch == 0.0:
-        return setup.build(None)
-
-    def transform(config: MemoryCellConfig) -> MemoryCellConfig:
-        return replace(
-            config,
-            thermal_noise_rms=config.thermal_noise_rms * spec.noise_scale,
-            half_gain_mismatch=spec.mismatch,
-        )
-
-    return setup.build(transform)
+    return resolve(spec.design).build(spec.noise_scale, spec.mismatch)
 
 
 @dataclass(frozen=True)

@@ -137,13 +137,14 @@ def normalize_request(raw: Mapping[str, Any]) -> JobRequest:
         # service level matches dedup at the result-cache level.
         return JobRequest(kind="sweep", params=spec.cache_key())
 
-    from repro.telemetry.designs import build_trace_setup
+    from repro.designs import resolve
 
     design = raw.get("design")
     if not isinstance(design, str) or not design:
         raise ServiceError("report request needs a 'design' name")
     try:
-        resolved = build_trace_setup(design).name
+        entry = resolve(design)
+        entry.point  # an ERC-only design has no measurement to run
     except ConfigurationError as exc:
         raise ServiceError(str(exc)) from exc
     n_samples = raw.get("n_samples", DEFAULT_REPORT_SAMPLES)
@@ -158,7 +159,7 @@ def normalize_request(raw: Mapping[str, Any]) -> JobRequest:
             f"n_samples must be >= {1 << 13}, got {n_samples}"
         )
     params: dict[str, Any] = {
-        "design": resolved,
+        "design": entry.name,
         "n_samples": n_samples,
         "sweep": bool(raw.get("sweep", True)),
         "noise_scale": _coerce_float(raw, "noise_scale", 1.0),

@@ -295,17 +295,18 @@ class TestBench:
         Raises
         ------
         ConfigurationError
-            If ``design`` is not a runnable trace design.
+            If ``design`` is not a runnable design of the catalog.
         """
         # Imported lazily: repro.runtime.sweeps drives devices from
         # repro.systems, so a module-level import would be circular.
         from repro.config import MODULATOR_FULL_SCALE
+        from repro.designs import resolve
         from repro.runtime.sweeps import DEFAULT_LEVELS_DB, SweepSpec, run_sweep
-        from repro.telemetry.designs import build_trace_setup
 
-        setup = build_trace_setup(design)
+        entry = resolve(design)
+        point = entry.point
         spec = SweepSpec(
-            design=setup.name,
+            design=entry.name,
             levels_db=(
                 tuple(float(level) for level in levels_db)
                 if levels_db is not None
@@ -313,12 +314,12 @@ class TestBench:
             ),
             full_scale=MODULATOR_FULL_SCALE,
             signal_frequency=coherent_frequency(
-                setup.frequency, self.sample_rate, self.n_samples
+                point.frequency, self.sample_rate, self.n_samples
             ),
             sample_rate=self.sample_rate,
             n_samples=self.n_samples,
             bandwidth=(
-                self.bandwidth if self.bandwidth is not None else setup.bandwidth
+                self.bandwidth if self.bandwidth is not None else point.bandwidth
             ),
             window=self.window_kind.value,
             settle_samples=self.settle_samples,

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 from repro import _lazy_exports
 
 if TYPE_CHECKING:
-    from repro.telemetry.designs import TRACE_DESIGNS, TraceSetup, build_trace_setup
     from repro.telemetry.events import Severity, TelemetryEvent
     from repro.telemetry.export import export_jsonl
     from repro.telemetry.monitor import (
@@ -43,7 +42,6 @@ if TYPE_CHECKING:
     from repro.telemetry.spans import Span, render_span_tree
 
 _EXPORTS = {
-    "repro.telemetry.designs": ("TraceSetup", "TRACE_DESIGNS", "build_trace_setup"),
     "repro.telemetry.events": ("TelemetryEvent", "Severity"),
     "repro.telemetry.export": ("export_jsonl",),
     "repro.telemetry.monitor": (

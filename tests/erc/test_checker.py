@@ -4,15 +4,14 @@ import pytest
 
 from repro.config import delay_line_cell_config, paper_cell_config
 from repro.deltasigma import SIModulator2
+from repro.designs import design_names, resolve
 from repro.erc import (
     ErcReport,
     Severity,
-    build_design,
     check_design,
     default_registry,
     run_erc,
 )
-from repro.erc.designs import DESIGNS
 from repro.erc.graph import CircuitGraph
 from repro.errors import ConfigurationError, ERCError
 from repro.si import DelayLine
@@ -26,13 +25,13 @@ def bad_graph():
 
 
 class TestRunErc:
-    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    @pytest.mark.parametrize("name", design_names())
     def test_every_named_design_is_error_free(self, name):
-        report = run_erc(build_design(name))
+        report = run_erc(resolve(name).graph())
         assert report.ok, report.summary()
 
     def test_delay_line_reports_cmff_warning_only(self):
-        report = run_erc(build_design("delay-line"))
+        report = run_erc(resolve("delay-line").graph())
         assert [v.rule for v in report.warnings] == ["ERC003"]
         assert report.errors == ()
 
@@ -48,7 +47,7 @@ class TestRunErc:
         assert {v.rule for v in report.errors} == {"ERC001", "ERC005"}
 
     def test_min_severity_filters(self):
-        report = run_erc(build_design("delay-line"), min_severity=Severity.ERROR)
+        report = run_erc(resolve("delay-line").graph(), min_severity=Severity.ERROR)
         assert report.violations == ()
         assert report.ok
 
@@ -63,12 +62,12 @@ class TestRunErc:
 
     def test_unknown_design_name(self):
         with pytest.raises(ConfigurationError, match="unknown design"):
-            build_design("flux-capacitor")
+            resolve("flux-capacitor")
 
 
 class TestCheckDesign:
     def test_clean_design_returns_report(self):
-        report = check_design(build_design("mod2"))
+        report = check_design(resolve("mod2").graph())
         assert report.ok
 
     def test_violating_design_raises_with_report(self):
@@ -88,7 +87,7 @@ class TestErcReport:
         assert "ERC001" in table
 
     def test_empty_table_renders(self):
-        report = run_erc(build_design("mod2"), min_severity=Severity.ERROR)
+        report = run_erc(resolve("mod2").graph(), min_severity=Severity.ERROR)
         assert "no violations" in report.render_table()
 
     def test_filtered_keeps_design_name(self):
@@ -107,12 +106,12 @@ class TestDesignGraphs:
         assert graph.param("full_scale") == pytest.approx(6e-6)
 
     def test_chopper_graph_has_paired_choppers(self):
-        graph = build_design("chopper")
+        graph = resolve("chopper").graph()
         roles = sorted(n.param("role") for n in graph.nodes("chopper"))
         assert roles == ["input", "output"]
 
     def test_biquad_cascade_alternates_phases(self):
-        graph = build_design("biquad-cascade")
+        graph = resolve("biquad-cascade").graph()
         cells = list(graph.nodes("memory_cell"))
         assert len(cells) == 6  # 3 sections x 2 integrators
         assert all(n.param("sample_phase") is not None for n in cells)

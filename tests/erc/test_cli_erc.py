@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import COMMANDS, build_parser, list_commands, main
-from repro.erc.designs import DESIGNS
+from repro.designs import DESIGNS
 
 
 class TestErcCommand:

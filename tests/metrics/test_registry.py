@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.designs import DESIGNS
 from repro.errors import MetricsError
 from repro.metrics import Direction, MetricRegistry, MetricSpec, registry_for
-from repro.metrics.registry import BASE_SPECS, PAPER_REFERENCES
+from repro.metrics.registry import BASE_SPECS
 
 
 class TestMetricRegistry:
@@ -50,11 +51,13 @@ class TestMetricRegistry:
 
 
 class TestRegistryFor:
-    @pytest.mark.parametrize("design", sorted(PAPER_REFERENCES))
+    @pytest.mark.parametrize(
+        "design", sorted(name for name, entry in DESIGNS.items() if entry.operating_point)
+    )
     def test_paper_references_attached(self, design):
         registry = registry_for(design)
         assert registry.design == design
-        for name, (value, band) in PAPER_REFERENCES[design].items():
+        for name, (value, band) in DESIGNS[design].references.items():
             spec = registry.spec(name)
             assert spec.paper_value == value
             assert spec.paper_tolerance == band

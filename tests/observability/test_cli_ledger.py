@@ -106,12 +106,32 @@ class TestHistory:
         assert "sweep.dynamic_range_db" in output
 
     def test_history_unknown_design_lists_known(self, capsys, tmp_path):
+        # A catalog design with no runs yet: empty history, plus a
+        # pointer to the designs that have some.
         directory = _ledger_dir(tmp_path)
         _seed_drifting_ledger(directory, [60.0])
-        assert main(["history", "nonesuch", "--ledger-dir", directory]) == 0
+        assert main(["history", "chopper", "--ledger-dir", directory]) == 0
         output = capsys.readouterr().out
         assert "no ledger history" in output
         assert "designs with history: modulator2" in output
+
+    def test_history_resolves_an_alias(self, capsys, tmp_path):
+        directory = _ledger_dir(tmp_path)
+        _seed_drifting_ledger(directory, [60.0, 61.0, 62.0])
+        assert main(["history", "mod2", "--ledger-dir", directory]) == 0
+        output = capsys.readouterr().out
+        assert "history: modulator2" in output
+        assert "sweep.dynamic_range_db" in output
+        assert "no ledger history" not in output
+
+    def test_history_refuses_a_name_outside_the_catalog(self, capsys, tmp_path):
+        directory = _ledger_dir(tmp_path)
+        _seed_drifting_ledger(directory, [60.0])
+        assert main(["history", "flux-capacitor", "--ledger-dir", directory]) == 2
+        captured = capsys.readouterr()
+        assert "unknown design 'flux-capacitor'; available: " in captured.err
+        assert "modulator2" in captured.err
+        assert captured.out == ""
 
 
 class TestTrend:
@@ -149,6 +169,27 @@ class TestTrend:
         ]
         assert main(args) == 1
         assert "REGRESS" in capsys.readouterr().out
+
+    def test_design_filter_resolves_an_alias(self, capsys, tmp_path):
+        directory = _ledger_dir(tmp_path)
+        _seed_drifting_ledger(directory, [57.0] * 6 + [50.0, 50.0])
+        knobs = ["--window", "5", "--sustain", "2", "--threshold", "3.0"]
+        assert main(["trend", "mod2", "--ledger-dir", directory, *knobs]) == 1
+        by_alias = capsys.readouterr().out
+        assert main(["trend", "modulator2", "--ledger-dir", directory, *knobs]) == 1
+        assert by_alias == capsys.readouterr().out
+        assert "REGRESS" in by_alias
+
+    def test_design_filter_refuses_a_name_outside_the_catalog(
+        self, capsys, tmp_path
+    ):
+        directory = _ledger_dir(tmp_path)
+        _seed_drifting_ledger(directory, [57.0, 57.1])
+        args = ["trend", "flux-capacitor", "--strict", "--ledger-dir", directory]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "unknown design 'flux-capacitor'; available: " in captured.err
+        assert captured.out == ""
 
     def test_empty_ledger_passes(self, capsys, tmp_path):
         assert main(["trend", "--ledger-dir", _ledger_dir(tmp_path)]) == 0

@@ -30,6 +30,7 @@ from repro.deltasigma.dither import DitheredQuantizer
 from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
 from repro.deltasigma.quantizer import CurrentQuantizer
+from repro.designs import DESIGNS
 from repro.observability.instruments import get_registry, snapshot_delta
 from repro.runtime.batch import batch_runner_for
 from repro.runtime.engine import consume_fallbacks, force_scalar, use_engine
@@ -38,7 +39,6 @@ from repro.runtime.kernels.spec import CellSpec, drawn_streams
 from repro.runtime.sweeps import run_sweep, sweep_spec_for_design
 from repro.si.memory_cell import ClassABMemoryCell, class_ab_split
 from repro.systems.stimulus import coherent_frequency
-from repro.telemetry.designs import TRACE_DESIGNS
 from repro.telemetry.probes import SignalProbe
 from repro.telemetry.session import TelemetrySession
 
@@ -267,20 +267,23 @@ class TestLoopProbeParity:
 
 class TestTraceDesignParity:
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("name", sorted(TRACE_DESIGNS))
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, design in DESIGNS.items() if design.operating_point)
+    )
     def test_probed_run_matches_scalar_oracle(self, name, engine):
         # The paper pipeline runs its devices with telemetry attached;
         # the ladder must stay byte-identical with probes feeding.
-        setup = TRACE_DESIGNS[name]
+        design = DESIGNS[name]
+        point = design.point
         n = 2048
-        t = np.arange(n) / setup.sample_rate
-        stimulus = setup.amplitude * np.sin(
-            2.0 * np.pi * setup.frequency * t
+        t = np.arange(n) / point.sample_rate
+        stimulus = point.amplitude * np.sin(
+            2.0 * np.pi * point.frequency * t
         )
 
         def probed(context):
-            device = setup.build()
-            session = TelemetrySession(setup.name)
+            device = design.build()
+            session = TelemetrySession(design.name)
             device.attach_telemetry(session)
             with context:
                 out = device.run(stimulus)

@@ -27,11 +27,11 @@ from repro.deltasigma import (
 )
 from repro.deltasigma.dac import FeedbackDac
 from repro.deltasigma.quantizer import CurrentQuantizer
+from repro.designs import DESIGNS
 from repro.runtime.engine import consume_fallbacks, force_scalar, run_single
 from repro.si import DelayLine
 from repro.si.cascade import BiquadCascade
 from repro.si.memory_cell import ClassABMemoryCell
-from repro.telemetry.designs import TRACE_DESIGNS
 from repro.telemetry.session import TelemetrySession
 
 N_STEPS = 400
@@ -209,24 +209,25 @@ class TestProbedFastPath:
 
 
 class TestZeroFallbacks:
-    @pytest.mark.parametrize("name", sorted(TRACE_DESIGNS))
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, design in DESIGNS.items() if design.operating_point)
+    )
     def test_baseline_design_never_falls_back(self, name):
         # The tentpole's regression guard: every `repro` verb's design
         # must run on the fast path, so a run that quietly drops to the
         # scalar loop is a bug, not a slowdown.
-        setup = TRACE_DESIGNS[name]
-        device = setup.build(None)
+        device = DESIGNS[name].build()
+        point = DESIGNS[name].point
         t = np.arange(1024)
-        stimulus = setup.amplitude * np.sin(
-            2.0 * np.pi * setup.frequency * t / setup.sample_rate
+        stimulus = point.amplitude * np.sin(
+            2.0 * np.pi * point.frequency * t / point.sample_rate
         )
         consume_fallbacks()
         device(stimulus)
         assert consume_fallbacks() == []
 
     def test_probed_baseline_design_never_falls_back(self):
-        setup = TRACE_DESIGNS["modulator2"]
-        device = setup.build(None)
+        device = DESIGNS["modulator2"].build()
         device.attach_telemetry(TelemetrySession("fallback-guard"))
         consume_fallbacks()
         device(_stimulus(1024))

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.designs import design_names
 from repro.errors import QueueFullError, ServiceError
 from repro.observability.instruments import InstrumentRegistry, use_registry
 from repro.service import (
@@ -92,6 +93,16 @@ class TestEndpoints:
     def test_invalid_request_400(self, harness):
         with pytest.raises(ServiceError, match="design"):
             harness.client.submit({"design": "no-such-design"})
+
+    @pytest.mark.parametrize("design", ["biquad-cascade", "flux-capacitor"])
+    def test_unrunnable_design_400_names_the_designs(self, harness, design):
+        # An ERC-only catalog design has nothing to measure: refused
+        # like an unknown name, and either way the error lists the
+        # designs the service does run.
+        with pytest.raises(ServiceError, match="HTTP 400") as excinfo:
+            harness.client.submit({"design": design})
+        for name in design_names(runnable=True):
+            assert name in str(excinfo.value)
 
     def test_statsz_prometheus_and_json(self, harness):
         harness.client.submit(REQ)
