@@ -8,9 +8,9 @@ same devices bit-identically on faster rungs, all lowered through one
 * :mod:`repro.runtime.kernels` -- ``build_spec`` lowers a device into
   its frozen spec (the one place that knows each device's shape), and
   one codegen walk compiles it into a scalar layout, which runs single
-  runs, and a lane layout, which runs batches; the elementwise
-  class-AB store pipeline (:func:`store_batch`) is the lane layout's
-  fused store;
+  runs, and a lane layout, which runs batches; :func:`store_batch` is
+  the elementwise class-AB store pipeline, which the lane layout runs
+  buffered, once per period;
 * :mod:`repro.runtime.engine` -- the single-run ladder every device
   ``run`` method calls: kernel, then the scalar loop, with
   :func:`force_scalar` as the parity oracle and

@@ -7,8 +7,9 @@ side by side.  :func:`batch_runner_for` lowers the device through
 program the compiled kernel tier runs, so both engines refuse the same
 devices with the same messages -- and the runner calls the program's
 *lane layout*: the function the one codegen walk emits with every
-variable a row of ``n_lanes`` floats and one fused
-:func:`~repro.runtime.kernels.store_batch` call per clock period.
+variable a row of ``n_lanes`` floats, every pos/neg pair a
+``(2, n_lanes)`` block, and one fused
+:class:`~repro.runtime.kernels.store.LaneStore` call per clock period.
 This module only lays the data out and feeds the probes; the wiring of
 each design lives in the spec and the walk.
 
@@ -118,14 +119,24 @@ class _LaneRunner:
         # pos row, -h on its neg row.
         args["noise"] = rows = np.empty((n_steps, 2 * len(noise), n_lanes))
         for j, stream in enumerate(noise):
-            rows[:, 2 * j] = 0.5 * _step_major(stream, n_lanes, n_steps)
-            rows[:, 2 * j + 1] = -rows[:, 2 * j]
+            np.multiply(0.5, _step_major(stream, n_lanes, n_steps), out=rows[:, 2 * j])
+            np.negative(rows[:, 2 * j], out=rows[:, 2 * j + 1])
         for name, stream in loop_streams.items():
             args[name] = np.ascontiguousarray(_step_major(stream, n_lanes, n_steps))
 
-        inputs, signs = _kernel_inputs(program, data)
-        args.update((name, np.ascontiguousarray(x.T)) for name, x in inputs.items())
-        del inputs  # keep only the step-major copies alive through the run
+        # Laid out lane by lane, so the prologue's temporaries are one
+        # lane long.  A differential input is one step-major block whose
+        # x[i] is period i's (2, lanes) input pair.
+        paired = "xa" in program.arg_names
+        shape = (n_steps, 2, n_lanes) if paired else (n_steps, n_lanes)
+        args["x" if paired else "xs"] = x = np.empty(shape)
+        for lane in range(n_lanes):
+            inputs, signs = _kernel_inputs(program, data[lane])
+            if paired:
+                x[:, 0, lane] = inputs["xa"]
+                x[:, 1, lane] = inputs["xb"]
+            else:
+                x[:, lane] = inputs["xs"]
         args["out"] = out = np.empty((n_steps, n_lanes))
         probes = _probe_owners(program, device_parts(self._device)[0])
         buffers = [np.empty((n_steps, n_lanes)) for _ in probes]
@@ -139,9 +150,10 @@ class _LaneRunner:
         # summation-order rounding.
         for probe, buffer in zip(probes, buffers):
             probe.observe_array(np.ascontiguousarray(buffer.T).reshape(-1))
+        del args, rows, x  # free the noise rows and inputs first
         result = np.ascontiguousarray(out.T)
         if signs is not None:
-            result = signs * result
+            np.multiply(signs, result, out=result)
         if program.spec.loop is not None:
             _feed_loop_probes(self._device, data, result)
         return result

@@ -10,9 +10,10 @@ Public surface:
 * :func:`compile_spec` / :class:`KernelProgram` -- generate and cache
   both layouts of a spec's fused loop: the scalar ``fn`` single runs
   use and the lane-major ``lane_fn`` the batch runners call.
-* :func:`store_batch` -- the vectorised memory-cell settling update;
-  the lane layout stores every cell of every lane with one call per
-  period.
+* :func:`store_batch` -- the vectorised memory-cell settling update,
+  one shot; the lane layout runs the same law buffered
+  (:class:`~repro.runtime.kernels.store.LaneStore`), storing every
+  cell of every lane with one call per period.
 * :func:`run_kernel` / :func:`kernel_refusal` -- execute a device's
   run through the compiled tier (byte-identical to ``force_scalar()``),
   or predict why it would refuse.

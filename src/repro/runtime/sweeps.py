@@ -202,11 +202,11 @@ class _ShardResult:
 #: Crossover between the scalar kernel run lane by lane and the lane
 #: layout running all lanes at once: below it the kernel's per-sample
 #: fusion wins, above it the lanes amortise the NumPy dispatch.  On the
-#: generated lane layout (16,640-step lanes, no numba, one pinned Xeon
-#: core) batch overtakes the kernel at about 10 lanes for the delay
-#: line, 13-15 for modulator2 and the chopper and 21 for modulator1.
-#: No sweep workload sits between 8 and 32 lanes, so a move off 16
-#: could not be measured end to end.
+#: buffered lane layout (16,640-step lanes, no numba, one pinned core
+#: of a shared 2-core x86 host, three runs) batch overtakes the kernel
+#: at about 6 lanes for the delay line, 8 for modulator2, 8-12 for the
+#: chopper and 12-14 for modulator1.  No sweep workload sits between 7
+#: and 33 lanes, so a move off 16 could not be measured end to end.
 _KERNEL_CROSSOVER_LANES = 16
 
 

@@ -36,6 +36,7 @@ from repro.runtime.batch import batch_runner_for
 from repro.runtime.engine import consume_fallbacks, force_scalar, use_engine
 from repro.runtime.kernels import store_batch
 from repro.runtime.kernels.spec import CellSpec, drawn_streams
+from repro.runtime.kernels.store import LaneStore
 from repro.runtime.sweeps import run_sweep, sweep_spec_for_design
 from repro.si.memory_cell import ClassABMemoryCell, class_ab_split
 from repro.systems.stimulus import coherent_frequency
@@ -350,9 +351,21 @@ def _store_value(config, target):
     return value + config.injection.error_current(device_n)
 
 
-@st.composite
-def _store_cases(draw):
-    """A cell, the drawn slew mode, and ``(rows, lanes)`` previous/target arrays.
+#: The slew modes a store case draws: no, some or every element slews.
+_SLEW_MODES = ("none", "some", "all")
+
+
+def _store_config(draw):
+    """The paper cell config, or one with distinct clamp floors."""
+    if draw(st.booleans()):
+        return replace(
+            CONFIG, injection=replace(CONFIG.injection, quiescent_current=4e-6)
+        )
+    return CONFIG
+
+
+def _store_arrays(draw, config, mode, shape):
+    """Draw ``shape`` previous/target arrays in which ``mode`` elements slew.
 
     ``mode`` fixes whether none, some or all elements slew
     (``|delta| > bias``); every step sits at least 10% of the bias away
@@ -360,18 +373,9 @@ def _store_cases(draw):
     Targets and previous values include zero, and targets below
     -2.5 mA put the n-device current under both clamp floors.
     """
-    config = CONFIG
-    if draw(st.booleans()):
-        # Distinct transmission and injection clamp floors.
-        config = replace(
-            config, injection=replace(config.injection, quiescent_current=4e-6)
-        )
     bias = config.gga.bias_current
     kick = config.gga.phase_kick_fraction
-    mode = draw(st.sampled_from(("none", "some", "all")))
-    rows = draw(st.integers(min_value=1, max_value=4))
-    lanes = draw(st.integers(min_value=2 if mode == "some" else 1, max_value=6))
-    size = rows * lanes
+    size = shape[0] * shape[1]
     if mode == "some":
         rest = draw(st.lists(st.booleans(), min_size=size - 2, max_size=size - 2))
         slews = draw(st.permutations([True, False, *rest]))
@@ -397,9 +401,42 @@ def _store_cases(draw):
             value = _store_value(config, current)
             previous.append(value + kick * value - step)
             target.append(current)
-    shape = (rows, lanes)
-    cell = ClassABMemoryCell(config)
-    return cell, mode, np.reshape(previous, shape), np.reshape(target, shape)
+    return np.reshape(previous, shape), np.reshape(target, shape)
+
+
+@st.composite
+def _store_cases(draw):
+    """A cell, the drawn slew mode, and ``(rows, lanes)`` previous/target arrays."""
+    config = _store_config(draw)
+    mode = draw(st.sampled_from(_SLEW_MODES))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    lanes = draw(st.integers(min_value=2 if mode == "some" else 1, max_value=6))
+    previous, target = _store_arrays(draw, config, mode, (rows, lanes))
+    return ClassABMemoryCell(config), mode, previous, target
+
+
+@st.composite
+def _store_sequences(draw):
+    """A cell and a sequence of same-shape store calls mixing every slew mode."""
+    config = _store_config(draw)
+    shape = (
+        draw(st.integers(min_value=1, max_value=4)),
+        draw(st.integers(min_value=2, max_value=6)),
+    )
+    extra = draw(st.lists(st.sampled_from(_SLEW_MODES), max_size=4))
+    modes = draw(st.permutations([*_SLEW_MODES, *extra]))
+    calls = [(mode, *_store_arrays(draw, config, mode, shape)) for mode in modes]
+    return ClassABMemoryCell(config), calls
+
+
+def _scalar_store(cell, previous, target):
+    """Store element by element through ``_store_half``: values and slews."""
+    return zip(
+        *(
+            cell._store_half(p, t)
+            for p, t in zip(previous.ravel().tolist(), target.ravel().tolist())
+        )
+    )
 
 
 class TestStoreBatchParity:
@@ -410,14 +447,27 @@ class TestStoreBatchParity:
         # scalar half-circuit store element by element, whether no
         # element, some or every element slews.
         cell, mode, previous, target = case
-        want, slewed = zip(
-            *(
-                cell._store_half(p, t)
-                for p, t in zip(previous.ravel().tolist(), target.ravel().tolist())
-            )
-        )
+        want, slewed = _scalar_store(cell, previous, target)
         assert any(slewed) == (mode != "none")
         assert all(slewed) == (mode == "all")
         got = store_batch(previous, target, CellSpec.from_cell(cell))
         assert got.shape == previous.shape
         assert got.tobytes() == np.array(want).reshape(previous.shape).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_store_sequences())
+    def test_buffered_store_matches_across_calls(self, case):
+        # The lane layout reuses one store every period: whatever an
+        # earlier call, slow path or fast, left in the shared scratch
+        # arrays, each call must equal the scalar store element by
+        # element.
+        cell, calls = case
+        store = LaneStore(CellSpec.from_cell(cell), calls[0][1].shape)
+        for mode, previous, target in calls:
+            want, slewed = _scalar_store(cell, previous, target)
+            assert any(slewed) == (mode != "none")
+            store.state[...] = previous
+            store.target[...] = target
+            store()
+            want_bytes = np.array(want).reshape(previous.shape).tobytes()
+            assert store.state.tobytes() == want_bytes, mode
