@@ -87,7 +87,7 @@ if TYPE_CHECKING:
 # ``import repro.cli`` as its import layer and wraps the engine's calls
 # before ``main`` runs.  Every other verb imports what it uses inside
 # its ``cmd_*`` function.
-from repro.errors import ObservabilityError
+from repro.errors import AnalysisError, ObservabilityError
 from repro.metrics import build_report, collect_provenance
 from repro.observability.ledger import RunLedger
 from repro.observability.live import open_event_stream
@@ -398,9 +398,7 @@ def cmd_trace(
     if json_path is not None:
         target = export_jsonl(session, json_path)
         print(f"trace written to {target}")
-    if not session.ok or (strict and session.warning_events):
-        return 1
-    return 0
+    return session.gate.exit_code(strict)
 
 
 def cmd_sweep(
@@ -422,7 +420,6 @@ def cmd_sweep(
     import json
 
     from repro.analysis.fitting import dynamic_range_from_sweep
-    from repro.errors import AnalysisError
     from repro.metrics.spectral import db_to_bits
     from repro.observability.instruments import InstrumentRegistry, use_registry
     from repro.reporting.tables import Table
@@ -604,20 +601,11 @@ def cmd_stats(
 
 def _sweep_spec_from_json(path: str) -> "SweepSpec":
     """Load a SweepSpec from a JSON file of its constructor fields."""
-    import json
-    from pathlib import Path
-
     from repro.errors import ConfigurationError
+    from repro.findings import read_json_object
     from repro.runtime.sweeps import sweep_spec_from_mapping
 
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigurationError(f"sweep spec not found: {path}") from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read sweep spec {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"sweep spec {path} is not a JSON object")
+    raw = read_json_object(path, "sweep spec", ConfigurationError)
     try:
         return sweep_spec_from_mapping(raw)
     except ConfigurationError as exc:
@@ -736,7 +724,7 @@ def cmd_bench_gate(
                     "limit_s": row.limit_s,
                     "speedup": row.speedup,
                     "min_speedup": row.min_speedup,
-                    "ok": row.ok,
+                    "ok": not row.failures,
                 }
                 for row in report.rows
             ],
@@ -790,6 +778,7 @@ def cmd_trend(
     ledger_dir: str | None = None,
 ) -> int:
     """Gate on sustained cross-run drift in the run ledger."""
+    from repro.errors import ConfigurationError
     from repro.observability.trend import (
         DEFAULT_SUSTAIN,
         DEFAULT_THRESHOLD,
@@ -801,13 +790,17 @@ def cmd_trend(
         design = _ledger_design(design)
         if design is None:
             return 2
-    report = analyze_ledger(
-        RunLedger(ledger_dir),
-        design=design,
-        window=window if window is not None else DEFAULT_WINDOW,
-        sustain=sustain if sustain is not None else DEFAULT_SUSTAIN,
-        threshold=threshold if threshold is not None else DEFAULT_THRESHOLD,
-    )
+    try:
+        report = analyze_ledger(
+            RunLedger(ledger_dir),
+            design=design,
+            window=window if window is not None else DEFAULT_WINDOW,
+            sustain=sustain if sustain is not None else DEFAULT_SUSTAIN,
+            threshold=threshold if threshold is not None else DEFAULT_THRESHOLD,
+        )
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.render_table())
     print(report.summary())
     if json_path is not None:
@@ -1754,10 +1747,22 @@ def list_commands() -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns a process exit code.
 
+    A measurement the analysis cannot perform (a record too short for
+    the window, a tone too close to DC) is refused with exit 2, like
+    any other input a verb cannot use.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args, argv)
+    except AnalysisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace, argv: list[str] | None) -> int:
+    """Run the verb ``args`` names; return its exit code."""
     if args.list or args.command is None:
         print(list_commands())
         return 0

@@ -35,14 +35,13 @@ class ErcReport(Report[ErcViolation]):
     violations:
         Every violation found, in rule order.
 
-    The partitions (:attr:`errors`, :attr:`warnings`, :attr:`ok`), the
-    summary line and the exit-code gate come from the shared
-    :class:`repro.findings.Report` skeleton, so ``repro erc`` and
-    ``repro lint`` render and gate identically.
+    The partitions (:attr:`regressions`, :attr:`warnings`, :attr:`ok`),
+    the summary line and the exit-code gate come from the shared
+    :class:`repro.findings.Report`, so ``repro erc`` and ``repro lint``
+    render and gate identically.
     """
 
     label = "ERC"
-    noun = "violation"
 
     def __init__(
         self, design: str, violations: tuple[ErcViolation, ...] = ()
@@ -114,11 +113,10 @@ def run_erc(
     """
     graph = _resolve_graph(design)
     rules = registry if registry is not None else default_registry()
-    violations: list[ErcViolation] = []
-    for rule in rules:
-        violations.extend(rule.check(graph))
-    report = ErcReport(design=graph.name, violations=tuple(violations))
-    return report.filtered(min_severity)
+    violations = tuple(
+        v for rule in rules for v in rule.check(graph) if v.severity >= min_severity
+    )
+    return ErcReport(design=graph.name, violations=violations)
 
 
 def check_design(
@@ -138,7 +136,7 @@ def check_design(
     """
     report = run_erc(design, registry=registry)
     if not report.ok:
-        detail = "; ".join(str(v) for v in report.errors)
+        detail = "; ".join(str(v) for v in report.regressions)
         raise ERCError(
             f"{report.summary()}: {detail}",
             report=report,

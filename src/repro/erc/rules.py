@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 
 from repro.erc.graph import CircuitGraph, CircuitNode
 from repro.errors import ConfigurationError
-from repro.findings import Severity
+from repro.findings import Severity, finite_or_none
 from repro.si.headroom import HeadroomAnalysis
 
 __all__ = [
@@ -569,12 +569,8 @@ class ChopperPairingRule(Rule):
 
 def _is_positive(value: object) -> bool:
     """Return True when ``value`` is a positive finite number."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0.0
-    )
+    number = finite_or_none(value)
+    return number is not None and number > 0.0
 
 
 def default_registry() -> RuleRegistry:

@@ -25,18 +25,14 @@ from typing import TYPE_CHECKING
 from repro import _lazy_exports
 
 if TYPE_CHECKING:
+    from repro.findings import DiffStatus
     from repro.metrics.benchgate import (
         BenchGateReport,
         BenchGateRow,
         compare_bench_telemetry,
         run_bench_gate,
     )
-    from repro.metrics.compare import (
-        CompareReport,
-        DiffStatus,
-        MetricDiff,
-        compare_manifests,
-    )
+    from repro.metrics.compare import CompareReport, MetricDiff, compare_manifests
     from repro.metrics.extractors import (
         delay_line_error_records,
         fit_delay_line_error,
@@ -67,18 +63,14 @@ if TYPE_CHECKING:
     )
 
 _EXPORTS = {
+    "repro.findings": ("DiffStatus",),
     "repro.metrics.benchgate": (
         "BenchGateReport",
         "BenchGateRow",
         "compare_bench_telemetry",
         "run_bench_gate",
     ),
-    "repro.metrics.compare": (
-        "CompareReport",
-        "MetricDiff",
-        "DiffStatus",
-        "compare_manifests",
-    ),
+    "repro.metrics.compare": ("CompareReport", "MetricDiff", "compare_manifests"),
     "repro.metrics.extractors": (
         "tone_records",
         "sweep_records",

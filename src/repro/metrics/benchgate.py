@@ -11,6 +11,10 @@ baseline (``baselines/bench.json``), then fails the build when
 * a recorded speedup figure (vectorized engine vs the scalar loop)
   fell below the baseline's floor.
 
+A measured figure that is not a finite number fails its row as a
+missing one does; a baseline figure that is present but not a finite
+number is refused, so a typo can never silently lift a floor.
+
 The baseline intentionally stores generous wall times: CI machines are
 slower and noisier than the workstation that recorded them, and the
 gate exists to catch order-of-magnitude regressions (a vectorized path
@@ -19,12 +23,12 @@ silently falling back to the scalar loop), not 5 % scheduling jitter.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import MetricsError
+from repro.findings import DiffStatus, Gate, finite_or_none, read_json_object
 from repro.reporting.tables import Table
 
 __all__ = [
@@ -74,23 +78,23 @@ class BenchGateRow:
     failures: tuple[str, ...] = ()
 
     @property
-    def ok(self) -> bool:
-        """Return True when the row passes every check."""
-        return not self.failures
+    def status(self) -> DiffStatus:
+        """REGRESS when any check failed, else PASS."""
+        return DiffStatus.REGRESS if self.failures else DiffStatus.PASS
 
 
-@dataclass(frozen=True)
-class BenchGateReport:
+class BenchGateReport(Gate[BenchGateRow]):
     """Full gate verdict over every baselined benchmark."""
 
-    rows: tuple[BenchGateRow, ...]
-    tolerance: float
-    extra_benchmarks: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        """Return True when every baselined benchmark passes."""
-        return all(row.ok for row in self.rows)
+    def __init__(
+        self,
+        rows: Iterable[BenchGateRow],
+        tolerance: float,
+        extra_benchmarks: Iterable[str] = (),
+    ) -> None:
+        super().__init__(rows)
+        self.tolerance = tolerance
+        self.extra_benchmarks: tuple[str, ...] = tuple(extra_benchmarks)
 
     @property
     def failures(self) -> list[str]:
@@ -114,13 +118,13 @@ class BenchGateReport:
                 f"{row.limit_s:.2f} s",
                 "-" if row.speedup is None else f"{row.speedup:.1f}x",
                 "-" if row.min_speedup is None else f"{row.min_speedup:.1f}x",
-                "ok" if row.ok else "FAIL",
+                "FAIL" if row.failures else "ok",
             )
         return table.render()
 
     def summary(self) -> str:
         """Return a one-line pass/fail summary."""
-        n_fail = sum(1 for row in self.rows if not row.ok)
+        n_fail = len(self.regressions)
         if n_fail == 0:
             return f"bench gate: {len(self.rows)} benchmark(s) within baseline"
         return (
@@ -128,16 +132,15 @@ class BenchGateReport:
             + "; ".join(self.failures)
         )
 
-    def exit_code(self) -> int:
-        """Return the process exit code (0 pass, 1 regression)."""
-        return 0 if self.ok else 1
 
-
-def _as_float(value: object) -> float | None:
-    """Return a finite float, or None for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _baseline_figure(value: object, what: str) -> float | None:
+    """Return a baseline figure; None when absent, refused when unusable."""
+    if value is None:
         return None
-    return float(value)
+    number = finite_or_none(value)
+    if number is None:
+        raise MetricsError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def compare_bench_telemetry(
@@ -160,7 +163,8 @@ def compare_bench_telemetry(
     Raises
     ------
     MetricsError
-        If either document is structurally invalid.
+        If either document is structurally invalid, or a tolerance or
+        baseline figure is not a finite number.
     """
     gated = baseline.get("benchmarks")
     if not isinstance(gated, Mapping) or not gated:
@@ -168,8 +172,9 @@ def compare_bench_telemetry(
             "bench baseline has no 'benchmarks' mapping; regenerate it "
             "from a healthy BENCH_telemetry.json"
         )
-    if tolerance is None:
-        tolerance = _as_float(baseline.get("tolerance"))
+    tolerance = _baseline_figure(
+        baseline.get("tolerance") if tolerance is None else tolerance, "tolerance"
+    )
     if tolerance is None:
         tolerance = DEFAULT_TOLERANCE
     if tolerance < 0.0:
@@ -189,12 +194,14 @@ def compare_bench_telemetry(
         spec = gated[name]
         if not isinstance(spec, Mapping):
             raise MetricsError(f"baseline entry for {name!r} is not a mapping")
-        base_wall = _as_float(spec.get("wall_s"))
+        base_wall = finite_or_none(spec.get("wall_s"))
         if base_wall is None or base_wall <= 0.0:
             raise MetricsError(
                 f"baseline entry for {name!r} needs a positive wall_s"
             )
-        min_speedup = _as_float(spec.get("min_speedup"))
+        min_speedup = _baseline_figure(
+            spec.get("min_speedup"), f"min_speedup of {name!r}"
+        )
         limit = base_wall * (1.0 + tolerance)
         record = records.get(name)
         failures: list[str] = []
@@ -202,7 +209,7 @@ def compare_bench_telemetry(
         if record is None:
             failures.append("benchmark missing from telemetry document")
         else:
-            wall = _as_float(record.get("wall_s"))
+            wall = finite_or_none(record.get("wall_s"))
             if wall is None:
                 failures.append("record has no wall_s figure")
             elif wall > limit:
@@ -211,7 +218,7 @@ def compare_bench_telemetry(
                     f"(baseline {base_wall:.2f} s + {tolerance:.0%})"
                 )
             if min_speedup is not None:
-                speedup = _as_float(record.get("speedup"))
+                speedup = finite_or_none(record.get("speedup"))
                 if speedup is None:
                     failures.append("record has no speedup figure")
                 elif speedup < min_speedup:
@@ -234,28 +241,14 @@ def compare_bench_telemetry(
     )
 
 
-def _load_json(path: str | Path, label: str) -> dict[str, object]:
-    """Load a JSON document, raising MetricsError on any problem."""
-    target = Path(path)
-    try:
-        loaded = json.loads(target.read_text())
-    except OSError as exc:
-        raise MetricsError(f"cannot read {label} {target}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MetricsError(f"{label} {target} is not valid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise MetricsError(f"{label} {target} must be a JSON object")
-    return loaded
-
-
 def load_bench_telemetry(path: str | Path) -> dict[str, object]:
     """Load and validate a ``BENCH_telemetry.json`` document."""
-    return _load_json(path, "bench telemetry")
+    return read_json_object(path, "bench telemetry", MetricsError)
 
 
 def load_bench_baseline(path: str | Path) -> dict[str, object]:
     """Load and validate a committed ``baselines/bench.json`` document."""
-    document = _load_json(path, "bench baseline")
+    document = read_json_object(path, "bench baseline", MetricsError)
     schema = document.get("schema")
     if schema != BENCH_BASELINE_SCHEMA:
         raise MetricsError(

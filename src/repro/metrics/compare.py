@@ -12,27 +12,19 @@ metric's direction and tolerance:
 * ungated metrics (wall time, throughput) -> **INFO**, never failing.
 
 ``--strict`` promotes warnings to failures, the posture CI runs with.
+The exit rule is the shared :class:`~repro.findings.Gate`'s.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
+from repro.findings import DiffStatus, Gate
 from repro.metrics.manifest import RunManifest
-from repro.metrics.records import Direction, MetricRecord
+from repro.metrics.records import MetricRecord
 from repro.reporting.tables import render_table
 
-__all__ = ["DiffStatus", "MetricDiff", "CompareReport", "compare_manifests"]
-
-
-class DiffStatus(enum.Enum):
-    """Per-metric verdict of a comparison, ordered by severity."""
-
-    INFO = "INFO"
-    PASS = "PASS"
-    WARN = "WARN"
-    REGRESS = "REGRESS"
+__all__ = ["MetricDiff", "CompareReport", "compare_manifests"]
 
 
 @dataclass(frozen=True)
@@ -91,14 +83,7 @@ def _diff_one(current: MetricRecord, baseline: MetricRecord) -> MetricDiff:
     if tolerance is None:
         return diff(DiffStatus.INFO, "no baseline tolerance declared")
 
-    if current.direction is Direction.HIGHER:
-        worse, better = delta < -tolerance, delta > tolerance
-    elif current.direction is Direction.LOWER:
-        worse, better = delta > tolerance, delta < -tolerance
-    else:  # TARGET: any drift past tolerance is bad.
-        worse, better = abs(delta) > tolerance, False
-
-    if worse:
+    if current.direction.worse(delta, tolerance):
         return diff(
             DiffStatus.REGRESS,
             f"moved {delta:+.3g} {current.unit} against a "
@@ -114,7 +99,9 @@ def _diff_one(current: MetricRecord, baseline: MetricRecord) -> MetricDiff:
             f"outside the paper's band {current.paper_value:g}"
             f"+/-{current.paper_tolerance:g} {current.unit}",
         )
-    if better:
+    # Past the gate the good way; TARGET's test is symmetric, so a
+    # TARGET metric that got here never reads as improved.
+    if current.direction.worse(-delta, tolerance):
         return diff(
             DiffStatus.WARN,
             f"improved {delta:+.3g} {current.unit} past the gate; "
@@ -123,58 +110,27 @@ def _diff_one(current: MetricRecord, baseline: MetricRecord) -> MetricDiff:
     return diff(DiffStatus.PASS, "within tolerance")
 
 
-class CompareReport:
-    """The full result of one manifest-vs-baseline comparison."""
+class CompareReport(Gate[MetricDiff]):
+    """The full result of one manifest-vs-baseline comparison.
+
+    Its notes are comparison-level warnings (design/config mismatches).
+    """
 
     def __init__(
         self,
         current: RunManifest,
         baseline: RunManifest,
-        diffs: list[MetricDiff],
-        config_notes: list[str],
+        rows: list[MetricDiff],
+        notes: list[str],
     ) -> None:
+        super().__init__(rows, notes)
         self.current = current
         self.baseline = baseline
-        self.diffs = diffs
-        #: Comparison-level warnings (design/config mismatches).
-        self.config_notes = config_notes
-
-    @property
-    def regressions(self) -> list[MetricDiff]:
-        """Return the diffs that regressed."""
-        return [d for d in self.diffs if d.status is DiffStatus.REGRESS]
-
-    @property
-    def warnings(self) -> list[MetricDiff]:
-        """Return the WARN-status diffs."""
-        return [d for d in self.diffs if d.status is DiffStatus.WARN]
-
-    @property
-    def ok(self) -> bool:
-        """Return True when nothing regressed."""
-        return not self.regressions
-
-    def exit_code(self, strict: bool = False) -> int:
-        """Return the process exit code ``repro compare`` should use."""
-        if not self.ok:
-            return 1
-        if strict and (self.warnings or self.config_notes):
-            return 1
-        return 0
 
     def render_table(self) -> str:
         """Return the per-metric diff table, worst statuses first."""
-        severity = {
-            DiffStatus.REGRESS: 0,
-            DiffStatus.WARN: 1,
-            DiffStatus.PASS: 2,
-            DiffStatus.INFO: 3,
-        }
-        ordered = sorted(
-            enumerate(self.diffs), key=lambda item: (severity[item[1].status], item[0])
-        )
         rows = []
-        for _, diff in ordered:
+        for diff in self.ordered():
             rows.append(
                 (
                     diff.name,
@@ -196,8 +152,8 @@ class CompareReport:
             ("metric", "baseline", "current", "delta", "tolerance", "status", "note"),
             rows,
         )
-        if self.config_notes:
-            notes = "\n".join(f"note: {note}" for note in self.config_notes)
+        if self.notes:
+            notes = "\n".join(f"note: {note}" for note in self.notes)
             return table + "\n" + notes
         return table
 
@@ -208,7 +164,7 @@ class CompareReport:
         suffix = f" -- regressed: {regressed}" if regressed else ""
         return (
             f"compare {verdict}: {self.current.design} -- "
-            f"{len(self.diffs)} metric(s), {len(self.regressions)} regression(s), "
+            f"{len(self.rows)} metric(s), {len(self.regressions)} regression(s), "
             f"{len(self.warnings)} warning(s){suffix}"
         )
 
@@ -226,16 +182,16 @@ def compare_manifests(current: RunManifest, baseline: RunManifest) -> CompareRep
     because a cross-design diff is sometimes exactly what a developer
     asks for.
     """
-    config_notes: list[str] = []
+    notes: list[str] = []
     if current.design != baseline.design:
-        config_notes.append(
+        notes.append(
             f"design mismatch: comparing {current.design!r} "
             f"against baseline {baseline.design!r}"
         )
     for key in _COMPARED_CONFIG_KEYS:
         ours, theirs = current.config.get(key), baseline.config.get(key)
         if ours is not None and theirs is not None and ours != theirs:
-            config_notes.append(
+            notes.append(
                 f"config mismatch: {key}={ours!r} vs baseline {key}={theirs!r}"
             )
 
@@ -274,4 +230,4 @@ def compare_manifests(current: RunManifest, baseline: RunManifest) -> CompareRep
                     note="missing from this run (MISSING)",
                 )
             )
-    return CompareReport(current, baseline, diffs, config_notes)
+    return CompareReport(current, baseline, diffs, notes)

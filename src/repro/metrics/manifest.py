@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.errors import MetricsError
+from repro.findings import read_json_object
 from repro.metrics.provenance import Provenance, collect_provenance
 from repro.metrics.records import MetricRecord
 from repro.metrics.registry import MetricRegistry
@@ -236,16 +237,7 @@ def load_manifest(path: str | Path) -> RunManifest:
     MetricsError
         If the file is missing, not JSON, or not a run manifest.
     """
-    target = Path(path)
-    try:
-        data = json.loads(target.read_text())
-    except FileNotFoundError:
-        raise MetricsError(f"manifest not found: {target}") from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MetricsError(f"cannot read manifest {target}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise MetricsError(f"manifest {target} is not a JSON object")
-    return RunManifest.from_dict(data)
+    return RunManifest.from_dict(read_json_object(path, "manifest", MetricsError))
 
 
 # -- benchmark-harness telemetry --------------------------------------

@@ -53,6 +53,14 @@ class Direction(enum.Enum):
             f"{', '.join(m.value for m in cls)}"
         )
 
+    def worse(self, delta: float, bound: float) -> bool:
+        """Return True when a move of ``delta`` is past ``bound`` the bad way."""
+        if self is Direction.HIGHER:
+            return delta < -bound
+        if self is Direction.LOWER:
+            return delta > bound
+        return abs(delta) > bound
+
 
 @dataclass(frozen=True)
 class MetricSpec:

@@ -2,8 +2,8 @@
 
 ``repro stats <design> --json`` writes a provenance-stamped snapshot
 document (:data:`STATS_SCHEMA`); this module loads two such documents
-and diffs them series by series with the same verdict ladder the
-manifest regression gate uses (:class:`~repro.metrics.compare.DiffStatus`):
+and diffs them series by series on the verdict ladder every gate
+shares (:class:`~repro.findings.DiffStatus`):
 
 * a **gated** counter increasing (``repro.executor.timeouts``,
   ``repro.cache.corruption`` -> REGRESS; retries, kernel fallbacks to
@@ -14,7 +14,9 @@ manifest regression gate uses (:class:`~repro.metrics.compare.DiffStatus`):
 
 ``repro stats --diff current.json baseline.json --strict`` promotes
 warnings to failures, so instrument snapshots participate in the same
-regression workflow as run manifests.
+regression workflow as run manifests.  A series value that is not a
+finite number is refused: the gate never judges a number it cannot
+read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.errors import ObservabilityError
-from repro.metrics.compare import DiffStatus
+from repro.findings import DiffStatus, Gate, finite_or_none, read_json_object
 from repro.observability.instruments import SNAPSHOT_SCHEMA
 from repro.reporting.tables import render_table
 
@@ -85,26 +87,13 @@ class InstrumentDiff:
     note: str
 
 
-class StatsDiffReport:
+class StatsDiffReport(Gate[InstrumentDiff]):
     """Every series' verdict for one snapshot comparison."""
-
-    def __init__(self, diffs: list[InstrumentDiff]) -> None:
-        self.diffs = diffs
-
-    @property
-    def regressions(self) -> list[InstrumentDiff]:
-        """Return the REGRESS-status diffs."""
-        return [d for d in self.diffs if d.status is DiffStatus.REGRESS]
-
-    @property
-    def warnings(self) -> list[InstrumentDiff]:
-        """Return the WARN-status diffs."""
-        return [d for d in self.diffs if d.status is DiffStatus.WARN]
 
     def render_table(self) -> str:
         """Return the comparison as a paper-style text table."""
         rows = []
-        for diff in self.diffs:
+        for diff in self.rows:
             rows.append(
                 (
                     diff.name,
@@ -127,18 +116,10 @@ class StatsDiffReport:
         """Return a one-line verdict summary."""
         verdict = "REGRESS" if self.regressions else "PASS"
         return (
-            f"stats diff {verdict}: {len(self.diffs)} series, "
+            f"stats diff {verdict}: {len(self.rows)} series, "
             f"{len(self.regressions)} regression(s), "
             f"{len(self.warnings)} warning(s)"
         )
-
-    def exit_code(self, strict: bool = False) -> int:
-        """Return the process exit code (1 on REGRESS, or WARN under strict)."""
-        if self.regressions:
-            return 1
-        if strict and self.warnings:
-            return 1
-        return 0
 
 
 def _series_values(
@@ -149,6 +130,11 @@ def _series_values(
     Counters and gauges map to their value, histograms to their
     observation count (latency distributions shift run to run; the
     gateable quantity is how many events happened).
+
+    Raises
+    ------
+    ObservabilityError
+        If a series value is not a finite number.
     """
     out: dict[tuple[str, str], tuple[str, float]] = {}
     instruments = snapshot.get("instruments")
@@ -177,8 +163,12 @@ def _series_values(
                 else "-"
             )
             raw = item.get("count") if kind == "histogram" else item.get("value")
-            if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-                out[(str(name), rendered)] = (kind, float(raw))
+            value = finite_or_none(raw)
+            if value is None:
+                raise ObservabilityError(
+                    f"series {name} [{rendered}] has no finite value: {raw!r}"
+                )
+            out[(str(name), rendered)] = (kind, value)
     return out
 
 
@@ -194,7 +184,7 @@ def diff_snapshots(
     """
     current_values = _series_values(current)
     baseline_values = _series_values(baseline)
-    diffs: list[InstrumentDiff] = []
+    rows: list[InstrumentDiff] = []
     for key in sorted(set(current_values) | set(baseline_values)):
         name, labels = key
         cur = current_values.get(key)
@@ -202,7 +192,7 @@ def diff_snapshots(
         gate = GATED_COUNTERS.get(name)
         if cur is None:
             assert base is not None
-            diffs.append(
+            rows.append(
                 InstrumentDiff(
                     name, labels, None, base[1], DiffStatus.WARN,
                     "MISSING: series absent from the current snapshot",
@@ -211,7 +201,7 @@ def diff_snapshots(
             continue
         if base is None:
             status = gate if gate is not None and cur[1] > 0 else DiffStatus.WARN
-            diffs.append(
+            rows.append(
                 InstrumentDiff(
                     name, labels, cur[1], None, status,
                     "NEW: series absent from the baseline snapshot",
@@ -220,26 +210,26 @@ def diff_snapshots(
             continue
         delta = cur[1] - base[1]
         if delta == 0.0:
-            diffs.append(
+            rows.append(
                 InstrumentDiff(
                     name, labels, cur[1], base[1], DiffStatus.PASS, "unchanged"
                 )
             )
         elif gate is not None and delta > 0.0:
-            diffs.append(
+            rows.append(
                 InstrumentDiff(
                     name, labels, cur[1], base[1], gate,
                     f"gated counter increased by {delta:g}",
                 )
             )
         else:
-            diffs.append(
+            rows.append(
                 InstrumentDiff(
                     name, labels, cur[1], base[1], DiffStatus.INFO,
                     f"changed by {delta:+g} (not gated)",
                 )
             )
-    return StatsDiffReport(diffs)
+    return StatsDiffReport(rows)
 
 
 def write_stats_json(
@@ -275,16 +265,7 @@ def load_stats_json(path: str | Path) -> dict[str, object]:
         nor a bare instrument snapshot.
     """
     target = Path(path)
-    try:
-        data = json.loads(target.read_text())
-    except FileNotFoundError:
-        raise ObservabilityError(f"stats document not found: {target}") from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ObservabilityError(
-            f"cannot read stats document {target}: {exc}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise ObservabilityError(f"stats document {target} is not a JSON object")
+    data = read_json_object(target, "stats document", ObservabilityError)
     if data.get("schema") == STATS_SCHEMA:
         snapshot = data.get("snapshot")
         if not isinstance(snapshot, dict):

@@ -17,8 +17,11 @@ applies a robust rolling statistic:
   than ``threshold`` scales *in the bad direction* (each metric's
   declared direction: SNDR falling is bad, wall time rising is bad).
 
-The verdict reuses the :class:`~repro.metrics.compare.DiffStatus`
-ladder: all of the last ``sustain`` runs drifted -> **REGRESS**
+A point that is not a finite number (a sweep whose DR fit failed) is
+dropped from its series.
+
+The verdict uses the :class:`~repro.findings.DiffStatus` ladder every
+gate shares: all of the last ``sustain`` runs drifted -> **REGRESS**
 (sustained drift, the CI gate fires); only the newest run drifted ->
 **WARN** (single-run noise -- watch it); otherwise **PASS**, with
 series too short to judge reported as **INFO**.
@@ -34,9 +37,10 @@ import json
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.metrics.compare import DiffStatus
+from repro.errors import ConfigurationError
+from repro.findings import DiffStatus, Gate, finite_or_none
 from repro.metrics.records import Direction
 from repro.observability.ledger import LedgerEntry, RunLedger
 from repro.reporting.tables import render_table
@@ -163,12 +167,6 @@ class TrendFinding:
         }
 
 
-def _numeric(value: object) -> float | None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    return float(value)
-
-
 def _series_points(
     entries: Sequence[LedgerEntry],
 ) -> dict[str, list[tuple[float, str, str, str | None, str, Direction]]]:
@@ -210,7 +208,7 @@ def _series_points(
                     direction = Direction.TARGET
                 add(
                     f"{entry.design}:{name}",
-                    _numeric(record.get("value")),
+                    finite_or_none(record.get("value")),
                     entry,
                     entry.design,
                     str(record.get("unit", "")),
@@ -219,7 +217,7 @@ def _series_points(
         elif entry.kind == "sweep":
             add(
                 f"{entry.design}:sweep.dynamic_range_db",
-                _numeric(entry.payload.get("dynamic_range_db")),
+                finite_or_none(entry.payload.get("dynamic_range_db")),
                 entry,
                 entry.design,
                 "dB",
@@ -231,7 +229,7 @@ def _series_points(
                 continue
             add(
                 f"bench:{name}.wall_s",
-                _numeric(entry.payload.get("wall_s")),
+                finite_or_none(entry.payload.get("wall_s")),
                 entry,
                 None,
                 "s",
@@ -309,101 +307,49 @@ def analyze_series(
     )
 
     def is_bad(value: float) -> bool:
-        deviation = (value - reference) / scale
-        if series.direction is Direction.HIGHER:
-            return deviation < -threshold
-        if series.direction is Direction.LOWER:
-            return deviation > threshold
-        return abs(deviation) > threshold
+        return series.direction.worse((value - reference) / scale, threshold)
 
-    tail = values[n - sustain :]
     latest = values[-1]
     drift = latest - reference
-    if all(is_bad(value) for value in tail):
-        return TrendFinding(
-            series=series,
-            status=DiffStatus.REGRESS,
-            reference=reference,
-            scale=scale,
-            latest=latest,
-            drift=drift,
-            note=(
-                f"sustained drift: last {sustain} run(s) beyond "
-                f"{threshold:g} scales ({scale:.3g} {series.unit}) "
-                f"from the rolling median {reference:.4g} {series.unit}"
-            ),
+
+    def finding(status: DiffStatus, note: str) -> TrendFinding:
+        return TrendFinding(series, status, reference, scale, latest, drift, note)
+
+    if all(is_bad(value) for value in values[n - sustain :]):
+        return finding(
+            DiffStatus.REGRESS,
+            f"sustained drift: last {sustain} run(s) beyond "
+            f"{threshold:g} scales ({scale:.3g} {series.unit}) "
+            f"from the rolling median {reference:.4g} {series.unit}",
         )
     if is_bad(latest):
-        return TrendFinding(
-            series=series,
-            status=DiffStatus.WARN,
-            reference=reference,
-            scale=scale,
-            latest=latest,
-            drift=drift,
-            note=(
-                f"latest run drifted {drift:+.3g} {series.unit} from the "
-                f"rolling median; not yet sustained"
-            ),
+        return finding(
+            DiffStatus.WARN,
+            f"latest run drifted {drift:+.3g} {series.unit} from the "
+            f"rolling median; not yet sustained",
         )
-    return TrendFinding(
-        series=series,
-        status=DiffStatus.PASS,
-        reference=reference,
-        scale=scale,
-        latest=latest,
-        drift=drift,
-        note="within the rolling band",
-    )
+    return finding(DiffStatus.PASS, "within the rolling band")
 
 
-class TrendReport:
+class TrendReport(Gate[TrendFinding]):
     """Every series' drift verdict over one ledger."""
 
     def __init__(
         self,
-        findings: list[TrendFinding],
+        rows: list[TrendFinding],
         window: int,
         sustain: int,
         threshold: float,
     ) -> None:
-        self.findings = findings
+        super().__init__(rows)
         self.window = window
         self.sustain = sustain
         self.threshold = threshold
 
-    @property
-    def regressions(self) -> list[TrendFinding]:
-        """Return the REGRESS-status findings."""
-        return [f for f in self.findings if f.status is DiffStatus.REGRESS]
-
-    @property
-    def warnings(self) -> list[TrendFinding]:
-        """Return the WARN-status findings."""
-        return [f for f in self.findings if f.status is DiffStatus.WARN]
-
-    def exit_code(self, strict: bool = False) -> int:
-        """Return the process exit code (1 on sustained drift)."""
-        if self.regressions:
-            return 1
-        if strict and self.warnings:
-            return 1
-        return 0
-
     def render_table(self) -> str:
         """Return the verdicts as a paper-style table, worst first."""
-        severity = {
-            DiffStatus.REGRESS: 0,
-            DiffStatus.WARN: 1,
-            DiffStatus.PASS: 2,
-            DiffStatus.INFO: 3,
-        }
-        ordered = sorted(
-            enumerate(self.findings),
-            key=lambda item: (severity[item[1].status], item[0]),
-        )
         rows = []
-        for _, finding in ordered:
+        for finding in self.ordered():
             rows.append(
                 (
                     finding.series.key,
@@ -446,7 +392,7 @@ class TrendReport:
         """Return a one-line verdict summary."""
         verdict = "REGRESS" if self.regressions else "PASS"
         return (
-            f"trend {verdict}: {len(self.findings)} series, "
+            f"trend {verdict}: {len(self.rows)} series, "
             f"{len(self.regressions)} sustained drift(s), "
             f"{len(self.warnings)} single-run warning(s)"
         )
@@ -458,7 +404,7 @@ class TrendReport:
             "window": self.window,
             "sustain": self.sustain,
             "threshold": self.threshold,
-            "findings": [finding.as_dict() for finding in self.findings],
+            "findings": [finding.as_dict() for finding in self.rows],
         }
 
     def write_json(self, path: str | Path) -> Path:
@@ -475,7 +421,21 @@ def analyze_ledger(
     sustain: int = DEFAULT_SUSTAIN,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> TrendReport:
-    """Analyze every series in a ledger; return the trend report."""
+    """Analyze every series in a ledger; return the trend report.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``window`` or ``sustain`` is below 1, or ``threshold`` is
+        not a finite positive number.
+    """
+    bound = finite_or_none(threshold)
+    if window < 1 or sustain < 1 or bound is None or bound <= 0.0:
+        raise ConfigurationError(
+            "trend needs a window and a sustain of at least 1 and a finite "
+            f"positive threshold, got window {window}, sustain {sustain} "
+            f"and threshold {threshold!r}"
+        )
     findings = [
         analyze_series(series, window=window, sustain=sustain, threshold=threshold)
         for series in collect_series(ledger, design=design)

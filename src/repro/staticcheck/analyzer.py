@@ -33,12 +33,11 @@ class LintReport(Report[LintFinding]):
     """Outcome of one lint pass over a set of source paths.
 
     The partitions, summary line and exit-code gate come from the
-    shared :class:`repro.findings.Report` skeleton -- ``repro lint``
-    and ``repro erc`` render and gate identically.
+    shared :class:`repro.findings.Report` -- ``repro lint`` and
+    ``repro erc`` render and gate identically.
     """
 
     label = "LINT"
-    noun = "finding"
 
     def __init__(
         self,
@@ -50,15 +49,6 @@ class LintReport(Report[LintFinding]):
         super().__init__(subject, findings)
         self.suppressed: tuple[LintFinding, ...] = tuple(suppressed)
         self.checked_files = checked_files
-
-    def filtered(self, min_severity: Severity) -> "LintReport":
-        """Return a copy keeping only findings at or above a severity."""
-        return LintReport(
-            self.subject,
-            tuple(f for f in self.findings if f.severity >= min_severity),
-            suppressed=self.suppressed,
-            checked_files=self.checked_files,
-        )
 
     def render_table(self) -> str:
         """Return the findings as a paper-style text table."""
@@ -92,7 +82,7 @@ class LintReport(Report[LintFinding]):
             "checked_files": self.checked_files,
             "summary": self.summary(),
             "counts": {
-                "error": len(self.errors),
+                "error": len(self.regressions),
                 "warning": len(self.warnings),
                 "total": len(self.findings),
                 "suppressed": len(self.suppressed),
@@ -245,10 +235,9 @@ def run_lint(
 
     kept.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
     subject = ", ".join(os.fspath(p) for p in paths) if paths else "<nothing>"
-    report = LintReport(
+    return LintReport(
         subject,
-        tuple(kept),
+        tuple(f for f in kept if f.severity >= min_severity),
         suppressed=tuple(suppressed),
         checked_files=len(modules),
     )
-    return report.filtered(min_severity)

@@ -24,13 +24,12 @@ findings, so the baseline can only shrink silently, never rot.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.findings import Severity
+from repro.findings import Severity, read_json_object
 from repro.staticcheck.model import LintFinding
 from repro.staticcheck.rules import STALE_SUPPRESSION_CODE
 
@@ -96,16 +95,9 @@ class Baseline:
         target = Path(path)
         if not target.exists():
             return cls()
-        try:
-            payload = json.loads(target.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(
-                f"cannot read suppression baseline {target}: {exc}"
-            ) from exc
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"{target}: baseline document must be an object"
-            )
+        payload = read_json_object(
+            target, "suppression baseline", ConfigurationError
+        )
         raw_entries = payload.get("entries", [])
         if not isinstance(raw_entries, list):
             raise ConfigurationError(f"{target}: 'entries' must be a list")

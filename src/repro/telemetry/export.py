@@ -79,7 +79,7 @@ def export_jsonl(session: TelemetrySession, path: str | Path) -> Path:
             "n_spans": sum(1 for root in session.roots for _ in root.walk()),
             "n_probes": len(session.probes),
             "n_events": len(session.events),
-            "ok": session.ok,
+            "ok": session.gate.ok,
             "provenance": collect_provenance().as_dict(),
         }
     ]

@@ -24,8 +24,8 @@ import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
-from repro.erc.rules import Severity
 from repro.errors import TelemetryError
+from repro.findings import Report
 from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.monitor import DynamicRuleMonitor, default_monitor
 from repro.telemetry.probes import SignalProbe
@@ -173,19 +173,13 @@ class TelemetrySession:
         return self.events
 
     @property
-    def error_events(self) -> tuple[TelemetryEvent, ...]:
-        """Return the ERROR-severity events of the last evaluation."""
-        return tuple(e for e in self.events if e.severity is Severity.ERROR)
+    def gate(self) -> Report[TelemetryEvent]:
+        """Return the gate over the last evaluation's events.
 
-    @property
-    def warning_events(self) -> tuple[TelemetryEvent, ...]:
-        """Return the WARNING-severity events of the last evaluation."""
-        return tuple(e for e in self.events if e.severity is Severity.WARNING)
-
-    @property
-    def ok(self) -> bool:
-        """Return True when the last evaluation raised no ERROR event."""
-        return not self.error_events
+        An ERROR event regresses and a WARNING warns, exactly as an ERC
+        violation or a lint finding does.
+        """
+        return Report(self.name, self.events)
 
     # -- reporting -----------------------------------------------------
 
@@ -243,10 +237,11 @@ class TelemetrySession:
 
     def summary(self) -> str:
         """Return a one-line pass/fail summary of the last evaluation."""
-        verdict = "PASS" if self.ok else "FAIL"
+        gate = self.gate
+        verdict = "PASS" if gate.ok else "FAIL"
         return (
             f"telemetry {verdict}: {self.name} -- "
             f"{len(self.roots)} run(s), {len(self.probes)} probe(s), "
-            f"{len(self.error_events)} error(s), "
-            f"{len(self.warning_events)} warning(s)"
+            f"{len(gate.regressions)} error(s), "
+            f"{len(gate.warnings)} warning(s)"
         )

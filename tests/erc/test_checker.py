@@ -33,7 +33,7 @@ class TestRunErc:
     def test_delay_line_reports_cmff_warning_only(self):
         report = run_erc(resolve("delay-line").graph())
         assert [v.rule for v in report.warnings] == ["ERC003"]
-        assert report.errors == ()
+        assert report.regressions == ()
 
     def test_accepts_design_object(self):
         line = DelayLine(delay_line_cell_config(), n_cells=2)
@@ -44,7 +44,7 @@ class TestRunErc:
     def test_bad_graph_reports_errors(self):
         report = run_erc(bad_graph())
         assert not report.ok
-        assert {v.rule for v in report.errors} == {"ERC001", "ERC005"}
+        assert {v.rule for v in report.regressions} == {"ERC001", "ERC005"}
 
     def test_min_severity_filters(self):
         report = run_erc(resolve("delay-line").graph(), min_severity=Severity.ERROR)
@@ -91,7 +91,7 @@ class TestErcReport:
         assert "no violations" in report.render_table()
 
     def test_filtered_keeps_design_name(self):
-        report = run_erc(bad_graph()).filtered(Severity.ERROR)
+        report = run_erc(bad_graph(), min_severity=Severity.ERROR)
         assert report.design == "bad"
         assert all(v.severity >= Severity.ERROR for v in report.violations)
 

@@ -52,6 +52,14 @@ class TestReportCommand:
         with pytest.raises(SystemExit):
             main(["report", "not-a-design"])
 
+    def test_record_below_the_analysis_floor_exits_two(self, tmp_path, capsys):
+        argv = ["report", "mod2", "--samples", "4096", "--no-cache", "--no-ledger"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: fundamental is too close to DC for the window's main lobe\n"
+        )
+
 
 class TestCompareCommand:
     def test_self_compare_passes(self, baseline_path, tmp_path, capsys):

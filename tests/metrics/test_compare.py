@@ -52,7 +52,7 @@ class TestCompareVerdicts:
 
     def test_ungated_metric_never_fails(self):
         report = compare_manifests(_manifest(wall=40.0), _manifest(wall=0.4))
-        wall = next(d for d in report.diffs if d.name == "wall_s")
+        wall = next(d for d in report.rows if d.name == "wall_s")
         assert wall.status is DiffStatus.INFO
         assert report.ok
 
@@ -60,12 +60,12 @@ class TestCompareVerdicts:
         # 40 dB SNDR is within no baseline gate here (both sides equal)
         # but far outside the paper's published band -> WARN.
         report = compare_manifests(_manifest(sndr=40.0), _manifest(sndr=40.0))
-        sndr = next(d for d in report.diffs if d.name == "sndr_db")
+        sndr = next(d for d in report.rows if d.name == "sndr_db")
         assert sndr.status is DiffStatus.PASS  # modulator2 has no sndr ref
         snr_report = compare_manifests(
             _manifest(thd=-40.0), _manifest(thd=-40.0)
         )
-        thd = next(d for d in snr_report.diffs if d.name == "thd_db")
+        thd = next(d for d in snr_report.rows if d.name == "thd_db")
         assert thd.status is DiffStatus.WARN
         assert "paper" in thd.note
 
@@ -81,7 +81,7 @@ class TestCompareStructure:
         report = compare_manifests(current, baseline)
         new = [
             d
-            for d in report.diffs
+            for d in report.rows
             if "NEW" in d.note and d.status is DiffStatus.WARN
         ]
         assert {d.name for d in new} == {"thd_db"}  # wall_s is ungated
@@ -95,7 +95,7 @@ class TestCompareStructure:
         report = compare_manifests(current, _manifest())
         missing = [
             d
-            for d in report.diffs
+            for d in report.rows
             if "MISSING" in d.note and d.status is DiffStatus.WARN
         ]
         assert {d.name for d in missing} == {"thd_db"}
@@ -104,13 +104,13 @@ class TestCompareStructure:
         report = compare_manifests(
             _manifest(), _manifest(n_samples=65536)
         )
-        assert any("n_samples" in note for note in report.config_notes)
+        assert any("n_samples" in note for note in report.notes)
         assert report.exit_code() == 0
         assert report.exit_code(strict=True) == 1
 
     def test_design_mismatch_noted(self):
         report = compare_manifests(_manifest(), _manifest(design="chopper"))
-        assert any("design mismatch" in note for note in report.config_notes)
+        assert any("design mismatch" in note for note in report.notes)
 
     def test_table_orders_worst_first(self):
         report = compare_manifests(

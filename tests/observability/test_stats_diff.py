@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.metrics.compare import DiffStatus
+from repro.findings import DiffStatus
 from repro.observability.instruments import InstrumentRegistry
 from repro.observability.stats import (
     GATED_COUNTERS,
@@ -34,7 +34,7 @@ class TestVerdicts:
     def test_unchanged_is_pass(self):
         snapshot = _single("repro.cache.hits", 3.0, kind="sweep")
         report = diff_snapshots(snapshot, snapshot)
-        (diff,) = report.diffs
+        (diff,) = report.rows
         assert diff.status is DiffStatus.PASS
         assert report.exit_code() == 0
 
@@ -42,14 +42,14 @@ class TestVerdicts:
         report = diff_snapshots(
             _single("repro.cache.hits", 5.0), _single("repro.cache.hits", 3.0)
         )
-        (diff,) = report.diffs
+        (diff,) = report.rows
         assert diff.status is DiffStatus.INFO
         assert report.exit_code(strict=True) == 0
 
     def test_gated_regress_counters_fail(self):
         for name in ("repro.executor.timeouts", "repro.cache.corruption"):
             report = diff_snapshots(_single(name, 2.0), _single(name, 1.0))
-            (diff,) = report.diffs
+            (diff,) = report.rows
             assert diff.status is DiffStatus.REGRESS
             assert report.exit_code() == 1
             assert "REGRESS" in report.summary()
@@ -62,7 +62,7 @@ class TestVerdicts:
         ):
             assert GATED_COUNTERS[name] is DiffStatus.WARN
             report = diff_snapshots(_single(name, 1.0), _single(name, 0.0))
-            (diff,) = report.diffs
+            (diff,) = report.rows
             assert diff.status is DiffStatus.WARN
             assert report.exit_code() == 0
             assert report.exit_code(strict=True) == 1
@@ -72,26 +72,26 @@ class TestVerdicts:
             _single("repro.executor.timeouts", 1.0),
             _single("repro.executor.timeouts", 2.0),
         )
-        (diff,) = report.diffs
+        (diff,) = report.rows
         assert diff.status is DiffStatus.INFO
 
     def test_new_series_warns_unless_gated(self):
         empty = InstrumentRegistry().snapshot()
         report = diff_snapshots(_single("repro.cache.hits", 1.0), empty)
-        (diff,) = report.diffs
+        (diff,) = report.rows
         assert diff.status is DiffStatus.WARN
         assert "NEW" in diff.note
 
     def test_new_gated_series_uses_gate_status(self):
         empty = InstrumentRegistry().snapshot()
         report = diff_snapshots(_single("repro.executor.timeouts", 1.0), empty)
-        (diff,) = report.diffs
+        (diff,) = report.rows
         assert diff.status is DiffStatus.REGRESS
 
     def test_missing_series_warns(self):
         empty = InstrumentRegistry().snapshot()
         report = diff_snapshots(empty, _single("repro.cache.hits", 1.0))
-        (diff,) = report.diffs
+        (diff,) = report.rows
         assert diff.status is DiffStatus.WARN
         assert "MISSING" in diff.note
 
@@ -102,7 +102,7 @@ class TestVerdicts:
         b.histogram("repro.test.latency", buckets=(1.0,)).observe(0.5)
         b.histogram("repro.test.latency", buckets=(1.0,)).observe(0.5)
         report = diff_snapshots(a.snapshot(), b.snapshot())
-        (diff,) = report.diffs
+        (diff,) = report.rows
         assert diff.current == 1.0 and diff.baseline == 2.0
 
     def test_render_table_includes_verdicts(self):
@@ -157,3 +157,28 @@ class TestDocuments:
         path.write_text("[1, 2]")
         with pytest.raises(ObservabilityError):
             load_stats_json(path)
+
+
+class TestUnreadableValues:
+    @staticmethod
+    def _with_timeouts(value):
+        snapshot = json.loads(json.dumps(_single("repro.executor.timeouts", 0.0)))
+        snapshot["instruments"]["repro.executor.timeouts"]["series"][0]["value"] = value
+        return snapshot
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1", None, True])
+    def test_series_value_that_is_not_a_finite_number_is_refused(self, value):
+        with pytest.raises(ObservabilityError, match=r"repro\.executor\.timeouts"):
+            diff_snapshots(self._with_timeouts(value), self._with_timeouts(0.0))
+
+    def test_cli_refuses_nan_timeouts_with_exit_two(self, tmp_path, capsys):
+        from repro.cli import main
+
+        current = tmp_path / "current.json"
+        baseline = tmp_path / "baseline.json"
+        current.write_text(json.dumps(self._with_timeouts(float("nan"))))
+        baseline.write_text(json.dumps(self._with_timeouts(0.0)))
+        assert main(["stats", "--diff", str(current), str(baseline)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repro.executor.timeouts" in captured.err

@@ -2,7 +2,11 @@
 
 import json
 
-from repro.metrics.compare import DiffStatus
+import pytest
+
+from repro.cli import main
+from repro.errors import ConfigurationError
+from repro.findings import DiffStatus
 from repro.metrics.records import Direction
 from repro.observability.ledger import RunLedger
 from repro.observability.trend import (
@@ -151,7 +155,7 @@ class TestAnalyzeLedger:
     def test_synthetic_three_run_drift_exits_nonzero(self, tmp_path):
         values = [57.0 + 0.01 * i for i in range(8)] + [50.0, 49.5, 49.0]
         report = analyze_ledger(_sweep_ledger(tmp_path, values))
-        assert [f.status for f in report.findings] == [DiffStatus.REGRESS]
+        assert [f.status for f in report.rows] == [DiffStatus.REGRESS]
         assert report.exit_code(strict=False) == 1
         assert report.exit_code(strict=True) == 1
         assert "REGRESS" in report.summary()
@@ -165,7 +169,7 @@ class TestAnalyzeLedger:
     def test_warning_needs_strict_to_gate(self, tmp_path):
         values = [57.0 + 0.01 * i for i in range(9)] + [50.0]
         report = analyze_ledger(_sweep_ledger(tmp_path, values))
-        assert [f.status for f in report.findings] == [DiffStatus.WARN]
+        assert [f.status for f in report.rows] == [DiffStatus.WARN]
         assert report.exit_code(strict=False) == 0
         assert report.exit_code(strict=True) == 1
 
@@ -199,6 +203,47 @@ class TestAnalyzeLedger:
         assert document["window"] == report.window
         assert len(document["findings"]) == 1
         assert document["findings"][0]["status"] == "PASS"
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"window": 0},
+            {"window": -3},
+            {"sustain": 0},
+            {"threshold": -1.0},
+            {"threshold": 0.0},
+            {"threshold": float("nan")},
+            {"threshold": float("inf")},
+        ],
+    )
+    def test_degenerate_options_are_refused(self, tmp_path, knobs):
+        ledger = _sweep_ledger(tmp_path, [57.0] * 10)
+        with pytest.raises(ConfigurationError):
+            analyze_ledger(ledger, **knobs)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--sustain", "0"),
+            ("--window", "0"),
+            ("--window", "-3"),
+            ("--threshold", "-1"),
+            ("--threshold", "nan"),
+        ],
+    )
+    def test_cli_exits_two_on_degenerate_options(self, tmp_path, capsys, flag, value):
+        _sweep_ledger(tmp_path, [57.0 + 0.01 * (i % 3) for i in range(10)])
+        assert main(["trend", "--ledger-dir", str(tmp_path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trend needs")
+
+    def test_non_finite_points_are_dropped(self, tmp_path):
+        ledger = _sweep_ledger(tmp_path, [57.0, float("nan"), 57.1, float("inf")])
+        (series,) = collect_series(ledger)
+        assert series.values == (57.0, 57.1)
 
 
 class TestRendering:

@@ -176,7 +176,7 @@ class TestTelemetryKnob:
         assert session.probes["delay_line.cell[0]"].count == 1 << 12
         # The bench evaluates the dynamic rules after the run.
         assert session.events == ()
-        assert session.ok
+        assert session.gate.ok
 
     def test_traced_output_matches_untraced(self):
         from repro.config import delay_line_cell_config

@@ -65,3 +65,20 @@ class TestTraceCommand:
         assert "--overdrive" in output
         assert "--supply" in output
         assert "--json" in output
+
+
+class TestAnalysisRefusal:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "delay-line", "--samples", "1024"],
+            ["trace", "mod2", "--fast", "--samples", "4096"],
+            ["trace", "mod2", "--samples", "4096", "--strict"],
+        ],
+    )
+    def test_record_below_the_analysis_floor_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

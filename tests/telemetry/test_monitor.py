@@ -52,7 +52,7 @@ class TestClipRule:
         probe.observe_array(values)
         (event,) = session.evaluate_rules()
         assert event.severity is Severity.ERROR
-        assert not session.ok
+        assert not session.gate.ok
 
 
 class TestObservedHeadroomRule:
@@ -154,9 +154,9 @@ class TestSessionEvaluation:
         session = TelemetrySession()
         _cell_probe(session, peak=30e-6, supply=2.4)
         session.evaluate_rules()
-        assert session.error_events
-        assert not session.ok
-        assert all(e.severity is Severity.ERROR for e in session.error_events)
+        assert session.gate.regressions
+        assert not session.gate.ok
+        assert all(e.severity is Severity.ERROR for e in session.gate.regressions)
 
 
 class TestStarvedDesignEndToEnd:
@@ -178,8 +178,8 @@ class TestStarvedDesignEndToEnd:
             telemetry=session,
         )
         bench.measure(line, amplitude=8e-6, frequency=5e3)
-        assert not session.ok
-        codes = {event.rule for event in session.error_events}
+        assert not session.gate.ok
+        codes = {event.rule for event in session.gate.regressions}
         assert "DYN002" in codes
 
     def test_same_design_at_full_supply_passes(self):
@@ -197,4 +197,4 @@ class TestStarvedDesignEndToEnd:
             telemetry=session,
         )
         bench.measure(line, amplitude=8e-6, frequency=5e3)
-        assert session.ok
+        assert session.gate.ok
