@@ -11,13 +11,16 @@ periodogram requires two window constants:
   power integrated across bins.
 
 Both are computed numerically from the window samples, so any window
-added later is automatically handled correctly.
+added later is automatically handled correctly, and once per window:
+:func:`make_window` returns one shared, read-only window per kind and
+length, so a sweep's spectra do not rebuild it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,12 +57,12 @@ class Window:
         """Return the window length in samples."""
         return int(self.samples.shape[0])
 
-    @property
+    @cached_property
     def coherent_gain(self) -> float:
         """Return the coherent (amplitude) gain: the mean of the window."""
         return float(np.mean(self.samples))
 
-    @property
+    @cached_property
     def enbw_bins(self) -> float:
         """Return the equivalent noise bandwidth in FFT bins.
 
@@ -87,8 +90,12 @@ class Window:
         return 1
 
 
+@lru_cache(maxsize=8)
 def make_window(kind: WindowKind, length: int) -> Window:
-    """Construct a window of the given kind and length.
+    """Return the window of the given kind and length.
+
+    Windows are cached per (kind, length) and shared, so the samples
+    are read-only.
 
     Parameters
     ----------
@@ -113,4 +120,5 @@ def make_window(kind: WindowKind, length: int) -> Window:
         samples = np.blackman(length)
     else:  # pragma: no cover - exhaustive enum
         raise AnalysisError(f"unsupported window kind {kind!r}")
+    samples.flags.writeable = False
     return Window(kind=kind, samples=samples)

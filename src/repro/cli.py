@@ -503,9 +503,9 @@ def cmd_sweep(
         "dynamic_range_db": dr,
     }
     if json_path is not None:
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        from repro.outputs import output_path
+
+        output_path(json_path).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"sweep written to {json_path}")
     if ledger:
         _ledger_append(
@@ -624,7 +624,6 @@ def cmd_profile(
 ) -> int:
     """Profile a design report (or a sweep-spec JSON): where time went."""
     import json
-    from pathlib import Path
 
     from repro.errors import ConfigurationError, MetricsError
     from repro.observability.profile import (
@@ -634,6 +633,7 @@ def cmd_profile(
     )
     from repro.observability.spanio import span_to_dict
     from repro.observability.stats import PROFILE_SCHEMA
+    from repro.outputs import output_path
     from repro.telemetry.session import TelemetrySession
 
     if target.endswith(".json"):
@@ -682,7 +682,7 @@ def cmd_profile(
             "collapsed_stacks": collapsed_stacks(session.roots),
             "spans": [span_to_dict(root) for root in session.roots],
         }
-        Path(json_path).write_text(json.dumps(document, indent=2) + "\n")
+        output_path(json_path).write_text(json.dumps(document, indent=2) + "\n")
         print(f"profile written to {json_path}")
     return 0
 
@@ -861,9 +861,9 @@ def cmd_report(
         target = manifest.write_json(json_path)
         print(f"manifest written to {target}")
     if markdown_path is not None:
-        from pathlib import Path
+        from repro.outputs import output_path
 
-        Path(markdown_path).write_text(manifest.render_markdown())
+        output_path(markdown_path).write_text(manifest.render_markdown())
         print(f"markdown report written to {markdown_path}")
     if ledger:
         # The manifest's own provenance block becomes the entry's
@@ -1003,7 +1003,9 @@ def cmd_submit(
         print(f"submit: {exc}", file=sys.stderr)
         return 1
     if output is not None:
-        Path(output).write_bytes(payload)
+        from repro.outputs import output_path
+
+        output_path(output).write_bytes(payload)
         print(f"result written to {output}", file=sys.stderr)
     else:
         sys.stdout.write(payload.decode("utf-8"))

@@ -24,6 +24,7 @@ from repro.findings import read_json_object
 from repro.metrics.provenance import Provenance, collect_provenance
 from repro.metrics.records import MetricRecord
 from repro.metrics.registry import MetricRegistry
+from repro.outputs import output_path
 from repro.reporting.tables import render_table
 
 __all__ = [
@@ -151,7 +152,7 @@ class RunManifest:
 
     def write_json(self, path: str | Path) -> Path:
         """Write the manifest as indented JSON; returns the path."""
-        target = Path(path)
+        target = output_path(path)
         target.write_text(json.dumps(self.as_dict(), indent=2) + "\n")
         return target
 
@@ -282,7 +283,7 @@ def write_bench_telemetry(
     ``records``) are kept as a back-compat alias of the pre-manifest
     format, so existing consumers keep working unchanged.
     """
-    target = Path(path)
+    target = output_path(path)
     existing: dict[str, object] | None = None
     if target.exists():
         try:

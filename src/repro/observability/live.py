@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Protocol, Sequence
 
 from repro.errors import ObservabilityError
+from repro.outputs import output_path
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -361,7 +362,7 @@ def open_event_stream(
         if str(path) == "-":
             handles.append(sys.stdout)
         else:
-            handle = Path(path).open("w")
+            handle = output_path(path).open("w")
             handles.append(handle)
             owned.append(handle)
     if follow:

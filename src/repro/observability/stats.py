@@ -29,6 +29,7 @@ from typing import Mapping
 from repro.errors import ObservabilityError
 from repro.findings import DiffStatus, Gate, finite_or_none, read_json_object
 from repro.observability.instruments import SNAPSHOT_SCHEMA
+from repro.outputs import output_path
 from repro.reporting.tables import render_table
 
 __all__ = [
@@ -250,7 +251,7 @@ def write_stats_json(
         "provenance": collect_provenance().as_dict(),
         "snapshot": dict(snapshot),
     }
-    target = Path(path)
+    target = output_path(path)
     target.write_text(json.dumps(document, indent=2) + "\n")
     return target
 

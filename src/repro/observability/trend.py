@@ -43,6 +43,7 @@ from repro.errors import ConfigurationError
 from repro.findings import DiffStatus, Gate, finite_or_none
 from repro.metrics.records import Direction
 from repro.observability.ledger import LedgerEntry, RunLedger
+from repro.outputs import output_path
 from repro.reporting.tables import render_table
 
 __all__ = [
@@ -409,7 +410,7 @@ class TrendReport(Gate[TrendFinding]):
 
     def write_json(self, path: str | Path) -> Path:
         """Write the trend document as indented JSON; return the path."""
-        target = Path(path)
+        target = output_path(path)
         target.write_text(json.dumps(self.as_dict(), indent=2) + "\n")
         return target
 

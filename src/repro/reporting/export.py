@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.outputs import output_path
 from repro.reporting.records import PaperComparison
 
 __all__ = ["write_series_csv", "write_comparison_json", "read_series_csv"]
@@ -50,7 +51,7 @@ def write_series_csv(
         raise ConfigurationError(
             f"all columns must share one length, got {sorted(lengths)}"
         )
-    target = Path(path)
+    target = output_path(path)
     with target.open("w", newline="") as handle:
         writer = csv.writer(handle)
         names = list(arrays)
@@ -119,6 +120,6 @@ def write_comparison_json(
     }
     if metadata:
         payload["metadata"] = metadata
-    target = Path(path)
+    target = output_path(path)
     target.write_text(json.dumps(payload, indent=2))
     return target

@@ -226,8 +226,10 @@ def fast_forward_streams(device: object, count: int) -> None:
 def batch_runner_for(device: object, n_lanes: int, n_steps: int) -> _LaneRunner:
     """Lower a device onto the batch runner of its compiled program.
 
-    Drains nothing: a refused device falls back with its streams
-    intact, and an accepted one drains them when its runner runs.
+    The program's lane layout is compiled here on the spec's first
+    batch run.  Drains nothing: a refused device falls back with its
+    streams intact, and an accepted one drains them when its runner
+    runs.
 
     Raises
     ------
@@ -238,10 +240,14 @@ def batch_runner_for(device: object, n_lanes: int, n_steps: int) -> _LaneRunner:
         raise ValueError(
             f"n_lanes and n_steps must be >= 1, got {n_lanes!r}, {n_steps!r}"
         )
+    # Imported here: a single run or a narrow sweep never loads the lane
+    # layout or the store it calls.
+    from repro.runtime.kernels.lanes import lane_function
+
     try:
         spec = build_spec(device)
         program = compile_spec(spec)
-        if program.lane_fn is None:
+        if lane_function(program) is None:
             raise BatchUnsupported(
                 "fused cells must share one electrical configuration"
             )

@@ -8,10 +8,12 @@ Public surface:
   CMFF stages, quantizer and DAC in the same order.  Both lowered
   engines go through these two functions.
 * :func:`compile_spec` / :class:`KernelProgram` -- generate and cache
-  both layouts of a spec's fused loop: the scalar ``fn`` single runs
-  use and the lane-major ``lane_fn`` the batch runners call.
+  a spec's fused loop: the scalar ``fn`` single runs use, and, compiled
+  on the first batch runner's demand
+  (:func:`~repro.runtime.kernels.lanes.lane_function`), the
+  lane-major ``lane_fn`` the batch runners call.
 * :func:`store_batch` -- the vectorised memory-cell settling update,
-  one shot; the lane layout runs the same law buffered
+  one shot; the lane layout runs the same law buffered and pre-bound
   (:class:`~repro.runtime.kernels.store.LaneStore`), storing every
   cell of every lane with one call per period.
 * :func:`run_kernel` / :func:`kernel_refusal` -- execute a device's

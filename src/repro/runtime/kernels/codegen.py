@@ -23,12 +23,18 @@ quantity); each layout renders the tree its own way.
   function allocates once per run -- a pair assignment is one call per
   operation, not two.  Constants are arrays filled once per run, the
   quantiser decision is a boolean row ``up``, the DAC feedback select
-  is one masked copy over constant columns, and the stages only write
-  their store targets into the block ``T``.  The period ends with
-  *one* :class:`~repro.runtime.kernels.store.LaneStore` call over every
-  half of every stage, so the lane layout exists only for specs whose
-  cells share one electrical configuration.  A loop's bit stream is
-  written once after the last period from the recorded ``up`` rows.
+  is one gather from a table of constant columns, and the stages only
+  write their store targets into the block ``T``; stages stepped
+  together form theirs over one stacked ``(stages, 2, n_lanes)`` view
+  (:class:`_Stack`), one call per operation for all of them.  The
+  period ends with *one* call of a
+  :class:`~repro.runtime.kernels.store.LaneStore`'s bound store over
+  every half of every stage, so the lane layout exists only for specs
+  whose cells share one electrical configuration.  It lives in
+  :mod:`repro.runtime.kernels.lanes`, with the rules its buffers add,
+  and is compiled on a program's first batch run.  A loop's bit
+  stream is written once after the last period from the recorded
+  ``up`` rows.
 
 Both layouts emit the same arithmetic in the same order, so every
 intermediate rounds identically; the lane layout only omits the
@@ -57,17 +63,6 @@ each load-bearing for the byte-equality contract:
   this pipeline's argument range); ``sqrt`` is correctly rounded
   everywhere and may come from ``math``.
 
-The lane layout's buffered form adds four rules, shared with
-:mod:`repro.runtime.kernels.store`:
-
-* an array operand filled with a constant ``c`` rounds exactly as the
-  literal ``c`` (the same float64 operand, elementwise);
-* ``out=`` changes no rounding: a ufunc writes the value it returns;
-* each binary operation keeps the operand order the scalar layout
-  writes, so a pair's block operation is its two half operations;
-* a reversed view changes no value: a crossed stage reads its state
-  block through one, ``(m, p)`` instead of ``(p, m)``.
-
 The scalar source is shared verbatim between the pure-Python mode
 (lists in, preallocated list out) and the optional numba JIT mode
 (arrays in, preallocated array out) -- see
@@ -78,19 +73,12 @@ gates the latter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
-from repro.runtime.kernels.spec import (
-    CellSpec,
-    CmffSpec,
-    KernelSpec,
-    LoopSpec,
-    StageSpec,
-)
-from repro.runtime.kernels.store import LaneStore, _filled
+from repro.runtime.kernels.spec import CellSpec, KernelSpec, LoopSpec, StageSpec
 
 __all__ = ["KernelProgram", "compile_spec", "kernel_source"]
 
@@ -152,9 +140,25 @@ class _Half:
         self.expr, self.index = expr, index
 
 
+class _Rows:
+    """A constant of a lane-layout stack: one tuple per stage.
+
+    Each tuple holds the stage's pos and neg values (a pair constant) or
+    its one value (a row constant).  Only a stack of several stages
+    (:class:`_Stack`) holds one; a lone stage's constant is its plain
+    literal (:func:`_rows`, :func:`_pair_rows`).
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[tuple[float, ...], ...]) -> None:
+        self.values = values
+
+
 #: A variable name (a row, or an indexed input such as ``xs[i]``), a
-#: constant (a tuple holds one value per half), a pair, or an operation.
-_Expr = Union[str, float, "tuple[float, float]", _Pair, _Op, _Half]
+#: constant (a tuple holds one value per half; a stack's are
+#: :class:`_Rows`), a pair, or an operation.
+_Expr = Union[str, float, "tuple[float, float]", _Rows, _Pair, _Op, _Half]
 
 #: The differential input of the current period.
 _INPUT = _Pair("xa[i]", "xb[i]", "x[i]")
@@ -192,11 +196,26 @@ def _target(j: int) -> _Pair:
     return _Pair(f"t{j}_pos", f"t{j}_neg", f"T{j}")
 
 
+def _rows(values: Sequence[float]) -> float | _Rows:
+    """A row constant over stacked stages; a lone stage's is its literal."""
+    return values[0] if len(values) == 1 else _Rows(tuple((v,) for v in values))
+
+
+def _pair_rows(pairs: Sequence[tuple[float, float]]) -> tuple[float, float] | _Rows:
+    """A pair constant over stacked stages; a lone stage's is its pair."""
+    return pairs[0] if len(pairs) == 1 else _Rows(tuple(pairs))
+
+
 def _is_unit(value: _Expr, half: int | None) -> bool:
-    """Whether ``value`` is the constant 1.0 (in ``half``; None: everywhere)."""
+    """Whether ``value`` is the constant 1.0 (in ``half``; None: everywhere).
+
+    A stack's constant is 1.0 only where every stage's value is.
+    """
     if isinstance(value, tuple):
         values = value if half is None else value[half : half + 1]
         return all(v == 1.0 for v in values)
+    if isinstance(value, _Rows):
+        return all(v == 1.0 for stage in value.values for v in stage)
     return isinstance(value, float) and value == 1.0
 
 
@@ -228,6 +247,7 @@ def _render(expr: _Expr, half: int | None) -> str:
         return _lit(expr)
     if isinstance(expr, str):
         return expr
+    assert isinstance(expr, _Op), "a stack's constant in a scalar expression"
     operands = []
     for arg in expr.args:
         text = _render(arg, half)
@@ -258,9 +278,46 @@ def _paired(expr: _Expr) -> bool:
     """Whether ``expr`` is pair-valued (a block in the lane layout)."""
     if isinstance(expr, (_Pair, tuple)):
         return True
+    if isinstance(expr, _Rows):
+        return len(expr.values[0]) == 2
     if isinstance(expr, _Op):
         return any(_paired(arg) for arg in expr.args)
     return False
+
+
+#: One stage the walk steps: ``(j, stage, u)``, stage ``j`` and its input
+#: pair ``u``.
+_Member = tuple[int, StageSpec, _Pair]
+
+
+class _Stack:
+    """Stages whose targets one sequence of assignments forms.
+
+    ``target``, ``state`` and ``inputs`` are pairs covering every member,
+    and ``i_cm`` and ``i_sub`` name the stack's CMFF rows.  A lone stage
+    is a stack of itself: its own pairs, and the rows the scalar layout
+    has always named.
+    """
+
+    __slots__ = ("members", "target", "state", "inputs", "i_cm", "i_sub")
+
+    def __init__(
+        self,
+        members: tuple[_Member, ...],
+        target: _Pair,
+        state: _Pair,
+        inputs: _Pair,
+        rows: tuple[str, str] = ("i_cm", "i_sub"),
+    ) -> None:
+        self.members, self.target, self.state, self.inputs = (
+            members, target, state, inputs
+        )
+        self.i_cm, self.i_sub = rows
+
+
+def _input(j: int, base: str) -> _Pair:
+    """Stage ``j``'s input pair, row ``j`` of the lane layout's block ``U``."""
+    return _Pair(f"{base}_pos", f"{base}_neg", f"U{j}")
 
 
 # -- the two layouts ----------------------------------------------------------
@@ -388,6 +445,13 @@ class _Layout:
     def end(self, src: _Source, spec: KernelSpec) -> None:
         src.line(1, f"return {', '.join(self.state_names + self.slew_names)}")
 
+    def stacks(self, members: tuple[_Member, ...]) -> list[_Stack]:
+        """Group ``members`` into stacks: one per stage, stored inline."""
+        return [
+            _Stack(((j, stage, u),), _target(j), _state(j, stage.crossed), u)
+            for j, stage, u in members
+        ]
+
     def declare(self, pair: _Pair) -> None:
         """Make ``pair``'s halves assignable one by one (scalar: nothing)."""
 
@@ -443,247 +507,6 @@ class _Layout:
         src.line(depth + 1, f"slews{j} = slews{j} + 1")
 
 
-#: The NumPy ufunc each operation calls in the lane layout.
-_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "neg": "negative"}
-
-
-class _LaneLayout(_Layout):
-    """The lane layout: every variable is a row of ``n_lanes`` floats.
-
-    Arrays are step-major, so ``xs[i]`` is period ``i`` of every lane
-    and ``x[i]`` the ``(2, lanes)`` input block.  The state and the
-    store targets live in one :class:`~repro.runtime.kernels.store.LaneStore`:
-    ``S`` and ``T`` are ``(2 * n_cells, n_lanes)`` blocks whose rows
-    alternate pos/neg per stage, and stage ``j`` reads its state as the
-    block view ``S{j}`` (``S{j}x`` reversed when crossed) and writes its
-    targets into ``T{j}``.  The period ends with **one** store call over
-    all rows, then the mismatch factors and the pre-assembled noise rows
-    (``+h`` on pos rows, ``-h`` on neg rows: ``a - h == a + (-h)``
-    bitwise), all in place.  Every lane starts from the reset state:
-    zero charge, last decision +1.  Slew events are not counted.
-
-    Every name an assignment writes gets one buffer, allocated with the
-    constants in a prologue the walk collects and :meth:`end` inserts
-    before the loop; an operation nested in an expression writes into
-    the destination when the expression does not read it, else into a
-    scratch buffer.  A leaf assignment copies.  A loop's decision is the
-    boolean row ``up``, itself row ``i`` of the ``(steps, lanes)`` record
-    ``ups`` the bit stream is written from after the loop, in place:
-    ``-fs`` with ``fs`` copied where ``ups`` holds is ``decision * fs``
-    bitwise, as the decision is +/-1.
-    """
-
-    def __init__(self, cell: CellSpec) -> None:
-        super().__init__()
-        self.cell = cell
-        self._prologue: list[str] = []
-        self._prologue_at = 0
-        self._n_cells = 0
-        self._selects = 0
-        self._bound: set[str] = set()
-        self._views: dict[str, set[str]] = {}
-        self._constants: dict[str | tuple[str, ...], str] = {}
-        self._scratch: dict[bool, list[str]] = {False: [], True: []}
-        self._in_use = {False: 0, True: 0}
-        self._halves: dict[_Expr, str] = {}
-
-    def inputs(self, paired: bool) -> None:
-        self.arg_names.append("x" if paired else "xs")
-
-    def _bind(self, name: str, value: str) -> None:
-        self._prologue.append(f"{name} = {value}")
-        self._bound.add(name)
-
-    def _bind_pair(self, pair: _Pair, value: str) -> None:
-        self._bind(pair.block, value)
-        self._bind(pair.pos, f"{pair.block}[0]")
-        self._bind(pair.neg, f"{pair.block}[1]")
-        names = {pair.block, pair.pos, pair.neg}
-        self._views.update(dict.fromkeys(names, names))
-
-    def begin(self, src: _Source, spec: KernelSpec) -> None:
-        """Open the function; bind the store, its views and the inputs."""
-        stages = spec.all_stages
-        self._n_cells = len(stages)
-        self.arg_names.append("noise")
-        src.line(0, f"def lanes({', '.join(self.arg_names)}):")
-        self._prologue_at = len(src.lines)
-        self._bind("n_lanes", "out.shape[-1]")
-        self._prologue.append(
-            "add, subtract, multiply, negative, greater_equal, copyto = "
-            "np.add, np.subtract, np.multiply, np.negative, np.greater_equal, "
-            "np.copyto"
-        )
-        self._bind("store", f"LaneStore(cell, ({2 * self._n_cells}, n_lanes))")
-        self._bind("S", "store.state")
-        self._bind("T", "store.target")
-        for j, stage in enumerate(stages):
-            self._bind(f"S{j}", f"S[{2 * j}:{2 * j + 2}]")
-            self._bind(f"p{j}", f"S[{2 * j}]")
-            self._bind(f"m{j}", f"S[{2 * j + 1}]")
-            if stage.crossed:
-                self._bind(f"S{j}x", f"S[{2 * j + 1}:{2 * j - 1 if j else ''}:-1]")
-            self._bind_pair(_target(j), f"T[{2 * j}:{2 * j + 2}]")
-        if "x" in self.arg_names:
-            self._bind("xa", "x[:, 0]")
-            self._bind("xb", "x[:, 1]")
-        if spec.loop is not None:
-            self._bind("ups", "np.empty(out.shape, dtype=bool)")
-            if spec.loop.hysteresis != 0.0:
-                self._bind("last", self._constant(1.0))
-        src.line(1, "for i in range(n_steps):")
-
-    def end_step(self, src: _Source, depth: int) -> None:
-        src.line(depth, "store()")
-        if self.cell.mismatch != 0.0:
-            factors = (1.0 + 0.5 * self.cell.mismatch, 1.0 - 0.5 * self.cell.mismatch)
-            rows = self._constant(factors * self._n_cells)
-            src.line(depth, f"multiply(S, {rows}, S)")
-        src.line(depth, "add(S, noise[i], S)")
-
-    def end(self, src: _Source, spec: KernelSpec) -> None:
-        """Insert the prologue; write a loop's bit stream from ``ups``."""
-        if spec.loop is not None:
-            fs = spec.loop.full_scale
-            src.line(1, f"copyto(out, {_lit(-fs)})")
-            src.line(1, f"copyto(out, {_lit(fs)}, where=ups)")
-        at = self._prologue_at
-        src.lines[at:at] = ["    " + line for line in self._prologue]
-
-    def _constant(self, value: float | tuple[float, ...]) -> str:
-        """Return the array holding ``value``: a row, or one row per tuple item."""
-        key = tuple(map(_lit, value)) if isinstance(value, tuple) else _lit(value)
-        name = self._constants.get(key)
-        if name is None:
-            name = self._constants[key] = f"c{len(self._constants)}"
-            if isinstance(key, str):
-                self._bind(name, f"_filled(n_lanes, {key})")
-            else:
-                column = "[" + ", ".join(f"[{v}]" for v in key) + "]"
-                fill = key[0] if len(set(key)) == 1 else column
-                self._bind(name, f"_filled(({len(key)}, n_lanes), {fill})")
-        return name
-
-    def _buffer(self, block: bool) -> str:
-        """Return a scratch buffer free for the current assignment."""
-        pool = self._scratch[block]
-        if self._in_use[block] == len(pool):
-            name = f"tmp{len(self._scratch[False]) + len(self._scratch[True])}"
-            if block:
-                self._bind_pair(_pair(name), "np.empty((2, n_lanes))")
-            else:
-                self._bind(name, "np.empty(n_lanes)")
-            pool.append(name)
-        self._in_use[block] += 1
-        return pool[self._in_use[block] - 1]
-
-    def declare(self, pair: _Pair) -> None:
-        if pair.block not in self._bound:
-            self._bind_pair(pair, "np.empty((2, n_lanes))")
-
-    def _operand(self, src: _Source, depth: int, expr: _Expr, block: bool) -> str:
-        """Return the array name a leaf (or a pair's half) reads as."""
-        if isinstance(expr, _Half):
-            inner = _fold(expr.expr, None)
-            if isinstance(inner, _Pair):
-                return (inner.pos, inner.neg)[expr.index]
-            name = self._halves.get(inner)
-            if name is None:
-                name = self._halves[inner] = self._buffer(True)
-                self._emit(src, depth, inner, name, True)
-            return f"{name}_{('pos', 'neg')[expr.index]}"
-        if isinstance(expr, _Pair):
-            assert block, "a pair in a row expression"
-            return expr.block
-        if isinstance(expr, float):
-            return self._constant((expr, expr) if block else expr)
-        if isinstance(expr, tuple):
-            return self._constant(expr)
-        assert isinstance(expr, str), expr
-        return expr
-
-    def _emit(self, src: _Source, depth: int, op: _Op, out: str, block: bool) -> None:
-        """Emit ``op`` as ufunc calls that leave its value in ``out``."""
-        # ``out`` is scratch for a nested operation unless ``op`` reads
-        # it, or a view of the same buffer, afterwards.
-        spare = None if self._views.get(out, {out}) & _reads(op) else out
-        names = []
-        for arg in op.args:
-            arg = _fold(arg, None)
-            if isinstance(arg, _Op):
-                inner_block = _paired(arg)
-                if spare is not None and inner_block == block:
-                    into, spare = spare, None
-                else:
-                    into = self._buffer(inner_block)
-                self._emit(src, depth, arg, into, inner_block)
-                names.append(into)
-            else:
-                names.append(self._operand(src, depth, arg, block))
-        src.line(depth, f"{_UFUNCS[op.fn]}({', '.join(names)}, {out})")
-
-    def assign(self, src: _Source, depth: int, dest: str | _Pair, expr: _Expr) -> None:
-        """Emit ``dest = expr`` into ``dest``'s buffer (a pair: one block)."""
-        self._in_use = {False: 0, True: 0}
-        self._halves = {}
-        block = isinstance(dest, _Pair)
-        if isinstance(dest, _Pair):
-            self.declare(dest)
-            out = dest.block
-        else:
-            out = dest
-            if "[" not in dest and dest not in self._bound:
-                self._bind(dest, "np.empty(n_lanes)")
-        expr = _fold(expr, None)
-        if isinstance(expr, _Op):
-            self._emit(src, depth, expr, out, block)
-        elif "[" in out:
-            src.line(depth, f"{out} = {self._operand(src, depth, expr, block)}")
-        else:
-            src.line(depth, f"{out}[...] = {self._operand(src, depth, expr, block)}")
-
-    def decide(self, src: _Source, depth: int, loop: LoopSpec) -> None:
-        src.line(depth, "up = ups[i]")
-        src.line(depth, f"greater_equal(eff, {self._constant(0.0)}, up)")
-        if loop.band > 0.0:
-            src.line(
-                depth,
-                f"copyto(up, meta[i] < 0.5, where=abs(eff) < {_lit(loop.band)})",
-            )
-        if loop.hysteresis != 0.0:
-            src.line(depth, "last = np.where(up, 1.0, -1.0)")
-
-    def bitstream(self, src: _Source, depth: int, loop: LoopSpec) -> None:
-        """Nothing per period: ``up`` is already row ``i`` of ``ups``."""
-
-    def choose(self, src: _Source, depth: int, rows: list[_Choice]) -> None:
-        """One masked copy of the ``(k, lanes)`` up/down constant columns."""
-        select = f"sel{self._selects}"
-        self._selects += 1
-        n_rows = sum(2 if isinstance(row[0], _Pair) else 1 for row in rows)
-        self._bind(select, f"np.empty(({n_rows}, n_lanes))")
-        up: list[float] = []
-        down: list[float] = []
-        for target, if_up, if_down in rows:
-            r = len(up)
-            if isinstance(target, _Pair):
-                self._bind_pair(target, f"{select}[{r}:{r + 2}]")
-                up.extend(if_up)
-                down.extend(if_down)
-            else:
-                self._bind(target, f"{select}[{r}]")
-                up.append(if_up)
-                down.append(if_down)
-        src.line(depth, f"{select}[...] = {self._constant(tuple(down))}")
-        src.line(depth, f"copyto({select}, {self._constant(tuple(up))}, where=up)")
-
-    def store(
-        self, src: _Source, depth: int, j: int, cell: CellSpec, target: _Pair
-    ) -> None:
-        """Nothing per stage: the walk wrote the targets into ``T{j}``."""
-        assert target.block == f"T{j}", target.block
-
-
 def _emit_split(
     src: _Source, layout: _Layout, depth: int, pair: _Pair, half: str
 ) -> None:
@@ -693,46 +516,76 @@ def _emit_split(
     layout.assign(src, depth, pair.neg, _sub(0.0, half))
 
 
-def _emit_cmff(
-    src: _Source, layout: _Layout, depth: int, cmff: CmffSpec, t: _Pair
-) -> None:
-    """Emit the CMFF apply on the targets ``t`` (biases always kept)."""
+def _emit_cmff(src: _Source, layout: _Layout, depth: int, stack: _Stack) -> None:
+    """Emit the CMFF apply on the stack's targets (biases always kept).
+
+    Every literal carries one value per stacked stage, so stages whose
+    mirrors differ share the sequence; a unit gain folds only where
+    every stage's is 1.0.
+    """
+    cmffs = [stage.cmff for _, stage, _ in stack.members if stage.cmff is not None]
+    assert len(cmffs) == len(stack.members), "a stack mixes stages with and without CMFF"
+    t = stack.target
     sense = _add(
-        _mul((cmff.sense_pos_gain, cmff.sense_neg_gain), t),
-        (cmff.sense_pos_bias, cmff.sense_neg_bias),
+        _mul(_pair_rows([(c.sense_pos_gain, c.sense_neg_gain) for c in cmffs]), t),
+        _pair_rows([(c.sense_pos_bias, c.sense_neg_bias) for c in cmffs]),
     )
-    layout.assign(src, depth, "i_cm", _add(_Half(sense, 0), _Half(sense, 1)))
-    gains = (cmff.subtract_pos_gain, cmff.subtract_neg_gain)
-    biases = (cmff.subtract_pos_bias, cmff.subtract_neg_bias)
-    subtract: _Expr = _add(_mul(gains, "i_cm"), biases)
-    if _lit(gains[0]) == _lit(gains[1]) and _lit(biases[0]) == _lit(biases[1]):
+    layout.assign(src, depth, stack.i_cm, _add(_Half(sense, 0), _Half(sense, 1)))
+    gains = [(c.subtract_pos_gain, c.subtract_neg_gain) for c in cmffs]
+    biases = [(c.subtract_pos_bias, c.subtract_neg_bias) for c in cmffs]
+    subtract: _Expr = _add(_mul(_pair_rows(gains), stack.i_cm), _pair_rows(biases))
+    if all(
+        _lit(gain[0]) == _lit(gain[1]) and _lit(bias[0]) == _lit(bias[1])
+        for gain, bias in zip(gains, biases)
+    ):
         # Same literals (the sign of a zero bias included), same value.
-        layout.assign(src, depth, "i_sub", _add(_mul(gains[0], "i_cm"), biases[0]))
-        subtract = "i_sub"
+        layout.assign(
+            src,
+            depth,
+            stack.i_sub,
+            _add(
+                _mul(_rows([gain[0] for gain in gains]), stack.i_cm),
+                _rows([bias[0] for bias in biases]),
+            ),
+        )
+        subtract = stack.i_sub
     layout.assign(src, depth, t, _sub(t, subtract))
 
 
-def _emit_stage(
+def _emit_stages(
     src: _Source,
     layout: _Layout,
     depth: int,
-    stage: StageSpec,
-    j: int,
-    u: _Pair,
+    members: tuple[_Member, ...],
     probe_args: dict[tuple[int, str], str],
 ) -> None:
-    """Emit one integrator/differentiator step and store its targets."""
-    t = _target(j)
-    layout.assign(src, depth, t, _add(_state(j, stage.crossed), _mul(u, stage.gain)))
-    if stage.cmff is not None:
-        _emit_cmff(src, layout, depth, stage.cmff, t)
-        cmff_arg = probe_args.get((j, "cmff"))
-        if cmff_arg is not None:
-            layout.assign(src, depth, f"{cmff_arg}[i]", _mul(0.5, _add(t.pos, t.neg)))
-    cell_arg = probe_args.get((j, "cell"))
-    if cell_arg is not None:
-        layout.assign(src, depth, f"{cell_arg}[i]", _sub(t.pos, t.neg))
-    layout.store(src, depth, j, stage.cell, t)
+    """Emit integrator/differentiator steps and store their targets.
+
+    Stage ``j`` of ``members`` adds its input (times its gain) to its
+    state.  The targets read only the state the period started from,
+    so the layout may form several at once: each stack
+    (:meth:`_Layout.stacks`) forms its targets with one assignment and
+    applies CMFF once, then each member's probes read, and its store
+    takes, the member's own targets.
+    """
+    for stack in layout.stacks(members):
+        gains = _pair_rows([(stage.gain, stage.gain) for _, stage, _ in stack.members])
+        layout.assign(
+            src, depth, stack.target, _add(stack.state, _mul(stack.inputs, gains))
+        )
+        if stack.members[0][1].cmff is not None:
+            _emit_cmff(src, layout, depth, stack)
+        for j, stage, _ in stack.members:
+            t = _target(j)
+            cmff_arg = probe_args.get((j, "cmff"))
+            if cmff_arg is not None:
+                layout.assign(
+                    src, depth, f"{cmff_arg}[i]", _mul(0.5, _add(t.pos, t.neg))
+                )
+            cell_arg = probe_args.get((j, "cell"))
+            if cell_arg is not None:
+                layout.assign(src, depth, f"{cell_arg}[i]", _sub(t.pos, t.neg))
+            layout.store(src, depth, j, stage.cell, t)
 
 
 def _emit_decision(
@@ -819,7 +672,8 @@ def kernel_source(
 
     This is the one wiring walk: both layouts render the same
     expression trees in the same order, and differ only where
-    :class:`_Layout` and :class:`_LaneLayout` do -- how an assignment
+    :class:`_Layout` and :class:`~repro.runtime.kernels.lanes._LaneLayout`
+    do -- how an assignment
     is rendered, the stage store, the quantiser decision, the DAC
     feedback select and a loop's output.
     """
@@ -864,10 +718,10 @@ def kernel_source(
             u1, u2 = _Pair("u1p", "u1m", "u1b"), _Pair("u2p", "u2m", "u2b")
             layout.assign(src, d, "u1h", _mul(0.5, "u1"))
             _emit_split(src, layout, d, u1, "u1h")
-            _emit_stage(src, layout, d, section.first, j1, u1, probe_args)
+            _emit_stages(src, layout, d, ((j1, section.first, u1),), probe_args)
             layout.assign(src, d, "u2h", _mul(0.5, "u2"))
             _emit_split(src, layout, d, u2, "u2h")
-            _emit_stage(src, layout, d, section.second, j2, u2, probe_args)
+            _emit_stages(src, layout, d, ((j2, section.second, u2),), probe_args)
             layout.assign(src, d, "signal", "w1")
         layout.assign(src, d, "out[i]", "signal")
     elif spec.kind == "mod1":
@@ -878,24 +732,24 @@ def kernel_source(
         layout.assign(
             src, d, "u_half", _mul(0.5, _mul(spec.a1, _sub("xs[i]", "feedback")))
         )
-        u = _pair("u")
+        u = _input(0, "u")
         _emit_split(src, layout, d, u, "u_half")
-        _emit_stage(src, layout, d, stages[0], 0, u, probe_args)
+        _emit_stages(src, layout, d, ((0, stages[0], u),), probe_args)
         layout.bitstream(src, d, loop)
     elif spec.kind in ("mod2", "chopper"):
         loop = spec.loop
         assert loop is not None
         _emit_decision(src, layout, d, loop, _sub("p1", "m1"))
         fb, fb2 = _emit_feedback_halves(src, layout, d, loop, spec.b2)
-        u1, u2 = _pair("u1"), _pair("u2")
+        u1, u2 = _input(0, "u1"), _input(1, "u2")
         if spec.kind == "mod2":
             layout.assign(src, d, u1, _mul(_sub(_INPUT, fb), spec.a1))
             layout.assign(src, d, u2, _sub(_mul(_state(0), spec.a2), fb2))
         else:
             layout.assign(src, d, u1, _mul(_sub(_INPUT, fb), -spec.a1))
             layout.assign(src, d, u2, _sub(fb2, _mul(_state(0), spec.a2)))
-        _emit_stage(src, layout, d, stages[0], 0, u1, probe_args)
-        _emit_stage(src, layout, d, stages[1], 1, u2, probe_args)
+        members = ((0, stages[0], u1), (1, stages[1], u2))
+        _emit_stages(src, layout, d, members, probe_args)
         layout.bitstream(src, d, loop)
     else:  # pragma: no cover - build_spec never produces other kinds
         raise ValueError(f"unknown kernel kind {spec.kind!r}")
@@ -903,17 +757,6 @@ def kernel_source(
     layout.end_step(src, d)
     layout.end(src, spec)
     return src.text(), layout
-
-
-def _fused_cell(stages: tuple[StageSpec, ...]) -> CellSpec | None:
-    """Return the store constants every stage shares, or None.
-
-    The lane layout stores all halves with one store call, which takes
-    one cell's constants.  The wiring flags ``inverting`` and ``probed``
-    do not enter the store law.
-    """
-    cells = {replace(stage.cell, inverting=False, probed=False) for stage in stages}
-    return cells.pop() if len(cells) == 1 else None
 
 
 def _define(source: str, name: str, kind: str, namespace: dict[str, Any]) -> Any:
@@ -935,8 +778,9 @@ class KernelProgram:
     probe_slots: tuple[tuple[int, str], ...]
     state_names: tuple[str, ...]
     slew_names: tuple[str, ...]
-    #: The lane-major NumPy function, called by keyword; None when the
-    #: spec's cells do not share one electrical configuration.
+    #: The lane-major NumPy function, called by keyword: compiled by the
+    #: first :func:`~repro.runtime.kernels.lanes.lane_function` call,
+    #: None until then.
     lane_fn: Callable[..., Any] | None = None
     #: numba-compiled callable, populated lazily by the runner.
     jit_fn: Callable[..., Any] | None = None
@@ -948,19 +792,16 @@ _CACHE: dict[KernelSpec, KernelProgram] = {}
 
 
 def compile_spec(spec: KernelSpec) -> KernelProgram:
-    """Return the (cached) compiled program for ``spec``."""
+    """Return the (cached) compiled program for ``spec``: its scalar layout.
+
+    The lane layout is compiled on demand
+    (:func:`~repro.runtime.kernels.lanes.lane_function`): a report, a
+    service job or a narrow sweep runs only the scalar one.
+    """
     program = _CACHE.get(spec)
     if program is not None:
         return program
     source, layout = kernel_source(spec)
-    lane_fn = None
-    cell = _fused_cell(spec.all_stages)
-    if cell is not None:
-        lane_source, _ = kernel_source(spec, _LaneLayout(cell))
-        lane_globals = {
-            "np": np, "LaneStore": LaneStore, "_filled": _filled, "cell": cell
-        }
-        lane_fn = _define(lane_source, "lanes", spec.kind, lane_globals)
     program = KernelProgram(
         spec=spec,
         source=source,
@@ -969,7 +810,6 @@ def compile_spec(spec: KernelSpec) -> KernelProgram:
         probe_slots=tuple(layout.probe_slots),
         state_names=tuple(layout.state_names),
         slew_names=tuple(layout.slew_names),
-        lane_fn=lane_fn,
     )
     _CACHE[spec] = program
     return program

@@ -17,10 +17,13 @@ which the scalar path routes through ``np.exp`` for exactly this
 reason (see :func:`repro.si.gga._exp`).
 
 What a lane-layout period costs is the NumPy dispatch per call, not
-the arithmetic, so the store is *buffered*: it owns its state and
-target blocks, every constant as an array filled once, and every
-scratch array, and each call is a fixed sequence of ufunc calls that
-write into those buffers and allocate nothing.  The bitwise rules this
+the arithmetic, so the store is *buffered* and *pre-bound*: it owns
+its state and target blocks, every constant as an array filled once,
+and every scratch array, and one closure built with the store runs the
+fixed sequence of ufunc calls that write into those buffers and
+allocate nothing.  A per-element select is a plain operation into
+scratch and one masked copy (``np.putmask``), never a ufunc with
+``where=``, which costs about twice as much.  The bitwise rules this
 relies on:
 
 * an array operand filled with a constant ``c`` rounds exactly as the
@@ -29,7 +32,8 @@ relies on:
 * each binary operation keeps the operand order the scalar source
   writes (``0.5 * target``, ``value - previous``);
 * a reversed view changes no value (the lane layout reads crossed
-  stages' state through one).
+  stages' state through one);
+* a masked copy moves each selected value unchanged.
 
 Most calls store no slewing element at all (every element takes the
 scalar small-step branch), so the settling law counts slewing elements
@@ -38,7 +42,7 @@ first and then evaluates that branch alone.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -48,9 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["LaneStore", "store_batch"]
 
 
-def _filled(
-    shape: int | tuple[int, ...], value: float | list[list[float]]
-) -> np.ndarray:
+def _filled(shape: int | tuple[int, ...], value: float | list[Any]) -> np.ndarray:
     """Return a read-only array of ``shape`` filled with ``value`` (broadcast)."""
     array = np.full(shape, value)
     array.flags.writeable = False
@@ -61,91 +63,142 @@ class LaneStore:
     """The store law over one block of half-circuit currents, buffered.
 
     ``state`` holds the stored currents (zero at construction, the
-    reset state) and ``target`` the currents to store next; calling the
-    store settles ``target`` over ``state`` in place.  ``kernel`` is the
-    cell's :class:`~repro.runtime.kernels.spec.CellSpec`: its constants
-    are computed with the scalar model's own expressions, so every
-    element starts from identical 64-bit values.  Slew events are not
-    reported.
+    reset state) and ``target`` the currents to store next; ``settle``
+    (or calling the store) settles ``target`` over ``state`` in place.
+    ``kernel`` is the cell's
+    :class:`~repro.runtime.kernels.spec.CellSpec`: its constants are
+    computed with the scalar model's own expressions, so every element
+    starts from identical 64-bit values.  Slew events are not reported.
 
-    When no element slews, only the small-step branch is evaluated.
-    Otherwise the untaken branches of the scalar ``if`` cascade are
-    evaluated for every element and selected per element; their
-    arguments are clamped where an untaken branch could overflow
+    ``settle`` is bound once per store (:func:`_settle_law`), so a call
+    unpacks nothing and looks nothing up: the lane layout calls it
+    every period.  When no element slews, only the small-step branch is
+    evaluated.  Otherwise the untaken branches of the scalar ``if``
+    cascade are evaluated for every element and selected per element;
+    their arguments are clamped where an untaken branch could overflow
     (``exp`` of a large positive number), which cannot change any
     selected value.  Both paths write only their own scratch arrays
     before they read them, so no call depends on an earlier one.
     """
 
     def __init__(self, kernel: CellSpec, shape: tuple[int, ...]) -> None:
-        self.state = np.zeros(shape)
-        self.target = np.empty(shape)
-        self._distinct_floors = kernel.inj_floor != kernel.trans_floor
-        self._constants = tuple(
-            _filled(shape, value)
-            for value in (
-                0.0,
-                0.5,
-                1.0,
-                -1.0,
-                kernel.iq_squared,
-                kernel.trans_floor,
-                kernel.trans_iq,
-                kernel.trans_ratio,
-                kernel.inj_floor,
-                kernel.inj_iq,
-                kernel.inj_residual,
-                kernel.kick,
-                kernel.bias,
-                kernel.margin_floor,
-                kernel.tau_fraction,
-                -kernel.tau_fraction,
-            )
-        )
-        self._scratch = tuple(np.empty(shape) for _ in range(15))
-        self._flags = (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+        self.state, self.target, self.settle = _settle_law(kernel, shape)
 
     def __call__(self) -> None:
         """Store ``target`` over ``state`` in place."""
-        (
-            zero, half_c, one, _, iq_squared, trans_floor, trans_iq, trans_ratio,
-            inj_floor, inj_iq, inj_residual, kick, bias, margin_floor, _, minus_tau,
-        ) = self._constants
-        (
-            half, root, device_n, current, value, delta, margin, magnitude,
-            residual, work, *_,
-        ) = self._scratch
-        nonneg, slewed = self._flags
-        state, target = self.state, self.target
-        add, subtract, multiply, divide, sqrt = (
-            np.add, np.subtract, np.multiply, np.divide, np.sqrt
-        )
+        self.settle()
 
+
+def _settle_law(
+    kernel: CellSpec, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, Callable[[], None]]:
+    """Allocate a store's blocks; return state, target and the bound store.
+
+    Every constant, scratch array, flag and ufunc the store law uses is
+    a local of this scope, so the returned closure and its slewing
+    cascade read them without unpacking or attribute lookups.
+    """
+    state = np.zeros(shape)
+    target = np.empty(shape)
+    (
+        zero, half_c, one, minus_one, iq_squared, trans_floor, trans_iq,
+        trans_ratio, inj_floor, inj_iq, inj_residual, kick, bias,
+        margin_floor, tau, minus_tau,
+    ) = (
+        _filled(shape, value)
+        for value in (
+            0.0,
+            0.5,
+            1.0,
+            -1.0,
+            kernel.iq_squared,
+            kernel.trans_floor,
+            kernel.trans_iq,
+            kernel.trans_ratio,
+            kernel.inj_floor,
+            kernel.inj_iq,
+            kernel.inj_residual,
+            kernel.kick,
+            kernel.bias,
+            kernel.margin_floor,
+            kernel.tau_fraction,
+            -kernel.tau_fraction,
+        )
+    )
+    (
+        half, root, device_n, current, value, delta, margin, magnitude,
+        residual, work, n_tau, sign, slew_time, full, partial,
+    ) = (np.empty(shape) for _ in range(15))
+    # ``chosen`` is free once ``device_n`` is split: the slewing cascade
+    # reuses the class-AB branch flag.
+    nonneg = chosen = np.empty(shape, dtype=bool)
+    slewed = np.empty(shape, dtype=bool)
+    distinct_floors = kernel.inj_floor != kernel.trans_floor
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    sqrt, exp, absolute, maximum = np.sqrt, np.exp, np.absolute, np.maximum
+    negative, greater, greater_equal = np.negative, np.greater, np.greater_equal
+    copyto, putmask, count_nonzero = np.copyto, np.putmask, np.count_nonzero
+
+    def slewing_residual() -> None:
+        """Fill ``residual`` from the full two-regime cascade, per element."""
+        divide(margin, tau, n_tau)
+        # sign = 1.0 where delta > 0.0, else -1.0
+        greater(delta, zero, chosen)
+        copyto(sign, minus_one)
+        putmask(sign, chosen, one)
+        # small = delta * exp(-n_tau)
+        negative(n_tau, residual)
+        exp(residual, residual)
+        multiply(delta, residual, residual)
+        # slew_time = (magnitude - bias) / bias
+        subtract(magnitude, bias, slew_time)
+        divide(slew_time, bias, slew_time)
+        # full = sign * (magnitude - bias * n_tau)
+        multiply(bias, n_tau, full)
+        subtract(magnitude, full, full)
+        multiply(sign, full, full)
+        # partial = sign * bias * exp(-max(n_tau - slew_time, 0.0)); the
+        # clamp keeps exp() finite where the full-slew branch is selected.
+        subtract(n_tau, slew_time, partial)
+        maximum(partial, zero, out=partial)
+        negative(partial, partial)
+        exp(partial, partial)
+        multiply(sign, bias, work)
+        multiply(work, partial, partial)
+        # residual = where(slewed, where(slew_time >= n_tau, full, partial), small)
+        greater_equal(slew_time, n_tau, chosen)
+        putmask(partial, chosen, full)
+        putmask(residual, slewed, partial)
+
+    def settle() -> None:
+        """Store ``target`` over ``state`` in place."""
         # Class-AB translinear split: only the n-device current feeds the
         # error models.  Both branch expressions are well defined for
         # every input (root >= |half| + margin at these current scales)
         # and never negative, so the scalar clamp ``max(i_n, floor)`` is
         # np.maximum.  device_n = half + root where half >= 0.0, else
-        # iq_squared / (root - half).
+        # iq_squared / (root - half): a plain add into scratch and one
+        # masked copy, cheaper than a masked add.
         multiply(half_c, target, half)
         multiply(half, half, root)
         add(root, iq_squared, root)
         sqrt(root, root)
         subtract(root, half, device_n)
         divide(iq_squared, device_n, device_n)
-        np.greater_equal(half, zero, nonneg)
-        add(half, root, device_n, where=nonneg)
+        greater_equal(half, zero, nonneg)
+        add(half, root, work)
+        putmask(device_n, nonneg, work)
 
         # Transmission error, then charge-injection residue, exactly in
         # the scalar order (apply, then +=).
-        np.maximum(device_n, trans_floor, out=current)
+        maximum(device_n, trans_floor, out=current)
         divide(trans_iq, current, work)
         sqrt(work, work)
         multiply(trans_ratio, work, work)
         subtract(one, work, work)
         multiply(target, work, value)
-        if self._distinct_floors:
-            np.maximum(device_n, inj_floor, out=current)
+        if distinct_floors:
+            maximum(device_n, inj_floor, out=current)
         divide(current, inj_iq, work)
         sqrt(work, work)
         multiply(inj_residual, work, work)
@@ -159,65 +212,25 @@ class LaneStore:
         subtract(value, state, delta)
         multiply(kick, value, work)
         add(delta, work, delta)
-        np.absolute(value, work)
+        absolute(value, work)
         divide(work, bias, work)
         subtract(one, work, work)
-        np.maximum(work, margin_floor, out=margin)
-        np.absolute(delta, magnitude)
-        np.greater(magnitude, bias, slewed)
+        maximum(work, margin_floor, out=margin)
+        absolute(delta, magnitude)
+        greater(magnitude, bias, slewed)
         # Counted per element: a NaN element compares False here, where
         # a NaN max() would hide a slewing element elsewhere.
-        if np.count_nonzero(slewed):
-            self._slewing_residual()
+        if count_nonzero(slewed):
+            slewing_residual()
         else:
             # Only the small-step branch is selected; a / -b == -(a / b)
             # bitwise, so this is the cascade's ``small`` exactly.
             divide(margin, minus_tau, residual)
-            np.exp(residual, residual)
+            exp(residual, residual)
             multiply(delta, residual, residual)
         subtract(value, residual, state)
 
-    def _slewing_residual(self) -> None:
-        """Fill ``residual`` from the full two-regime cascade, per element."""
-        (
-            zero, _, one, minus_one, _, _, _, _,
-            _, _, _, _, bias, _, tau, _,
-        ) = self._constants
-        (
-            _, _, _, _, _, delta, margin, magnitude, residual, work,
-            n_tau, sign, slew_time, full, partial,
-        ) = self._scratch
-        chosen, slewed = self._flags
-        subtract, multiply, divide = np.subtract, np.multiply, np.divide
-
-        divide(margin, tau, n_tau)
-        # sign = 1.0 where delta > 0.0, else -1.0
-        np.greater(delta, zero, chosen)
-        np.copyto(sign, minus_one)
-        np.copyto(sign, one, where=chosen)
-        # small = delta * exp(-n_tau)
-        np.negative(n_tau, residual)
-        np.exp(residual, residual)
-        multiply(delta, residual, residual)
-        # slew_time = (magnitude - bias) / bias
-        subtract(magnitude, bias, slew_time)
-        divide(slew_time, bias, slew_time)
-        # full = sign * (magnitude - bias * n_tau)
-        multiply(bias, n_tau, full)
-        subtract(magnitude, full, full)
-        multiply(sign, full, full)
-        # partial = sign * bias * exp(-max(n_tau - slew_time, 0.0)); the
-        # clamp keeps exp() finite where the full-slew branch is selected.
-        subtract(n_tau, slew_time, partial)
-        np.maximum(partial, zero, out=partial)
-        np.negative(partial, partial)
-        np.exp(partial, partial)
-        multiply(sign, bias, work)
-        multiply(work, partial, partial)
-        # residual = where(slewed, where(slew_time >= n_tau, full, partial), small)
-        np.greater_equal(slew_time, n_tau, chosen)
-        np.copyto(partial, full, where=chosen)
-        np.copyto(residual, partial, where=slewed)
+    return state, target, settle
 
 
 def store_batch(

@@ -201,12 +201,13 @@ class _ShardResult:
 
 #: Crossover between the scalar kernel run lane by lane and the lane
 #: layout running all lanes at once: below it the kernel's per-sample
-#: fusion wins, above it the lanes amortise the NumPy dispatch.  On the
-#: buffered lane layout (16,640-step lanes, no numba, one pinned core
-#: of a shared 2-core x86 host, three runs) batch overtakes the kernel
-#: at about 6 lanes for the delay line, 8 for modulator2, 8-12 for the
-#: chopper and 12-14 for modulator1.  No sweep workload sits between 7
-#: and 33 lanes, so a move off 16 could not be measured end to end.
+#: fusion wins, above it the lanes amortise the NumPy dispatch.  With
+#: the stacked loop stages and the pre-bound store (16,640-step lanes,
+#: no numba, one pinned core of a shared 2-core x86 host, best of three
+#: runs) batch overtakes the kernel at about 6 lanes for the delay
+#: line, 7-8 for modulator2, 8 for the chopper and 12 for modulator1.
+#: No sweep workload sits between 7 and 33 lanes, so a move off 16
+#: could not be measured end to end.
 _KERNEL_CROSSOVER_LANES = 16
 
 

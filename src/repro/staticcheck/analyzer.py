@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.findings import Report, Severity, render_findings_table
+from repro.outputs import output_path
 from repro.staticcheck.baseline import Baseline
 from repro.staticcheck.model import LintFinding, ModuleContext
 from repro.staticcheck.rules import LintRule, default_rules
@@ -93,7 +94,7 @@ class LintReport(Report[LintFinding]):
 
     def write_json(self, path: str | Path) -> Path:
         """Write the JSON document to ``path`` and return it."""
-        target = Path(path)
+        target = output_path(path)
         target.write_text(json.dumps(self.to_payload(), indent=2) + "\n")
         return target
 

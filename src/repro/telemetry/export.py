@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.outputs import output_path
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.spans import Span
 
@@ -102,7 +103,7 @@ def export_jsonl(session: TelemetrySession, path: str | Path) -> Path:
                 "message": event.message,
             }
         )
-    target = Path(path)
+    target = output_path(path)
     with target.open("w") as handle:
         for record in records:
             handle.write(json.dumps(record) + "\n")

@@ -1,8 +1,11 @@
 """Tests for window functions and their metrological constants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.analysis.spectrum import compute_spectrum
 from repro.analysis.windows import Window, WindowKind, make_window
 from repro.errors import AnalysisError
 
@@ -62,3 +65,39 @@ class TestValidation:
         window = Window(kind=WindowKind.RECTANGULAR, samples=np.zeros(16))
         with pytest.raises(AnalysisError):
             _ = window.enbw_bins
+
+
+class TestCache:
+    def test_second_call_returns_the_same_window(self):
+        assert make_window(WindowKind.BLACKMAN, 2048) is make_window(
+            WindowKind.BLACKMAN, 2048
+        )
+        assert make_window(WindowKind.HANN, 2048) is not make_window(
+            WindowKind.BLACKMAN, 2048
+        )
+
+    def test_shared_samples_are_read_only(self):
+        window = make_window(WindowKind.BLACKMAN, 2048)
+        with pytest.raises(ValueError):
+            window.samples[0] = 1.0
+
+    def test_constants_are_computed_once(self):
+        window = make_window(WindowKind.BLACKMAN, 1024)
+        fresh = Window(kind=WindowKind.BLACKMAN, samples=np.blackman(1024))
+        assert window.coherent_gain == fresh.coherent_gain
+        assert window.enbw_bins == fresh.enbw_bins
+        assert {"coherent_gain", "enbw_bins"} <= set(vars(window))
+
+    def test_spectrum_matches_one_on_a_freshly_built_window(self):
+        rng = np.random.default_rng(3)
+        signal = np.sin(2.0 * np.pi * 0.01 * np.arange(4096)) + 0.01 * rng.standard_normal(
+            4096
+        )
+        cached = compute_spectrum(signal, 1e6)
+        with mock.patch(
+            "repro.analysis.spectrum.make_window", make_window.__wrapped__
+        ):
+            fresh = compute_spectrum(signal, 1e6)
+        assert fresh.window is not cached.window
+        assert cached.power.tobytes() == fresh.power.tobytes()
+        assert cached.frequencies.tobytes() == fresh.frequencies.tobytes()

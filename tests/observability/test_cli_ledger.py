@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
+
 from repro.cli import main
+from repro.metrics import load_manifest
 from repro.observability.ledger import RunLedger
 
 FAST_SWEEP = ["--samples", "4096", "--levels", "-20", "-6", "--no-cache"]
@@ -254,3 +257,49 @@ class TestBenchGateLedger:
         ]
         assert main(args) == 0
         assert list(RunLedger(directory).entries()) == []
+
+
+class TestOutputsInNewDirectories:
+    """Every output path may sit in a directory that does not exist yet."""
+
+    def test_sweep_json_into_a_fresh_nested_path(self, capsys, tmp_path):
+        directory = _ledger_dir(tmp_path)
+        target = tmp_path / "new" / "nested" / "s.json"
+        args = [
+            "sweep", "mod2", *FAST_SWEEP,
+            "--json", str(target), "--ledger-dir", directory,
+        ]
+        assert main(args) == 0
+        assert json.loads(target.read_text())["design"] == "modulator2"
+        assert len(list(RunLedger(directory).entries())) == 1
+
+    def test_report_outputs_into_fresh_nested_paths(self, capsys, tmp_path):
+        directory = _ledger_dir(tmp_path)
+        manifest = tmp_path / "a" / "b" / "m.json"
+        markdown = tmp_path / "c" / "r.md"
+        events = tmp_path / "d" / "e.jsonl"
+        args = [
+            "report", "delay-line", "--fast", "--no-cache",
+            "--json", str(manifest), "--markdown", str(markdown),
+            "--events", str(events), "--ledger-dir", directory,
+        ]
+        assert main(args) == 0
+        assert load_manifest(manifest).design == "delay-line"
+        assert markdown.read_text()
+        assert json.loads(events.read_text().splitlines()[-1])
+        assert len(list(RunLedger(directory).entries())) == 1
+
+    def test_library_writers_create_the_parent(self, tmp_path):
+        from repro.observability.stats import write_stats_json
+        from repro.reporting.export import write_series_csv
+        from repro.staticcheck import run_lint
+        from repro.telemetry.export import export_jsonl
+        from repro.telemetry.session import TelemetrySession
+
+        written = [
+            write_stats_json(tmp_path / "stats" / "s.json", {"instruments": {}}),
+            write_series_csv(tmp_path / "csv" / "c.csv", {"x": np.arange(3.0)}),
+            run_lint([]).write_json(tmp_path / "lint" / "l.json"),
+            export_jsonl(TelemetrySession("empty"), tmp_path / "trace" / "t.jsonl"),
+        ]
+        assert all(path.read_text() for path in written)

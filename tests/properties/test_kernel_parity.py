@@ -172,6 +172,27 @@ class TestModulatorParity:
         n=64,
         seed=0,
     )
+    # The narrowest widths the stacked (stages, 2, lanes) views see.
+    @example(
+        kind="modulator2",
+        dither=False,
+        quantizer=(False, False, False),
+        dac_noise=True,
+        n_lanes=1,
+        amplitude=3e-6,
+        n=64,
+        seed=1,
+    )
+    @example(
+        kind="chopper",
+        dither=True,
+        quantizer=ALL_NONIDEAL,
+        dac_noise=False,
+        n_lanes=2,
+        amplitude=5e-6,
+        n=64,
+        seed=2,
+    )
     def test_batch_matches_lane_sequential_oracle(
         self, kind, dither, quantizer, dac_noise, n_lanes, amplitude, n, seed
     ):
