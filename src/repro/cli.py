@@ -67,6 +67,11 @@ an HTTP job queue over the same engines, deduplicating identical
 requests onto one execution and one byte-identical manifest.
 ``repro submit <design|spec.json> --wait`` is its client.  See
 ``docs/SERVICE.md``.
+
+Every verb is one row of :data:`VERBS`: its name, one-line help,
+handler and options.  ``--list``, ``--help`` and dispatch all read
+that table, and :func:`main` refuses any input a verb cannot use with
+one ``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -74,11 +79,10 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
-    import numpy as np
-
+    from repro.runtime import ResultCache, SweepExecutor
     from repro.runtime.sweeps import SweepSpec
 
 # The report verb's engine -- numpy, the device models, the metrics
@@ -87,7 +91,7 @@ if TYPE_CHECKING:
 # ``import repro.cli`` as its import layer and wraps the engine's calls
 # before ``main`` runs.  Every other verb imports what it uses inside
 # its ``cmd_*`` function.
-from repro.errors import AnalysisError, ObservabilityError
+from repro.errors import AnalysisError, ObservabilityError, ReproError
 from repro.metrics import build_report, collect_provenance
 from repro.observability.ledger import RunLedger
 from repro.observability.live import open_event_stream
@@ -95,23 +99,16 @@ from repro.observability.live import open_event_stream
 __all__ = ["entry", "main"]
 
 
-def _fft_length(fast: bool) -> int:
-    return 1 << 14 if fast else 1 << 16
-
-
 def _ledger_append(
     kind: str,
     payload: dict[str, object],
-    design: str | None = None,
-    provenance: dict[str, object] | None = None,
-    ledger_dir: str | None = None,
+    design: str | None,
+    ledger_dir: str | None,
 ) -> None:
     """Append one run-ledger entry; never fail the run over bookkeeping."""
     ledger = RunLedger(ledger_dir)
     try:
-        entry = ledger.append(
-            kind, payload, design=design, provenance=provenance
-        )
+        entry = ledger.append(kind, payload, design=design)
     except (ObservabilityError, OSError) as exc:
         print(f"ledger: not recorded ({exc})", file=sys.stderr)
         return
@@ -121,83 +118,38 @@ def _ledger_append(
         print(f"ledger: {entry.entry_id[:19]} appended to {ledger.path}")
 
 
-def cmd_table1(fast: bool) -> None:
-    """Print the Table 1 delay-line measurements."""
-    from repro.config import (
-        DELAY_LINE_BANDWIDTH,
-        DELAY_LINE_CLOCK,
-        delay_line_cell_config,
-    )
-    from repro.reporting.tables import Table
-    from repro.si import DelayLine
-    from repro.systems import TestBench
+def cmd_tone(
+    design: str,
+    title: str,
+    lines: tuple[tuple[str, str, str], ...],
+    n_samples: int,
+) -> None:
+    """Measure a design at its paper operating point; print the paper's table.
 
-    config = delay_line_cell_config(sample_rate=DELAY_LINE_CLOCK)
-    bench = TestBench(
-        sample_rate=DELAY_LINE_CLOCK,
-        n_samples=_fft_length(fast),
-        bandwidth=DELAY_LINE_BANDWIDTH,
-    )
-    line = DelayLine(config, n_cells=2)
-
-    def device(x: np.ndarray) -> np.ndarray:
-        line.reset()
-        return line.run(x)
-
-    result = bench.measure(device, amplitude=8e-6, frequency=5e3)
-    table = Table("Table 1: delay line at 5 MHz, 8 uA / 5 kHz", ("quantity", "paper", "measured"))
-    table.add_row("THD", "-50 dB", f"{result.thd_db:.1f} dB")
-    table.add_row("SNR (rms conv.)", "50 dB (p-p conv.)", f"{result.snr_db:.1f} dB")
-    print(table.render())
-
-
-def cmd_fig5(fast: bool) -> None:
-    """Print the Fig. 5 modulator measurement."""
-    from repro.config import MODULATOR_CLOCK, SIGNAL_BANDWIDTH, paper_cell_config
-    from repro.deltasigma import SIModulator2
+    ``lines`` holds one (quantity, paper value, measured attribute) per
+    row; the attribute names a dB figure of the bench measurement.
+    """
+    from repro.designs import resolve
     from repro.reporting.tables import Table
     from repro.systems import TestBench
 
-    modulator = SIModulator2(cell_config=paper_cell_config(sample_rate=MODULATOR_CLOCK))
+    entry = resolve(design)
+    point = entry.point
     bench = TestBench(
-        sample_rate=MODULATOR_CLOCK,
-        n_samples=_fft_length(fast),
-        bandwidth=SIGNAL_BANDWIDTH,
+        sample_rate=point.sample_rate,
+        n_samples=n_samples,
+        bandwidth=point.bandwidth,
     )
-    result = bench.measure(modulator, amplitude=3e-6, frequency=2e3)
-    table = Table("Fig. 5: SI modulator, 2 kHz 3 uA (-6 dB)", ("quantity", "paper", "measured"))
-    table.add_row("THD", "-61 dB", f"{result.thd_db:.1f} dB")
-    table.add_row("SNR (10 kHz)", "58 dB", f"{result.snr_db:.1f} dB")
-    table.add_row("SNDR", "-", f"{result.sndr_db:.1f} dB")
+    result = bench.measure(
+        entry.build(), amplitude=point.amplitude, frequency=point.frequency
+    )
+    table = Table(title, ("quantity", "paper", "measured"))
+    for quantity, paper, attribute in lines:
+        table.add_row(quantity, paper, f"{getattr(result, attribute):.1f} dB")
     print(table.render())
 
 
-def cmd_fig6(fast: bool) -> None:
-    """Print the Fig. 6 chopper-modulator measurement."""
-    from repro.config import MODULATOR_CLOCK, SIGNAL_BANDWIDTH, paper_cell_config
-    from repro.deltasigma import ChopperStabilizedSIModulator
-    from repro.reporting.tables import Table
-    from repro.systems import TestBench
-
-    modulator = ChopperStabilizedSIModulator(
-        cell_config=paper_cell_config(sample_rate=MODULATOR_CLOCK)
-    )
-    bench = TestBench(
-        sample_rate=MODULATOR_CLOCK,
-        n_samples=_fft_length(fast),
-        bandwidth=SIGNAL_BANDWIDTH,
-    )
-    result = bench.measure(modulator, amplitude=3e-6, frequency=2e3)
-    table = Table(
-        "Fig. 6(b): chopper-stabilised SI modulator (post-chopper)",
-        ("quantity", "paper", "measured"),
-    )
-    table.add_row("THD", "-62 dB", f"{result.thd_db:.1f} dB")
-    table.add_row("SNR (10 kHz)", "58 dB", f"{result.snr_db:.1f} dB")
-    print(table.render())
-
-
-def cmd_fig7(fast: bool) -> None:
+def cmd_fig7(n_samples: int) -> None:
     """Print the Fig. 7 sweep and the extracted dynamic range."""
     from repro.analysis.fitting import dynamic_range_from_sweep
     from repro.analysis.sweeps import run_amplitude_sweep
@@ -213,7 +165,6 @@ def cmd_fig7(fast: bool) -> None:
     from repro.systems.stimulus import coherent_frequency
 
     config = paper_cell_config(sample_rate=MODULATOR_CLOCK)
-    n_samples = 1 << 13 if fast else 1 << 15
     frequency = coherent_frequency(2e3, MODULATOR_CLOCK, n_samples)
     levels = [-50.0, -40.0, -30.0, -20.0, -10.0, -6.0, 0.0]
     table = Table(
@@ -311,12 +262,13 @@ def cmd_erc(design: str, min_severity: str, strict: bool) -> int:
 
 def cmd_lint(
     paths: list[str],
-    min_severity: str = "info",
-    strict: bool = False,
-    select: str | None = None,
-    ignore: str | None = None,
-    baseline: str | None = "baselines/staticcheck.json",
-    json_path: str | None = None,
+    min_severity: str,
+    strict: bool,
+    select: str | None,
+    ignore: str | None,
+    baseline: str | None,
+    no_baseline: bool,
+    json_path: str | None,
 ) -> int:
     """Statically check source files for determinism/lowerability contracts."""
     from repro.errors import ConfigurationError
@@ -328,6 +280,8 @@ def cmd_lint(
             return None
         return [code.strip() for code in raw.split(",") if code.strip()]
 
+    if no_baseline:
+        baseline = None
     try:
         report = run_lint(
             paths,
@@ -354,12 +308,11 @@ def cmd_lint(
 
 def cmd_trace(
     design: str,
-    fast: bool = False,
-    samples: int | None = None,
-    overdrive: float = 1.0,
-    supply: float | None = None,
-    json_path: str | None = None,
-    strict: bool = False,
+    n_samples: int,
+    overdrive: float,
+    supply: float | None,
+    json_path: str | None,
+    strict: bool,
 ) -> int:
     """Run a traced simulation; print span, probe and event tables."""
     from repro.designs import resolve
@@ -368,7 +321,6 @@ def cmd_trace(
 
     entry = resolve(design)
     point = entry.point
-    n_samples = samples if samples is not None else (1 << 14 if fast else 1 << 16)
     session = TelemetrySession(entry.name)
     device = entry.build()
     # Attach before the bench does so --supply reaches the probe
@@ -401,20 +353,39 @@ def cmd_trace(
     return session.gate.exit_code(strict)
 
 
+def _sweep_parts(
+    design: str,
+    n_samples: int,
+    levels: list[float] | None,
+    jobs: int,
+    cache: bool,
+    cache_dir: str | None,
+) -> tuple[SweepSpec, SweepExecutor, ResultCache | None]:
+    """Return the spec, executor and result cache of a ``sweep``/``stats`` run."""
+    from repro.runtime import ResultCache, SweepExecutor
+    from repro.runtime.sweeps import DEFAULT_LEVELS_DB, sweep_spec_for_design
+
+    spec = sweep_spec_for_design(
+        design,
+        n_samples=2 * n_samples,  # spec halves the main FFT length
+        levels_db=tuple(levels) if levels else DEFAULT_LEVELS_DB,
+    )
+    return spec, SweepExecutor(jobs=jobs), ResultCache(cache_dir) if cache else None
+
+
 def cmd_sweep(
     design: str,
-    fast: bool = False,
-    samples: int | None = None,
-    levels: list[float] | None = None,
-    jobs: int = 1,
-    cache: bool = True,
-    cache_dir: str | None = None,
-    json_path: str | None = None,
-    profile: bool = False,
-    events: str | None = None,
-    follow: bool = False,
-    ledger: bool = True,
-    ledger_dir: str | None = None,
+    n_samples: int,
+    levels: list[float] | None,
+    jobs: int,
+    cache: bool,
+    cache_dir: str | None,
+    json_path: str | None,
+    profile: bool,
+    events: str | None,
+    follow: bool,
+    ledger: bool,
+    ledger_dir: str | None,
 ) -> int:
     """Run a dynamic-range sweep through the parallel batch engine."""
     import json
@@ -423,20 +394,11 @@ def cmd_sweep(
     from repro.metrics.spectral import db_to_bits
     from repro.observability.instruments import InstrumentRegistry, use_registry
     from repro.reporting.tables import Table
-    from repro.runtime import ResultCache, SweepExecutor
-    from repro.runtime.sweeps import (
-        DEFAULT_LEVELS_DB,
-        run_sweep,
-        sweep_spec_for_design,
-    )
+    from repro.runtime.sweeps import run_sweep
 
-    n_samples = samples if samples is not None else (1 << 13 if fast else 1 << 15)
-    spec = sweep_spec_for_design(
-        design,
-        n_samples=2 * n_samples,  # spec halves the main FFT length
-        levels_db=tuple(levels) if levels else DEFAULT_LEVELS_DB,
+    spec, executor, result_cache = _sweep_parts(
+        design, n_samples, levels, jobs, cache, cache_dir
     )
-    result_cache = ResultCache(cache_dir) if cache else None
     stream = open_event_stream(events, follow=follow, source=spec.design)
     session = None
     if profile or stream is not None:
@@ -450,7 +412,7 @@ def cmd_sweep(
         with use_registry(registry):
             result = run_sweep(
                 spec,
-                executor=SweepExecutor(jobs=jobs),
+                executor=executor,
                 cache=result_cache,
                 telemetry=session,
             )
@@ -508,24 +470,21 @@ def cmd_sweep(
         output_path(json_path).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"sweep written to {json_path}")
     if ledger:
-        _ledger_append(
-            "sweep", payload, design=spec.design, ledger_dir=ledger_dir
-        )
+        _ledger_append("sweep", payload, spec.design, ledger_dir)
     return 0
 
 
 def cmd_stats(
-    design: str | None = None,
-    fast: bool = False,
-    samples: int | None = None,
-    levels: list[float] | None = None,
-    jobs: int = 1,
-    cache: bool = True,
-    cache_dir: str | None = None,
-    json_path: str | None = None,
-    diff: list[str] | None = None,
-    strict: bool = False,
-    prometheus: bool = False,
+    design: str | None,
+    n_samples: int,
+    levels: list[float] | None,
+    jobs: int,
+    cache: bool,
+    cache_dir: str | None,
+    json_path: str | None,
+    diff: list[str] | None,
+    strict: bool,
+    prometheus: bool,
 ) -> int:
     """Run a sweep and print its instrument counters, or diff two snapshots."""
     from repro.errors import ConfigurationError
@@ -537,50 +496,26 @@ def cmd_stats(
     )
 
     if diff is not None:
-        try:
-            current = load_stats_json(diff[0])
-            baseline = load_stats_json(diff[1])
-            report = diff_snapshots(current, baseline)
-        except ObservabilityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        current = load_stats_json(diff[0])
+        baseline = load_stats_json(diff[1])
+        report = diff_snapshots(current, baseline)
         print(report.render_table())
         print(report.summary())
         return report.exit_code(strict=strict)
 
     if design is None:
-        print(
-            "error: a design is required unless --diff is given",
-            file=sys.stderr,
-        )
-        return 2
+        raise ConfigurationError("a design is required unless --diff is given")
 
-    from repro.runtime import ResultCache, SweepExecutor
-    from repro.runtime.sweeps import (
-        DEFAULT_LEVELS_DB,
-        run_sweep,
-        sweep_spec_for_design,
+    from repro.runtime.sweeps import run_sweep
+
+    spec, executor, result_cache = _sweep_parts(
+        design, n_samples, levels, jobs, cache, cache_dir
     )
-
-    n_samples = samples if samples is not None else (1 << 13 if fast else 1 << 15)
-    try:
-        spec = sweep_spec_for_design(
-            design,
-            n_samples=2 * n_samples,  # spec halves the main FFT length
-            levels_db=tuple(levels) if levels else DEFAULT_LEVELS_DB,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     # A fresh registry means the printed counts describe exactly this
     # run -- worker snapshots merge into it across the process boundary.
     registry = InstrumentRegistry()
     with use_registry(registry):
-        run_sweep(
-            spec,
-            executor=SweepExecutor(jobs=jobs),
-            cache=ResultCache(cache_dir) if cache else None,
-        )
+        run_sweep(spec, executor=executor, cache=result_cache)
     print(registry.render_table(title=f"instruments: {spec.design}"))
     if prometheus:
         print(registry.to_prometheus_text(), end="")
@@ -614,18 +549,16 @@ def _sweep_spec_from_json(path: str) -> "SweepSpec":
 
 def cmd_profile(
     target: str,
-    fast: bool = False,
-    samples: int | None = None,
-    sweep: bool = True,
-    jobs: int = 1,
-    cache: bool = True,
-    cache_dir: str | None = None,
-    json_path: str | None = None,
+    n_samples: int,
+    sweep: bool,
+    jobs: int,
+    cache: bool,
+    cache_dir: str | None,
+    json_path: str | None,
 ) -> int:
     """Profile a design report (or a sweep-spec JSON): where time went."""
     import json
 
-    from repro.errors import ConfigurationError, MetricsError
     from repro.observability.profile import (
         aggregate_profile,
         collapsed_stacks,
@@ -640,11 +573,7 @@ def cmd_profile(
         from repro.runtime import ResultCache, SweepExecutor
         from repro.runtime.sweeps import run_sweep
 
-        try:
-            spec = _sweep_spec_from_json(target)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        spec = _sweep_spec_from_json(target)
         session = TelemetrySession(spec.design)
         run_sweep(
             spec,
@@ -653,23 +582,16 @@ def cmd_profile(
             telemetry=session,
         )
     else:
-        n_samples = (
-            samples if samples is not None else (1 << 14 if fast else 1 << 16)
-        )
         session = TelemetrySession(target)
-        try:
-            build_report(
-                target,
-                n_samples=n_samples,
-                sweep=sweep,
-                jobs=jobs,
-                use_cache=cache,
-                cache_dir=cache_dir,
-                session=session,
-            )
-        except (ConfigurationError, MetricsError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        build_report(
+            target,
+            n_samples=n_samples,
+            sweep=sweep,
+            jobs=jobs,
+            use_cache=cache,
+            cache_dir=cache_dir,
+            session=session,
+        )
 
     rows = aggregate_profile(session.roots)
     print(session.render_span_tree())
@@ -688,23 +610,18 @@ def cmd_profile(
 
 
 def cmd_bench_gate(
-    telemetry_path: str = "BENCH_telemetry.json",
-    baseline_path: str = "baselines/bench.json",
-    tolerance: float | None = None,
-    ledger: bool = True,
-    ledger_dir: str | None = None,
+    telemetry_path: str,
+    baseline_path: str,
+    tolerance: float | None,
+    ledger: bool,
+    ledger_dir: str | None,
 ) -> int:
     """Check benchmark telemetry against the committed wall-time baseline."""
-    from repro.errors import MetricsError
     from repro.metrics import run_bench_gate
 
-    try:
-        report = run_bench_gate(
-            telemetry_path, baseline_path, tolerance=tolerance
-        )
-    except MetricsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_bench_gate(
+        telemetry_path, baseline_path, tolerance=tolerance
+    )
     print(report.render_table())
     print(report.summary())
     if report.extra_benchmarks:
@@ -729,37 +646,16 @@ def cmd_bench_gate(
                 for row in report.rows
             ],
         }
-        _ledger_append("bench-gate", payload, ledger_dir=ledger_dir)
+        _ledger_append("bench-gate", payload, None, ledger_dir)
     return report.exit_code()
 
 
-def _ledger_design(name: str) -> str | None:
-    """Return the canonical name the ledger records ``name`` under.
-
-    Prints the catalog's refusal and returns None for a name outside
-    the catalog.
-    """
-    from repro.designs import resolve
-    from repro.errors import ConfigurationError
-
-    try:
-        return resolve(name).name
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def cmd_history(
-    design: str,
-    limit: int = 10,
-    ledger_dir: str | None = None,
-) -> int:
+def cmd_history(design: str, limit: int, ledger_dir: str | None) -> int:
     """Show a design's run-ledger trajectory (metrics and entries)."""
+    from repro.designs import resolve
     from repro.observability.trend import render_history
 
-    canonical = _ledger_design(design)
-    if canonical is None:
-        return 2
+    canonical = resolve(design).name
     ledger = RunLedger(ledger_dir)
     print(render_history(ledger, canonical, limit=limit))
     known = ledger.designs()
@@ -769,16 +665,16 @@ def cmd_history(
 
 
 def cmd_trend(
-    design: str | None = None,
-    window: int | None = None,
-    sustain: int | None = None,
-    threshold: float | None = None,
-    strict: bool = False,
-    json_path: str | None = None,
-    ledger_dir: str | None = None,
+    design: str | None,
+    window: int | None,
+    sustain: int | None,
+    threshold: float | None,
+    strict: bool,
+    json_path: str | None,
+    ledger_dir: str | None,
 ) -> int:
     """Gate on sustained cross-run drift in the run ledger."""
-    from repro.errors import ConfigurationError
+    from repro.designs import resolve
     from repro.observability.trend import (
         DEFAULT_SUSTAIN,
         DEFAULT_THRESHOLD,
@@ -786,21 +682,13 @@ def cmd_trend(
         analyze_ledger,
     )
 
-    if design is not None:
-        design = _ledger_design(design)
-        if design is None:
-            return 2
-    try:
-        report = analyze_ledger(
-            RunLedger(ledger_dir),
-            design=design,
-            window=window if window is not None else DEFAULT_WINDOW,
-            sustain=sustain if sustain is not None else DEFAULT_SUSTAIN,
-            threshold=threshold if threshold is not None else DEFAULT_THRESHOLD,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = analyze_ledger(
+        RunLedger(ledger_dir),
+        design=None if design is None else resolve(design).name,
+        window=window if window is not None else DEFAULT_WINDOW,
+        sustain=sustain if sustain is not None else DEFAULT_SUSTAIN,
+        threshold=threshold if threshold is not None else DEFAULT_THRESHOLD,
+    )
     print(report.render_table())
     print(report.summary())
     if json_path is not None:
@@ -811,26 +699,24 @@ def cmd_trend(
 
 def cmd_report(
     design: str,
-    fast: bool = False,
-    samples: int | None = None,
-    sweep: bool = True,
-    noise_scale: float = 1.0,
-    mismatch: float = 0.0,
-    jobs: int = 1,
-    cache: bool = True,
-    cache_dir: str | None = None,
-    json_path: str | None = None,
-    markdown_path: str | None = None,
-    profile: bool = False,
-    events: str | None = None,
-    follow: bool = False,
-    ledger: bool = True,
-    ledger_dir: str | None = None,
-    engine: str = "auto",
-    argv: list[str] | None = None,
+    n_samples: int,
+    sweep: bool,
+    noise_scale: float,
+    mismatch: float,
+    jobs: int,
+    engine: str,
+    profile: bool,
+    cache: bool,
+    cache_dir: str | None,
+    json_path: str | None,
+    markdown_path: str | None,
+    events: str | None,
+    follow: bool,
+    ledger: bool,
+    ledger_dir: str | None,
+    argv: list[str] | None,
 ) -> int:
     """Measure a design and emit its paper-metrics run manifest."""
-    n_samples = samples if samples is not None else (1 << 14 if fast else 1 << 16)
     stream = open_event_stream(events, follow=follow, source=design)
     session = None
     if profile or stream is not None:
@@ -866,56 +752,36 @@ def cmd_report(
         output_path(markdown_path).write_text(manifest.render_markdown())
         print(f"markdown report written to {markdown_path}")
     if ledger:
-        # The manifest's own provenance block becomes the entry's
-        # provenance; keeping it out of the payload lets an identical
-        # re-measurement content-address to the same entry.
-        payload = manifest.as_dict()
-        provenance = payload.pop("provenance", None)
-        _ledger_append(
-            "report",
-            payload,
-            design=manifest.design,
-            provenance=provenance if isinstance(provenance, dict) else None,
-            ledger_dir=ledger_dir,
-        )
+        _ledger_append("report", manifest.as_dict(), manifest.design, ledger_dir)
     return 0
 
 
-def cmd_compare(
-    manifest_path: str,
-    baseline_path: str | None = None,
-    strict: bool = False,
-) -> int:
+def cmd_compare(manifest: str, baseline: str | None, strict: bool) -> int:
     """Diff a run manifest against a golden baseline; exit 1 on regression."""
-    from repro.errors import MetricsError
     from repro.metrics import compare_manifests, load_manifest
 
-    try:
-        current = load_manifest(manifest_path)
-        baseline = load_manifest(
-            baseline_path
-            if baseline_path is not None
-            else f"baselines/{current.design}.json"
-        )
-    except MetricsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = compare_manifests(current, baseline)
+    current = load_manifest(manifest)
+    golden = load_manifest(
+        baseline
+        if baseline is not None
+        else f"baselines/{current.design}.json"
+    )
+    report = compare_manifests(current, golden)
     print(report.render_table())
     print(report.summary())
     return report.exit_code(strict=strict)
 
 
 def cmd_serve(
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    jobs: int = 1,
-    workers: int = 1,
-    max_pending: int = 64,
-    cache_dir: str | None = None,
-    max_bytes: int | None = None,
-    ledger: bool = True,
-    ledger_dir: str | None = None,
+    host: str,
+    port: int,
+    jobs: int,
+    workers: int,
+    max_pending: int,
+    cache_dir: str | None,
+    max_bytes: int | None,
+    ledger: bool,
+    ledger_dir: str | None,
 ) -> int:
     """Run the simulation service over HTTP until interrupted."""
     from repro.errors import ConfigurationError, ServiceError
@@ -942,14 +808,14 @@ def cmd_serve(
 
 def cmd_submit(
     target: str,
-    url: str = "http://127.0.0.1:8765",
-    samples: int | None = None,
-    sweep: bool = True,
-    noise_scale: float = 1.0,
-    mismatch: float = 0.0,
-    wait: bool = False,
-    timeout: float = 300.0,
-    output: str | None = None,
+    url: str,
+    n_samples: int | None,
+    sweep: bool,
+    noise_scale: float,
+    mismatch: float,
+    wait: bool,
+    timeout: float,
+    output: str | None,
 ) -> int:
     """Submit a design (or sweep-spec JSON) to a running service."""
     import json
@@ -977,8 +843,8 @@ def cmd_submit(
             "noise_scale": noise_scale,
             "mismatch": mismatch,
         }
-        if samples is not None:
-            request["n_samples"] = samples
+        if n_samples is not None:
+            request["n_samples"] = n_samples
 
     client = ServiceClient(url)
     try:
@@ -1012,41 +878,127 @@ def cmd_submit(
     return 0
 
 
-#: Measurement commands: name -> callable taking the --fast flag.
-COMMANDS: dict[str, Callable[[bool], None]] = {
-    "table1": cmd_table1,
-    "fig5": cmd_fig5,
-    "fig6": cmd_fig6,
-    "fig7": cmd_fig7,
-    "headroom": cmd_headroom,
-    "tradeoff": cmd_tradeoff,
-}
+# -- options ----------------------------------------------------------------
+
+#: An option adds arguments, or fixed handler values, to a verb's parser.
+Option = Callable[[argparse.ArgumentParser], object]
 
 
-def _first_doc_line(func: Callable[..., object]) -> str:
-    """Return the first docstring line, for --list and --help output."""
-    doc = func.__doc__ or ""
-    return doc.strip().splitlines()[0] if doc.strip() else ""
+def _arg(*flags: str, **kwargs: Any) -> Option:
+    """Return an option adding one argument, spelled as ``add_argument`` takes it."""
+    return lambda sub: sub.add_argument(*flags, **kwargs)
 
 
-def _add_ledger_options(sub: argparse.ArgumentParser) -> None:
-    """Add the run-ledger options shared by the recording commands."""
-    sub.add_argument(
-        "--no-ledger",
-        dest="ledger",
-        action="store_false",
-        help="do not append this run to the run ledger",
-    )
-    sub.add_argument(
-        "--ledger-dir",
-        default=None,
-        metavar="DIR",
-        help="ledger directory (default: $REPRO_LEDGER_DIR or .repro/ledger)",
-    )
+def _fixed(**values: Any) -> Option:
+    """Return an option passing fixed keyword values to the verb's handler."""
+    return lambda sub: sub.set_defaults(**values)
 
 
-def _add_live_ledger_options(sub: argparse.ArgumentParser) -> None:
-    """Add the live-event-stream plus ledger options (report/sweep)."""
+def _count(low: int, high: int | None = None) -> Callable[[str], int]:
+    """Return an argparse type accepting the integers ``low`` to ``high``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    # argparse names the type when int() refuses: "invalid int value".
+    parse.__name__ = "int"
+    return parse
+
+
+_positive = _count(1)
+
+#: (--fast, full) sample counts of a single-tone run and of a sweep lane.
+_RUN_LENGTHS = (1 << 14, 1 << 16)
+_LANE_LENGTHS = (1 << 13, 1 << 15)
+
+
+def _sample_length(lengths: tuple[int, int], samples: bool = True) -> Option:
+    """Return the ``--fast``/``--samples`` group that sets ``n_samples``.
+
+    ``--fast`` picks the short length and no flag the full one;
+    ``--samples N`` overrides both, in either order (:func:`main`
+    folds it in).
+    """
+    short, full = lengths
+
+    def add(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument(
+            "--fast",
+            dest="n_samples",
+            action="store_const",
+            const=short,
+            default=full,
+            help=f"use a shorter run ({short >> 10}K samples instead of {full >> 10}K)",
+        )
+        if samples:
+            sub.add_argument(
+                "--samples",
+                type=int,
+                default=None,
+                metavar="N",
+                help="analysed samples per run or sweep lane (overrides --fast)",
+            )
+
+    return add
+
+
+def _cache(toggle: bool = True) -> Option:
+    """Return the result-cache group; ``toggle`` adds ``--no-cache``."""
+
+    def add(sub: argparse.ArgumentParser) -> None:
+        if toggle:
+            sub.add_argument(
+                "--no-cache",
+                dest="cache",
+                action="store_false",
+                help="skip the on-disk sweep result cache",
+            )
+        sub.add_argument(
+            "--cache-dir",
+            default=None,
+            metavar="DIR",
+            help="sweep result cache directory "
+            "(default: $REPRO_CACHE_DIR or .repro-cache)",
+        )
+
+    return add
+
+
+def _ledger(toggle: bool = True) -> Option:
+    """Return the run-ledger group; ``toggle`` adds ``--no-ledger``."""
+
+    def add(sub: argparse.ArgumentParser) -> None:
+        if toggle:
+            sub.add_argument(
+                "--no-ledger",
+                dest="ledger",
+                action="store_false",
+                help="do not append this run to the run ledger",
+            )
+        sub.add_argument(
+            "--ledger-dir",
+            default=None,
+            metavar="DIR",
+            help="ledger directory (default: $REPRO_LEDGER_DIR or .repro/ledger)",
+        )
+
+    return add
+
+
+_jobs = _arg(
+    "--jobs",
+    type=_positive,
+    default=1,
+    metavar="N",
+    help="worker processes per sweep (bit-identical results at any value; default: 1)",
+)
+
+
+def _events(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--events",
         default=None,
@@ -1058,13 +1010,451 @@ def _add_live_ledger_options(sub: argparse.ArgumentParser) -> None:
         action="store_true",
         help="mirror the live event stream to stderr while running",
     )
-    _add_ledger_options(sub)
+
+
+def _degradation(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--noise-scale",
+        type=float,
+        default=1.0,
+        metavar="X",
+        help="scale the cells' thermal noise by X (degradation knob)",
+    )
+    sub.add_argument(
+        "--mismatch",
+        type=float,
+        default=0.0,
+        metavar="M",
+        help="inject a half-circuit gain mismatch of M (degradation knob)",
+    )
+
+
+_no_sweep = _arg(
+    "--no-sweep",
+    dest="sweep",
+    action="store_false",
+    help="skip the dynamic-range sweep (modulator designs)",
+)
+
+
+_levels = _arg(
+    "--levels",
+    type=float,
+    nargs="+",
+    default=None,
+    metavar="DB",
+    help="input levels in dB re full scale (default: the report sweep)",
+)
+
+
+_min_severity = _arg(
+    "--min-severity",
+    choices=["info", "warning", "error"],
+    default="info",
+    help="hide findings below this severity (default: %(default)s)",
+)
+
+
+def _runnable_design(sub: argparse.ArgumentParser) -> None:
+    from repro.designs import design_names
+
+    sub.add_argument(
+        "design", choices=design_names(runnable=True), help="design to run"
+    )
+
+
+def _design_or_all(sub: argparse.ArgumentParser) -> None:
+    from repro.designs import design_names
+
+    sub.add_argument(
+        "design",
+        choices=design_names() + ["all"],
+        help="design to check, or 'all'",
+    )
+
+
+def _json(text: str) -> Option:
+    """Return the ``--json PATH`` output option, helped by ``text``."""
+    return _arg("--json", dest="json_path", default=None, metavar="PATH", help=text)
+
+
+_strict = _arg("--strict", action="store_true", help="also exit non-zero on warnings")
+
+#: ``headroom`` and ``tradeoff`` run no simulation; they accept
+#: ``--fast`` like every other table and ignore it.
+_unused_fast = _arg("--fast", action="store_true", help="use shorter FFTs for a quick look")
+
+#: The raw command line, which ``report`` stamps into its provenance
+#: (:func:`main` fills it in).
+_raw_argv = _fixed(argv=None)
+
+#: Every verb, in ``--list`` and ``--help`` order: its name, one-line
+#: help, handler and options.  :func:`main` calls the handler with the
+#: parsed options as keyword arguments named by their dests.
+VERBS: tuple[tuple[str, str, Callable[..., int | None], tuple[Option, ...]], ...] = (
+    ("fig5", "Print the Fig. 5 modulator measurement.", cmd_tone, (
+        _sample_length(_RUN_LENGTHS, samples=False),
+        _fixed(
+            design="modulator2",
+            title="Fig. 5: SI modulator, 2 kHz 3 uA (-6 dB)",
+            lines=(
+                ("THD", "-61 dB", "thd_db"),
+                ("SNR (10 kHz)", "58 dB", "snr_db"),
+                ("SNDR", "-", "sndr_db"),
+            ),
+        ),
+    )),
+    ("fig6", "Print the Fig. 6 chopper-modulator measurement.", cmd_tone, (
+        _sample_length(_RUN_LENGTHS, samples=False),
+        _fixed(
+            design="chopper",
+            title="Fig. 6(b): chopper-stabilised SI modulator (post-chopper)",
+            lines=(("THD", "-62 dB", "thd_db"), ("SNR (10 kHz)", "58 dB", "snr_db")),
+        ),
+    )),
+    ("fig7", "Print the Fig. 7 sweep and the extracted dynamic range.", cmd_fig7, (
+        _sample_length(_LANE_LENGTHS, samples=False),
+    )),
+    ("headroom", "Print the Eqs. (1)-(2) supply sweep.", cmd_headroom, (
+        _unused_fast,
+    )),
+    ("table1", "Print the Table 1 delay-line measurements.", cmd_tone, (
+        _sample_length(_RUN_LENGTHS, samples=False),
+        _fixed(
+            design="delay-line",
+            title="Table 1: delay line at 5 MHz, 8 uA / 5 kHz",
+            lines=(
+                ("THD", "-50 dB", "thd_db"),
+                ("SNR (rms conv.)", "50 dB (p-p conv.)", "snr_db"),
+            ),
+        ),
+    )),
+    ("tradeoff", "Print the SI-vs-SC dynamic-range trade-off table.", cmd_tradeoff, (
+        _unused_fast,
+    )),
+    ("erc", "Statically check a named design against the ERC rule set.", cmd_erc, (
+        _design_or_all, _min_severity, _strict,
+    )),
+    ("lint", "Statically check source files for determinism/lowerability contracts.",
+     cmd_lint, (
+        _arg(
+            "paths",
+            nargs="*",
+            default=["src"],
+            help="files or directories to lint (default: src)",
+        ),
+        _min_severity,
+        _strict,
+        _arg(
+            "--select",
+            default=None,
+            metavar="CODES",
+            help="comma-separated rule codes to run exclusively (e.g. SC001,SC010)",
+        ),
+        _arg(
+            "--ignore",
+            default=None,
+            metavar="CODES",
+            help="comma-separated rule codes to skip",
+        ),
+        _arg(
+            "--baseline",
+            default="baselines/staticcheck.json",
+            metavar="PATH",
+            help="suppression baseline (default: %(default)s)",
+        ),
+        _arg(
+            "--no-baseline",
+            action="store_true",
+            help="ignore the suppression baseline entirely",
+        ),
+        _json("also write the findings as a JSON document"),
+    )),
+    ("trace", "Run a traced simulation; print span, probe and event tables.", cmd_trace, (
+        _runnable_design,
+        _sample_length(_RUN_LENGTHS),
+        _arg(
+            "--overdrive",
+            type=float,
+            default=1.0,
+            metavar="X",
+            help="scale the nominal stimulus amplitude by X (default: 1.0)",
+        ),
+        _arg(
+            "--supply",
+            type=float,
+            default=None,
+            metavar="V",
+            help="supply voltage for the dynamic headroom rule (default: 3.3)",
+        ),
+        _json("also export the trace as JSONL to PATH"),
+        _arg("--strict", action="store_true", help="also exit non-zero on WARNING events"),
+    )),
+    ("report", "Measure a design and emit its paper-metrics run manifest.", cmd_report, (
+        _runnable_design,
+        _sample_length(_RUN_LENGTHS),
+        _no_sweep,
+        _degradation,
+        _jobs,
+        _arg(
+            "--engine",
+            choices=["auto", "scalar", "kernel"],
+            default="auto",
+            help="execution engine for the measurement and sweep "
+            "(bit-identical values on every rung; stamped into the "
+            "manifest's provenance so timings stay attributable; "
+            "default: auto)",
+        ),
+        _arg(
+            "--profile",
+            action="store_true",
+            help="print the traced span tree (wall time per stage) after "
+            "the manifest",
+        ),
+        _cache(),
+        _json("also write the run manifest as JSON to PATH"),
+        _arg(
+            "--markdown",
+            dest="markdown_path",
+            default=None,
+            metavar="PATH",
+            help="also write a Markdown report to PATH",
+        ),
+        _events,
+        _ledger(),
+        _raw_argv,
+    )),
+    ("compare", "Diff a run manifest against a golden baseline; exit 1 on regression.",
+     cmd_compare, (
+        _arg("manifest", help="run manifest JSON to check (from `repro report --json`)"),
+        _arg(
+            "--baseline",
+            default=None,
+            metavar="PATH",
+            help="golden manifest to diff against "
+            "(default: baselines/<design>.json)",
+        ),
+        _arg(
+            "--strict",
+            action="store_true",
+            help="also exit non-zero on warnings and config mismatches",
+        ),
+    )),
+    ("sweep", "Run a dynamic-range sweep through the parallel batch engine.", cmd_sweep, (
+        _runnable_design,
+        _sample_length(_LANE_LENGTHS),
+        _levels,
+        _jobs,
+        _cache(),
+        _json("also write the sweep table as JSON to PATH"),
+        _arg(
+            "--profile",
+            action="store_true",
+            help="print the merged span tree (parent + grafted worker "
+            "shards) and the run's instrument counters",
+        ),
+        _events,
+        _ledger(),
+    )),
+    ("stats", "Run a sweep and print its instrument counters, or diff two snapshots.",
+     cmd_stats, (
+        _arg(
+            "design",
+            nargs="?",
+            default=None,
+            help="design to sweep and account (omit with --diff)",
+        ),
+        _sample_length(_LANE_LENGTHS),
+        _levels,
+        _jobs,
+        _cache(),
+        _json("write the instrument snapshot as a stats document to PATH"),
+        _arg(
+            "--prom",
+            dest="prometheus",
+            action="store_true",
+            help="also print the Prometheus text exposition",
+        ),
+        _arg(
+            "--diff",
+            nargs=2,
+            default=None,
+            metavar=("CURRENT", "BASELINE"),
+            help="diff two stats documents instead of running a sweep "
+            "(exit 1 when a gated counter increased)",
+        ),
+        _arg(
+            "--strict",
+            action="store_true",
+            help="with --diff, also exit non-zero on warnings",
+        ),
+    )),
+    ("profile", "Profile a design report (or a sweep-spec JSON): where time went.",
+     cmd_profile, (
+        _arg(
+            "target",
+            help="design to profile, or a sweep-spec JSON file "
+            "(a file of SweepSpec fields; detected by the .json suffix)",
+        ),
+        _sample_length(_RUN_LENGTHS),
+        _no_sweep,
+        _jobs,
+        _cache(),
+        _json(
+            "also write the profile document (rows, collapsed stacks, "
+            "span tree) as JSON to PATH"
+        ),
+    )),
+    ("bench-gate", "Check benchmark telemetry against the committed wall-time baseline.",
+     cmd_bench_gate, (
+        _arg(
+            "--telemetry",
+            dest="telemetry_path",
+            default="BENCH_telemetry.json",
+            metavar="PATH",
+            help="benchmark telemetry document (default: %(default)s)",
+        ),
+        _arg(
+            "--baseline",
+            dest="baseline_path",
+            default="baselines/bench.json",
+            metavar="PATH",
+            help="committed wall-time baseline (default: %(default)s)",
+        ),
+        _arg(
+            "--tolerance",
+            type=float,
+            default=None,
+            metavar="FRAC",
+            help="fractional wall-time headroom (default: the baseline's, 0.25)",
+        ),
+        _ledger(),
+    )),
+    ("history", "Show a design's run-ledger trajectory (metrics and entries).",
+     cmd_history, (
+        _arg("design", help="design whose ledger trajectory to show"),
+        _arg(
+            "--limit",
+            type=_positive,
+            default=10,
+            metavar="N",
+            help="show the last N entries (default: 10)",
+        ),
+        _ledger(toggle=False),
+    )),
+    ("trend", "Gate on sustained cross-run drift in the run ledger.", cmd_trend, (
+        _arg(
+            "design",
+            nargs="?",
+            default=None,
+            help="restrict the gate to one design's series (default: all)",
+        ),
+        _arg(
+            "--window",
+            type=int,
+            default=None,
+            metavar="N",
+            help="rolling history window per series (default: 10)",
+        ),
+        _arg(
+            "--sustain",
+            type=int,
+            default=None,
+            metavar="N",
+            help="runs that must all drift before REGRESS (default: 3)",
+        ),
+        _arg(
+            "--threshold",
+            type=float,
+            default=None,
+            metavar="X",
+            help="drift threshold in robust scale units (default: 4.0)",
+        ),
+        _arg(
+            "--strict",
+            action="store_true",
+            help="also exit non-zero on single-run warnings",
+        ),
+        _json("also write the trend report as JSON to PATH"),
+        _ledger(toggle=False),
+    )),
+    ("serve", "Run the simulation service over HTTP until interrupted.", cmd_serve, (
+        _arg("--host", default="127.0.0.1", help="bind address (default %(default)s)"),
+        _arg(
+            "--port",
+            type=_count(0, 65535),
+            default=8765,
+            help="bind port; 0 picks a free one (default %(default)s)",
+        ),
+        _jobs,
+        _arg(
+            "--workers",
+            type=int,
+            default=1,
+            metavar="N",
+            help="queue worker threads (default 1: serialized simulations)",
+        ),
+        _arg(
+            "--max-pending",
+            dest="max_pending",
+            type=int,
+            default=64,
+            metavar="N",
+            help="queued-job backpressure limit (HTTP 429 past it)",
+        ),
+        _cache(toggle=False),
+        _arg(
+            "--max-bytes",
+            dest="max_bytes",
+            type=int,
+            default=None,
+            metavar="BYTES",
+            help="LRU byte budget of the artifact store (default: unbounded)",
+        ),
+        _ledger(),
+    )),
+    ("submit", "Submit a design (or sweep-spec JSON) to a running service.", cmd_submit, (
+        _arg("target", help="design name, or a sweep-spec JSON path"),
+        _arg(
+            "--url",
+            default="http://127.0.0.1:8765",
+            help="service base URL (default %(default)s)",
+        ),
+        _arg(
+            "--samples",
+            dest="n_samples",
+            type=int,
+            default=None,
+            metavar="N",
+            help="FFT length for a report job (server default 16K)",
+        ),
+        _no_sweep,
+        _degradation,
+        _arg(
+            "--wait",
+            action="store_true",
+            help="block until the job finishes and emit its result",
+        ),
+        _arg(
+            "--timeout",
+            type=float,
+            default=300.0,
+            metavar="S",
+            help="--wait deadline in seconds (default %(default)g)",
+        ),
+        _arg(
+            "--output",
+            "-o",
+            default=None,
+            metavar="PATH",
+            help="write the result bytes to PATH instead of stdout",
+        ),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Return the argument parser with one sub-command per command."""
-    from repro.designs import design_names
-
+    """Return the argument parser with one sub-command per row of :data:`VERBS`."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate results from the DATE 1995 switched-current paper.",
@@ -1072,852 +1462,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list", action="store_true", help="list available commands"
     )
-    subparsers = parser.add_subparsers(dest="command", metavar="command")
-    for name in sorted(COMMANDS):
-        sub = subparsers.add_parser(
-            name,
-            help=_first_doc_line(COMMANDS[name]),
-            description=_first_doc_line(COMMANDS[name]),
-        )
-        sub.add_argument(
-            "--fast",
-            action="store_true",
-            help="use shorter FFTs for a quick look",
-        )
-    erc = subparsers.add_parser(
-        "erc",
-        help=_first_doc_line(cmd_erc),
-        description=_first_doc_line(cmd_erc),
-    )
-    erc.add_argument(
-        "design",
-        choices=design_names() + ["all"],
-        help="design to check, or 'all'",
-    )
-    erc.add_argument(
-        "--min-severity",
-        choices=["info", "warning", "error"],
-        default="info",
-        help="hide violations below this severity (default: info)",
-    )
-    erc.add_argument(
-        "--strict",
-        action="store_true",
-        help="also exit non-zero on warnings",
-    )
-    lint = subparsers.add_parser(
-        "lint",
-        help=_first_doc_line(cmd_lint),
-        description=_first_doc_line(cmd_lint),
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument(
-        "--min-severity",
-        choices=["info", "warning", "error"],
-        default="info",
-        help="hide findings below this severity (default: info)",
-    )
-    lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="also exit non-zero on warnings",
-    )
-    lint.add_argument(
-        "--select",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes to run exclusively (e.g. SC001,SC010)",
-    )
-    lint.add_argument(
-        "--ignore",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes to skip",
-    )
-    lint.add_argument(
-        "--baseline",
-        default="baselines/staticcheck.json",
-        metavar="PATH",
-        help="suppression baseline (default: baselines/staticcheck.json)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the suppression baseline entirely",
-    )
-    lint.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="also write the findings as a JSON document",
-    )
-    trace = subparsers.add_parser(
-        "trace",
-        help=_first_doc_line(cmd_trace),
-        description=_first_doc_line(cmd_trace),
-    )
-    runnable = design_names(runnable=True)
-    trace.add_argument(
-        "design",
-        choices=runnable,
-        help="design to trace",
-    )
-    trace.add_argument(
-        "--fast",
-        action="store_true",
-        help="use a shorter run (16K samples instead of 64K)",
-    )
-    trace.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        metavar="N",
-        help="analysed sample count (overrides --fast)",
-    )
-    trace.add_argument(
-        "--overdrive",
-        type=float,
-        default=1.0,
-        metavar="X",
-        help="scale the nominal stimulus amplitude by X (default: 1.0)",
-    )
-    trace.add_argument(
-        "--supply",
-        type=float,
-        default=None,
-        metavar="V",
-        help="supply voltage for the dynamic headroom rule (default: 3.3)",
-    )
-    trace.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="also export the trace as JSONL to PATH",
-    )
-    trace.add_argument(
-        "--strict",
-        action="store_true",
-        help="also exit non-zero on WARNING events",
-    )
-    report = subparsers.add_parser(
-        "report",
-        help=_first_doc_line(cmd_report),
-        description=_first_doc_line(cmd_report),
-    )
-    report.add_argument(
-        "design",
-        choices=runnable,
-        help="design to measure and report",
-    )
-    report.add_argument(
-        "--fast",
-        action="store_true",
-        help="use a shorter run (16K samples instead of 64K)",
-    )
-    report.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        metavar="N",
-        help="analysed sample count (overrides --fast)",
-    )
-    report.add_argument(
-        "--no-sweep",
-        dest="sweep",
-        action="store_false",
-        help="skip the dynamic-range sweep (modulator designs)",
-    )
-    report.add_argument(
-        "--noise-scale",
-        type=float,
-        default=1.0,
-        metavar="X",
-        help="scale the cells' thermal noise by X (degradation knob)",
-    )
-    report.add_argument(
-        "--mismatch",
-        type=float,
-        default=0.0,
-        metavar="M",
-        help="inject a half-circuit gain mismatch of M (degradation knob)",
-    )
-    report.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the dynamic-range sweep "
-        "(bit-identical manifests at any value; default: 1)",
-    )
-    report.add_argument(
-        "--engine",
-        choices=["auto", "scalar", "kernel"],
-        default="auto",
-        help="execution engine for the measurement and sweep "
-        "(bit-identical values on every rung; stamped into the "
-        "manifest's provenance so timings stay attributable; "
-        "default: auto)",
-    )
-    report.add_argument(
-        "--profile",
-        action="store_true",
-        help="print the traced span tree (wall time per stage) after "
-        "the manifest",
-    )
-    report.add_argument(
-        "--no-cache",
-        dest="cache",
-        action="store_false",
-        help="skip the on-disk sweep result cache",
-    )
-    report.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="sweep cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    report.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="also write the run manifest as JSON to PATH",
-    )
-    report.add_argument(
-        "--markdown",
-        dest="markdown_path",
-        default=None,
-        metavar="PATH",
-        help="also write a Markdown report to PATH",
-    )
-    _add_live_ledger_options(report)
-    sweep = subparsers.add_parser(
-        "sweep",
-        help=_first_doc_line(cmd_sweep),
-        description=_first_doc_line(cmd_sweep),
-    )
-    sweep.add_argument(
-        "design",
-        choices=runnable,
-        help="design to sweep",
-    )
-    sweep.add_argument(
-        "--fast",
-        action="store_true",
-        help="use shorter lanes (8K samples instead of 32K)",
-    )
-    sweep.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        metavar="N",
-        help="samples per lane (overrides --fast)",
-    )
-    sweep.add_argument(
-        "--levels",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="DB",
-        help="input levels in dB re full scale (default: the report sweep)",
-    )
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes sharding the lanes (default: 1)",
-    )
-    sweep.add_argument(
-        "--no-cache",
-        dest="cache",
-        action="store_false",
-        help="skip the on-disk result cache",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    sweep.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="also write the sweep table as JSON to PATH",
-    )
-    sweep.add_argument(
-        "--profile",
-        action="store_true",
-        help="print the merged span tree (parent + grafted worker "
-        "shards) and the run's instrument counters",
-    )
-    _add_live_ledger_options(sweep)
-    stats = subparsers.add_parser(
-        "stats",
-        help=_first_doc_line(cmd_stats),
-        description=_first_doc_line(cmd_stats),
-    )
-    stats.add_argument(
-        "design",
-        nargs="?",
-        default=None,
-        help="design to sweep and account (omit with --diff)",
-    )
-    stats.add_argument(
-        "--fast",
-        action="store_true",
-        help="use shorter lanes (8K samples instead of 32K)",
-    )
-    stats.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        metavar="N",
-        help="samples per lane (overrides --fast)",
-    )
-    stats.add_argument(
-        "--levels",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="DB",
-        help="input levels in dB re full scale (default: the report sweep)",
-    )
-    stats.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes sharding the lanes (default: 1)",
-    )
-    stats.add_argument(
-        "--no-cache",
-        dest="cache",
-        action="store_false",
-        help="skip the on-disk result cache",
-    )
-    stats.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    stats.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="write the instrument snapshot as a stats document to PATH",
-    )
-    stats.add_argument(
-        "--prom",
-        dest="prometheus",
-        action="store_true",
-        help="also print the Prometheus text exposition",
-    )
-    stats.add_argument(
-        "--diff",
-        nargs=2,
-        default=None,
-        metavar=("CURRENT", "BASELINE"),
-        help="diff two stats documents instead of running a sweep "
-        "(exit 1 when a gated counter increased)",
-    )
-    stats.add_argument(
-        "--strict",
-        action="store_true",
-        help="with --diff, also exit non-zero on warnings",
-    )
-    profile = subparsers.add_parser(
-        "profile",
-        help=_first_doc_line(cmd_profile),
-        description=_first_doc_line(cmd_profile),
-    )
-    profile.add_argument(
-        "target",
-        help="design to profile, or a sweep-spec JSON file "
-        "(a file of SweepSpec fields; detected by the .json suffix)",
-    )
-    profile.add_argument(
-        "--fast",
-        action="store_true",
-        help="use a shorter run (16K samples instead of 64K)",
-    )
-    profile.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        metavar="N",
-        help="analysed sample count (overrides --fast)",
-    )
-    profile.add_argument(
-        "--no-sweep",
-        dest="sweep",
-        action="store_false",
-        help="skip the dynamic-range sweep (design targets)",
-    )
-    profile.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the sweep (default: 1)",
-    )
-    profile.add_argument(
-        "--no-cache",
-        dest="cache",
-        action="store_false",
-        help="skip the on-disk sweep result cache",
-    )
-    profile.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    profile.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="also write the profile document (rows, collapsed stacks, "
-        "span tree) as JSON to PATH",
-    )
-    bench_gate = subparsers.add_parser(
-        "bench-gate",
-        help=_first_doc_line(cmd_bench_gate),
-        description=_first_doc_line(cmd_bench_gate),
-    )
-    bench_gate.add_argument(
-        "--telemetry",
-        dest="telemetry_path",
-        default="BENCH_telemetry.json",
-        metavar="PATH",
-        help="benchmark telemetry document (default: BENCH_telemetry.json)",
-    )
-    bench_gate.add_argument(
-        "--baseline",
-        dest="baseline_path",
-        default="baselines/bench.json",
-        metavar="PATH",
-        help="committed wall-time baseline (default: baselines/bench.json)",
-    )
-    bench_gate.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="fractional wall-time headroom (default: the baseline's, 0.25)",
-    )
-    _add_ledger_options(bench_gate)
-    history = subparsers.add_parser(
-        "history",
-        help=_first_doc_line(cmd_history),
-        description=_first_doc_line(cmd_history),
-    )
-    history.add_argument(
-        "design",
-        help="design whose ledger trajectory to show",
-    )
-    history.add_argument(
-        "--limit",
-        type=int,
-        default=10,
-        metavar="N",
-        help="show the last N entries (default: 10)",
-    )
-    history.add_argument(
-        "--ledger-dir",
-        default=None,
-        metavar="DIR",
-        help="ledger directory (default: $REPRO_LEDGER_DIR or .repro/ledger)",
-    )
-    trend = subparsers.add_parser(
-        "trend",
-        help=_first_doc_line(cmd_trend),
-        description=_first_doc_line(cmd_trend),
-    )
-    trend.add_argument(
-        "design",
-        nargs="?",
-        default=None,
-        help="restrict the gate to one design's series (default: all)",
-    )
-    trend.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="rolling history window per series (default: 10)",
-    )
-    trend.add_argument(
-        "--sustain",
-        type=int,
-        default=None,
-        metavar="N",
-        help="runs that must all drift before REGRESS (default: 3)",
-    )
-    trend.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="X",
-        help="drift threshold in robust scale units (default: 4.0)",
-    )
-    trend.add_argument(
-        "--strict",
-        action="store_true",
-        help="also exit non-zero on single-run warnings",
-    )
-    trend.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="also write the trend report as JSON to PATH",
-    )
-    trend.add_argument(
-        "--ledger-dir",
-        default=None,
-        metavar="DIR",
-        help="ledger directory (default: $REPRO_LEDGER_DIR or .repro/ledger)",
-    )
-    compare = subparsers.add_parser(
-        "compare",
-        help=_first_doc_line(cmd_compare),
-        description=_first_doc_line(cmd_compare),
-    )
-    compare.add_argument(
-        "manifest",
-        help="run manifest JSON to check (from `repro report --json`)",
-    )
-    compare.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="golden manifest to diff against "
-        "(default: baselines/<design>.json)",
-    )
-    compare.add_argument(
-        "--strict",
-        action="store_true",
-        help="also exit non-zero on warnings and config mismatches",
-    )
-    serve = subparsers.add_parser(
-        "serve",
-        help=_first_doc_line(cmd_serve),
-        description=_first_doc_line(cmd_serve),
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8765,
-        help="bind port; 0 picks a free one (default 8765)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes per simulation sweep (bit-identical)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="queue worker threads (default 1: serialized simulations)",
-    )
-    serve.add_argument(
-        "--max-pending",
-        dest="max_pending",
-        type=int,
-        default=64,
-        metavar="N",
-        help="queued-job backpressure limit (HTTP 429 past it)",
-    )
-    serve.add_argument(
-        "--cache-dir",
-        dest="cache_dir",
-        default=None,
-        metavar="DIR",
-        help="shared artifact store (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    serve.add_argument(
-        "--max-bytes",
-        dest="max_bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="LRU byte budget of the artifact store (default: unbounded)",
-    )
-    _add_ledger_options(serve)
-    submit = subparsers.add_parser(
-        "submit",
-        help=_first_doc_line(cmd_submit),
-        description=_first_doc_line(cmd_submit),
-    )
-    submit.add_argument(
-        "target", help="design name, or a sweep-spec JSON path"
-    )
-    submit.add_argument(
-        "--url",
-        default="http://127.0.0.1:8765",
-        help="service base URL (default http://127.0.0.1:8765)",
-    )
-    submit.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        metavar="N",
-        help="FFT length for a report job (server default 16K)",
-    )
-    submit.add_argument(
-        "--no-sweep",
-        dest="sweep",
-        action="store_false",
-        help="skip the dynamic-range sweep in a report job",
-    )
-    submit.add_argument(
-        "--noise-scale",
-        dest="noise_scale",
-        type=float,
-        default=1.0,
-        metavar="X",
-        help="thermal-noise degradation multiplier",
-    )
-    submit.add_argument(
-        "--mismatch",
-        type=float,
-        default=0.0,
-        metavar="X",
-        help="half-circuit gain mismatch to inject",
-    )
-    submit.add_argument(
-        "--wait",
-        action="store_true",
-        help="block until the job finishes and emit its result",
-    )
-    submit.add_argument(
-        "--timeout",
-        type=float,
-        default=300.0,
-        metavar="S",
-        help="--wait deadline in seconds (default 300)",
-    )
-    submit.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        metavar="PATH",
-        help="write the result bytes to PATH instead of stdout",
-    )
+    subparsers = parser.add_subparsers(metavar="command")
+    for name, summary, handler, options in VERBS:
+        sub = subparsers.add_parser(name, help=summary, description=summary)
+        for option in options:
+            option(sub)
+        sub.set_defaults(run=handler)
     return parser
 
 
 def list_commands() -> str:
-    """Return the --list text: every command with a one-line description."""
-    lines = []
-    for name in sorted(COMMANDS):
-        lines.append(f"  {name:10s} {_first_doc_line(COMMANDS[name])}")
-    lines.append(f"  {'erc':10s} {_first_doc_line(cmd_erc)}")
-    lines.append(f"  {'lint':10s} {_first_doc_line(cmd_lint)}")
-    lines.append(f"  {'trace':10s} {_first_doc_line(cmd_trace)}")
-    lines.append(f"  {'report':10s} {_first_doc_line(cmd_report)}")
-    lines.append(f"  {'compare':10s} {_first_doc_line(cmd_compare)}")
-    lines.append(f"  {'sweep':10s} {_first_doc_line(cmd_sweep)}")
-    lines.append(f"  {'stats':10s} {_first_doc_line(cmd_stats)}")
-    lines.append(f"  {'profile':10s} {_first_doc_line(cmd_profile)}")
-    lines.append(f"  {'bench-gate':10s} {_first_doc_line(cmd_bench_gate)}")
-    lines.append(f"  {'history':10s} {_first_doc_line(cmd_history)}")
-    lines.append(f"  {'trend':10s} {_first_doc_line(cmd_trend)}")
-    lines.append(f"  {'serve':10s} {_first_doc_line(cmd_serve)}")
-    lines.append(f"  {'submit':10s} {_first_doc_line(cmd_submit)}")
-    return "\n".join(lines)
+    """Return the --list text: every verb with its one-line help."""
+    return "\n".join(f"  {name:10s} {summary}" for name, summary, _, _ in VERBS)
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
-    A measurement the analysis cannot perform (a record too short for
-    the window, a tone too close to DC) is refused with exit 2, like
-    any other input a verb cannot use.
+    Any input a verb cannot use -- an unknown design, an unreadable
+    document, a knob the model refuses, a record too short for the
+    analysis window -- raises a :class:`~repro.errors.ReproError`, and
+    is refused here with one ``error:`` line and exit 2.
     """
-    args = build_parser().parse_args(argv)
-    try:
-        return _run(args, argv)
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run(args: argparse.Namespace, argv: list[str] | None) -> int:
-    """Run the verb ``args`` names; return its exit code."""
-    if args.list or args.command is None:
+    options = vars(build_parser().parse_args(argv))
+    run = options.pop("run", None)
+    if options.pop("list") or run is None:
         print(list_commands())
         return 0
-
-    if args.command == "erc":
-        return cmd_erc(args.design, args.min_severity, args.strict)
-
-    if args.command == "lint":
-        return cmd_lint(
-            args.paths,
-            min_severity=args.min_severity,
-            strict=args.strict,
-            select=args.select,
-            ignore=args.ignore,
-            baseline=None if args.no_baseline else args.baseline,
-            json_path=args.json_path,
-        )
-
-    if args.command == "trace":
-        return cmd_trace(
-            args.design,
-            fast=args.fast,
-            samples=args.samples,
-            overdrive=args.overdrive,
-            supply=args.supply,
-            json_path=args.json_path,
-            strict=args.strict,
-        )
-
-    if args.command == "report":
-        return cmd_report(
-            args.design,
-            fast=args.fast,
-            samples=args.samples,
-            sweep=args.sweep,
-            noise_scale=args.noise_scale,
-            mismatch=args.mismatch,
-            jobs=args.jobs,
-            cache=args.cache,
-            cache_dir=args.cache_dir,
-            json_path=args.json_path,
-            markdown_path=args.markdown_path,
-            profile=args.profile,
-            events=args.events,
-            follow=args.follow,
-            ledger=args.ledger,
-            ledger_dir=args.ledger_dir,
-            engine=args.engine,
-            argv=["repro", *argv] if argv is not None else None,
-        )
-
-    if args.command == "sweep":
-        return cmd_sweep(
-            args.design,
-            fast=args.fast,
-            samples=args.samples,
-            levels=args.levels,
-            jobs=args.jobs,
-            cache=args.cache,
-            cache_dir=args.cache_dir,
-            json_path=args.json_path,
-            profile=args.profile,
-            events=args.events,
-            follow=args.follow,
-            ledger=args.ledger,
-            ledger_dir=args.ledger_dir,
-        )
-
-    if args.command == "stats":
-        return cmd_stats(
-            args.design,
-            fast=args.fast,
-            samples=args.samples,
-            levels=args.levels,
-            jobs=args.jobs,
-            cache=args.cache,
-            cache_dir=args.cache_dir,
-            json_path=args.json_path,
-            diff=args.diff,
-            strict=args.strict,
-            prometheus=args.prometheus,
-        )
-
-    if args.command == "profile":
-        return cmd_profile(
-            args.target,
-            fast=args.fast,
-            samples=args.samples,
-            sweep=args.sweep,
-            jobs=args.jobs,
-            cache=args.cache,
-            cache_dir=args.cache_dir,
-            json_path=args.json_path,
-        )
-
-    if args.command == "bench-gate":
-        return cmd_bench_gate(
-            telemetry_path=args.telemetry_path,
-            baseline_path=args.baseline_path,
-            tolerance=args.tolerance,
-            ledger=args.ledger,
-            ledger_dir=args.ledger_dir,
-        )
-
-    if args.command == "history":
-        return cmd_history(
-            args.design, limit=args.limit, ledger_dir=args.ledger_dir
-        )
-
-    if args.command == "trend":
-        return cmd_trend(
-            design=args.design,
-            window=args.window,
-            sustain=args.sustain,
-            threshold=args.threshold,
-            strict=args.strict,
-            json_path=args.json_path,
-            ledger_dir=args.ledger_dir,
-        )
-
-    if args.command == "compare":
-        return cmd_compare(
-            args.manifest, baseline_path=args.baseline, strict=args.strict
-        )
-
-    if args.command == "serve":
-        return cmd_serve(
-            host=args.host,
-            port=args.port,
-            jobs=args.jobs,
-            workers=args.workers,
-            max_pending=args.max_pending,
-            cache_dir=args.cache_dir,
-            max_bytes=args.max_bytes,
-            ledger=args.ledger,
-            ledger_dir=args.ledger_dir,
-        )
-
-    if args.command == "submit":
-        return cmd_submit(
-            args.target,
-            url=args.url,
-            samples=args.samples,
-            sweep=args.sweep,
-            noise_scale=args.noise_scale,
-            mismatch=args.mismatch,
-            wait=args.wait,
-            timeout=args.timeout,
-            output=args.output,
-        )
-
-    COMMANDS[args.command](args.fast)
-    return 0
+    samples = options.pop("samples", None)
+    if samples is not None:  # --samples overrides --fast, in either order
+        options["n_samples"] = samples
+    if "argv" in options:
+        options["argv"] = None if argv is None else ["repro", *argv]
+    try:
+        return run(**options) or 0
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> int:

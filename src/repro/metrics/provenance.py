@@ -9,6 +9,7 @@ line, and the interpreter/numpy versions that produced it.
 
 from __future__ import annotations
 
+import functools
 import os
 import platform
 import subprocess
@@ -150,8 +151,22 @@ class Provenance:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _git_state(cwd: str | None) -> tuple[str, bool | None]:
+    """Return the SHA and dirty flag of the tree at ``cwd``, once per process.
+
+    The commit under a running process does not change, and each
+    lookup costs two ``git`` subprocesses -- a service would otherwise
+    pay them on every job.
+    """
+    return git_sha(cwd), _git_dirty(cwd)
+
+
 def collect_provenance(argv: list[str] | None = None) -> Provenance:
     """Collect the provenance of the current process.
+
+    The git SHA and dirty flag are looked up once per process and
+    working directory; the timestamp and ``argv`` are taken per call.
 
     Parameters
     ----------
@@ -159,9 +174,14 @@ def collect_provenance(argv: list[str] | None = None) -> Provenance:
         Command line to stamp; ``sys.argv`` when omitted.
     """
     version = sys.version_info
+    try:
+        cwd: str | None = os.getcwd()
+    except OSError:  # the working directory was removed under us
+        cwd = None
+    sha, dirty = _git_state(cwd)
     return Provenance(
-        git_sha=git_sha(),
-        git_dirty=_git_dirty(),
+        git_sha=sha,
+        git_dirty=dirty,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         python_version=f"{version.major}.{version.minor}.{version.micro}",
         numpy_version=str(np.__version__),

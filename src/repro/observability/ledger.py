@@ -210,11 +210,22 @@ class RunLedger:
         bench-gate`` on an unchanged telemetry file adds nothing), so
         the history stays one line per distinct measurement.
 
+        A payload that carries its own ``provenance`` block (a run
+        manifest's) has it moved into the entry's provenance, unless
+        ``provenance`` is given: kept out of the payload, it lets an
+        identical re-measurement content-address to the same entry.
+        Without either, the appending process's provenance is stamped.
+
         Raises
         ------
         ObservabilityError
             If the payload is not JSON-serializable.
         """
+        carried = payload.get("provenance")
+        if isinstance(carried, Mapping):
+            payload = {k: v for k, v in payload.items() if k != "provenance"}
+            if provenance is None:
+                provenance = carried
         if provenance is None:
             # Imported lazily: repro.metrics imports the runtime layer,
             # which imports repro.observability -- an eager import here

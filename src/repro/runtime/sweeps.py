@@ -27,6 +27,7 @@ Determinism contract (``docs/RUNTIME.md``):
 from __future__ import annotations
 
 import functools
+import math
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from repro.analysis.sweeps import AmplitudeSweepResult
 from repro.analysis.windows import WindowKind
 from repro.config import MODULATOR_FULL_SCALE
 from repro.designs import resolve
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.runtime.batch import (
     BatchUnsupported,
     batch_runner_for,
@@ -101,6 +102,22 @@ class SweepSpec:
     noise_scale: float = 1.0
     mismatch: float = 0.0
 
+    def __post_init__(self) -> None:
+        # Every spec -- a CLI sweep, a service job, a worker payload --
+        # is built here, so a level that is not a finite number is
+        # refused once for all of them.
+        try:
+            levels = tuple(float(level) for level in self.levels_db)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"levels_db must be numbers, got {self.levels_db!r}"
+            ) from exc
+        if not all(math.isfinite(level) for level in levels):
+            raise ConfigurationError(
+                f"levels_db must be finite, got {list(levels)!r}"
+            )
+        object.__setattr__(self, "levels_db", levels)
+
     def cache_key(self) -> dict[str, Any]:
         """Return the cache-key dict addressing this sweep's result."""
         return {
@@ -137,7 +154,7 @@ def sweep_spec_for_design(
     sweep_n = max(1 << 13, n_samples // 2)
     return SweepSpec(
         design=entry.name,
-        levels_db=tuple(float(level) for level in levels_db),
+        levels_db=tuple(levels_db),
         full_scale=MODULATOR_FULL_SCALE,
         signal_frequency=coherent_frequency(
             point.frequency, point.sample_rate, sweep_n
@@ -164,18 +181,12 @@ def sweep_spec_from_mapping(raw: Mapping[str, Any]) -> SweepSpec:
     ConfigurationError
         If the mapping is not a valid set of ``SweepSpec`` fields.
     """
-    from repro.errors import ConfigurationError
-
     if not isinstance(raw, Mapping):
         raise ConfigurationError(
             f"sweep spec must be a mapping of SweepSpec fields, got {type(raw).__name__}"
         )
-    data = dict(raw)
-    levels = data.get("levels_db")
-    if isinstance(levels, (list, tuple)):
-        data["levels_db"] = tuple(float(level) for level in levels)
     try:
-        return SweepSpec(**data)
+        return SweepSpec(**raw)
     except TypeError as exc:
         raise ConfigurationError(f"invalid sweep spec: {exc}") from exc
 

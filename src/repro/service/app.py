@@ -267,25 +267,21 @@ class SimulationService:
         """Record an executed run in the observability ledger.
 
         Best-effort by design: a read-only ledger directory must not
-        fail a simulation that already succeeded.  Report entries strip
-        the provenance block into the entry's own provenance slot,
-        matching ``repro report`` so identical runs content-address to
-        the same ledger entry.
+        fail a simulation that already succeeded.  A report's manifest
+        goes in unchanged, as ``repro report`` appends it, so identical
+        runs content-address to the same ledger entry.
         """
         if not self.config.ledger:
             return
         from repro.errors import ObservabilityError
         from repro.observability.ledger import RunLedger
 
-        payload = dict(result)
-        provenance = payload.pop("provenance", None)
-        design = payload.get("design")
+        design = result.get("design")
         try:
             RunLedger(self.config.ledger_dir).append(
                 job.request.kind,
-                payload,
+                result,
                 design=design if isinstance(design, str) else None,
-                provenance=provenance if isinstance(provenance, dict) else None,
             )
         except (ObservabilityError, OSError) as exc:
             try:

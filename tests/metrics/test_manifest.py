@@ -46,6 +46,64 @@ class TestProvenance:
         assert stamp.git_sha == "unknown"
 
 
+class TestProvenanceGitLookup:
+    """git runs once per process and working directory, not per stamp."""
+
+    @pytest.fixture
+    def git_calls(self, monkeypatch):
+        from repro.metrics import provenance
+
+        calls = []
+        real_run = provenance.subprocess.run
+
+        def counting_run(argv, *args, **kwargs):
+            calls.append(argv)
+            return real_run(argv, *args, **kwargs)
+
+        provenance._git_state.cache_clear()
+        monkeypatch.setattr(provenance.subprocess, "run", counting_run)
+        yield calls
+        provenance._git_state.cache_clear()
+
+    def test_second_collection_runs_no_git(self, git_calls):
+        first = collect_provenance()
+        assert len(git_calls) == 2  # rev-parse HEAD, status --porcelain
+        second = collect_provenance()
+        assert len(git_calls) == 2
+        assert (second.git_sha, second.git_dirty) == (first.git_sha, first.git_dirty)
+
+    def test_another_working_directory_is_collected_afresh(
+        self, git_calls, monkeypatch, tmp_path
+    ):
+        collect_provenance()
+        monkeypatch.chdir(tmp_path)
+        collect_provenance()
+        assert len(git_calls) == 4
+
+    def test_timestamp_and_argv_stay_per_call(self, git_calls, monkeypatch):
+        from datetime import datetime, timezone
+
+        from repro.metrics import provenance
+
+        ticks = iter(
+            datetime(2026, 1, 1, 0, 0, second, tzinfo=timezone.utc)
+            for second in (1, 2)
+        )
+
+        class Clock:
+            @staticmethod
+            def now(tz):
+                return next(ticks)
+
+        monkeypatch.setattr(provenance, "datetime", Clock)
+        first = collect_provenance(argv=["repro", "a"])
+        second = collect_provenance(argv=["repro", "b"])
+        assert first.timestamp == "2026-01-01T00:00:01+00:00"
+        assert second.timestamp == "2026-01-01T00:00:02+00:00"
+        assert (first.argv, second.argv) == (("repro", "a"), ("repro", "b"))
+        assert len(git_calls) == 2
+
+
 class TestRunManifest:
     def test_json_roundtrip(self, tmp_path):
         manifest = _manifest()

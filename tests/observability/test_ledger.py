@@ -45,6 +45,27 @@ class TestContentAddress:
         assert second is None  # deduplicated despite new provenance
 
 
+class TestCarriedProvenance:
+    """A manifest's own provenance block becomes the entry's provenance."""
+
+    def test_block_moves_out_of_the_payload(self, tmp_path):
+        manifest = {"design": "d", "metrics": [1.0], "provenance": PROV}
+        entry = RunLedger(tmp_path).append("report", manifest, design="d")
+        assert entry is not None
+        assert entry.provenance == PROV
+        assert entry.payload == {"design": "d", "metrics": [1.0]}
+        assert entry.entry_id == entry_id_for(
+            "report", "d", {"design": "d", "metrics": [1.0]}
+        )
+
+    def test_a_remeasurement_dedupes(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        first = {"x": 1, "provenance": PROV}
+        later = {"x": 1, "provenance": dict(PROV, timestamp="2026-08-09T00:00:00+00:00")}
+        assert ledger.append("report", first, design="d") is not None
+        assert ledger.append("report", later, design="d") is None
+
+
 class TestAppend:
     def test_append_and_read_back(self, tmp_path):
         ledger = RunLedger(tmp_path)

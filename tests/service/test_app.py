@@ -94,6 +94,9 @@ class TestSweepRequests:
             {"kind": "sweep"},
             {"kind": "sweep", "spec": "not-a-mapping"},
             {"kind": "sweep", "spec": {"design": "mod2", "bogus": 1}},
+            {"kind": "sweep", "spec": dict(SPEC, levels_db=[float("nan")])},
+            {"kind": "sweep", "spec": dict(SPEC, levels_db=["nan"])},
+            {"kind": "sweep", "spec": dict(SPEC, levels_db=["abc"])},
         ],
     )
     def test_invalid_specs_raise_service_error(self, raw):

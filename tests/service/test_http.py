@@ -94,6 +94,19 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="design"):
             harness.client.submit({"design": "no-such-design"})
 
+    def test_non_numeric_sweep_levels_400(self, harness):
+        spec = {
+            "design": "modulator2",
+            "levels_db": ["abc"],
+            "full_scale": 2e-6,
+            "signal_frequency": 1953.125,
+            "sample_rate": 1_000_000.0,
+            "n_samples": 8192,
+            "bandwidth": 3400.0,
+        }
+        with pytest.raises(ServiceError, match="HTTP 400.*levels_db"):
+            harness.client.submit({"kind": "sweep", "spec": spec})
+
     @pytest.mark.parametrize("design", ["biquad-cascade", "flux-capacitor"])
     def test_unrunnable_design_400_names_the_designs(self, harness, design):
         # An ERC-only catalog design has nothing to measure: refused

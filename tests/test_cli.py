@@ -1,11 +1,31 @@
 """Tests for the command-line interface."""
 
+import argparse
 import gc
+import inspect
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import COMMANDS, entry, main
+from repro.cli import VERBS, build_parser, entry, list_commands, main
+
+#: Verb names in table order.
+NAMES = [name for name, _, _, _ in VERBS]
+
+
+def _subparsers():
+    """Return each verb's parser, by name."""
+    parser = build_parser()
+    action = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def _option_strings(sub):
+    return {flag for action in sub._actions for flag in action.option_strings}
 
 
 class TestEntryPoint:
@@ -27,7 +47,7 @@ class TestArgumentHandling:
     def test_list_flag(self, capsys):
         assert main(["--list"]) == 0
         output = capsys.readouterr().out
-        for name in COMMANDS:
+        for name in NAMES:
             assert name in output
 
     def test_no_command_lists(self, capsys):
@@ -178,3 +198,110 @@ class TestBenchGateCommand:
             )
             == 2
         )
+
+
+class TestVerbTable:
+    """``--list``, ``--help`` and dispatch all read the one verb table."""
+
+    def test_list_prints_one_line_per_row_in_table_order(self):
+        lines = list_commands().splitlines()
+        assert [line.split()[0] for line in lines] == NAMES
+        for line, (_, summary, _, _) in zip(lines, VERBS):
+            assert line.endswith(summary)
+
+    def test_help_lists_the_verbs_in_table_order(self):
+        text = build_parser().format_help()
+        listed = re.findall(r"^    (\S+)", text, flags=re.MULTILINE)
+        assert listed == NAMES
+
+    def test_every_verb_has_a_parser(self):
+        assert list(_subparsers()) == NAMES
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_handler_binds_its_parser_dests(self, name):
+        # main() calls the handler with the parsed options by dest, after
+        # folding --samples into n_samples; a dest the handler does not
+        # take (or a parameter no option fills) fails here, not only when
+        # the verb runs.
+        sub = _subparsers()[name]
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        dests |= set(sub._defaults)
+        handler = sub._defaults["run"]
+        dests -= {"run", "samples"}
+        inspect.signature(handler).bind(**dict.fromkeys(dests))
+
+
+#: Verbs whose parser declares --jobs.
+JOBS_VERBS = [name for name, sub in _subparsers().items() if "--jobs" in _option_strings(sub)]
+
+
+class TestCountOptions:
+    def test_the_jobs_verbs(self):
+        assert JOBS_VERBS == ["report", "sweep", "stats", "profile", "serve"]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("name", JOBS_VERBS)
+    def test_jobs_below_one_is_a_usage_error(self, name, value, capsys):
+        # Parsed only: a serve that parsed would start serving.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([name, "--jobs", value])
+        assert excinfo.value.code == 2
+        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_history_limit_below_one_is_a_usage_error(self, value, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["history", "modulator2", "--limit", value, "--ledger-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "argument --limit: must be >= 1" in capsys.readouterr().err
+
+    def test_serve_port_past_65535_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--port", "65536"])
+        assert excinfo.value.code == 2
+        assert "argument --port: must be in 0..65535" in capsys.readouterr().err
+
+    def test_serve_port_zero_parses(self):
+        options = build_parser().parse_args(["serve", "--port", "0"])
+        assert options.port == 0
+
+
+class TestRefusals:
+    """A knob the model refuses is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["report", "delay-line", "--samples", "16384", "--noise-scale", "-1"],
+                "error: noise_scale must be non-negative",
+            ),
+            (
+                ["report", "modulator2", "--samples", "16384", "--mismatch", "nan",
+                 "--no-sweep"],
+                "error: mismatch must be in (-1, 1), got nan",
+            ),
+            (
+                ["report", "modulator2", "--samples", "16384", "--noise-scale", "inf",
+                 "--no-sweep"],
+                "error: ERC FAIL: SIModulator2",
+            ),
+            (
+                ["sweep", "modulator2", "--samples", "4096", "--levels", "nan", "-6"],
+                "error: levels_db must be finite",
+            ),
+        ],
+    )
+    def test_refused_with_one_error_line(self, argv, message, capsys):
+        assert main([*argv, "--no-cache", "--no-ledger"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert len(err.splitlines()) == 1
+
+
+class TestApiDocs:
+    def test_api_md_tables_exactly_the_cli_verbs(self):
+        text = (Path(__file__).parents[1] / "docs" / "API.md").read_text()
+        section = text.split("## `repro.cli`", 1)[1].split("\n## ", 1)[0]
+        rows = section.split("|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        assert [row.split("|")[1].strip() for row in rows.splitlines()] == NAMES
