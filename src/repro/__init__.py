@@ -51,9 +51,7 @@ if TYPE_CHECKING:
         AnalysisError,
         ClockingError,
         ConfigurationError,
-        DeviceError,
         ReproError,
-        SaturationError,
         StimulusError,
     )
 
@@ -136,8 +134,6 @@ _EXPORTS = {
     "repro.errors": (
         "ReproError",
         "ConfigurationError",
-        "DeviceError",
-        "SaturationError",
         "ClockingError",
         "AnalysisError",
         "StimulusError",

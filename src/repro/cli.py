@@ -95,6 +95,7 @@ from repro.errors import AnalysisError, ObservabilityError, ReproError
 from repro.metrics import build_report, collect_provenance
 from repro.observability.ledger import RunLedger
 from repro.observability.live import open_event_stream
+from repro.runtime.sweeps import MIN_LANE_SAMPLES
 
 __all__ = ["entry", "main"]
 
@@ -913,15 +914,17 @@ _positive = _count(1)
 
 #: (--fast, full) sample counts of a single-tone run and of a sweep lane.
 _RUN_LENGTHS = (1 << 14, 1 << 16)
-_LANE_LENGTHS = (1 << 13, 1 << 15)
+_LANE_LENGTHS = (MIN_LANE_SAMPLES, 1 << 15)
 
 
-def _sample_length(lengths: tuple[int, int], samples: bool = True) -> Option:
+def _sample_length(
+    lengths: tuple[int, int], samples: bool = True, floor: int | None = None
+) -> Option:
     """Return the ``--fast``/``--samples`` group that sets ``n_samples``.
 
     ``--fast`` picks the short length and no flag the full one;
     ``--samples N`` overrides both, in either order (:func:`main`
-    folds it in).
+    folds it in).  With a ``floor``, a smaller ``N`` is a usage error.
     """
     short, full = lengths
 
@@ -937,7 +940,7 @@ def _sample_length(lengths: tuple[int, int], samples: bool = True) -> Option:
         if samples:
             sub.add_argument(
                 "--samples",
-                type=int,
+                type=int if floor is None else _count(floor),
                 default=None,
                 metavar="N",
                 help="analysed samples per run or sweep lane (overrides --fast)",
@@ -1242,7 +1245,7 @@ VERBS: tuple[tuple[str, str, Callable[..., int | None], tuple[Option, ...]], ...
     )),
     ("sweep", "Run a dynamic-range sweep through the parallel batch engine.", cmd_sweep, (
         _runnable_design,
-        _sample_length(_LANE_LENGTHS),
+        _sample_length(_LANE_LENGTHS, floor=MIN_LANE_SAMPLES),
         _levels,
         _jobs,
         _cache(),
@@ -1264,7 +1267,7 @@ VERBS: tuple[tuple[str, str, Callable[..., int | None], tuple[Option, ...]], ...
             default=None,
             help="design to sweep and account (omit with --diff)",
         ),
-        _sample_length(_LANE_LENGTHS),
+        _sample_length(_LANE_LENGTHS, floor=MIN_LANE_SAMPLES),
         _levels,
         _jobs,
         _cache(),

@@ -1,4 +1,4 @@
-"""Clocking substrate: two-phase non-overlapping clocks and scheduling.
+"""Clocking substrate: two-phase non-overlapping clocks.
 
 Switched-current circuits are sampled-data systems driven by a
 two-phase non-overlapping clock (phi1/phi2 in Fig. 1 of the paper).
@@ -12,7 +12,6 @@ from repro import _lazy_exports
 
 if TYPE_CHECKING:
     from repro.clocks.phases import ClockEvent, Phase, TwoPhaseClock, alternating_phases
-    from repro.clocks.scheduler import SampledDataScheduler
 
 _EXPORTS = {
     "repro.clocks.phases": (
@@ -21,7 +20,6 @@ _EXPORTS = {
         "ClockEvent",
         "alternating_phases",
     ),
-    "repro.clocks.scheduler": ("SampledDataScheduler",),
 }
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

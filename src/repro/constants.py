@@ -21,24 +21,6 @@ ROOM_TEMPERATURE: float = 300.0
 MOS_THERMAL_GAMMA: float = 2.0 / 3.0
 
 
-def thermal_voltage(temperature: float = ROOM_TEMPERATURE) -> float:
-    """Return the thermal voltage ``kT/q`` in volts.
-
-    Parameters
-    ----------
-    temperature:
-        Absolute temperature in kelvin.  Must be positive.
-
-    Raises
-    ------
-    ValueError
-        If ``temperature`` is not positive.
-    """
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
-    return BOLTZMANN * temperature / ELEMENTARY_CHARGE
-
-
 def kt(temperature: float = ROOM_TEMPERATURE) -> float:
     """Return the thermal energy ``kT`` in joules.
 

@@ -1,9 +1,9 @@
 """Second-order delta-sigma modulators built from SI blocks (Fig. 3).
 
-Contains the current quantiser, the feedback current DAC, the chopper,
-the two modulator topologies of Fig. 3 (conventional and
-chopper-stabilised), an ideal discrete-time reference, the z-domain
-linear model that verifies Eq. (3), and a sinc^3 decimator.
+Contains the current quantiser, the feedback current DAC, the two
+modulator topologies of Fig. 3 (conventional and chopper-stabilised),
+an ideal discrete-time reference, the z-domain linear model that
+verifies Eq. (3), and a sinc^3 decimator.
 """
 
 from typing import TYPE_CHECKING
@@ -14,7 +14,6 @@ if TYPE_CHECKING:
     from repro.deltasigma.quantizer import CurrentQuantizer
     from repro.deltasigma.dither import DitheredQuantizer, idle_tone_power_ratio
     from repro.deltasigma.dac import FeedbackDac
-    from repro.deltasigma.chopper import ChopperSequence, chop
     from repro.deltasigma.modulator1 import SIModulator1
     from repro.deltasigma.modulator2 import ModulatorTrace, SIModulator2
     from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
@@ -36,7 +35,6 @@ _EXPORTS = {
     "repro.deltasigma.quantizer": ("CurrentQuantizer",),
     "repro.deltasigma.dither": ("DitheredQuantizer", "idle_tone_power_ratio"),
     "repro.deltasigma.dac": ("FeedbackDac",),
-    "repro.deltasigma.chopper": ("ChopperSequence", "chop"),
     "repro.deltasigma.modulator1": ("SIModulator1",),
     "repro.deltasigma.modulator2": ("SIModulator2", "ModulatorTrace"),
     "repro.deltasigma.chopper_modulator": ("ChopperStabilizedSIModulator",),

@@ -18,6 +18,7 @@ catalog -- a parser's choices, a name lookup -- builds nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -38,7 +39,7 @@ if TYPE_CHECKING:
     from repro.erc.graph import CircuitGraph
     from repro.si.memory_cell import MemoryCellConfig
 
-__all__ = ["Design", "OperatingPoint", "DESIGNS", "resolve", "design_names"]
+__all__ = ["Design", "OperatingPoint", "DESIGNS", "resolve", "design_names", "check_knobs"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,33 @@ class OperatingPoint:
     bandwidth: float
     amplitude: float
     frequency: float
+
+
+def check_knobs(noise_scale: float, mismatch: float) -> None:
+    """Refuse degradation knobs that no cell configuration can take.
+
+    ``noise_scale`` must be a finite number >= 0 and ``mismatch`` a
+    number in (-1, 1); NaN fails both, so it is refused instead of
+    running as a noiseless (or mismatch-free) device.  The values are
+    checked, never coerced, so a valid request keeps its exact params,
+    cache key and digest.  ``build_report``, every
+    :class:`~repro.runtime.sweeps.SweepSpec` and the service's request
+    normalization all call this one check.
+
+    Raises
+    ------
+    ConfigurationError
+        Naming the refused knob and value.
+    """
+    for name, value in (("noise_scale", noise_scale), ("mismatch", mismatch)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= noise_scale < math.inf:
+        raise ConfigurationError(
+            f"noise_scale must be non-negative and finite, got {noise_scale!r}"
+        )
+    if not -1.0 < mismatch < 1.0:
+        raise ConfigurationError(f"mismatch must be in (-1, 1), got {mismatch!r}")
 
 
 @dataclass(frozen=True)

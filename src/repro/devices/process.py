@@ -3,12 +3,10 @@
 The test chip was fabricated in a 0.8 um *single-poly* digital CMOS
 process -- the paper's whole argument is that switched-current circuits
 need no linear (double-poly) capacitors and therefore run on the cheap
-digital process.  :data:`CMOS_08UM` captures representative electrical
-parameters for such a technology; they are typical textbook values for
-0.8 um CMOS (the paper itself only states the supply, thresholds around
-1 V, and the resulting noise level), and every derived quantity the
-benches rely on (saturation voltages, g_m, C_gs, the 33 nA noise floor)
-is checked against the paper's own numbers in the test suite.
+digital process.  :data:`CMOS_08UM` holds the threshold voltages the
+headroom equations (Eqs. 1-2) read; the paper states only that they
+are "around 1 V".  The square-law saturation voltages those equations
+add are declared in :class:`~repro.si.headroom.HeadroomAnalysis`.
 """
 
 from __future__ import annotations
@@ -22,73 +20,29 @@ __all__ = ["ProcessParameters", "CMOS_08UM"]
 
 @dataclass(frozen=True)
 class ProcessParameters:
-    """Electrical parameters of a CMOS process corner.
+    """Threshold voltages of a CMOS process corner.
 
     Attributes
     ----------
     name:
         Human-readable identifier, e.g. ``"cmos-0.8um-typ"``.
-    kp_n:
-        NMOS transconductance parameter ``mu_n C_ox`` in A/V^2.
-    kp_p:
-        PMOS transconductance parameter ``mu_p C_ox`` in A/V^2.
     vth_n:
         NMOS threshold voltage in volts (positive).
     vth_p:
         PMOS threshold voltage magnitude in volts (positive).
-    lambda_n:
-        NMOS channel-length modulation coefficient in 1/V.
-    lambda_p:
-        PMOS channel-length modulation coefficient in 1/V.
-    cox:
-        Gate-oxide capacitance per unit area in F/m^2.
-    cov_per_width:
-        Gate-drain/source overlap capacitance per unit gate width in F/m.
-    min_length:
-        Minimum drawn channel length in metres.
-    supply_voltage:
-        Nominal supply voltage in volts (3.3 V on the test chip).
     """
 
     name: str
-    kp_n: float
-    kp_p: float
     vth_n: float
     vth_p: float
-    lambda_n: float
-    lambda_p: float
-    cox: float
-    cov_per_width: float
-    min_length: float
-    supply_voltage: float
 
     def __post_init__(self) -> None:
-        positive_fields = (
-            "kp_n",
-            "kp_p",
-            "vth_n",
-            "vth_p",
-            "cox",
-            "cov_per_width",
-            "min_length",
-            "supply_voltage",
-        )
-        for field_name in positive_fields:
+        for field_name in ("vth_n", "vth_p"):
             value = getattr(self, field_name)
             if value <= 0.0:
                 raise ConfigurationError(
                     f"process parameter {field_name} must be positive, got {value!r}"
                 )
-        for field_name in ("lambda_n", "lambda_p"):
-            value = getattr(self, field_name)
-            if value < 0.0:
-                raise ConfigurationError(
-                    f"process parameter {field_name} must be non-negative, got {value!r}"
-                )
-
-    def with_supply(self, supply_voltage: float) -> "ProcessParameters":
-        """Return a copy of this process at a different supply voltage."""
-        return replace(self, supply_voltage=supply_voltage)
 
     def with_thresholds(self, vth_n: float, vth_p: float) -> "ProcessParameters":
         """Return a copy with different threshold voltages.
@@ -100,19 +54,6 @@ class ProcessParameters:
         return replace(self, vth_n=vth_n, vth_p=vth_p)
 
 
-#: Typical corner of the paper's 0.8 um single-poly digital CMOS process.
-#: Thresholds are ~1 V ("given the threshold voltages around 1V" in the
-#: paper); kp and cox are standard for that generation.
-CMOS_08UM = ProcessParameters(
-    name="cmos-0.8um-typ",
-    kp_n=120e-6,
-    kp_p=40e-6,
-    vth_n=0.95,
-    vth_p=1.0,
-    lambda_n=0.05,
-    lambda_p=0.06,
-    cox=2.1e-3,
-    cov_per_width=0.35e-9,
-    min_length=0.8e-6,
-    supply_voltage=3.3,
-)
+#: Typical corner of the paper's 0.8 um single-poly digital CMOS process
+#: ("given the threshold voltages around 1V" in the paper).
+CMOS_08UM = ProcessParameters(name="cmos-0.8um-typ", vth_n=0.95, vth_p=1.0)

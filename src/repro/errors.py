@@ -17,19 +17,6 @@ class ConfigurationError(ReproError):
     """A component was constructed or configured with invalid parameters."""
 
 
-class DeviceError(ReproError):
-    """A device model was driven outside its valid operating region."""
-
-
-class SaturationError(DeviceError):
-    """A transistor that must stay in saturation left the saturation region.
-
-    The headroom analysis of the paper (Eqs. 1-2) exists precisely to
-    guarantee this never happens at the chosen supply voltage; the
-    simulator raises this error when the guarantee is violated.
-    """
-
-
 class ClockingError(ReproError):
     """A sampled-data block was evaluated on the wrong clock phase."""
 

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.designs import resolve
+from repro.designs import check_knobs, resolve
 from repro.errors import MetricsError
 from repro.metrics.extractors import (
     delay_line_error_records,
@@ -124,17 +124,14 @@ def build_report(
 
     Raises
     ------
+    ConfigurationError
+        If a degradation knob is out of range
+        (:func:`repro.designs.check_knobs`) or the design name is not
+        in the catalog (:func:`repro.designs.resolve`).
     MetricsError
-        If the degradation knobs are out of range (design-name errors
-        raise :class:`~repro.errors.ConfigurationError` from the
-        catalog lookup, :func:`repro.designs.resolve`).
+        If the engine is unknown.
     """
-    if noise_scale < 0.0:
-        raise MetricsError(
-            f"noise_scale must be non-negative, got {noise_scale!r}"
-        )
-    if not -1.0 < mismatch < 1.0:
-        raise MetricsError(f"mismatch must be in (-1, 1), got {mismatch!r}")
+    check_knobs(noise_scale, mismatch)
     if engine not in ENGINES:
         raise MetricsError(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"

@@ -40,7 +40,7 @@ from repro.analysis.spectrum import compute_spectrum
 from repro.analysis.sweeps import AmplitudeSweepResult
 from repro.analysis.windows import WindowKind
 from repro.config import MODULATOR_FULL_SCALE
-from repro.designs import resolve
+from repro.designs import check_knobs, resolve
 from repro.errors import AnalysisError, ConfigurationError
 from repro.runtime.batch import (
     BatchUnsupported,
@@ -69,6 +69,10 @@ __all__ = [
 #: Default input levels (dB re full scale) -- the compact Table 2
 #: dynamic-range sweep of ``repro report``.
 DEFAULT_LEVELS_DB: tuple[float, ...] = (-50.0, -40.0, -30.0, -20.0, -10.0)
+
+#: Shortest sweep lane, in analysed samples: below 8K the 2 kHz tone
+#: collides with the Blackman window's DC lobe.
+MIN_LANE_SAMPLES = 1 << 13
 
 #: The five ToneMetrics fields, in constructor order; the cache stores
 #: one float64 array per field.
@@ -104,8 +108,9 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         # Every spec -- a CLI sweep, a service job, a worker payload --
-        # is built here, so a level that is not a finite number is
-        # refused once for all of them.
+        # is built here, so a level or knob that is not a usable number
+        # is refused once for all of them.
+        check_knobs(self.noise_scale, self.mismatch)
         try:
             levels = tuple(float(level) for level in self.levels_db)
         except (TypeError, ValueError) as exc:
@@ -146,12 +151,12 @@ def sweep_spec_for_design(
     """Return the report-equivalent sweep spec for a named design.
 
     Mirrors the sweep section of :func:`repro.metrics.report.build_report`:
-    half the main FFT length (8K floor), a bin-centred tone, 256 settle
-    samples.
+    half the main FFT length (at least :data:`MIN_LANE_SAMPLES`), a
+    bin-centred tone, 256 settle samples.
     """
     entry = resolve(design)
     point = entry.point
-    sweep_n = max(1 << 13, n_samples // 2)
+    sweep_n = max(MIN_LANE_SAMPLES, n_samples // 2)
     return SweepSpec(
         design=entry.name,
         levels_db=tuple(levels_db),

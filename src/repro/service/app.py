@@ -111,8 +111,8 @@ def normalize_request(raw: Mapping[str, Any]) -> JobRequest:
     Raises
     ------
     ServiceError
-        On an unknown kind, unknown design, malformed sweep spec or
-        non-numeric field.
+        On an unknown kind, unknown design, malformed sweep spec,
+        non-numeric field or out-of-range degradation knob.
     """
     if not isinstance(raw, Mapping):
         raise ServiceError(
@@ -137,7 +137,7 @@ def normalize_request(raw: Mapping[str, Any]) -> JobRequest:
         # service level matches dedup at the result-cache level.
         return JobRequest(kind="sweep", params=spec.cache_key())
 
-    from repro.designs import resolve
+    from repro.designs import check_knobs, resolve
 
     design = raw.get("design")
     if not isinstance(design, str) or not design:
@@ -165,6 +165,10 @@ def normalize_request(raw: Mapping[str, Any]) -> JobRequest:
         "noise_scale": _coerce_float(raw, "noise_scale", 1.0),
         "mismatch": _coerce_float(raw, "mismatch", 0.0),
     }
+    try:
+        check_knobs(params["noise_scale"], params["mismatch"])
+    except ConfigurationError as exc:
+        raise ServiceError(str(exc)) from exc
     return JobRequest(kind="report", params=params)
 
 

@@ -23,9 +23,7 @@ if TYPE_CHECKING:
         class_ab_split,
     )
     from repro.si.delay_line import DelayLine
-    from repro.si.first_generation import FirstGenerationMemoryCell
     from repro.si.biquad import SIBiquad, biquad_coefficients
-    from repro.si.bilinear import BilinearSIIntegrator, bilinear_frequency_response
     from repro.si.cascade import BiquadCascade, butterworth_q_values
     from repro.si.settling_study import (
         config_at_clock,
@@ -50,9 +48,7 @@ _EXPORTS = {
         "class_ab_split",
     ),
     "repro.si.delay_line": ("DelayLine",),
-    "repro.si.first_generation": ("FirstGenerationMemoryCell",),
     "repro.si.biquad": ("SIBiquad", "biquad_coefficients"),
-    "repro.si.bilinear": ("BilinearSIIntegrator", "bilinear_frequency_response"),
     "repro.si.cascade": ("BiquadCascade", "butterworth_q_values"),
     "repro.si.settling_study": (
         "config_at_clock",

@@ -144,23 +144,28 @@ class MemoryCellConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.quiescent_current <= 0.0:
+        # Written so that NaN fails every test: a NaN noise rms would
+        # otherwise read as "no noise" and run a noiseless cell.
+        if not 0.0 < self.quiescent_current < math.inf:
             raise ConfigurationError(
-                f"quiescent_current must be positive, got {self.quiescent_current!r}"
+                "quiescent_current must be positive and finite, "
+                f"got {self.quiescent_current!r}"
             )
-        if self.thermal_noise_rms < 0.0:
+        if not 0.0 <= self.thermal_noise_rms < math.inf:
             raise ConfigurationError(
-                f"thermal_noise_rms must be non-negative, got {self.thermal_noise_rms!r}"
+                "thermal_noise_rms must be non-negative and finite, "
+                f"got {self.thermal_noise_rms!r}"
             )
-        if self.flicker_corner_hz < 0.0:
+        if not 0.0 <= self.flicker_corner_hz < math.inf:
             raise ConfigurationError(
-                f"flicker_corner_hz must be non-negative, got {self.flicker_corner_hz!r}"
+                "flicker_corner_hz must be non-negative and finite, "
+                f"got {self.flicker_corner_hz!r}"
             )
-        if self.sample_rate <= 0.0:
+        if not 0.0 < self.sample_rate < math.inf:
             raise ConfigurationError(
-                f"sample_rate must be positive, got {self.sample_rate!r}"
+                f"sample_rate must be positive and finite, got {self.sample_rate!r}"
             )
-        if abs(self.half_gain_mismatch) >= 1.0:
+        if not abs(self.half_gain_mismatch) < 1.0:
             raise ConfigurationError(
                 f"half_gain_mismatch must be in (-1, 1), got {self.half_gain_mismatch!r}"
             )

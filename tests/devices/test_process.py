@@ -7,84 +7,26 @@ from repro.errors import ConfigurationError
 
 
 class TestCmos08um:
-    def test_supply_is_3v3(self):
-        # The test chip runs at 3.3 V (Tables 1 and 2).
-        assert CMOS_08UM.supply_voltage == pytest.approx(3.3)
-
     def test_thresholds_around_1v(self):
         # "given the threshold voltages around 1V"
         assert 0.8 <= CMOS_08UM.vth_n <= 1.1
         assert 0.8 <= CMOS_08UM.vth_p <= 1.1
 
-    def test_min_length(self):
-        assert CMOS_08UM.min_length == pytest.approx(0.8e-6)
-
-    def test_nmos_stronger_than_pmos(self):
-        assert CMOS_08UM.kp_n > CMOS_08UM.kp_p
-
 
 class TestModifiers:
-    def test_with_supply(self):
-        low = CMOS_08UM.with_supply(1.2)
-        assert low.supply_voltage == pytest.approx(1.2)
-        assert low.vth_n == CMOS_08UM.vth_n
-
     def test_with_thresholds(self):
         lowvt = CMOS_08UM.with_thresholds(0.5, 0.55)
         assert lowvt.vth_n == pytest.approx(0.5)
         assert lowvt.vth_p == pytest.approx(0.55)
-        assert lowvt.supply_voltage == CMOS_08UM.supply_voltage
+        assert lowvt.name == CMOS_08UM.name
 
     def test_original_unchanged(self):
-        CMOS_08UM.with_supply(5.0)
-        assert CMOS_08UM.supply_voltage == pytest.approx(3.3)
+        CMOS_08UM.with_thresholds(0.3, 0.3)
+        assert CMOS_08UM.vth_n == pytest.approx(0.95)
 
 
 class TestValidation:
-    def test_rejects_nonpositive_kp(self):
-        with pytest.raises(ConfigurationError):
-            ProcessParameters(
-                name="bad",
-                kp_n=0.0,
-                kp_p=40e-6,
-                vth_n=1.0,
-                vth_p=1.0,
-                lambda_n=0.05,
-                lambda_p=0.06,
-                cox=2e-3,
-                cov_per_width=0.3e-9,
-                min_length=0.8e-6,
-                supply_voltage=3.3,
-            )
-
-    def test_rejects_negative_lambda(self):
-        with pytest.raises(ConfigurationError):
-            ProcessParameters(
-                name="bad",
-                kp_n=120e-6,
-                kp_p=40e-6,
-                vth_n=1.0,
-                vth_p=1.0,
-                lambda_n=-0.1,
-                lambda_p=0.06,
-                cox=2e-3,
-                cov_per_width=0.3e-9,
-                min_length=0.8e-6,
-                supply_voltage=3.3,
-            )
-
-    def test_zero_lambda_allowed(self):
-        process = ProcessParameters(
-            name="ideal",
-            kp_n=120e-6,
-            kp_p=40e-6,
-            vth_n=1.0,
-            vth_p=1.0,
-            lambda_n=0.0,
-            lambda_p=0.0,
-            cox=2e-3,
-            cov_per_width=0.3e-9,
-            min_length=0.8e-6,
-            supply_voltage=3.3,
-        )
-        assert process.lambda_n == 0.0
+    @pytest.mark.parametrize("vth_n, vth_p", [(0.0, 1.0), (1.0, -0.1)])
+    def test_rejects_nonpositive_threshold(self, vth_n, vth_p):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            ProcessParameters(name="bad", vth_n=vth_n, vth_p=vth_p)

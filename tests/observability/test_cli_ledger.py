@@ -2,13 +2,11 @@
 
 import json
 
-import numpy as np
-
 from repro.cli import main
 from repro.metrics import load_manifest
 from repro.observability.ledger import RunLedger
 
-FAST_SWEEP = ["--samples", "4096", "--levels", "-20", "-6", "--no-cache"]
+FAST_SWEEP = ["--samples", "8192", "--levels", "-20", "-6", "--no-cache"]
 
 
 def _ledger_dir(tmp_path):
@@ -291,14 +289,12 @@ class TestOutputsInNewDirectories:
 
     def test_library_writers_create_the_parent(self, tmp_path):
         from repro.observability.stats import write_stats_json
-        from repro.reporting.export import write_series_csv
         from repro.staticcheck import run_lint
         from repro.telemetry.export import export_jsonl
         from repro.telemetry.session import TelemetrySession
 
         written = [
             write_stats_json(tmp_path / "stats" / "s.json", {"instruments": {}}),
-            write_series_csv(tmp_path / "csv" / "c.csv", {"x": np.arange(3.0)}),
             run_lint([]).write_json(tmp_path / "lint" / "l.json"),
             export_jsonl(TelemetrySession("empty"), tmp_path / "trace" / "t.jsonl"),
         ]

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.observability.instruments import InstrumentRegistry
 
-FAST_ARGS = ["--samples", "4096", "--levels", "-20", "-6"]
+FAST_ARGS = ["--samples", "8192", "--levels", "-20", "-6"]
 
 
 def _stats(tmp_path, name, **counters):

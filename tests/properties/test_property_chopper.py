@@ -1,10 +1,9 @@
-"""Property-based tests for chopper algebra and the z -> -z identity."""
+"""Property-based tests for the chopper loop's z -> -z identity."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.deltasigma.chopper import chop
 from repro.deltasigma.linear_model import LinearLoopModel
 
 signal_arrays = arrays(
@@ -12,27 +11,6 @@ signal_arrays = arrays(
     shape=st.integers(min_value=4, max_value=64),
     elements=st.floats(min_value=-10.0, max_value=10.0, width=64),
 )
-
-
-class TestChopAlgebra:
-    @given(x=signal_arrays)
-    def test_involution(self, x):
-        np.testing.assert_allclose(chop(chop(x)), x)
-
-    @given(x=signal_arrays)
-    def test_preserves_energy(self, x):
-        assert np.sum(chop(x) ** 2) == np.sum(x**2)
-
-    @given(x=signal_arrays, y=signal_arrays)
-    def test_linearity(self, x, y):
-        n = min(x.shape[0], y.shape[0])
-        np.testing.assert_allclose(
-            chop(x[:n] + y[:n]), chop(x[:n]) + chop(y[:n])
-        )
-
-    @given(x=signal_arrays)
-    def test_start_sign_flip(self, x):
-        np.testing.assert_allclose(chop(x, start=-1), -chop(x, start=1))
 
 
 class TestLoopEquivalence:

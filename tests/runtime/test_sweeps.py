@@ -10,7 +10,7 @@ from repro.config import (
     paper_cell_config,
 )
 from repro.deltasigma import SIModulator2
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.sweeps import (
@@ -74,6 +74,24 @@ class TestScalarParity:
     def test_empty_levels_rejected(self):
         with pytest.raises(AnalysisError):
             run_sweep(_spec(levels_db=()))
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("noise_scale", float("nan")),
+            ("noise_scale", float("inf")),
+            ("noise_scale", -1.0),
+            ("mismatch", float("nan")),
+            ("mismatch", 1.0),
+        ],
+    )
+    def test_unusable_knob_refused(self, knob, value):
+        # A NaN noise_scale used to pass every check and run noiseless,
+        # reporting the noise-free SNR as a success.
+        with pytest.raises(ConfigurationError, match=f"^{knob} must be"):
+            run_sweep(_spec(levels_db=(-6.0,), **{knob: value}))
+        with pytest.raises(ConfigurationError, match=f"^{knob} must be"):
+            sweep_spec_for_design("mod2", **{knob: value})
 
 
 class TestCacheIntegration:

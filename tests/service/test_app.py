@@ -57,6 +57,13 @@ class TestReportRequests:
             {"design": "mod2", "noise_scale": "loud"},
             {"kind": "unknown", "design": "mod2"},
             "not-a-mapping",
+            # Knobs the model cannot take: refused at submit, not run.
+            {"design": "mod2", "noise_scale": float("nan")},
+            {"design": "mod2", "noise_scale": float("inf")},
+            {"design": "mod2", "noise_scale": -1.0},
+            {"design": "mod2", "mismatch": float("nan")},
+            {"design": "mod2", "mismatch": float("inf")},
+            {"design": "mod2", "mismatch": 1.0},
         ],
     )
     def test_invalid_requests_raise_service_error(self, raw):
@@ -97,8 +104,22 @@ class TestSweepRequests:
             {"kind": "sweep", "spec": dict(SPEC, levels_db=[float("nan")])},
             {"kind": "sweep", "spec": dict(SPEC, levels_db=["nan"])},
             {"kind": "sweep", "spec": dict(SPEC, levels_db=["abc"])},
+            {"kind": "sweep", "spec": dict(SPEC, noise_scale=float("nan"))},
+            {"kind": "sweep", "spec": dict(SPEC, noise_scale=float("inf"))},
+            {"kind": "sweep", "spec": dict(SPEC, noise_scale=-1.0)},
+            {"kind": "sweep", "spec": dict(SPEC, noise_scale="2")},
+            {"kind": "sweep", "spec": dict(SPEC, mismatch=float("nan"))},
+            {"kind": "sweep", "spec": dict(SPEC, mismatch=-1.0)},
         ],
     )
     def test_invalid_specs_raise_service_error(self, raw):
         with pytest.raises(ServiceError):
             normalize_request(raw)
+
+    def test_valid_knobs_are_checked_not_coerced(self):
+        # The knob check leaves a valid value as sent, so the cache key
+        # and digest of an existing request do not move.
+        spec = dict(self.SPEC, noise_scale=2, mismatch=0)
+        params = normalize_request({"kind": "sweep", "spec": spec}).params
+        assert (params["noise_scale"], params["mismatch"]) == (2, 0)
+        assert type(params["noise_scale"]) is int

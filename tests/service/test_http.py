@@ -107,6 +107,33 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="HTTP 400.*levels_db"):
             harness.client.submit({"kind": "sweep", "spec": spec})
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"design": "modulator2", "noise_scale": float("nan")},
+            {
+                "kind": "sweep",
+                "spec": {
+                    "design": "modulator2",
+                    "levels_db": [-6.0],
+                    "full_scale": 2e-6,
+                    "signal_frequency": 1953.125,
+                    "sample_rate": 1_000_000.0,
+                    "n_samples": 8192,
+                    "bandwidth": 3400.0,
+                    "noise_scale": float("nan"),
+                },
+            },
+        ],
+        ids=["report", "sweep"],
+    )
+    def test_nan_noise_scale_400_before_any_job(self, harness, body):
+        # The client writes the NaN literal and the server's json.loads
+        # reads it back; such a job used to run noiseless and succeed.
+        with pytest.raises(ServiceError, match="HTTP 400.*noise_scale"):
+            harness.client.submit(body)
+        assert harness.client.jobs() == []
+
     @pytest.mark.parametrize("design", ["biquad-cascade", "flux-capacitor"])
     def test_unrunnable_design_400_names_the_designs(self, harness, design):
         # An ERC-only catalog design has nothing to measure: refused

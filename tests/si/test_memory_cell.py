@@ -182,6 +182,16 @@ class TestConfigHelpers:
             {"flicker_corner_hz": -1.0},
             {"sample_rate": 0.0},
             {"half_gain_mismatch": 1.0},
+            # NaN passes a plain "< 0" test; a NaN noise rms ran noiseless.
+            {"quiescent_current": float("nan")},
+            {"quiescent_current": float("inf")},
+            {"thermal_noise_rms": float("nan")},
+            {"thermal_noise_rms": float("inf")},
+            {"flicker_corner_hz": float("nan")},
+            {"flicker_corner_hz": float("inf")},
+            {"sample_rate": float("nan")},
+            {"sample_rate": float("inf")},
+            {"half_gain_mismatch": float("nan")},
         ],
     )
     def test_validation(self, kwargs):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import VERBS, build_parser, entry, list_commands, main
+from repro.runtime.sweeps import MIN_LANE_SAMPLES
 
 #: Verb names in table order.
 NAMES = [name for name, _, _, _ in VERBS]
@@ -96,7 +97,7 @@ class TestSweepCommand:
                     "sweep",
                     "modulator2",
                     "--samples",
-                    "4096",
+                    "8192",
                     "--levels",
                     "-20",
                     "-6",
@@ -115,7 +116,7 @@ class TestSweepCommand:
             "sweep",
             "modulator2",
             "--samples",
-            "4096",
+            "8192",
             "--levels",
             "-6",
             "--cache-dir",
@@ -255,6 +256,22 @@ class TestCountOptions:
         assert excinfo.value.code == 2
         assert "argument --limit: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "4096"])
+    @pytest.mark.parametrize("name", ["sweep", "stats"])
+    def test_lane_samples_below_the_floor_is_a_usage_error(self, name, value, capsys):
+        # Parsed only: below the floor these verbs used to run 8K lanes
+        # for any N, 0 and negatives included.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([name, "modulator2", "--samples", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --samples: must be >= {MIN_LANE_SAMPLES}, got {value}" in err
+
+    @pytest.mark.parametrize("name", ["sweep", "stats"])
+    def test_lane_samples_at_the_floor_parse(self, name):
+        options = build_parser().parse_args([name, "modulator2", "--samples", "8192"])
+        assert options.samples == MIN_LANE_SAMPLES
+
     def test_serve_port_past_65535_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["serve", "--port", "65536"])
@@ -284,10 +301,10 @@ class TestRefusals:
             (
                 ["report", "modulator2", "--samples", "16384", "--noise-scale", "inf",
                  "--no-sweep"],
-                "error: ERC FAIL: SIModulator2",
+                "error: noise_scale must be non-negative and finite, got inf",
             ),
             (
-                ["sweep", "modulator2", "--samples", "4096", "--levels", "nan", "-6"],
+                ["sweep", "modulator2", "--samples", "8192", "--levels", "nan", "-6"],
                 "error: levels_db must be finite",
             ),
         ],

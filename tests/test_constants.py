@@ -1,4 +1,4 @@
-"""Tests for physical constants and derived thermal quantities."""
+"""Tests for physical constants and the thermal energy kT."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.constants import (
     MOS_THERMAL_GAMMA,
     ROOM_TEMPERATURE,
     kt,
-    thermal_voltage,
 )
 
 
@@ -26,29 +25,9 @@ class TestConstants:
         assert ROOM_TEMPERATURE == 300.0
 
 
-class TestThermalVoltage:
-    def test_room_temperature_value(self):
-        # kT/q at 300 K is about 25.85 mV.
-        assert thermal_voltage(300.0) == pytest.approx(0.02585, rel=1e-3)
-
-    def test_scales_linearly_with_temperature(self):
-        assert thermal_voltage(600.0) == pytest.approx(2.0 * thermal_voltage(300.0))
-
-    def test_default_is_room_temperature(self):
-        assert thermal_voltage() == thermal_voltage(ROOM_TEMPERATURE)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -300.0])
-    def test_rejects_nonpositive_temperature(self, bad):
-        with pytest.raises(ValueError):
-            thermal_voltage(bad)
-
-
 class TestKt:
     def test_room_temperature_value(self):
         assert kt(300.0) == pytest.approx(4.141947e-21, rel=1e-5)
-
-    def test_consistent_with_thermal_voltage(self):
-        assert kt(300.0) / ELEMENTARY_CHARGE == pytest.approx(thermal_voltage(300.0))
 
     @pytest.mark.parametrize("bad", [0.0, -10.0])
     def test_rejects_nonpositive_temperature(self, bad):

@@ -6,9 +6,7 @@ from repro.errors import (
     AnalysisError,
     ClockingError,
     ConfigurationError,
-    DeviceError,
     ReproError,
-    SaturationError,
     StimulusError,
 )
 
@@ -18,8 +16,6 @@ class TestHierarchy:
         "exc",
         [
             ConfigurationError,
-            DeviceError,
-            SaturationError,
             ClockingError,
             AnalysisError,
             StimulusError,
@@ -28,12 +24,9 @@ class TestHierarchy:
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
 
-    def test_saturation_is_a_device_error(self):
-        assert issubclass(SaturationError, DeviceError)
-
     def test_repro_error_is_an_exception(self):
         assert issubclass(ReproError, Exception)
 
     def test_catching_base_catches_derived(self):
         with pytest.raises(ReproError):
-            raise SaturationError("headroom violated")
+            raise ConfigurationError("negative quiescent current")
