@@ -5,8 +5,10 @@ of Fig. 3 realize the second-order delta-sigma modulators."
 
 The bench verifies the equation two ways:
 
-* **linear analysis** -- impulse responses of both linearised loops
-  match the STF/NTF taps to machine precision;
+* **linear analysis** -- the catalog designs' own state spaces, closed
+  through the linearised quantizer (``loop_transfer``), give the
+  STF/NTF taps to machine precision: z^-2 and (1 - z^-1)^2 for both
+  Fig. 3 loops, z^-1 and 1 - z^-1 for the first-order baseline;
 * **system-level simulation** -- the full nonlinear SI modulators
   (ideal cells) pass a tone with exactly two samples of delay, and
   their quantisation noise integrates with the (1 - z^-1)^2 slope
@@ -19,17 +21,34 @@ from benchmarks.conftest import run_once
 from repro.analysis.spectrum import compute_spectrum
 from repro.config import MODULATOR_CLOCK, ideal_cell_config
 from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
-from repro.deltasigma.linear_model import LinearLoopModel, impulse_response_check
 from repro.deltasigma.modulator2 import SIModulator2
+from repro.designs import resolve
 from repro.reporting.records import PaperComparison
+from repro.runtime.kernels import build_spec, loop_transfer
+
+#: Eq. (3) for both Fig. 3 loops and its first-order analogue for the
+#: baseline: (label, leading taps) of each catalog design's STF and NTF.
+EQ3 = {"STF": ("z^-2", [0.0, 0.0, 1.0]), "NTF": ("(1-z^-1)^2", [1.0, -2.0, 1.0])}
+EXPECTED = {
+    "modulator2": EQ3,
+    "chopper": EQ3,
+    "modulator1": {"STF": ("z^-1", [0.0, 1.0]), "NTF": ("1-z^-1", [1.0, -1.0])},
+}
+N_TAPS = 32
 
 
 def test_bench_eq3(benchmark):
     def experiment():
         results = {}
-        for topology in ("integrator", "chopper"):
-            model = LinearLoopModel(topology=topology)
-            results[topology] = impulse_response_check(model)
+        for name, expected in EXPECTED.items():
+            spec = build_spec(resolve(name).build())
+            measured = dict(zip(("STF", "NTF"), loop_transfer(spec, N_TAPS)))
+            results[name] = {
+                transfer: float(
+                    np.max(np.abs(measured[transfer] - np.pad(taps, (0, N_TAPS - len(taps)))))
+                )
+                for transfer, (_, taps) in expected.items()
+            }
 
         # System-level: noise-shaping slope of the real loops.  A small
         # off-bin tone decorrelates the quantiser (an idle zero-input
@@ -59,21 +78,16 @@ def test_bench_eq3(benchmark):
     (linear, slopes) = run_once(benchmark, experiment)
 
     comparison = PaperComparison()
-    for topology in ("integrator", "chopper"):
-        comparison.add(
-            "Eq. 3",
-            f"{topology} STF == z^-2",
-            "exact",
-            f"max tap error {linear[topology]['stf_error']:.2e}",
-            linear[topology]["stf_error"] < 1e-10,
-        )
-        comparison.add(
-            "Eq. 3",
-            f"{topology} NTF == (1-z^-1)^2",
-            "exact",
-            f"max tap error {linear[topology]['ntf_error']:.2e}",
-            linear[topology]["ntf_error"] < 1e-10,
-        )
+    for name, expected in EXPECTED.items():
+        for transfer, (label, _) in expected.items():
+            error = linear[name][transfer]
+            comparison.add(
+                "Eq. 3",
+                f"{name} {transfer} == {label}",
+                "exact",
+                f"max tap error {error:.2e}",
+                error < 1e-10,
+            )
     for name, slope in slopes.items():
         comparison.add(
             "Eq. 3",

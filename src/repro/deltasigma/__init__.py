@@ -2,8 +2,9 @@
 
 Contains the current quantiser, the feedback current DAC, the two
 modulator topologies of Fig. 3 (conventional and chopper-stabilised),
-an ideal discrete-time reference, the z-domain linear model that
-verifies Eq. (3), and a sinc^3 decimator.
+an ideal discrete-time reference and a sinc^3 decimator.  Eq. (3) is
+derived from the loops' own state space
+(:func:`repro.runtime.kernels.loop_transfer`).
 """
 
 from typing import TYPE_CHECKING
@@ -18,12 +19,6 @@ if TYPE_CHECKING:
     from repro.deltasigma.modulator2 import ModulatorTrace, SIModulator2
     from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
     from repro.deltasigma.ideal import IdealSecondOrderModulator
-    from repro.deltasigma.linear_model import (
-        LinearLoopModel,
-        impulse_response_check,
-        ntf_second_order,
-        stf_second_order,
-    )
     from repro.deltasigma.decimator import SincDecimator
     from repro.deltasigma.predictions import (
         expected_dynamic_range_db,
@@ -39,12 +34,6 @@ _EXPORTS = {
     "repro.deltasigma.modulator2": ("SIModulator2", "ModulatorTrace"),
     "repro.deltasigma.chopper_modulator": ("ChopperStabilizedSIModulator",),
     "repro.deltasigma.ideal": ("IdealSecondOrderModulator",),
-    "repro.deltasigma.linear_model": (
-        "LinearLoopModel",
-        "ntf_second_order",
-        "stf_second_order",
-        "impulse_response_check",
-    ),
     "repro.deltasigma.decimator": ("SincDecimator",),
     "repro.deltasigma.predictions": (
         "expected_dynamic_range_db",

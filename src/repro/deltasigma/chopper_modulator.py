@@ -142,11 +142,6 @@ class ChopperStabilizedSIModulator(FeedbackLoop):
             ("diff2", self._diff2, Phase.PHI2),
         )
 
-    @property
-    def realizes_eq3(self) -> bool:
-        """Return True if the bit stream realises Eq. (3) (``b2 = 2 a1 a2``)."""
-        return abs(self.b2 - 2.0 * self.a1 * self.a2) < 1e-12
-
     def reset(self) -> None:
         """Zero the loop state."""
         self._diff1.reset()

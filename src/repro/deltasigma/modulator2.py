@@ -148,16 +148,6 @@ class SIModulator2(FeedbackLoop):
             ("int2", self._int2, Phase.PHI2),
         )
 
-    @property
-    def realizes_eq3(self) -> bool:
-        """Return True if the bit stream realises Eq. (3).
-
-        The condition is ``b2 = 2 a1 a2``: the second state is then a
-        scaled copy of the canonical Eq. (3) loop's, and the sign
-        quantiser makes the bit stream identical.
-        """
-        return abs(self.b2 - 2.0 * self.a1 * self.a2) < 1e-12
-
     def reset(self) -> None:
         """Zero the loop state."""
         self._int1.reset()

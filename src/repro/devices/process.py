@@ -11,6 +11,7 @@ add are declared in :class:`~repro.si.headroom.HeadroomAnalysis`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
@@ -39,9 +40,10 @@ class ProcessParameters:
     def __post_init__(self) -> None:
         for field_name in ("vth_n", "vth_p"):
             value = getattr(self, field_name)
-            if value <= 0.0:
+            if not 0.0 < value < math.inf:
                 raise ConfigurationError(
-                    f"process parameter {field_name} must be positive, got {value!r}"
+                    f"process parameter {field_name} must be positive and finite, "
+                    f"got {value!r}"
                 )
 
     def with_thresholds(self, vth_n: float, vth_p: float) -> "ProcessParameters":

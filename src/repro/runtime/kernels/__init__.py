@@ -19,8 +19,9 @@ Public surface:
 * :func:`run_kernel` / :func:`kernel_refusal` -- execute a device's
   run through the compiled tier (byte-identical to ``force_scalar()``),
   or predict why it would refuse.
-* :func:`state_matrices` -- the A/B/C/D linearisation of a spec for
-  docs and analysis.
+* :func:`state_matrices` / :func:`loop_transfer` -- the A/B/C/D
+  linearisation of a spec, which the scalar loop's recorded states
+  obey, and the STF/NTF impulse responses (Eq. 3) it closes into.
 """
 
 from typing import TYPE_CHECKING
@@ -36,6 +37,7 @@ if TYPE_CHECKING:
         KernelUnsupported,
         build_spec,
         device_parts,
+        loop_transfer,
         state_matrices,
     )
     from repro.runtime.kernels.store import store_batch
@@ -49,6 +51,7 @@ _EXPORTS = {
         "KernelUnsupported",
         "build_spec",
         "device_parts",
+        "loop_transfer",
         "state_matrices",
     ),
     "repro.runtime.kernels.store": ("store_batch",),

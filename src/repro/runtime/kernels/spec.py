@@ -21,8 +21,9 @@ the *factored* per-step form instead of a matmul: the bit-exactness
 contract fixes the IEEE-754 association of every intermediate (e.g.
 ``(x_pos - fb_pos) * a1`` must round exactly like the scalar loop), and
 a fused ``A @ state`` would re-associate those sums.  The matrices are
-the documentation and analysis view; the generated source is the
-executable one.
+the analysis view -- the scalar loop's recorded states obey them, and
+:func:`loop_transfer` closes them into Eq. (3) -- and the generated
+source is the executable one.
 
 Both engines consume the device's **live** random streams
 (:func:`drawn_streams`: the cell noise feeds, the quantiser
@@ -69,6 +70,7 @@ __all__ = [
     "device_parts",
     "drawn_streams",
     "state_matrices",
+    "loop_transfer",
 ]
 
 
@@ -436,9 +438,9 @@ def state_matrices(
     in kernel order; inputs are ``[x, y_fb]`` for the feedback loops and
     ``[x]`` for the open-loop structures; the output taps the signal the
     nonlinear element (quantiser) or the device output reads.  This is
-    the analysis/documentation view of the recurrence -- execution uses
-    the factored per-step source precisely so IEEE-754 association
-    matches the scalar loop (see the module docstring).
+    the analysis view of the recurrence -- execution uses the factored
+    per-step source precisely so IEEE-754 association matches the
+    scalar loop (see the module docstring).
     """
     if spec.kind in ("cell", "delay"):
         n = len(spec.stages)
@@ -495,3 +497,30 @@ def state_matrices(
         )
         return a, b, np.array([[0.0, 1.0]]), np.zeros((1, 2))
     raise KernelUnsupported(f"no state-space view for kind {spec.kind!r}")
+
+
+def loop_transfer(spec: KernelSpec, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``length`` taps of a feedback loop's (STF, NTF) impulse responses.
+
+    Closes the :func:`state_matrices` loop through the linearised
+    quantizer ``y = k C s + e`` and records ``y`` for a unit impulse in
+    ``x`` (STF) and in ``e`` (NTF).  The gain is derived, not passed:
+    ``k = -tr(A) / (C b_y)`` zeroes the closed-loop pole sum, the scale
+    a sign quantizer leaves free (``docs/THEORY.md`` §4).  Taps are in
+    the converter-output domain: the chopper's are multiplied by
+    ``(-1)^n``, its z -> -z.
+    """
+    a, b, c, _ = state_matrices(spec)
+    if b.shape[1] != 2:
+        raise KernelUnsupported(f"kind {spec.kind!r} has no feedback input")
+    gain = float(-np.trace(a) / (c[0] @ b[:, 1]))
+    closed = a + gain * np.outer(b[:, 1], c[0])
+    taps = np.zeros((length, 2))
+    taps[0, 1] = 1.0
+    states = b  # the states one step after each impulse, as columns
+    for n in range(1, length):
+        taps[n] = gain * (c[0] @ states)
+        states = closed @ states
+    if spec.kind == "chopper":
+        taps *= (-1.0) ** np.arange(length)[:, None]
+    return taps[:, 0], taps[:, 1]

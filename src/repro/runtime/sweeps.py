@@ -108,9 +108,32 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         # Every spec -- a CLI sweep, a service job, a worker payload --
-        # is built here, so a level or knob that is not a usable number
-        # is refused once for all of them.
+        # is built here, so a field, level or knob that is not usable
+        # is refused once for all of them.  Scalars are checked, never
+        # coerced, so a valid spec keeps its cache key and digest.
         check_knobs(self.noise_scale, self.mismatch)
+        resolve(self.design).point  # refuses unknown and ERC-only designs
+        for name, floor in (("n_samples", 16), ("settle_samples", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {floor}, got {value!r}"
+                )
+        for name in ("full_scale", "signal_frequency", "sample_rate", "bandwidth"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0.0 < value < math.inf
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a positive finite number, got {value!r}"
+                )
+        if self.window not in {kind.value for kind in WindowKind}:
+            raise ConfigurationError(
+                f"window must be one of {[kind.value for kind in WindowKind]}, "
+                f"got {self.window!r}"
+            )
         try:
             levels = tuple(float(level) for level in self.levels_db)
         except (TypeError, ValueError) as exc:

@@ -7,7 +7,9 @@ from repro.analysis.metrics import measure_tone
 from repro.analysis.spectrum import compute_spectrum
 from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
 from repro.deltasigma.ideal import IdealSecondOrderModulator
+from repro.designs import resolve
 from repro.errors import ConfigurationError
+from repro.runtime.kernels import build_spec, loop_transfer
 
 FS = 2.45e6
 
@@ -18,8 +20,13 @@ def coherent_tone(amplitude, cycles, n):
 
 
 class TestStructure:
-    def test_default_coefficients_realize_eq3(self, cell_config):
-        assert ChopperStabilizedSIModulator(cell_config).realizes_eq3
+    def test_default_coefficients_realize_eq3(self):
+        # After the output chopper (z -> -z) the catalog loop's own
+        # state space gives Eq. (3): any input passes with two samples
+        # of delay.
+        stf, ntf = loop_transfer(build_spec(resolve("chopper").build()), 8)
+        np.testing.assert_allclose(stf, [0, 0, 1, 0, 0, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(ntf, [1, -2, 1, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_ideal_cells_match_ideal_modulator(self, ideal_config):
         # The chopped loop's post-chopper output must equal the

@@ -7,7 +7,9 @@ from repro.analysis.metrics import measure_tone
 from repro.analysis.spectrum import compute_spectrum
 from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
+from repro.designs import resolve
 from repro.errors import ConfigurationError
+from repro.runtime.kernels import build_spec, loop_transfer
 
 FS = 2.45e6
 
@@ -20,6 +22,12 @@ def coherent_tone(amplitude, cycles, n):
 class TestBasics:
     def test_order(self, cell_config):
         assert SIModulator1(cell_config).order == 1
+
+    def test_default_coefficients_first_order_transfer(self):
+        # Eq. (3)'s first-order analogue: STF z^-1, NTF 1 - z^-1.
+        stf, ntf = loop_transfer(build_spec(resolve("modulator1").build()), 6)
+        np.testing.assert_allclose(stf, [0, 1, 0, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(ntf, [1, -1, 0, 0, 0, 0], atol=1e-12)
 
     def test_output_levels_binary(self, ideal_config):
         y = SIModulator1(ideal_config)(coherent_tone(3e-6, 7, 1024))

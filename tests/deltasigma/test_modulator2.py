@@ -7,7 +7,9 @@ from repro.analysis.metrics import measure_tone
 from repro.analysis.spectrum import compute_spectrum
 from repro.deltasigma.ideal import IdealSecondOrderModulator
 from repro.deltasigma.modulator2 import SIModulator2
+from repro.designs import resolve
 from repro.errors import ConfigurationError
+from repro.runtime.kernels import build_spec, loop_transfer
 
 FS = 2.45e6
 N = 1 << 13
@@ -19,12 +21,19 @@ def coherent_tone(amplitude, cycles, n=N):
 
 
 class TestStructure:
-    def test_default_coefficients_realize_eq3(self, cell_config):
-        assert SIModulator2(cell_config).realizes_eq3
+    def test_default_coefficients_realize_eq3(self):
+        # Eq. (3) on the catalog device's own state space: the input
+        # passes with two samples of delay, the error through (1-z^-1)^2.
+        stf, ntf = loop_transfer(build_spec(resolve("modulator2").build()), 8)
+        np.testing.assert_allclose(stf, [0, 0, 1, 0, 0, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(ntf, [1, -2, 1, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_nonstandard_coefficients_flagged(self, cell_config):
+        # b2 != 2 a1 a2: no quantizer gain puts both poles at z = 0, so
+        # the signal response rings on past z^-2.
         modulator = SIModulator2(cell_config, a1=0.5, a2=1.0, b2=2.0)
-        assert not modulator.realizes_eq3
+        stf, _ = loop_transfer(build_spec(modulator), 8)
+        np.testing.assert_allclose(stf[:5], [0, 0, 0.5, 0, 0.25], atol=1e-12)
 
     def test_scaled_loop_same_bitstream(self, ideal_config):
         # State-2 scaling freedom: any b2 = 2 a1 a2 gives the identical

@@ -1,5 +1,7 @@
 """Tests for the process descriptor."""
 
+import math
+
 import pytest
 
 from repro.devices.process import CMOS_08UM, ProcessParameters
@@ -26,7 +28,19 @@ class TestModifiers:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("vth_n, vth_p", [(0.0, 1.0), (1.0, -0.1)])
+    @pytest.mark.parametrize(
+        "vth_n, vth_p",
+        [
+            (0.0, 1.0),
+            (1.0, -0.1),
+            # NaN passes a bare `<= 0` test and would reach the headroom
+            # equations as a NaN supply bound.
+            (math.nan, 1.0),
+            (1.0, math.nan),
+            (math.inf, 1.0),
+            (1.0, math.inf),
+        ],
+    )
     def test_rejects_nonpositive_threshold(self, vth_n, vth_p):
         with pytest.raises(ConfigurationError, match="must be positive"):
             ProcessParameters(name="bad", vth_n=vth_n, vth_p=vth_p)

@@ -10,7 +10,13 @@ state-space analysis view, stream draining, JIT gating, and the
 import numpy as np
 import pytest
 
-from repro.config import delay_line_cell_config, paper_cell_config
+from repro.config import (
+    MODULATOR_CLOCK,
+    delay_line_cell_config,
+    ideal_cell_config,
+    paper_cell_config,
+)
+from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
 from repro.deltasigma.dither import DitheredQuantizer
 from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
@@ -29,6 +35,7 @@ from repro.runtime.kernels import (
     build_spec,
     compile_spec,
     kernel_refusal,
+    loop_transfer,
     run_kernel,
     state_matrices,
 )
@@ -139,6 +146,41 @@ class TestStateMatrices:
         bogus = type(spec)(kind="nope", stages=spec.stages)
         with pytest.raises(KernelUnsupported, match="state-space"):
             state_matrices(bogus)
+
+    @pytest.mark.parametrize(
+        "loop", [SIModulator2, ChopperStabilizedSIModulator], ids=["mod2", "chopper"]
+    )
+    def test_scalar_loop_obeys_state_matrices(self, loop):
+        # With ideal cells the scalar oracle's recorded states follow
+        # s[n+1] = A s[n] + B [u[n], y[n]] and its decisions read
+        # C s[n] >= 0: the matrices loop_transfer closes into Eq. (3)
+        # are the loop every rung reproduces.
+        device = loop(ideal_cell_config(sample_rate=MODULATOR_CLOCK))
+        a, b, c, _ = state_matrices(build_spec(device))
+        n = 4096
+        x = np.random.default_rng(7).normal(0.0, 2e-6, n)
+        trace = device.run(x, record_states=True)
+        states = np.stack([trace.state1, trace.state2])
+        u = x * (-1.0) ** np.arange(n) if device.chopped else x
+        y = trace.decisions * device.full_scale
+        step = a @ states[:, :-1] + b @ np.stack([u, y])[:, :-1]
+        assert np.max(np.abs(step - states[:, 1:])) <= 1e-12 * np.max(np.abs(states))
+        np.testing.assert_array_equal(trace.decisions, np.where(c @ states >= 0.0, 1, -1)[0])
+
+
+class TestLoopTransfer:
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: ClassABMemoryCell(delay_line_cell_config()),
+            lambda: DelayLine(delay_line_cell_config(), n_cells=2),
+            lambda: BiquadCascade(128e3, 2, 2.56e6, config=delay_line_cell_config()),
+        ],
+        ids=["cell", "delay", "cascade"],
+    )
+    def test_open_loop_kinds_refuse(self, factory):
+        with pytest.raises(KernelUnsupported, match="no feedback input"):
+            loop_transfer(build_spec(factory()), 8)
 
 
 class TestRunKernel:

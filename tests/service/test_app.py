@@ -110,6 +110,16 @@ class TestSweepRequests:
             {"kind": "sweep", "spec": dict(SPEC, noise_scale="2")},
             {"kind": "sweep", "spec": dict(SPEC, mismatch=float("nan"))},
             {"kind": "sweep", "spec": dict(SPEC, mismatch=-1.0)},
+            {"kind": "sweep", "spec": dict(SPEC, n_samples=0)},
+            {"kind": "sweep", "spec": dict(SPEC, n_samples=-5)},
+            {"kind": "sweep", "spec": dict(SPEC, sample_rate=float("nan"))},
+            {"kind": "sweep", "spec": dict(SPEC, full_scale=-1.0)},
+            {"kind": "sweep", "spec": dict(SPEC, bandwidth=float("inf"))},
+            {"kind": "sweep", "spec": dict(SPEC, settle_samples=-1)},
+            {"kind": "sweep", "spec": dict(SPEC, window="nope")},
+            {"kind": "sweep", "spec": dict(SPEC, signal_frequency=float("nan"))},
+            {"kind": "sweep", "spec": dict(SPEC, design="flux-capacitor")},
+            {"kind": "sweep", "spec": dict(SPEC, design="biquad-cascade")},
         ],
     )
     def test_invalid_specs_raise_service_error(self, raw):
