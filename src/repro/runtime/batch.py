@@ -127,11 +127,11 @@ class _LaneRunner:
         # Laid out lane by lane, so the prologue's temporaries are one
         # lane long.  A differential input is one step-major block whose
         # x[i] is period i's (2, lanes) input pair.
-        paired = "xa" in program.arg_names
+        paired = program.stimulus == ("xa", "xb")
         shape = (n_steps, 2, n_lanes) if paired else (n_steps, n_lanes)
         args["x" if paired else "xs"] = x = np.empty(shape)
         for lane in range(n_lanes):
-            inputs, signs = _kernel_inputs(program, data[lane])
+            inputs, signs = _kernel_inputs(program, data[lane], hoisted=False)
             if paired:
                 x[:, 0, lane] = inputs["xa"]
                 x[:, 1, lane] = inputs["xb"]
@@ -242,15 +242,13 @@ def batch_runner_for(device: object, n_lanes: int, n_steps: int) -> _LaneRunner:
         )
     # Imported here: a single run or a narrow sweep never loads the lane
     # layout or the store it calls.
-    from repro.runtime.kernels.lanes import lane_function
+    from repro.runtime.kernels.lanes import lane_function, lane_refusal
 
     try:
         spec = build_spec(device)
         program = compile_spec(spec)
         if lane_function(program) is None:
-            raise BatchUnsupported(
-                "fused cells must share one electrical configuration"
-            )
+            raise BatchUnsupported(lane_refusal(spec))
     except (KernelUnsupported, BatchUnsupported) as error:
         # Imported lazily: this module sits below the observability
         # layer in the import graph and only pays for it on refusal.

@@ -16,7 +16,10 @@ quantity); each layout renders the tree its own way.
 * The **scalar layout** (``kernel``) runs one device: one float per
   variable, one Python expression per assignment -- a pair assignment
   is two lines, one per half -- ``if`` branches, and each half-circuit
-  store inlined, with every constant a ``repr`` float literal.
+  store inlined, with every constant a ``repr`` float literal.  Only
+  state-dependent work stays in its loop: what reads nothing but the
+  stimulus and constants runs once per run in a NumPy ``prologue``
+  emitted with it (see the prologue rules below).
 * The **lane layout** (``lanes``) runs many lanes at once: a variable
   is a row of ``n_lanes`` floats and a pair one ``(2, n_lanes)`` block,
   and each operation is one ``out=`` ufunc call into a buffer the
@@ -52,22 +55,66 @@ each load-bearing for the byte-equality contract:
   folds to the literal and nothing reads ``last``;
 * ``a + 0.0`` is **not** the identity (``-0.0 + 0.0 == +0.0``), so the
   half-splitting ``0.0 + half`` / ``0.0 - half`` normalisations and the
-  CMFF bias terms are always kept;
+  CMFF subtract biases are always kept;
+* the CMFF sense biases fold away when each is a zero and every
+  subtract bias is +0.0: adding a zero bias changes at most the sign
+  of a zero, so ``(a + b0) + (b + b1)`` and ``a + b`` differ only where
+  both are zeros, and every consumer of ``i_cm`` computes
+  ``gain * i_cm + 0.0``, which maps both zeros to +0.0.  One ``-0.0``
+  subtract bias keeps them all;
 * two CMFF subtract mirrors with equal literal gain and bias compute
   the same value, so it is computed once (``i_sub``) for both halves;
 * constants combined *at generation time* with the same operations the
   scalar loop performs at run time (``1.0 + 0.5 * mismatch``,
-  ``fb_pos * b2``) produce the identical 64-bit value, so feedback
-  branch constants fold when the DAC is noiseless;
+  ``fb_pos * b2``, ``-tau``) produce the identical 64-bit value, so
+  feedback branch constants fold when the DAC is noiseless;
 * ``exp`` stays ``np.exp`` on scalars (``math.exp`` differs bitwise on
   this pipeline's argument range); ``sqrt`` is correctly rounded
-  everywhere and may come from ``math``.
+  everywhere and may come from ``math``;
+* ``a / -b == -(a / b)`` bitwise (division is sign-symmetric and
+  correctly rounded), so the small settling step is
+  ``exp(margin / -tau)``, and ``n_tau = margin / tau`` is computed only
+  when the half slews;
+* the scalar ``delta == 0.0`` shortcut returns ``value``; without it the
+  small step returns ``value - (+/-0.0) * decay``, the same float unless
+  ``value`` is ``-0.0``.  The front ends ``value + residual * sqrt(..)``
+  with a positive root, so a residual of +0.0 or more never yields
+  ``-0.0`` (:attr:`~repro.runtime.kernels.spec.CellSpec.front_never_negative_zero`)
+  and the shortcut is dropped; any other residual keeps it;
+* ``decision * full_scale`` with ``decision`` +1 or -1 is exact, so the
+  output is a literal in each arm of the one quantiser branch, which
+  also binds the feedback; ``last`` is written each period only under
+  hysteresis, else once after the loop;
+* one slew flag per stage (``slewed``), set only by a slewing half,
+  replaces the two per-half flags: the stage counts one event when
+  either half slews, as before.  (One noise load per stage instead of
+  two subscripts was measured too and did not pay.)
+
+The prologue rules, which move work out of the scalar loop:
+
+* an assignment that reads only the stimulus (``xa``/``xb`` or ``xs``),
+  rows already hoisted and the quantiser branch's constants, and at
+  least one row, is computed once per run with elementwise NumPy in
+  the scalar operand order: a ufunc rounds each element exactly as the
+  scalar operation does.  Reading a branch constant (a DAC level) it
+  has one row per decision, which that arm of the branch loads;
+* a store whose target halves are rows takes its front -- the value
+  after class-AB split, transmission error and charge injection, and
+  the small-step decay -- from
+  :func:`~repro.runtime.kernels.store.store_front`, the NumPy front of
+  the lane layout's store, over the whole row.  Its ``np.maximum``
+  clamps meet no ``-0.0``; where one returns a NaN the scalar clamp
+  does not, ``value`` is NaN either way;
+* a probe of rows is filled by the prologue and is not a loop
+  argument.
 
 The scalar source is shared verbatim between the pure-Python mode
 (lists in, preallocated list out) and the optional numba JIT mode
-(arrays in, preallocated array out) -- see
-:mod:`repro.runtime.kernels.jit` for the bit-exactness probe that
-gates the latter.
+(arrays in, preallocated array out); the prologue runs in NumPy before
+either -- see :mod:`repro.runtime.kernels.jit` for the bit-exactness
+probe that gates the latter.  A program is cached by its spec, and a
+hit must match the spec's literals: specs that differ only in a zero's
+sign compare equal but do not share a program.
 """
 
 from __future__ import annotations
@@ -232,25 +279,31 @@ def _fold(expr: _Expr, half: int | None) -> _Expr:
     return expr
 
 
-def _render(expr: _Expr, half: int | None) -> str:
-    """Render ``expr`` as one Python expression; ``half`` picks pair halves."""
+def _render(
+    expr: _Expr, half: int | None, names: dict[str, str] | None = None
+) -> str:
+    """Render ``expr`` as one Python expression; ``half`` picks pair halves.
+
+    ``names`` renders a variable as other text: a hoisted row read, or
+    a branch's literal in the prologue.
+    """
     expr = _fold(expr, half)
     if isinstance(expr, _Half):
-        return _render(expr.expr, expr.index)
+        return _render(expr.expr, expr.index, names)
     if isinstance(expr, _Pair):
         assert half is not None, "a pair in a row expression"
-        return (expr.pos, expr.neg)[half]
+        expr = (expr.pos, expr.neg)[half]
     if isinstance(expr, tuple):
         assert half is not None, "a pair constant in a row expression"
         return _lit(expr[half])
     if isinstance(expr, float):
         return _lit(expr)
     if isinstance(expr, str):
-        return expr
+        return names.get(expr, expr) if names else expr
     assert isinstance(expr, _Op), "a stack's constant in a scalar expression"
     operands = []
     for arg in expr.args:
-        text = _render(arg, half)
+        text = _render(arg, half, names)
         operands.append(f"({text})" if " " in text else text)
     if expr.fn == "neg":
         return f"-{operands[0]}"
@@ -330,7 +383,7 @@ def _emit_store(
     prev: str,
     target: str,
     out_value: str,
-    out_slew: str,
+    front: str | None,
 ) -> None:
     """Emit the fused ``_store_half`` body with the cell's literals.
 
@@ -338,65 +391,107 @@ def _emit_store(
     :meth:`repro.si.memory_cell.ClassABMemoryCell._store_half` with its
     helpers (class-AB split, transmission error, charge injection, GGA
     settling) inlined operation for operation and every configuration
-    constant inlined as a literal.
+    constant inlined as a literal.  A slewing half sets ``slewed``.
+    With ``front``, the prologue's store front of an input row, the
+    half reads its ``value`` and ``decay`` rows instead, and only a
+    slewing half computes its ``margin``.
     """
-    iq = _lit(cell.iq_squared)
-    bias = _lit(cell.bias)
-    src.line(depth, f"half = 0.5 * {target}")
-    src.line(depth, f"root = sqrt(half * half + {iq})")
-    src.line(depth, "if half >= 0.0:")
-    src.line(depth + 1, "device_n = half + root")
-    src.line(depth, "else:")
-    src.line(depth + 1, f"device_n = {iq} / (root - half)")
-    t_floor = _lit(cell.trans_floor)
-    src.line(depth, f"current = device_n if device_n >= {t_floor} else {t_floor}")
-    src.line(
-        depth,
-        f"value = {target} * (1.0 - {_lit(cell.trans_ratio)}"
-        f" * sqrt({_lit(cell.trans_iq)} / current))",
-    )
-    if cell.inj_floor != cell.trans_floor:
-        # Different clamp floors: recompute exactly as the scalar does.
-        j_floor = _lit(cell.inj_floor)
+    if front is not None:
+        src.line(depth, f"value = value{front}[i]")
+    else:
+        iq = _lit(cell.iq_squared)
+        src.line(depth, f"half = 0.5 * {target}")
+        src.line(depth, f"root = sqrt(half * half + {iq})")
+        src.line(depth, "if half >= 0.0:")
+        src.line(depth + 1, "device_n = half + root")
+        src.line(depth, "else:")
+        src.line(depth + 1, f"device_n = {iq} / (root - half)")
+        t_floor = _lit(cell.trans_floor)
+        src.line(depth, f"current = device_n if device_n >= {t_floor} else {t_floor}")
         src.line(
-            depth, f"current = device_n if device_n >= {j_floor} else {j_floor}"
+            depth,
+            f"value = {target} * (1.0 - {_lit(cell.trans_ratio)}"
+            f" * sqrt({_lit(cell.trans_iq)} / current))",
         )
-    src.line(
-        depth,
-        f"value = value + {_lit(cell.inj_residual)}"
-        f" * sqrt(current / {_lit(cell.inj_iq)})",
-    )
+        if cell.inj_floor != cell.trans_floor:
+            # Different clamp floors: recompute exactly as the scalar does.
+            j_floor = _lit(cell.inj_floor)
+            src.line(
+                depth, f"current = device_n if device_n >= {j_floor} else {j_floor}"
+            )
+        src.line(
+            depth,
+            f"value = value + {_lit(cell.inj_residual)}"
+            f" * sqrt(current / {_lit(cell.inj_iq)})",
+        )
     src.line(depth, f"delta = value - {prev} + {_lit(cell.kick)} * value")
-    src.line(depth, "if delta == 0.0:")
-    src.line(depth + 1, f"{out_value} = value")
-    src.line(depth + 1, f"{out_slew} = False")
+    if not cell.front_never_negative_zero:
+        src.line(depth, "if delta == 0.0:")
+        src.line(depth + 1, f"{out_value} = value")
+        src.line(depth, "else:")
+    _emit_settle(src, depth + (not cell.front_never_negative_zero), cell, out_value, front)
+
+
+def _emit_settle(
+    src: _Source, depth: int, cell: CellSpec, out_value: str, front: str | None
+) -> None:
+    """Emit the two-regime GGA settling of ``value`` by ``delta``."""
+    bias = _lit(cell.bias)
+    if front is None:
+        _emit_margin(src, depth, cell)
+        decay = f"float(exp(margin / {_lit(-cell.tau_fraction)}))"
+    else:
+        decay = f"decay{front}[i]"
+    src.line(depth, "magnitude = abs(delta)")
+    src.line(depth, f"if magnitude <= {bias}:")
+    src.line(depth + 1, f"{out_value} = value - delta * {decay}")
     src.line(depth, "else:")
-    src.line(depth + 1, f"margin = 1.0 - abs(value) / {bias}")
-    floor = _lit(cell.margin_floor)
-    src.line(depth + 1, f"if margin < {floor}:")
-    src.line(depth + 2, f"margin = {floor}")
+    if front is not None:
+        _emit_margin(src, depth + 1, cell)
     src.line(depth + 1, f"n_tau = margin / {_lit(cell.tau_fraction)}")
-    src.line(depth + 1, "magnitude = abs(delta)")
-    src.line(depth + 1, f"if magnitude <= {bias}:")
-    src.line(depth + 2, f"{out_value} = value - delta * float(exp(-n_tau))")
-    src.line(depth + 2, f"{out_slew} = False")
+    src.line(depth + 1, "sign = 1.0 if delta > 0.0 else -1.0")
+    src.line(depth + 1, f"slew_tau = (magnitude - {bias}) / {bias}")
+    src.line(depth + 1, "if slew_tau >= n_tau:")
+    src.line(depth + 2, f"residual = sign * (magnitude - {bias} * n_tau)")
     src.line(depth + 1, "else:")
-    src.line(depth + 2, "sign = 1.0 if delta > 0.0 else -1.0")
-    src.line(depth + 2, f"slew_tau = (magnitude - {bias}) / {bias}")
-    src.line(depth + 2, "if slew_tau >= n_tau:")
-    src.line(depth + 3, f"residual = sign * (magnitude - {bias} * n_tau)")
-    src.line(depth + 2, "else:")
     src.line(
-        depth + 3,
+        depth + 2,
         f"residual = sign * {bias} * float(exp(-(n_tau - slew_tau)))",
     )
-    src.line(depth + 2, f"{out_value} = value - residual")
-    src.line(depth + 2, f"{out_slew} = True")
+    src.line(depth + 1, f"{out_value} = value - residual")
+    src.line(depth + 1, "slewed = True")
+
+
+def _emit_margin(src: _Source, depth: int, cell: CellSpec) -> None:
+    """Emit the GGA drive ``margin`` of ``value``, clamped to its floor."""
+    src.line(depth, f"margin = 1.0 - abs(value) / {_lit(cell.bias)}")
+    floor = _lit(cell.margin_floor)
+    src.line(depth, f"if margin < {floor}:")
+    src.line(depth + 1, f"margin = {floor}")
 
 
 #: What the ``choose`` emitters bind: ``(target, if_up, if_down)``,
 #: with one constant per half when the target is a pair.
 _Choice = tuple[Union[str, _Pair], Any, Any]
+
+
+class _Branch:
+    """The period's quantiser branch: its test, and one arm per decision.
+
+    The scalar layout inserts it at ``at`` when the period closes, so
+    its arms hold only what the rest of the loop turned out to read.
+    """
+
+    __slots__ = ("at", "depth", "test", "arms", "bound")
+
+    def __init__(self, at: int, depth: int, test: str) -> None:
+        self.at, self.depth, self.test = at, depth, test
+        self.arms: tuple[list[str], list[str]] = (["decision = 1"], ["decision = -1"])
+        self.bound: set[str] = set()
+
+
+#: Where the scalar layout's argument list takes the rows the loop reads.
+_ROWS = "<rows>"
 
 
 class _Layout:
@@ -406,6 +501,15 @@ class _Layout:
     ``if``; each stage stores its two halves inline the moment its
     targets are known.  ``arg_names`` and ``probe_slots`` are what the
     runner reads back to call the function and feed its probes.
+
+    Only state-dependent work stays in the loop.  An assignment that
+    reads nothing but the stimulus (``stimulus``), rows already hoisted
+    and the quantiser branch's constants is moved to the NumPy
+    ``prologue``, which computes it once per run; the loop reads its row.
+    One that reads a branch constant has a row per decision, which the
+    branch's arm loads.  A store whose target is a row takes its front
+    from the prologue too (:func:`~repro.runtime.kernels.store.store_front`,
+    when ``uses_front``).
     """
 
     def __init__(self) -> None:
@@ -413,16 +517,31 @@ class _Layout:
         self.probe_slots: list[tuple[int, str]] = []
         self.state_names: list[str] = []
         self.slew_names: list[str] = []
+        #: The prologue's parameters: ``("xa", "xb")`` or ``("xs",)``.
+        self.stimulus: tuple[str, ...] = ()
+        self.prologue = _Source()
+        self.uses_front = False
+        #: Each hoisted variable's row, or its rows per decision (up, down).
+        self._rows: dict[str, str | tuple[str, str]] = {}
+        #: Each branch constant's values per decision (up, down).
+        self._levels: dict[str, tuple[float, float]] = {}
+        self._branch: _Branch | None = None
+        #: The rows the loop reads, in first-read order.
+        self._read: dict[str, None] = {}
+        self._probes: list[str] = []
+        self._hoisted_probes: list[str] = []
 
     def probe_arg(self, stage_index: int, tag: str) -> str:
         self.probe_slots.append((stage_index, tag))
         name = f"pb{len(self.probe_slots) - 1}"
         self.arg_names.append(name)
+        self._probes.append(name)
         return name
 
     def inputs(self, paired: bool) -> None:
-        """Name the stimulus arguments: the two halves, or one row."""
-        self.arg_names.extend(("xa", "xb") if paired else ("xs",))
+        """Name the stimulus: the two halves, or one row."""
+        self.stimulus = ("xa", "xb") if paired else ("xs",)
+        self.arg_names.append(_ROWS)
 
     def begin(self, src: _Source, spec: KernelSpec) -> None:
         """Open the function: per-cell noise (``0.5 * draw``) and state in."""
@@ -434,16 +553,46 @@ class _Layout:
             self.state_names.append("last")
         self.slew_names = [f"slews{j}" for j in range(n_cells)]
         self.arg_names.extend(self.state_names)
-        src.line(0, f"def kernel({', '.join(self.arg_names)}):")
+        src.line(0, "def kernel():")  # the arguments are known at the end
         for name in self.slew_names:
             src.line(1, f"{name} = 0")
+        if spec.loop is not None:
+            src.line(1, "decision = last")
         src.line(1, "for i in range(n_steps):")
 
     def end_step(self, src: _Source, depth: int) -> None:
-        """Close one period (the scalar layout stored inline)."""
+        """Close one period: insert the quantiser branch, now complete."""
+        branch = self._branch
+        if branch is None:
+            return
+        pad = "    " * branch.depth
+        up, down = branch.arms
+        src.lines[branch.at : branch.at] = [
+            f"{pad}if {branch.test}:",
+            *(f"{pad}    {line}" for line in up),
+            f"{pad}else:",
+            *(f"{pad}    {line}" for line in down),
+        ]
+        self._branch = None
 
     def end(self, src: _Source, spec: KernelSpec) -> None:
+        """Return the state; write the argument list and the prologue."""
+        if spec.loop is not None and spec.loop.hysteresis == 0.0:
+            src.line(1, "last = decision")
         src.line(1, f"return {', '.join(self.state_names + self.slew_names)}")
+        at = self.arg_names.index(_ROWS)
+        self.arg_names[at : at + 1] = list(self._read)
+        for name in self._hoisted_probes:
+            self.arg_names.remove(name)
+        src.lines[0] = f"def kernel({', '.join(self.arg_names)}):"
+        rows = ", ".join(f"{name!r}: {name}" for name in [*self._read, *self._hoisted_probes])
+        src.lines[0:0] = [
+            f"def prologue({', '.join(self.stimulus)}):",
+            *self.prologue.lines,
+            f"    return {{{rows}}}",
+            "",
+            "",
+        ]
 
     def stacks(self, members: tuple[_Member, ...]) -> list[_Stack]:
         """Group ``members`` into stacks: one per stage, stored inline."""
@@ -455,55 +604,157 @@ class _Layout:
     def declare(self, pair: _Pair) -> None:
         """Make ``pair``'s halves assignable one by one (scalar: nothing)."""
 
+    def _prologue_names(self, side: int | None) -> dict[str, str]:
+        """How the prologue reads each name (``side``: the decision, if any)."""
+        names = {f"{name}[i]": name for name in self.stimulus}
+        for name, row in self._rows.items():
+            if isinstance(row, str):
+                names[name] = row
+            elif side is not None:
+                names[name] = row[side]
+        if side is not None:
+            names.update((name, _lit(levels[side])) for name, levels in self._levels.items())
+        return names
+
+    def _loop_names(self, reads: Sequence[str]) -> dict[str, str]:
+        """How the loop reads ``reads``: a row at ``[i]``, or a branch load."""
+        names: dict[str, str] = {}
+        for name in reads:
+            if name.endswith("[i]") and name[:-3] in self.stimulus:
+                self._read[name[:-3]] = None
+            row = self._rows.get(name)
+            if isinstance(row, str):
+                names[name] = f"{row}[i]"
+                self._read[row] = None
+            elif row is not None or name in self._levels:
+                self._bind_in_branch(name)
+        return names
+
+    def _bind_in_branch(self, name: str) -> None:
+        """Have both arms of the branch bind ``name`` to its value."""
+        branch = self._branch
+        assert branch is not None, f"{name} read outside its branch's period"
+        if name in branch.bound:
+            return
+        branch.bound.add(name)
+        row = self._rows.get(name)
+        for side, arm in enumerate(branch.arms):
+            if isinstance(row, tuple):
+                arm.append(f"{name} = {row[side]}[i]")
+                self._read[row[side]] = None
+            else:
+                arm.append(f"{name} = {_lit(self._levels[name][side])}")
+
+    def _hoist(self, dests: tuple[str, ...], expr: _Expr, halves: tuple[int | None, ...]) -> bool:
+        """Compute ``dests = expr`` in the prologue if it reads no loop state.
+
+        It may read the stimulus, hoisted rows and branch constants, and
+        at least one row; a probe is hoisted only without a branch.
+        """
+        reads = set().union(*(_reads(expr, half) for half in halves))
+        rows = reads & ({f"{name}[i]" for name in self.stimulus} | self._rows.keys())
+        if not rows or not reads <= rows | self._levels.keys():
+            return False
+        branched = bool(reads & self._levels.keys()) or any(
+            isinstance(self._rows.get(name), tuple) for name in reads
+        )
+        probe = dests[0].endswith("[i]")
+        if probe and (branched or dests[0][:-3] not in self._probes):
+            return False
+        for dest, half in zip(dests, halves):
+            if probe:
+                row = dest[:-3]
+                text = _render(expr, half, self._prologue_names(None))
+                self.prologue.line(1, f"{row} = {text}")
+                self._hoisted_probes.append(row)
+                continue
+            if branched:
+                sides = (f"{dest}_up", f"{dest}_down")
+                for side, row in enumerate(sides):
+                    text = _render(expr, half, self._prologue_names(side))
+                    self.prologue.line(1, f"{row} = {text}")
+                self._rows[dest] = sides
+            else:
+                text = _render(expr, half, self._prologue_names(None))
+                if not text.isidentifier():  # not a plain alias of a row
+                    self.prologue.line(1, f"{dest}_r = {text}")
+                    text = f"{dest}_r"
+                self._rows[dest] = text
+            self._levels.pop(dest, None)
+        return True
+
     def assign(self, src: _Source, depth: int, dest: str | _Pair, expr: _Expr) -> None:
         """Emit ``dest = expr``: one line per half when ``dest`` is a pair."""
-        if not isinstance(dest, _Pair):
-            src.line(depth, f"{dest} = {_render(expr, None)}")
+        if isinstance(dest, _Pair):
+            dests: tuple[str, ...] = (dest.pos, dest.neg)
+            halves: tuple[int | None, ...] = (0, 1)
+            # The pos line runs first, so the neg half must not read it.
+            assert dest.pos not in _reads(expr, 1), dest
+        else:
+            dests, halves = (dest,), (None,)
+        if self._hoist(dests, expr, halves):
             return
-        # The pos line runs first, so the neg half must not read it.
-        assert dest.pos not in _reads(expr, 1), dest
-        src.line(depth, f"{dest.pos} = {_render(expr, 0)}")
-        src.line(depth, f"{dest.neg} = {_render(expr, 1)}")
+        names = self._loop_names(
+            [name for half in halves for name in sorted(_reads(expr, half))]
+        )
+        for name, half in zip(dests, halves):
+            self._rows.pop(name, None)
+            self._levels.pop(name, None)
+            src.line(depth, f"{name} = {_render(expr, half, names)}")
 
     def decide(self, src: _Source, depth: int, loop: LoopSpec) -> None:
-        """Emit ``decision`` (+1/-1) from ``eff``; it becomes ``last``."""
+        """Open the branch on ``decision`` (+1/-1) from ``eff``.
+
+        Under hysteresis the next period's threshold reads it as
+        ``last``; otherwise ``last`` is written once, after the loop.
+        """
+        test = "eff >= 0.0"
         if loop.band > 0.0:
-            src.line(depth, f"if abs(eff) < {_lit(loop.band)}:")
-            src.line(depth + 1, "decision = 1 if meta[i] < 0.5 else -1")
-            src.line(depth, "else:")
-            src.line(depth + 1, "decision = 1 if eff >= 0.0 else -1")
-        else:
-            src.line(depth, "decision = 1 if eff >= 0.0 else -1")
-        src.line(depth, "last = decision")
+            test = f"(meta[i] < 0.5) if abs(eff) < {_lit(loop.band)} else ({test})"
+        self._branch = _Branch(len(src.lines), depth, test)
+        if loop.hysteresis != 0.0:
+            src.line(depth, "last = decision")
 
     def bitstream(self, src: _Source, depth: int, loop: LoopSpec) -> None:
-        """Emit the period's loop output sample."""
-        src.line(depth, f"out[i] = decision * {_lit(loop.full_scale)}")
+        """Emit the period's loop output sample, a literal in each arm."""
+        branch = self._branch
+        assert branch is not None
+        # decision * full_scale, with decision +1 or -1, is exact.
+        branch.arms[0].append(f"out[i] = {_lit(loop.full_scale)}")
+        branch.arms[1].append(f"out[i] = {_lit(-loop.full_scale)}")
 
     def choose(self, src: _Source, depth: int, rows: list[_Choice]) -> None:
         """Bind each target to its ``if_up`` or ``if_down`` constant."""
-        for up, head in ((True, "if decision == 1:"), (False, "else:")):
-            src.line(depth, head)
-            for target, if_up, if_down in rows:
-                value = if_up if up else if_down
-                if isinstance(target, _Pair):
-                    src.line(depth + 1, f"{target.pos} = {_lit(value[0])}")
-                    src.line(depth + 1, f"{target.neg} = {_lit(value[1])}")
-                else:
-                    src.line(depth + 1, f"{target} = {_lit(value)}")
+        for target, if_up, if_down in rows:
+            if isinstance(target, _Pair):
+                self._levels[target.pos] = (if_up[0], if_down[0])
+                self._levels[target.neg] = (if_up[1], if_down[1])
+            else:
+                self._levels[target] = (if_up, if_down)
 
     def store(
         self, src: _Source, depth: int, j: int, cell: CellSpec, target: _Pair
     ) -> None:
         """Store stage ``j``'s targets: both halves inline, then noise."""
-        _emit_store(src, depth, cell, f"p{j}", target.pos, "sp", "slp")
-        _emit_store(src, depth, cell, f"m{j}", target.neg, "sm", "slm")
+        rows = [self._rows.get(name) for name in (target.pos, target.neg)]
+        fronts: list[str | None] = [None, None]
+        if all(isinstance(row, str) for row in rows):
+            # An input row's store front is input-only work too.
+            self.uses_front = True
+            for half, row in enumerate(rows):
+                front = fronts[half] = f"{j}_{('pos', 'neg')[half]}"
+                value, decay = f"value{front}", f"decay{front}"
+                self.prologue.line(1, f"{value}, {decay} = store_front(cells[{j}], {row})")
+                self._read.update(dict.fromkeys((value, decay)))
+        src.line(depth, "slewed = False")
+        _emit_store(src, depth, cell, f"p{j}", target.pos, "sp", fronts[0])
+        _emit_store(src, depth, cell, f"m{j}", target.neg, "sm", fronts[1])
         if cell.mismatch != 0.0:
             src.line(depth, f"sp = sp * {_lit(1.0 + 0.5 * cell.mismatch)}")
             src.line(depth, f"sm = sm * {_lit(1.0 - 0.5 * cell.mismatch)}")
         src.line(depth, f"p{j} = sp + hn{j}[i]")
         src.line(depth, f"m{j} = sm - hn{j}[i]")
-        src.line(depth, "if slp or slm:")
+        src.line(depth, "if slewed:")
         src.line(depth + 1, f"slews{j} = slews{j} + 1")
 
 
@@ -516,23 +767,31 @@ def _emit_split(
     layout.assign(src, depth, pair.neg, _sub(0.0, half))
 
 
+def _positive_zero(value: float) -> bool:
+    return value == 0.0 and math.copysign(1.0, value) > 0.0
+
+
 def _emit_cmff(src: _Source, layout: _Layout, depth: int, stack: _Stack) -> None:
-    """Emit the CMFF apply on the stack's targets (biases always kept).
+    """Emit the CMFF apply on the stack's targets.
 
     Every literal carries one value per stacked stage, so stages whose
     mirrors differ share the sequence; a unit gain folds only where
-    every stage's is 1.0.
+    every stage's is 1.0.  The sense biases fold away when they are
+    zeros and every subtract bias is +0.0 (see the module docstring).
     """
     cmffs = [stage.cmff for _, stage, _ in stack.members if stage.cmff is not None]
     assert len(cmffs) == len(stack.members), "a stack mixes stages with and without CMFF"
     t = stack.target
-    sense = _add(
-        _mul(_pair_rows([(c.sense_pos_gain, c.sense_neg_gain) for c in cmffs]), t),
-        _pair_rows([(c.sense_pos_bias, c.sense_neg_bias) for c in cmffs]),
-    )
-    layout.assign(src, depth, stack.i_cm, _add(_Half(sense, 0), _Half(sense, 1)))
     gains = [(c.subtract_pos_gain, c.subtract_neg_gain) for c in cmffs]
     biases = [(c.subtract_pos_bias, c.subtract_neg_bias) for c in cmffs]
+    sense: _Expr = _mul(_pair_rows([(c.sense_pos_gain, c.sense_neg_gain) for c in cmffs]), t)
+    sense_biases = [(c.sense_pos_bias, c.sense_neg_bias) for c in cmffs]
+    if not (
+        all(bias == 0.0 for pair in sense_biases for bias in pair)
+        and all(_positive_zero(bias) for pair in biases for bias in pair)
+    ):
+        sense = _add(sense, _pair_rows(sense_biases))
+    layout.assign(src, depth, stack.i_cm, _add(_Half(sense, 0), _Half(sense, 1)))
     subtract: _Expr = _add(_mul(_pair_rows(gains), stack.i_cm), _pair_rows(biases))
     if all(
         _lit(gain[0]) == _lit(gain[1]) and _lit(bias[0]) == _lit(bias[1])
@@ -778,6 +1037,12 @@ class KernelProgram:
     probe_slots: tuple[tuple[int, str], ...]
     state_names: tuple[str, ...]
     slew_names: tuple[str, ...]
+    #: The NumPy prologue: the stimulus rows in (``stimulus``), by
+    #: keyword; the rows ``fn`` reads and the probes it fills out.
+    prologue: Callable[..., dict[str, np.ndarray]]
+    stimulus: tuple[str, ...]
+    #: ``repr(spec)``: the spec's literals, the sign of a zero included.
+    literals: str
     #: The lane-major NumPy function, called by keyword: compiled by the
     #: first :func:`~repro.runtime.kernels.lanes.lane_function` call,
     #: None until then.
@@ -799,17 +1064,31 @@ def compile_spec(spec: KernelSpec) -> KernelProgram:
     service job or a narrow sweep runs only the scalar one.
     """
     program = _CACHE.get(spec)
-    if program is not None:
+    # Specs compare their floats with ==, so two that differ only in a
+    # zero's sign are equal, but their programs are not: a hit must
+    # match the spec's literals too.
+    literals = repr(spec)
+    if program is not None and program.literals == literals:
         return program
     source, layout = kernel_source(spec)
+    namespace: dict[str, Any] = {"sqrt": math.sqrt, "exp": np.exp}
+    if layout.uses_front:
+        # Imported here: only open-loop cells read a store front.
+        from repro.runtime.kernels.store import store_front
+
+        namespace["store_front"] = store_front
+        namespace["cells"] = tuple(stage.cell for stage in spec.all_stages)
     program = KernelProgram(
         spec=spec,
         source=source,
-        fn=_define(source, "kernel", spec.kind, {"sqrt": math.sqrt, "exp": np.exp}),
+        fn=_define(source, "kernel", spec.kind, namespace),
         arg_names=tuple(layout.arg_names),
         probe_slots=tuple(layout.probe_slots),
         state_names=tuple(layout.state_names),
         slew_names=tuple(layout.slew_names),
+        prologue=namespace["prologue"],
+        stimulus=layout.stimulus,
+        literals=literals,
     )
     _CACHE[spec] = program
     return program

@@ -57,7 +57,7 @@ from repro.runtime.kernels.codegen import (
 from repro.runtime.kernels.spec import CellSpec, KernelSpec, LoopSpec, StageSpec
 from repro.runtime.kernels.store import LaneStore, _filled
 
-__all__ = ["lane_function"]
+__all__ = ["lane_function", "lane_refusal"]
 
 
 def _fused_cell(stages: tuple[StageSpec, ...]) -> CellSpec | None:
@@ -65,10 +65,14 @@ def _fused_cell(stages: tuple[StageSpec, ...]) -> CellSpec | None:
 
     The lane layout stores all halves with one store call, which takes
     one cell's constants.  The wiring flags ``inverting`` and ``probed``
-    do not enter the store law.
+    do not enter the store law.  Cells are told apart by their literals,
+    as ``-0.0 == 0.0`` would merge two that store differently.
     """
-    cells = {replace(stage.cell, inverting=False, probed=False) for stage in stages}
-    return cells.pop() if len(cells) == 1 else None
+    cells = {
+        repr(cell): cell
+        for cell in (replace(stage.cell, inverting=False, probed=False) for stage in stages)
+    }
+    return cells.popitem()[1] if len(cells) == 1 else None
 
 
 def _stackable(members: tuple[_Member, ...]) -> bool:
@@ -411,17 +415,31 @@ def _column(lits: Sequence[str]) -> str:
     return "[" + ", ".join(f"[{v}]" for v in lits) + "]"
 
 
+def lane_refusal(spec: KernelSpec) -> str | None:
+    """Return why ``spec`` has no lane layout, or None when it has one.
+
+    The lane layout stores every half with one store, which takes one
+    cell's constants, and that store has no ``delta == 0.0`` shortcut,
+    which is exact only while the front never yields ``-0.0``.
+    """
+    cell = _fused_cell(spec.all_stages)
+    if cell is None:
+        return "fused cells must share one electrical configuration"
+    if not cell.front_never_negative_zero:
+        return "the lane store needs an injection residual of +0.0 or more"
+    return None
+
+
 def lane_function(program: KernelProgram) -> Callable[..., Any] | None:
     """Return ``program``'s lane layout, compiling it on the first call.
 
-    None when the spec's cells do not share one electrical
-    configuration: the lane layout stores every half with one store,
-    which takes one cell's constants.
+    None when :func:`lane_refusal` refuses the spec.
     """
     if program.lane_fn is None:
-        cell = _fused_cell(program.spec.all_stages)
-        if cell is None:
+        if lane_refusal(program.spec) is not None:
             return None
+        cell = _fused_cell(program.spec.all_stages)
+        assert cell is not None
         source, _ = kernel_source(program.spec, _LaneLayout(cell))
         namespace = {"np": np, "LaneStore": LaneStore, "_filled": _filled, "cell": cell}
         program.lane_fn = _define(source, "lanes", program.spec.kind, namespace)

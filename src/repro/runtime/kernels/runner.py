@@ -13,7 +13,9 @@ compiled :class:`~repro.runtime.kernels.codegen.KernelProgram`:
    across streams irrelevant),
 3. prescale the inputs exactly as the scalar loop's prologue does
    (``0.0 + 0.5 * x`` half-splitting, chopper ``+/-1`` sign products --
-   both elementwise-identical in NumPy and scalar code),
+   both elementwise-identical in NumPy and scalar code), and run the
+   program's prologue over them: the input-only work the codegen walk
+   hoisted out of the loop, one NumPy row per hoisted value,
 4. run the fused loop (numba-JIT when the bitwise probe passed, plain
    Python otherwise),
 5. write state back (stored samples, step/slew counters, quantiser
@@ -65,19 +67,27 @@ def _chopper_signs(n: int) -> np.ndarray:
 
 
 def _kernel_inputs(
-    program: KernelProgram, data: np.ndarray
+    program: KernelProgram, data: np.ndarray, hoisted: bool = True
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Return a program's input arguments for ``data``, and chopper signs.
 
-    Elementwise along the last (time) axis, so one run and a
-    ``(lanes, steps)`` batch share it.  The signs, when not None, also
-    multiply the raw output.
+    The stimulus is ``xa``/``xb`` (or ``xs``); with ``hoisted`` it goes
+    through the program's prologue, which returns the rows and probe
+    buffers the scalar layout's loop reads instead.  Elementwise along
+    the time axis.  The signs, when not None, also multiply the raw
+    output.
     """
     signs = _chopper_signs(data.shape[-1]) if program.spec.kind == "chopper" else None
-    if "xs" in program.arg_names:
-        return {"xs": data}, signs
-    xa, xb = _half_split(data if signs is None else signs * data)
-    return {"xa": xa, "xb": xb}, signs
+    if program.stimulus == ("xs",):
+        stimulus = {"xs": data}
+    else:
+        xa, xb = _half_split(data if signs is None else signs * data)
+        stimulus = {"xa": xa, "xb": xb}
+    if not hoisted:
+        return stimulus, signs
+    # Elementwise IEEE arithmetic on every input, as the loop would do.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return program.prologue(**stimulus), signs
 
 
 def _probe_owners(program: KernelProgram, stages: Sequence[tuple[Any, Any]]) -> list[Any]:
@@ -119,7 +129,6 @@ def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
 
     arrays, signs = _kernel_inputs(program, data)
     scalars: dict[str, Any] = {"n_steps": n}
-    arrays["out"] = out = np.zeros(n)
 
     noise, loop_streams = drawn_streams(device)
     for j, stream in enumerate(noise):
@@ -128,8 +137,15 @@ def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
         arrays[name] = np.asarray(stream.take(n))
 
     probe_owners = _probe_owners(program, stages)
-    for slot in range(len(probe_owners)):
-        arrays[f"pb{slot}"] = np.zeros(n)
+    # What the loop writes: the output, and every probe the prologue
+    # did not fill.
+    written = [
+        name
+        for name in ["out", *(f"pb{slot}" for slot in range(len(probe_owners)))]
+        if name in program.arg_names
+    ]
+    for name in written:
+        arrays[name] = np.zeros(n)
 
     for j, (cell, _) in enumerate(stages):
         scalars[f"p{j}"] = cell._stored.pos
@@ -153,22 +169,20 @@ def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
             )
             results = None
     if results is None:
-        lists = {name: value.tolist() for name, value in arrays.items()}
-        py_out: list[float] = [0.0] * n
-        lists["out"] = py_out
-        py_probes: dict[str, list[float]] = {}
-        for slot in range(len(program.probe_slots)):
-            buf: list[float] = [0.0] * n
-            lists[f"pb{slot}"] = buf
-            py_probes[f"pb{slot}"] = buf
+        lists: dict[str, list[float]] = {
+            name: arrays[name].tolist()
+            for name in program.arg_names
+            if name in arrays and name not in written
+        }
+        lists.update((name, [0.0] * n) for name in written)
         args = [
             lists[name] if name in lists else scalars[name]
             for name in program.arg_names
         ]
         results = program.fn(*args)
-        out = np.array(py_out)
-        for slot_name, buf in py_probes.items():
-            arrays[slot_name] = np.array(buf)
+        for name in written:
+            arrays[name] = np.array(lists[name])
+    out = arrays["out"]
 
     values = dict(
         zip(program.state_names + program.slew_names, results, strict=True)

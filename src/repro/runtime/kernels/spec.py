@@ -37,6 +37,7 @@ types without a transliteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -125,6 +126,20 @@ class CellSpec:
             inverting=config.inverting,
             probed=cell._probe is not None,
         )
+
+    @property
+    def front_never_negative_zero(self) -> bool:
+        """Whether the store front's ``value`` can never be ``-0.0``.
+
+        It ends ``value + inj_residual * sqrt(current / inj_iq)`` with a
+        positive, finite square root (``current`` is clamped to a
+        positive floor), or ``sqrt(inf)``.  With a residual of +0.0 or
+        more the term is +0.0, positive, +inf or NaN, and ``x + y`` is
+        ``-0.0`` only when both are.  A ``-0.0`` (or NaN) residual
+        gives no such guarantee.
+        """
+        residual = self.inj_residual
+        return residual >= 0.0 and math.copysign(1.0, residual) > 0.0
 
 
 @dataclass(frozen=True)

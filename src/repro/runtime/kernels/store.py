@@ -6,7 +6,10 @@ block at once, exactly what
 for one half-circuit current: translinear class-AB split, transmission
 error, charge-injection residue, and the two-regime (slew + linear)
 GGA settling law.  :func:`store_batch` is the one-shot entry point:
-it runs a fresh store once over copies of its arguments.
+it runs a fresh store once over copies of its arguments.  The law's
+front -- everything before settling, which reads only the target --
+is one closure of its own, so :func:`store_front` runs it over a whole
+input row for the scalar layout's prologue.
 
 Bit-exactness is the design constraint, not an optimisation target:
 every arithmetic operation below reproduces the scalar source
@@ -49,7 +52,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.kernels.spec import CellSpec
 
-__all__ = ["LaneStore", "store_batch"]
+__all__ = ["LaneStore", "store_batch", "store_front"]
 
 
 def _filled(shape: int | tuple[int, ...], value: float | list[Any]) -> np.ndarray:
@@ -89,28 +92,30 @@ class LaneStore:
         self.settle()
 
 
-def _settle_law(
-    kernel: CellSpec, shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, Callable[[], None]]:
-    """Allocate a store's blocks; return state, target and the bound store.
+def _front_law(
+    kernel: CellSpec, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[], None]]:
+    """Bind the store front; return its value, margin and decay, and it.
 
-    Every constant, scratch array, flag and ufunc the store law uses is
-    a local of this scope, so the returned closure and its slewing
-    cascade read them without unpacking or attribute lookups.
+    The front is the half of the store law that reads only ``target``:
+    the class-AB split, the transmission error and the charge-injection
+    residue give ``value``; from it follow the GGA drive ``margin`` and
+    the small-step ``decay`` factor ``exp(-margin / tau)``.  Each call
+    of the returned closure fills the three arrays in place.  Its
+    constants and scratch arrays are locals of this scope, so the
+    closure unpacks nothing.
     """
-    state = np.zeros(shape)
-    target = np.empty(shape)
+    shape = target.shape
+    value, margin, decay = (np.empty(shape) for _ in range(3))
     (
-        zero, half_c, one, minus_one, iq_squared, trans_floor, trans_iq,
-        trans_ratio, inj_floor, inj_iq, inj_residual, kick, bias,
-        margin_floor, tau, minus_tau,
+        zero, half_c, one, iq_squared, trans_floor, trans_iq, trans_ratio,
+        inj_floor, inj_iq, inj_residual, bias, margin_floor, minus_tau,
     ) = (
-        _filled(shape, value)
-        for value in (
+        _filled(shape, constant)
+        for constant in (
             0.0,
             0.5,
             1.0,
-            -1.0,
             kernel.iq_squared,
             kernel.trans_floor,
             kernel.trans_iq,
@@ -118,60 +123,20 @@ def _settle_law(
             kernel.inj_floor,
             kernel.inj_iq,
             kernel.inj_residual,
-            kernel.kick,
             kernel.bias,
             kernel.margin_floor,
-            kernel.tau_fraction,
             -kernel.tau_fraction,
         )
     )
-    (
-        half, root, device_n, current, value, delta, margin, magnitude,
-        residual, work, n_tau, sign, slew_time, full, partial,
-    ) = (np.empty(shape) for _ in range(15))
-    # ``chosen`` is free once ``device_n`` is split: the slewing cascade
-    # reuses the class-AB branch flag.
-    nonneg = chosen = np.empty(shape, dtype=bool)
-    slewed = np.empty(shape, dtype=bool)
+    half, root, device_n, current, work = (np.empty(shape) for _ in range(5))
+    nonneg = np.empty(shape, dtype=bool)
     distinct_floors = kernel.inj_floor != kernel.trans_floor
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     sqrt, exp, absolute, maximum = np.sqrt, np.exp, np.absolute, np.maximum
-    negative, greater, greater_equal = np.negative, np.greater, np.greater_equal
-    copyto, putmask, count_nonzero = np.copyto, np.putmask, np.count_nonzero
+    greater_equal, putmask = np.greater_equal, np.putmask
 
-    def slewing_residual() -> None:
-        """Fill ``residual`` from the full two-regime cascade, per element."""
-        divide(margin, tau, n_tau)
-        # sign = 1.0 where delta > 0.0, else -1.0
-        greater(delta, zero, chosen)
-        copyto(sign, minus_one)
-        putmask(sign, chosen, one)
-        # small = delta * exp(-n_tau)
-        negative(n_tau, residual)
-        exp(residual, residual)
-        multiply(delta, residual, residual)
-        # slew_time = (magnitude - bias) / bias
-        subtract(magnitude, bias, slew_time)
-        divide(slew_time, bias, slew_time)
-        # full = sign * (magnitude - bias * n_tau)
-        multiply(bias, n_tau, full)
-        subtract(magnitude, full, full)
-        multiply(sign, full, full)
-        # partial = sign * bias * exp(-max(n_tau - slew_time, 0.0)); the
-        # clamp keeps exp() finite where the full-slew branch is selected.
-        subtract(n_tau, slew_time, partial)
-        maximum(partial, zero, out=partial)
-        negative(partial, partial)
-        exp(partial, partial)
-        multiply(sign, bias, work)
-        multiply(work, partial, partial)
-        # residual = where(slewed, where(slew_time >= n_tau, full, partial), small)
-        greater_equal(slew_time, n_tau, chosen)
-        putmask(partial, chosen, full)
-        putmask(residual, slewed, partial)
-
-    def settle() -> None:
-        """Store ``target`` over ``state`` in place."""
+    def front() -> None:
+        """Fill ``value``, ``margin`` and ``decay`` from ``target``."""
         # Class-AB translinear split: only the n-device current feeds the
         # error models.  Both branch expressions are well defined for
         # every input (root >= |half| + margin at these current scales)
@@ -204,18 +169,88 @@ def _settle_law(
         multiply(inj_residual, work, work)
         add(value, work, value)
 
-        # Two-regime GGA settling.  The scalar delta == 0 shortcut needs
-        # no special case here: it lands in the small-step branch with a
-        # zero residual, reproducing settled == value exactly (the
-        # pipeline guarantees value is never -0.0, so the sign of zero is
-        # safe).  delta = value - previous + kick * value.
-        subtract(value, state, delta)
-        multiply(kick, value, work)
-        add(delta, work, delta)
+        # margin = max(1.0 - |value| / bias, floor); the clamp is
+        # np.maximum, as margin is never -0.0 and a NaN stays NaN.
+        # decay = exp(margin / -tau): a / -b == -(a / b) bitwise, so it
+        # is the scalar exp(-n_tau).
         absolute(value, work)
         divide(work, bias, work)
         subtract(one, work, work)
         maximum(work, margin_floor, out=margin)
+        divide(margin, minus_tau, decay)
+        exp(decay, decay)
+
+    return value, margin, decay, front
+
+
+def _settle_law(
+    kernel: CellSpec, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, Callable[[], None]]:
+    """Allocate a store's blocks; return state, target and the bound store.
+
+    Every constant, scratch array, flag and ufunc the store law uses is
+    a local of this scope, so the returned closure and its slewing
+    cascade read them without unpacking or attribute lookups.
+    """
+    state = np.zeros(shape)
+    target = np.empty(shape)
+    value, margin, decay, front = _front_law(kernel, target)
+    zero, one, minus_one, kick, bias, tau = (
+        _filled(shape, constant)
+        for constant in (0.0, 1.0, -1.0, kernel.kick, kernel.bias, kernel.tau_fraction)
+    )
+    delta, magnitude, residual, work, n_tau, sign, slew_time, full, partial = (
+        np.empty(shape) for _ in range(9)
+    )
+    chosen = np.empty(shape, dtype=bool)
+    slewed = np.empty(shape, dtype=bool)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    exp, absolute, maximum = np.exp, np.absolute, np.maximum
+    negative, greater, greater_equal = np.negative, np.greater, np.greater_equal
+    copyto, putmask, count_nonzero = np.copyto, np.putmask, np.count_nonzero
+
+    def slewing_residual() -> None:
+        """Fill ``residual`` from the full two-regime cascade, per element."""
+        divide(margin, tau, n_tau)
+        # sign = 1.0 where delta > 0.0, else -1.0
+        greater(delta, zero, chosen)
+        copyto(sign, minus_one)
+        putmask(sign, chosen, one)
+        # small = delta * exp(-n_tau)
+        multiply(delta, decay, residual)
+        # slew_time = (magnitude - bias) / bias
+        subtract(magnitude, bias, slew_time)
+        divide(slew_time, bias, slew_time)
+        # full = sign * (magnitude - bias * n_tau)
+        multiply(bias, n_tau, full)
+        subtract(magnitude, full, full)
+        multiply(sign, full, full)
+        # partial = sign * bias * exp(-max(n_tau - slew_time, 0.0)); the
+        # clamp keeps exp() finite where the full-slew branch is selected.
+        subtract(n_tau, slew_time, partial)
+        maximum(partial, zero, out=partial)
+        negative(partial, partial)
+        exp(partial, partial)
+        multiply(sign, bias, work)
+        multiply(work, partial, partial)
+        # residual = where(slewed, where(slew_time >= n_tau, full, partial), small)
+        greater_equal(slew_time, n_tau, chosen)
+        putmask(partial, chosen, full)
+        putmask(residual, slewed, partial)
+
+    def settle() -> None:
+        """Store ``target`` over ``state`` in place."""
+        front()
+        # Two-regime GGA settling.  The scalar delta == 0 shortcut needs
+        # no special case here: it lands in the small-step branch with a
+        # zero residual, reproducing settled == value exactly because
+        # value is never -0.0 while the cell's injection residual is
+        # +0.0 or more (CellSpec.front_never_negative_zero; the lane
+        # layout refuses other cells).  delta = value - previous +
+        # kick * value.
+        subtract(value, state, delta)
+        multiply(kick, value, work)
+        add(delta, work, delta)
         absolute(delta, magnitude)
         greater(magnitude, bias, slewed)
         # Counted per element: a NaN element compares False here, where
@@ -223,11 +258,8 @@ def _settle_law(
         if count_nonzero(slewed):
             slewing_residual()
         else:
-            # Only the small-step branch is selected; a / -b == -(a / b)
-            # bitwise, so this is the cascade's ``small`` exactly.
-            divide(margin, minus_tau, residual)
-            exp(residual, residual)
-            multiply(delta, residual, residual)
+            # Only the small-step branch is selected.
+            multiply(delta, decay, residual)
         subtract(value, residual, state)
 
     return state, target, settle
@@ -249,3 +281,16 @@ def store_batch(
     np.copyto(store.target, target)
     store()
     return store.state
+
+
+def store_front(kernel: CellSpec, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return the store front of ``target``, elementwise: its value and decay.
+
+    The store law's input-only half (:func:`_front_law`) over fresh
+    arrays: bit for bit the scalar ``value`` of each half-circuit
+    current and its small-step factor ``exp(-margin / tau)``.  The
+    scalar layout's prologue calls it on an input row.
+    """
+    value, _, decay, front = _front_law(kernel, np.asarray(target, dtype=float))
+    front()
+    return value, decay

@@ -74,6 +74,13 @@ DEFAULT_LEVELS_DB: tuple[float, ...] = (-50.0, -40.0, -30.0, -20.0, -10.0)
 #: collides with the Blackman window's DC lobe.
 MIN_LANE_SAMPLES = 1 << 13
 
+#: Highest sweep level, in dB re full scale.  Every grid tops out at
+#: 0 dBFS, and +40 dBFS (100 times full scale) already drives every
+#: design deep into overload.  Far above it the run stops measuring
+#: anything: at +5000 dB the stimulus overflows the store law and the
+#: tone "measures" a signal power of 2.7e-54.
+MAX_LEVEL_DB = 40.0
+
 #: The five ToneMetrics fields, in constructor order; the cache stores
 #: one float64 array per field.
 _METRIC_FIELDS: tuple[str, ...] = (
@@ -112,7 +119,11 @@ class SweepSpec:
         # is refused once for all of them.  Scalars are checked, never
         # coerced, so a valid spec keeps its cache key and digest.
         check_knobs(self.noise_scale, self.mismatch)
-        resolve(self.design).point  # refuses unknown and ERC-only designs
+        entry = resolve(self.design)
+        entry.point  # refuses unknown and ERC-only designs
+        # One spelling per design, so an alias and its name share one
+        # cache key and one service digest.
+        object.__setattr__(self, "design", entry.name)
         for name, floor in (("n_samples", 16), ("settle_samples", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < floor:
@@ -140,9 +151,15 @@ class SweepSpec:
             raise ConfigurationError(
                 f"levels_db must be numbers, got {self.levels_db!r}"
             ) from exc
+        if not levels:
+            raise ConfigurationError("levels_db must hold at least one level")
         if not all(math.isfinite(level) for level in levels):
             raise ConfigurationError(
                 f"levels_db must be finite, got {list(levels)!r}"
+            )
+        if max(levels) > MAX_LEVEL_DB:
+            raise ConfigurationError(
+                f"levels_db must be at most {MAX_LEVEL_DB:g} dBFS, got {max(levels)!r}"
             )
         object.__setattr__(self, "levels_db", levels)
 
@@ -241,12 +258,12 @@ class _ShardResult:
 #: Crossover between the scalar kernel run lane by lane and the lane
 #: layout running all lanes at once: below it the kernel's per-sample
 #: fusion wins, above it the lanes amortise the NumPy dispatch.  With
-#: the stacked loop stages and the pre-bound store (16,640-step lanes,
-#: no numba, one pinned core of a shared 2-core x86 host, best of three
-#: runs) batch overtakes the kernel at about 6 lanes for the delay
-#: line, 7-8 for modulator2, 8 for the chopper and 12 for modulator1.
-#: No sweep workload sits between 7 and 33 lanes, so a move off 16
-#: could not be measured end to end.
+#: the kernel's input prologue and folds (16,640-step lanes, no numba,
+#: one pinned core of a shared 2-core x86 host, best of three runs,
+#: measured twice) batch overtakes the kernel at about 8-10 lanes for the
+#: delay line (4-6 before them), 6-8 for modulator2, 8 for the chopper
+#: and 12 or more for modulator1.  No sweep workload sits between 7
+#: and 33 lanes, so a move off 16 could not be measured end to end.
 _KERNEL_CROSSOVER_LANES = 16
 
 
@@ -456,10 +473,8 @@ def run_sweep(
     Raises
     ------
     AnalysisError
-        If the spec has no levels.
+        If the engine is unknown.
     """
-    if len(spec.levels_db) == 0:
-        raise AnalysisError("spec.levels_db must contain at least one level")
     if engine not in ("auto", "scalar", "batch", "kernel"):
         raise AnalysisError(
             f"unknown engine {engine!r}; expected auto, scalar, batch or kernel"

@@ -7,6 +7,8 @@ state-space analysis view, stream draining, JIT gating, and the
 ``use_engine`` ladder in ``run_single``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.deltasigma.dither import DitheredQuantizer
 from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
 from repro.deltasigma.quantizer import CurrentQuantizer
+from repro.devices.current_mirror import CurrentMirror
 from repro.observability.instruments import get_registry, snapshot_delta
 from repro.runtime.engine import (
     ENGINES,
@@ -40,10 +43,13 @@ from repro.runtime.kernels import (
     state_matrices,
 )
 from repro.runtime.kernels import jit as jit_module
+from repro.runtime.kernels import runner
 from repro.runtime.lowering import subclass_refusal
 from repro.si.cascade import BiquadCascade
 from repro.si.delay_line import DelayLine
+from repro.si.errors_model import ChargeInjectionResidue
 from repro.si.memory_cell import ClassABMemoryCell
+from repro.telemetry.probes import SignalProbe
 
 MOD_CONFIG = paper_cell_config(sample_rate=2.45e6)
 
@@ -115,6 +121,18 @@ class TestCompileCache:
         mod1 = compile_spec(build_spec(SIModulator1(cell_config=MOD_CONFIG)))
         mod2 = compile_spec(build_spec(SIModulator2(cell_config=MOD_CONFIG)))
         assert mod1 is not mod2
+
+    def test_specs_differing_in_a_zero_sign_compile_separately(self):
+        # -0.0 == 0.0, so the two specs are equal, but a -0.0 CMFF bias
+        # keeps the biases the +0.0 spec folds away.
+        plain = SIModulator2(cell_config=MOD_CONFIG)
+        signed = SIModulator2(cell_config=MOD_CONFIG)
+        signed._int2.cmff.subtract_pos = CurrentMirror(output_conductance=-0.0)
+        assert build_spec(plain) == build_spec(signed)
+        first = compile_spec(build_spec(plain))
+        second = compile_spec(build_spec(signed))
+        assert second is not first
+        assert "(i_cm + -0.0)" in second.source and "+ -0.0" not in first.source
 
 
 class TestStateMatrices:
@@ -208,6 +226,114 @@ class TestRunKernel:
         assert device._stored == reference._stored
         # The noise stream sits at the same position: next draws agree.
         assert device._noise.take(1)[0] == reference._noise.take(1)[0]
+
+
+def _loop(program):
+    """The generated kernel's source, without the prologue before it."""
+    return program.source[program.source.index("def kernel(") :]
+
+
+class TestScalarPrologue:
+    """Input-only work runs once per run, in NumPy, before the loop."""
+
+    @pytest.mark.parametrize(
+        ("factory", "rows"),
+        [
+            (lambda: SIModulator1(cell_config=MOD_CONFIG), ("xs",)),
+            (lambda: SIModulator2(cell_config=MOD_CONFIG), ("xa", "xb")),
+            (lambda: ChopperStabilizedSIModulator(cell_config=MOD_CONFIG), ("xa", "xb")),
+        ],
+    )
+    def test_a_loop_reads_its_input_split_per_decision(self, factory, rows):
+        program = compile_spec(build_spec(factory()))
+        assert program.stimulus == rows
+        loop = _loop(program)
+        assert not [row for row in rows if f"{row}[i]" in loop]
+        # One row per quantiser decision; the branch's arm loads its own.
+        assert "_up[i]" in loop and "_down[i]" in loop
+
+    @pytest.mark.parametrize(
+        ("factory", "stored_in_loop"),
+        [
+            (lambda: ClassABMemoryCell(delay_line_cell_config()), 0),
+            (lambda: DelayLine(delay_line_cell_config()), 2),
+        ],
+    )
+    def test_an_input_fed_store_takes_its_front_from_the_prologue(
+        self, factory, stored_in_loop
+    ):
+        program = compile_spec(build_spec(factory()))
+        loop = _loop(program)
+        assert "value = value0_pos[i]" in loop and "decay0_neg[i]" in loop
+        # Only the halves fed by the loop's own state split in the loop.
+        assert loop.count("root = sqrt(") == stored_in_loop
+
+    def test_a_probe_of_the_input_is_filled_by_the_prologue(self):
+        device = ClassABMemoryCell(delay_line_cell_config())
+        device._probe = SignalProbe("cell")
+        program = compile_spec(build_spec(device))
+        assert "pb0" not in program.arg_names
+        rows = program.prologue(xa=np.array([1e-6]), xb=np.array([-1e-6]))
+        assert rows["pb0"].tolist() == [2e-6]
+
+    def test_an_empty_loop_run_keeps_the_last_decision(self):
+        device = SIModulator2(cell_config=MOD_CONFIG)
+        device.quantizer._last_decision = -1
+        run_kernel(device, np.empty(0))
+        assert device.quantizer._last_decision == -1
+
+    def test_the_jit_compiles_the_loop_alone(self, monkeypatch):
+        # The prologue stays plain NumPy: only the loop is handed over.
+        program = compile_spec(build_spec(DelayLine(delay_line_cell_config())))
+        monkeypatch.setattr(program, "jit_state", "untried")
+        monkeypatch.setattr(program, "jit_fn", program.jit_fn)
+        handed = []
+        monkeypatch.setattr(runner, "jit_compile", lambda fn: handed.append(fn))
+        runner._ensure_jit(program)
+        assert handed == [program.fn] and program.fn.__name__ == "kernel"
+
+
+class TestGenerationTimeFolds:
+    def test_mod2_period_carries_only_state_dependent_work(self):
+        loop = _loop(compile_spec(build_spec(SIModulator2(cell_config=MOD_CONFIG))))
+        # The CMFF sense biases fold; the subtract's +0.0 stays.
+        assert "i_cm = (0.5 * t0_pos) + (0.5 * t0_neg)" in loop
+        assert loop.count("+ 0.0") == 2
+        # exp(margin / -tau) in the small step; n_tau only when slewing.
+        assert loop.count("exp(margin / -0.05)") == 4
+        assert "exp(-n_tau)" not in loop
+        # A positive injection residual drops the delta == 0.0 shortcut.
+        assert "delta == 0.0" not in loop
+        # One branch holds the decision, the feedback and the output;
+        # ``last`` is written once, after the loop.
+        assert loop.count("if eff >= 0.0:") == 1 and "decision == 1" not in loop
+        assert loop.count("last = decision") == 1
+        assert loop.count("if slewed:") == 2 and "slp" not in loop
+
+    def test_a_negative_zero_subtract_bias_keeps_the_sense_biases(self):
+        device = SIModulator2(cell_config=MOD_CONFIG)
+        device._int2.cmff.subtract_pos = CurrentMirror(output_conductance=-0.0)
+        loop = _loop(compile_spec(build_spec(device)))
+        assert "i_cm = (0.5 * t0_pos) + (0.5 * t0_neg)" in loop
+        assert "i_cm = ((0.5 * t1_pos) + 0.0) + ((0.5 * t1_neg) + 0.0)" in loop
+
+    def test_a_negative_zero_injection_residual_keeps_the_shortcut(self):
+        config = replace(
+            delay_line_cell_config(),
+            injection=ChargeInjectionResidue(full_injection_current=-0.0),
+        )
+        spec = build_spec(DelayLine(config))
+        assert not spec.stages[0].cell.front_never_negative_zero
+        assert _loop(compile_spec(spec)).count("if delta == 0.0:") == 4
+
+    def test_hysteresis_reads_last_every_period(self):
+        device = SIModulator2(
+            cell_config=MOD_CONFIG, quantizer=CurrentQuantizer(hysteresis=2e-9)
+        )
+        loop = _loop(compile_spec(build_spec(device)))
+        assert loop.count("last = decision") == 1
+        assert loop.index("last = decision") < loop.index("return ")
+        assert "    last = decision" in loop.split("for i in range(n_steps):")[1]
 
 
 class TestJitGate:

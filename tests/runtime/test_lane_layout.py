@@ -19,18 +19,21 @@ from repro.config import MODULATOR_CLOCK, paper_cell_config
 from repro.deltasigma import ChopperStabilizedSIModulator, SIModulator2
 from repro.designs import resolve
 from repro.devices.current_mirror import CurrentMirror
-from repro.runtime.batch import batch_runner_for
+from repro.runtime.batch import BatchUnsupported, batch_runner_for
 from repro.runtime.engine import force_scalar
 from repro.runtime.kernels import codegen, lanes, run_kernel
 from repro.runtime.kernels import store as store_module
 from repro.runtime.kernels.codegen import _input, compile_spec, kernel_source
 from repro.runtime.kernels.lanes import _fused_cell, _LaneLayout, _stackable
 from repro.runtime.kernels.spec import build_spec
+from repro.si.delay_line import DelayLine
+from repro.si.errors_model import ChargeInjectionResidue
 
 #: NumPy calls per period (lane loop plus the store's no-slew
 #: sequence).  A period used 37, 48, 52 and 52 before the stacked CMFF
-#: block, the pre-bound store and the gathered DAC select.
-CALL_BUDGET = {"delay-line": 38, "modulator1": 48, "modulator2": 46, "chopper": 46}
+#: block, the pre-bound store and the gathered DAC select, and one more
+#: per CMFF stack before the sense biases folded away.
+CALL_BUDGET = {"delay-line": 38, "modulator1": 47, "modulator2": 45, "chopper": 45}
 
 
 class _CountingNumpy:
@@ -211,6 +214,41 @@ class TestStackedStages:
         crossed = ((0, stages[0], _input(0, "u1")), (1, replace(stages[1], crossed=True), _input(1, "u2")))
         assert not _stackable(wrong_input)
         assert not _stackable(crossed)
+
+
+class TestLaneRefusal:
+    def test_a_negative_zero_injection_residual_refuses_the_lane_store(self):
+        # The lane store has no delta == 0.0 shortcut, so a -0.0 value
+        # would settle to +0.0 where the scalar store keeps -0.0.
+        config = replace(
+            paper_cell_config(),
+            injection=ChargeInjectionResidue(full_injection_current=-0.0),
+            thermal_noise_rms=0.0,
+        )
+        with pytest.raises(BatchUnsupported, match="injection residual"):
+            batch_runner_for(DelayLine(config), 2, 64)
+        # The kernel rung, which a sweep falls back to, keeps the signs.
+        data = np.zeros(64)
+        got = run_kernel(DelayLine(config), data)
+        with force_scalar():
+            want = DelayLine(config).run(data)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(want).any()
+
+
+    def test_cells_differing_in_a_zero_sign_do_not_fuse(self):
+        # -0.0 == 0.0, but the two residuals store a -0.0 differently.
+        device = SIModulator2(cell_config=paper_cell_config(sample_rate=MODULATOR_CLOCK))
+        for stage, full in zip(_stages(device), (0.0, -0.0)):
+            stage._cell.config = replace(
+                stage._cell.config,
+                injection=ChargeInjectionResidue(full_injection_current=full),
+            )
+        stages = build_spec(device).stages
+        assert stages[0].cell == stages[1].cell
+        assert _fused_cell(stages) is None
+        with pytest.raises(BatchUnsupported, match="one electrical configuration"):
+            batch_runner_for(device, 2, 64)
 
 
 class TestLazyLaneCompile:

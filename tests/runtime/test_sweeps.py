@@ -10,11 +10,12 @@ from repro.config import (
     paper_cell_config,
 )
 from repro.deltasigma import SIModulator2
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.sweeps import (
     DEFAULT_LEVELS_DB,
+    MAX_LEVEL_DB,
     SweepSpec,
     run_sweep,
     sweep_spec_for_design,
@@ -72,8 +73,20 @@ class TestScalarParity:
         assert whole.metrics == sharded.metrics
 
     def test_empty_levels_rejected(self):
-        with pytest.raises(AnalysisError):
-            run_sweep(_spec(levels_db=()))
+        # Refused when the spec is built, before any run or queue.
+        with pytest.raises(ConfigurationError, match="at least one level"):
+            _spec(levels_db=())
+
+    def test_levels_above_the_ceiling_rejected(self):
+        with pytest.raises(ConfigurationError, match="at most 40 dBFS"):
+            _spec(levels_db=(-10.0, 5000.0))
+        assert _spec(levels_db=(MAX_LEVEL_DB,)).levels_db == (MAX_LEVEL_DB,)
+
+    def test_an_alias_is_stored_by_its_name(self):
+        # One spelling per design, so both share a cache key.
+        spec = _spec(design="mod2")
+        assert spec.design == "modulator2"
+        assert spec.cache_key() == _spec().cache_key()
 
     @pytest.mark.parametrize(
         "knob, value",

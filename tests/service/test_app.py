@@ -89,6 +89,13 @@ class TestSweepRequests:
         assert request.params["design"] == "modulator2"
         assert request.params["levels_db"] == [-40.0, -20.0]
 
+    def test_design_spellings_share_one_digest(self):
+        # An alias and its name are one sweep: queued, run and cached once.
+        alias = normalize_request({"kind": "sweep", "spec": dict(self.SPEC, design="mod2")})
+        name = normalize_request({"kind": "sweep", "spec": self.SPEC})
+        assert alias.params == name.params
+        assert alias.digest() == name.digest()
+
     def test_levels_coerce_before_digesting(self):
         ints = dict(self.SPEC, levels_db=[-40, -20])
         a = normalize_request({"kind": "sweep", "spec": self.SPEC})
@@ -104,6 +111,9 @@ class TestSweepRequests:
             {"kind": "sweep", "spec": dict(SPEC, levels_db=[float("nan")])},
             {"kind": "sweep", "spec": dict(SPEC, levels_db=["nan"])},
             {"kind": "sweep", "spec": dict(SPEC, levels_db=["abc"])},
+            # A grid that could only fail in the run, or mislead.
+            {"kind": "sweep", "spec": dict(SPEC, levels_db=[])},
+            {"kind": "sweep", "spec": dict(SPEC, levels_db=[5000.0])},
             {"kind": "sweep", "spec": dict(SPEC, noise_scale=float("nan"))},
             {"kind": "sweep", "spec": dict(SPEC, noise_scale=float("inf"))},
             {"kind": "sweep", "spec": dict(SPEC, noise_scale=-1.0)},
