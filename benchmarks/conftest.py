@@ -35,7 +35,7 @@ import pytest
 
 from repro.config import MODULATOR_CLOCK, delay_line_cell_config, paper_cell_config
 from repro.metrics.manifest import write_bench_telemetry
-from repro.observability.instruments import get_registry, snapshot_delta
+from repro.observability.instruments import InstrumentRegistry, use_registry
 
 #: Telemetry records accumulated by run_once during this session.
 _TELEMETRY_RECORDS: list[dict[str, object]] = []
@@ -80,16 +80,15 @@ def run_once(
 
     The record also carries the dominant execution engine tier
     (``"kernel"``, ``"batch"`` or ``"scalar"``, from the
-    ``repro.engine.runs`` instrument delta around the timed section;
-    None for analysis-only benches), so ``repro trend`` series never
-    silently mix scalar and kernel timings.
+    ``repro.engine.runs`` counts of the timed section, which runs in a
+    registry of its own; None for analysis-only benches), so ``repro
+    trend`` series never silently mix scalar and kernel timings.
     """
-    registry = get_registry()
-    instruments_before = registry.snapshot()
+    registry = InstrumentRegistry()
     start = time.perf_counter()
-    result = benchmark.pedantic(func, rounds=1, iterations=1)
+    with use_registry(registry):
+        result = benchmark.pedantic(func, rounds=1, iterations=1)
     wall_s = time.perf_counter() - start
-    delta = snapshot_delta(instruments_before, registry.snapshot())
     record: dict[str, object] = {
         "benchmark": getattr(benchmark, "name", None) or func.__qualname__,
         "wall_s": wall_s,
@@ -97,7 +96,7 @@ def run_once(
         "samples_per_second": (
             n_samples / wall_s if n_samples and wall_s > 0.0 else None
         ),
-        "engine": _dominant_engine(delta),
+        "engine": _dominant_engine(registry.snapshot()),
     }
     if extra:
         record.update(extra)
@@ -105,13 +104,13 @@ def run_once(
     return result
 
 
-def _dominant_engine(delta: dict[str, object]) -> str | None:
-    """Return the engine tier that executed most runs in the delta.
+def _dominant_engine(snapshot: dict[str, object]) -> str | None:
+    """Return the engine tier that executed most runs in the snapshot.
 
     Sums the ``repro.engine.runs`` counter series by engine label; a
     bench that ran no devices (pure analysis) yields None.
     """
-    instruments = delta.get("instruments")
+    instruments = snapshot.get("instruments")
     entry = instruments.get("repro.engine.runs") if isinstance(instruments, dict) else None
     if not isinstance(entry, dict):
         return None

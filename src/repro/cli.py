@@ -565,9 +565,9 @@ def cmd_profile(
         collapsed_stacks,
         render_profile_table,
     )
-    from repro.observability.spanio import span_to_dict
     from repro.observability.stats import PROFILE_SCHEMA
     from repro.outputs import output_path
+    from repro.telemetry.export import span_records
     from repro.telemetry.session import TelemetrySession
 
     if target.endswith(".json"):
@@ -603,7 +603,7 @@ def cmd_profile(
             "target": target,
             "rows": [row.as_dict() for row in rows],
             "collapsed_stacks": collapsed_stacks(session.roots),
-            "spans": [span_to_dict(root) for root in session.roots],
+            "spans": span_records(session.roots),
         }
         output_path(json_path).write_text(json.dumps(document, indent=2) + "\n")
         print(f"profile written to {json_path}")

@@ -59,10 +59,11 @@ class RunManifest:
         Attribution block; collected from the current process when
         omitted.
     instruments:
-        Optional instrument-snapshot delta
-        (:func:`repro.observability.instruments.snapshot_delta`):
+        Optional snapshot of the run's own instrument registry
+        (:meth:`repro.observability.instruments.InstrumentRegistry.snapshot`):
         what the run's runtime layer did -- cache hits/misses, engine
-        fallbacks, shard counts.  Stored verbatim; empty means "not
+        runs and fallbacks, shard counts, and only the gauges the run
+        set.  Stored verbatim; empty means "not
         collected" and is omitted from the JSON document, so manifests
         written before this section existed stay byte-compatible.
     """

@@ -18,7 +18,9 @@ by ~5 dB, far past the 0.75 dB baseline tolerance.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import replace
+from typing import Iterator
 
 import numpy as np
 
@@ -34,7 +36,11 @@ from repro.metrics.extractors import (
 from repro.metrics.manifest import RunManifest, manifest_from_registry
 from repro.metrics.provenance import Provenance
 from repro.metrics.registry import registry_for
-from repro.observability.instruments import get_registry, snapshot_delta
+from repro.observability.instruments import (
+    InstrumentRegistry,
+    get_registry,
+    use_registry,
+)
 from repro.runtime.cache import ResultCache
 from repro.runtime.engine import ENGINES, use_engine
 from repro.runtime.executor import SweepExecutor
@@ -56,6 +62,24 @@ MODULATOR_POWER_INDEX = 3.0
 
 #: Modulation index the power model evaluates the delay line at.
 DELAY_LINE_POWER_INDEX = 4.0
+
+
+@contextmanager
+def _run_scope() -> Iterator[InstrumentRegistry]:
+    """Count one run into a registry of its own.
+
+    The manifest embeds this registry, so it says what the run did and
+    nothing a concurrent run did.  On exit, however the run ends, the
+    counts are merged into the enclosing registry (the process's,
+    behind ``/statsz``), so nothing is lost to it.
+    """
+    instruments = InstrumentRegistry()
+    enclosing = get_registry()
+    try:
+        with use_registry(instruments):
+            yield instruments
+    finally:
+        enclosing.merge(instruments.snapshot())
 
 
 def build_report(
@@ -139,126 +163,118 @@ def build_report(
     if provenance is not None:
         provenance = replace(provenance, engine=engine)
 
-    entry = resolve(design)
-    point = entry.point
-    registry = registry_for(entry.name)
+    with _run_scope() as instruments:
+        entry = resolve(design)
+        point = entry.point
+        registry = registry_for(entry.name)
 
-    # Snapshot the process-wide instrument registry up front: the
-    # manifest embeds the *delta* -- what this run did, not what the
-    # process accumulated before it.
-    instrument_registry = get_registry()
-    instruments_before = instrument_registry.snapshot()
-
-    if session is None:
-        session = TelemetrySession(entry.name)
-    device = entry.build(noise_scale, mismatch)
-    device.attach_telemetry(session)
-    bench = TestBench(
-        sample_rate=point.sample_rate,
-        n_samples=n_samples,
-        bandwidth=point.bandwidth,
-        telemetry=session,
-        observe=instrument_registry,
-    )
-    with use_engine(engine):
-        result = bench.measure(
-            device, amplitude=point.amplitude, frequency=point.frequency
+        if session is None:
+            session = TelemetrySession(entry.name)
+        device = entry.build(noise_scale, mismatch)
+        device.attach_telemetry(session)
+        bench = TestBench(
+            sample_rate=point.sample_rate,
+            n_samples=n_samples,
+            bandwidth=point.bandwidth,
+            telemetry=session,
         )
-    tone_records(registry, result.metrics, provenance="span:measure/analysis")
+        with use_engine(engine):
+            result = bench.measure(
+                device, amplitude=point.amplitude, frequency=point.frequency
+            )
+        tone_records(registry, result.metrics, provenance="span:measure/analysis")
 
-    config: dict[str, object] = {
-        "design": entry.name,
-        "n_samples": n_samples,
-        "sample_rate": point.sample_rate,
-        "bandwidth": point.bandwidth,
-        "amplitude": point.amplitude,
-        "frequency": point.frequency,
-        "noise_scale": noise_scale,
-        "mismatch": mismatch,
-        "engine": engine,
-    }
+        config: dict[str, object] = {
+            "design": entry.name,
+            "n_samples": n_samples,
+            "sample_rate": point.sample_rate,
+            "bandwidth": point.bandwidth,
+            "amplitude": point.amplitude,
+            "frequency": point.frequency,
+            "noise_scale": noise_scale,
+            "mismatch": mismatch,
+            "engine": engine,
+        }
 
-    # The device's (possibly degraded) cell configuration drives the
-    # power model: modulators expose .cell_config, the delay line .config.
-    cell_config = getattr(device, "cell_config", None) or getattr(
-        device, "config", None
-    )
-    chip = TestChip(cell_config if isinstance(cell_config, MemoryCellConfig) else None)
+        # The device's (possibly degraded) cell configuration drives the
+        # power model: modulators expose .cell_config, the delay line .config.
+        cell_config = getattr(device, "cell_config", None) or getattr(
+            device, "config", None
+        )
+        chip = TestChip(cell_config if isinstance(cell_config, MemoryCellConfig) else None)
 
-    if entry.name == "delay-line":
-        # Table 1: static gain/offset errors against the ideal delayed
-        # stimulus, fitted over the analysed (post-settle) samples.
-        total = n_samples + bench.settle_samples
-        drive = result.stimulus.generate(total)
-        delay_line_error_records(
+        if entry.name == "delay-line":
+            # Table 1: static gain/offset errors against the ideal delayed
+            # stimulus, fitted over the analysed (post-settle) samples.
+            total = n_samples + bench.settle_samples
+            drive = result.stimulus.generate(total)
+            delay_line_error_records(
+                registry,
+                drive[bench.settle_samples :],
+                result.output,
+                delay_samples=device.delay_samples,
+                inverting=device.inverting,
+            )
+            # Table 1 noise rows: wideband output noise of a zero-input run
+            # and the paper's peak-to-peak SNR convention against it.
+            quiet = entry.build(noise_scale, mismatch)
+            noise_rms = float(np.std(quiet(np.zeros(1 << 13))[2:]))
+            registry.record("noise_rms_na", noise_rms * 1e9, "run:zero-input 8K")
+            if noise_rms > 0.0:
+                registry.record(
+                    "snr_pp_db",
+                    20.0 * math.log10(2.0 * point.amplitude / noise_rms),
+                    "run:zero-input 8K",
+                )
+            power = chip.delay_line_power(modulation_index=DELAY_LINE_POWER_INDEX)
+            n_cells = 2
+            power_index = DELAY_LINE_POWER_INDEX
+        else:
+            power = chip.modulator_power(modulation_index=MODULATOR_POWER_INDEX)
+            n_cells = 8
+            power_index = MODULATOR_POWER_INDEX
+            if sweep:
+                # The batch engine runs one lane per level, bit-identical
+                # to driving a fresh device through run_amplitude_sweep
+                # (the 8K floor keeps the 2 kHz tone clear of the Blackman
+                # window's DC lobe at the modulator clock).
+                spec = sweep_spec_for_design(
+                    entry.name,
+                    n_samples=n_samples,
+                    levels_db=SWEEP_LEVELS_DB,
+                    noise_scale=noise_scale,
+                    mismatch=mismatch,
+                )
+                if cache is None and use_cache:
+                    cache = ResultCache(cache_dir)
+                sweep_result = run_sweep(
+                    spec,
+                    executor=SweepExecutor(jobs=jobs),
+                    cache=cache,
+                    telemetry=session,
+                    engine=engine,
+                )
+                sweep_records(registry, sweep_result)
+                config["sweep_levels_db"] = list(SWEEP_LEVELS_DB)
+                config["sweep_n_samples"] = spec.n_samples
+
+        registry.record(
+            "power_mw", power * 1e3, f"model:power n_cells={n_cells}"
+        )
+        cell_power = chip.power_model().cell_power(
+            ClassKind.CLASS_AB, modulation_index=power_index
+        )
+        registry.record(
+            "power_per_cell_uw",
+            cell_power * 1e6,
+            f"model:power class-AB m_i={power_index:g}",
+        )
+
+        telemetry_event_records(registry, session)
+        throughput_records(registry, session)
+        return manifest_from_registry(
             registry,
-            drive[bench.settle_samples :],
-            result.output,
-            delay_samples=device.delay_samples,
-            inverting=device.inverting,
+            config=config,
+            provenance=provenance,
+            instruments=instruments.snapshot(),
         )
-        # Table 1 noise rows: wideband output noise of a zero-input run
-        # and the paper's peak-to-peak SNR convention against it.
-        quiet = entry.build(noise_scale, mismatch)
-        noise_rms = float(np.std(quiet(np.zeros(1 << 13))[2:]))
-        registry.record("noise_rms_na", noise_rms * 1e9, "run:zero-input 8K")
-        if noise_rms > 0.0:
-            registry.record(
-                "snr_pp_db",
-                20.0 * math.log10(2.0 * point.amplitude / noise_rms),
-                "run:zero-input 8K",
-            )
-        power = chip.delay_line_power(modulation_index=DELAY_LINE_POWER_INDEX)
-        n_cells = 2
-        power_index = DELAY_LINE_POWER_INDEX
-    else:
-        power = chip.modulator_power(modulation_index=MODULATOR_POWER_INDEX)
-        n_cells = 8
-        power_index = MODULATOR_POWER_INDEX
-        if sweep:
-            # The batch engine runs one lane per level, bit-identical
-            # to driving a fresh device through run_amplitude_sweep
-            # (the 8K floor keeps the 2 kHz tone clear of the Blackman
-            # window's DC lobe at the modulator clock).
-            spec = sweep_spec_for_design(
-                entry.name,
-                n_samples=n_samples,
-                levels_db=SWEEP_LEVELS_DB,
-                noise_scale=noise_scale,
-                mismatch=mismatch,
-            )
-            if cache is None and use_cache:
-                cache = ResultCache(cache_dir)
-            sweep_result = run_sweep(
-                spec,
-                executor=SweepExecutor(jobs=jobs),
-                cache=cache,
-                telemetry=session,
-                engine=engine,
-            )
-            sweep_records(registry, sweep_result)
-            config["sweep_levels_db"] = list(SWEEP_LEVELS_DB)
-            config["sweep_n_samples"] = spec.n_samples
-
-    registry.record(
-        "power_mw", power * 1e3, f"model:power n_cells={n_cells}"
-    )
-    cell_power = chip.power_model().cell_power(
-        ClassKind.CLASS_AB, modulation_index=power_index
-    )
-    registry.record(
-        "power_per_cell_uw",
-        cell_power * 1e6,
-        f"model:power class-AB m_i={power_index:g}",
-    )
-
-    telemetry_event_records(registry, session)
-    throughput_records(registry, session)
-    return manifest_from_registry(
-        registry,
-        config=config,
-        provenance=provenance,
-        instruments=snapshot_delta(
-            instruments_before, instrument_registry.snapshot()
-        ),
-    )

@@ -3,13 +3,11 @@
 The legibility layer over :mod:`repro.runtime` and
 :mod:`repro.telemetry` (stdlib + numpy only):
 
-* :mod:`repro.observability.instruments` -- the process-wide registry
-  of named counters, gauges and fixed-bucket histograms with labeled
-  series, snapshot/merge semantics and JSON / Prometheus-style text
-  exposition;
-* :mod:`repro.observability.spanio` -- serializable span subtrees and
-  the :class:`WorkerTelemetry` payload sharded workers ship back, so
-  the parent's ``render_span_tree`` shows one merged tree;
+* :mod:`repro.observability.instruments` -- registries of named
+  counters, gauges and fixed-bucket histograms with labeled series,
+  snapshot/merge semantics and JSON / Prometheus-style text
+  exposition; the process registry, and context-local scopes that give
+  each report and sweep chunk a registry of its own;
 * :mod:`repro.observability.profile` -- collapse any span forest into
   a self/total-time table and collapsed-stack flamegraph text;
 * :mod:`repro.observability.stats` -- provenance-stamped snapshot
@@ -19,7 +17,7 @@ The legibility layer over :mod:`repro.runtime` and
 * :mod:`repro.observability.trend` -- rolling median/MAD drift
   detection over the ledger, behind ``repro history`` / ``repro trend``;
 * :mod:`repro.observability.live` -- bounded-overhead live event
-  streaming (span/instrument JSONL), across process boundaries.
+  streaming (span/instrument JSONL) and the service's tailable buffer.
 
 See ``docs/OBSERVABILITY.md`` for the instrument naming convention and
 the cross-process propagation contract.
@@ -38,10 +36,8 @@ if TYPE_CHECKING:
         Histogram,
         InstrumentRegistry,
         get_registry,
-        render_prometheus,
         reset_registry,
         set_registry,
-        snapshot_delta,
         use_registry,
     )
     from repro.observability.ledger import (
@@ -53,8 +49,6 @@ if TYPE_CHECKING:
     from repro.observability.live import (
         EVENT_SCHEMA,
         EventBuffer,
-        EventRecorder,
-        EventSink,
         EventStream,
         open_event_stream,
     )
@@ -63,12 +57,6 @@ if TYPE_CHECKING:
         aggregate_profile,
         collapsed_stacks,
         render_profile_table,
-    )
-    from repro.observability.spanio import (
-        WorkerTelemetry,
-        graft_spans,
-        span_from_dict,
-        span_to_dict,
     )
     from repro.observability.stats import (
         GATED_COUNTERS,
@@ -101,10 +89,8 @@ _EXPORTS = {
         "Histogram",
         "InstrumentRegistry",
         "get_registry",
-        "render_prometheus",
         "reset_registry",
         "set_registry",
-        "snapshot_delta",
         "use_registry",
     ),
     "repro.observability.ledger": (
@@ -116,8 +102,6 @@ _EXPORTS = {
     "repro.observability.live": (
         "EVENT_SCHEMA",
         "EventBuffer",
-        "EventRecorder",
-        "EventSink",
         "EventStream",
         "open_event_stream",
     ),
@@ -126,12 +110,6 @@ _EXPORTS = {
         "aggregate_profile",
         "collapsed_stacks",
         "render_profile_table",
-    ),
-    "repro.observability.spanio": (
-        "WorkerTelemetry",
-        "graft_spans",
-        "span_from_dict",
-        "span_to_dict",
     ),
     "repro.observability.stats": (
         "GATED_COUNTERS",

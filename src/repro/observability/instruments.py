@@ -1,4 +1,4 @@
-"""Process-wide instrument registry: counters, gauges and histograms.
+"""Instrument registries: counters, gauges and histograms.
 
 The runtime layer (cache, executor, kernel and batch engines) accounts
 for itself through named instruments held in an
@@ -18,25 +18,25 @@ label set, so ``repro.cache.hits{kind="amplitude-sweep"}`` and
 Names follow the dotted convention documented in
 ``docs/OBSERVABILITY.md`` (``repro.<subsystem>.<quantity>``, lowercase,
 ``[a-z0-9_]`` segments).  Registries serialize to a JSON **snapshot**
-(:data:`SNAPSHOT_SCHEMA`) and merge snapshots additively, which is how
-worker processes ship their counts back across the
-``ProcessPoolExecutor`` boundary: each shard runs under a fresh
-registry (:func:`use_registry`), snapshots it, and the parent merges
-the snapshot into its own registry -- counters and histograms add,
-gauges take the incoming value.
+(:data:`SNAPSHOT_SCHEMA`) and merge snapshots additively -- counters
+and histograms add, gauges take the incoming value.
 
-There is one process-wide default registry (:func:`get_registry`);
-code that needs isolation (tests, ``repro stats``) swaps in its own
-with :func:`use_registry`.
+Code counts into :func:`get_registry`.  Outside any scope that is the
+*process registry* (what ``GET /statsz`` serves); :func:`use_registry`
+opens a scope that is local to the current thread or task, so a unit
+of work -- a report, a sweep chunk, a test -- counts into a registry of
+its own while concurrent work counts elsewhere.  A report merges its
+scope into the enclosing registry when it ends; a chunk ships its
+snapshot to the parent process, which merges it.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import re
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Mapping, Sequence, Union
 
 from repro.errors import ObservabilityError
@@ -53,8 +53,6 @@ __all__ = [
     "set_registry",
     "use_registry",
     "reset_registry",
-    "render_prometheus",
-    "snapshot_delta",
 ]
 
 #: Schema identifier of a serialized registry snapshot.
@@ -544,25 +542,6 @@ class InstrumentRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_prometheus(snapshot: Mapping[str, object]) -> str:
-    """Render an instrument *snapshot* in Prometheus exposition format.
-
-    The live-registry path (``GET /statsz``, ``repro stats --prom``)
-    renders through :meth:`InstrumentRegistry.to_prometheus_text`
-    directly; this helper covers the serialized side -- a snapshot
-    document loaded from a stats JSON, a worker payload, or a merged
-    delta -- by folding it into a fresh registry first.
-
-    Raises
-    ------
-    ObservabilityError
-        If the snapshot document is malformed.
-    """
-    registry = InstrumentRegistry()
-    registry.merge(snapshot)
-    return registry.to_prometheus_text()
-
-
 def _snapshot_instruments(
     snapshot: Mapping[str, object],
 ) -> list[tuple[str, dict[str, object]]]:
@@ -619,169 +598,58 @@ def _prom_escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-# -- snapshot arithmetic ----------------------------------------------
+# -- the process registry and context-local scopes ---------------------
 
+_process_registry = InstrumentRegistry()
 
-def snapshot_delta(
-    before: Mapping[str, object], after: Mapping[str, object]
-) -> dict[str, object]:
-    """Return ``after - before`` as a snapshot document.
-
-    Counters and histogram counts subtract series-wise (clamped at
-    zero, so a registry swap between the snapshots degrades to the
-    ``after`` values instead of going negative); gauges take the
-    ``after`` value.  Series whose delta is all-zero are dropped, as
-    are instruments left with no series -- the result is the compact
-    "what did this run do" document the run manifest embeds.
-    """
-    before_map = dict(_snapshot_instruments(before))
-    instruments: dict[str, object] = {}
-    for name, entry in _snapshot_instruments(after):
-        prior = before_map.get(name)
-        kind = entry.get("kind")
-        series = entry.get("series")
-        if not isinstance(series, list):
-            continue
-        prior_series: dict[str, dict[str, object]] = {}
-        if isinstance(prior, dict) and prior.get("kind") == kind:
-            raw = prior.get("series")
-            if isinstance(raw, list):
-                for item in raw:
-                    if isinstance(item, dict) and isinstance(
-                        item.get("labels"), dict
-                    ):
-                        prior_series[_series_key(item)] = item
-        kept: list[dict[str, object]] = []
-        for item in series:
-            if not isinstance(item, dict):
-                continue
-            old = prior_series.get(_series_key(item))
-            delta = _series_delta(str(kind), item, old)
-            if delta is not None:
-                kept.append(delta)
-        if kept:
-            out: dict[str, object] = {
-                "kind": entry.get("kind"),
-                "help": entry.get("help", ""),
-                "series": kept,
-            }
-            if "buckets" in entry:
-                out["buckets"] = entry["buckets"]
-            instruments[name] = out
-    return {"schema": SNAPSHOT_SCHEMA, "instruments": instruments}
-
-
-def _series_key(item: Mapping[str, object]) -> str:
-    labels = item.get("labels")
-    pairs = (
-        sorted((str(k), str(v)) for k, v in labels.items())
-        if isinstance(labels, dict)
-        else []
-    )
-    return json.dumps(pairs)
-
-
-def _series_delta(
-    kind: str,
-    item: Mapping[str, object],
-    old: Mapping[str, object] | None,
-) -> dict[str, object] | None:
-    """Return one series' delta entry, or None when nothing changed."""
-    labels = item.get("labels")
-    labels = dict(labels) if isinstance(labels, dict) else {}
-    if kind == "gauge":
-        value = item.get("value")
-        if not isinstance(value, (int, float)):
-            return None
-        return {"labels": labels, "value": float(value)}
-    if kind == "counter":
-        value = item.get("value")
-        if not isinstance(value, (int, float)):
-            return None
-        prior_value = old.get("value", 0.0) if old is not None else 0.0
-        if not isinstance(prior_value, (int, float)):
-            prior_value = 0.0
-        delta = max(0.0, float(value) - float(prior_value))
-        if delta == 0.0:
-            return None
-        return {"labels": labels, "value": delta}
-    if kind == "histogram":
-        counts = item.get("bucket_counts")
-        if not isinstance(counts, list):
-            return None
-        old_counts: list[object] = []
-        old_sum = 0.0
-        old_count = 0
-        if old is not None:
-            raw = old.get("bucket_counts")
-            if isinstance(raw, list) and len(raw) == len(counts):
-                old_counts = raw
-            raw_sum = old.get("sum", 0.0)
-            raw_count = old.get("count", 0)
-            old_sum = float(raw_sum) if isinstance(raw_sum, (int, float)) else 0.0
-            old_count = int(raw_count) if isinstance(raw_count, (int, float)) else 0
-        delta_counts = [
-            max(0, int(new) - int(prev))  # type: ignore[call-overload]
-            for new, prev in zip(
-                counts, old_counts if old_counts else [0] * len(counts)
-            )
-        ]
-        raw_sum_new = item.get("sum", 0.0)
-        raw_count_new = item.get("count", 0)
-        sum_new = (
-            float(raw_sum_new) if isinstance(raw_sum_new, (int, float)) else 0.0
-        )
-        count_new = (
-            int(raw_count_new) if isinstance(raw_count_new, (int, float)) else 0
-        )
-        delta_count = max(0, count_new - old_count)
-        if delta_count == 0:
-            return None
-        return {
-            "labels": labels,
-            "count": delta_count,
-            "sum": max(0.0, sum_new - old_sum),
-            "bucket_counts": delta_counts,
-        }
-    return None
-
-
-# -- the process-wide default registry --------------------------------
-
-_registry = InstrumentRegistry()
+#: The registry of the innermost :func:`use_registry` block in this
+#: context; None outside every block.  A new thread starts outside.
+_scope: ContextVar[InstrumentRegistry | None] = ContextVar(
+    "repro_instrument_scope", default=None
+)
 
 
 def get_registry() -> InstrumentRegistry:
-    """Return the current process-wide registry."""
-    return _registry
+    """Return the registry this context counts into.
+
+    That is the registry of the innermost :func:`use_registry` block
+    open in this thread (or task); outside every block, and in every
+    new thread, it is the process registry.
+    """
+    scoped = _scope.get()
+    return _process_registry if scoped is None else scoped
 
 
 def set_registry(registry: InstrumentRegistry) -> InstrumentRegistry:
-    """Install ``registry`` as process-wide; return the previous one."""
-    global _registry
-    previous = _registry
-    _registry = registry
+    """Replace the process registry; return the previous one.
+
+    Scopes open in any context keep their own registries.
+    """
+    global _process_registry
+    previous = _process_registry
+    _process_registry = registry
     return previous
 
 
 @contextmanager
 def use_registry(registry: InstrumentRegistry) -> Iterator[InstrumentRegistry]:
-    """Swap ``registry`` in as process-wide for the duration of the block.
+    """Count into ``registry`` in this context for the block.
 
-    This is how sharded workers isolate their accounting: the shard
-    wrapper runs the worker under a fresh registry, snapshots it, and
-    the parent merges the snapshot -- no counts are inherited through
-    ``fork`` and none are lost at process exit.
+    The scope is context-local: other threads keep counting where they
+    did, and the block's exit restores this context's previous
+    registry however the scopes of other threads interleave.  Nothing
+    is merged on exit; a caller that wants its counts to reach the
+    enclosing registry merges ``registry.snapshot()`` itself.
     """
-    previous = set_registry(registry)
+    token = _scope.set(registry)
     try:
         yield registry
     finally:
-        set_registry(previous)
+        _scope.reset(token)
 
 
 def reset_registry() -> InstrumentRegistry:
-    """Install and return a fresh process-wide registry (test hook)."""
+    """Install and return a fresh process registry (test hook)."""
     fresh = InstrumentRegistry()
     set_registry(fresh)
     return fresh

@@ -2,26 +2,21 @@
 
 Long sweeps used to be silent until they finished.  This module tails
 a run's progress as it happens: every span open/close (and each
-sharded worker's instrument delta) becomes one small JSON line on a
+sweep chunk's counter totals) becomes one small JSON line on a
 file, file descriptor or stream, cheap enough to leave on in
 production -- events fire per *span* and per *shard*, never per
 sample, so a 64K-point report emits a few dozen lines while
 simulating tens of thousands of samples per second.
 
-Two pieces:
-
-* :class:`EventStream` -- the parent-side sink.  It assigns a strictly
-  increasing ``seq`` to every event, clamps wall-clock timestamps to
-  be non-decreasing (worker clocks can disagree by microseconds), and
-  writes one JSON object per line, flushing as it goes so ``tail -f``
-  and the future service layer see events live.
-* :class:`EventRecorder` -- the worker-side buffer.  Sharded workers
-  cannot write to the parent's stream, so they record their events in
-  memory and ship them back inside the
-  :class:`~repro.observability.spanio.WorkerTelemetry` payload; the
-  parent replays them (sorted by worker wall clock) into its own
-  stream, producing one merged, monotonically-ordered timeline for a
-  ``--jobs N`` sweep.
+:class:`EventStream` assigns a strictly increasing ``seq`` to every
+event, clamps wall-clock timestamps to be non-decreasing (worker
+clocks can disagree by microseconds), and writes one JSON object per
+line, flushing as it goes so ``tail -f`` and the service's
+``/events`` tail see events live.  Sharded workers never write to it:
+the parent process emits each chunk's events from the timing the
+chunk returned (:class:`~repro.runtime.executor.ShardRun`), sorted by
+the chunks' wall clocks, so a ``--jobs N`` sweep reads as one
+timeline.
 
 A :class:`~repro.telemetry.session.TelemetrySession` constructed with
 ``stream=`` emits ``span_start``/``span_finish`` events for every span
@@ -38,18 +33,17 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Protocol, Sequence
+from typing import IO, Protocol, Sequence
 
 from repro.errors import ObservabilityError
 from repro.outputs import output_path
+from repro.telemetry.spans import jsonable
 
 __all__ = [
     "EVENT_SCHEMA",
     "EventBuffer",
-    "EventSink",
     "EventStream",
     "TextSink",
-    "EventRecorder",
     "open_event_stream",
 ]
 
@@ -67,73 +61,6 @@ class TextSink(Protocol):
     def flush(self) -> None:
         """Push buffered text through."""
         ...
-
-
-class EventSink(Protocol):
-    """Anything that accepts live events (stream or worker buffer)."""
-
-    def emit(
-        self, event: str, name: str, t: float | None = None, **fields: object
-    ) -> dict[str, object]:
-        """Record one event; return the record as emitted."""
-        ...
-
-    def emit_merged(
-        self, records: Iterable[Mapping[str, object]]
-    ) -> list[dict[str, object]]:
-        """Absorb a batch of worker-recorded events."""
-        ...
-
-
-def _jsonable(value: object) -> object:
-    """Coerce a field value to something JSON-serializable."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def _build_record(
-    event: str, name: str, t: float | None, fields: Mapping[str, object]
-) -> dict[str, object]:
-    if not event:
-        raise ObservabilityError("event type must be non-empty")
-    record: dict[str, object] = {
-        "t": float(t) if t is not None else time.time(),
-        "event": event,
-        "name": name,
-    }
-    for key, value in fields.items():
-        record[key] = _jsonable(value)
-    return record
-
-
-class EventRecorder:
-    """Worker-side event buffer: collect now, replay in the parent.
-
-    The recorder is deliberately dumb -- no seq numbers, no clamping --
-    because ordering is the *parent's* job: worker events are merged
-    into the parent's :class:`EventStream`, which assigns sequence
-    numbers after sorting by wall clock.
-    """
-
-    def __init__(self) -> None:
-        self.events: list[dict[str, object]] = []
-
-    def emit(
-        self, event: str, name: str, t: float | None = None, **fields: object
-    ) -> dict[str, object]:
-        """Buffer one event; return the record."""
-        record = _build_record(event, name, t, fields)
-        self.events.append(record)
-        return record
-
-    def emit_merged(
-        self, records: Iterable[Mapping[str, object]]
-    ) -> list[dict[str, object]]:
-        """Buffer a batch of already-recorded events verbatim."""
-        absorbed = [dict(record) for record in records]
-        self.events.extend(absorbed)
-        return absorbed
 
 
 class EventBuffer:
@@ -260,42 +187,18 @@ class EventStream:
     def emit(
         self, event: str, name: str, t: float | None = None, **fields: object
     ) -> dict[str, object]:
-        """Write one event line to every handle; return the record."""
-        record = _build_record(event, name, t, fields)
-        return self._write(record)
+        """Write one event line to every handle; return the record.
 
-    def emit_merged(
-        self, records: Iterable[Mapping[str, object]]
-    ) -> list[dict[str, object]]:
-        """Replay worker-recorded events, sorted by their wall clock.
-
-        This is the cross-process merge: each worker's
-        :class:`EventRecorder` buffer arrives with the shard's
-        :class:`~repro.observability.spanio.WorkerTelemetry`, and the
-        parent emits all of them in one sorted pass so interleaved
-        shards produce a single coherent timeline.
+        ``t`` defaults to now; an earlier ``t`` than the previous
+        event's is clamped up to it.
         """
-        prepared: list[dict[str, object]] = []
-        for record in records:
-            raw_t = record.get("t")
-            t = float(raw_t) if isinstance(raw_t, (int, float)) else time.time()
-            event = str(record.get("event", ""))
-            name = str(record.get("name", ""))
-            fields = {
-                key: value
-                for key, value in record.items()
-                if key not in ("t", "event", "name", "seq")
-            }
-            prepared.append(_build_record(event, name, t, fields))
-        prepared.sort(key=lambda r: float(r["t"]))  # type: ignore[arg-type]
-        return [self._write(record) for record in prepared]
-
-    def _write(self, record: dict[str, object]) -> dict[str, object]:
-        t = float(record["t"])  # type: ignore[arg-type]
-        if t < self._last_t:
-            t = self._last_t
-            record["t"] = t
-        self._last_t = t
+        if not event:
+            raise ObservabilityError("event type must be non-empty")
+        stamp = max(time.time() if t is None else float(t), self._last_t)
+        self._last_t = stamp
+        record: dict[str, object] = {"t": stamp, "event": event, "name": name}
+        for key, value in fields.items():
+            record[key] = jsonable(value)
         record["seq"] = self._seq
         self._seq += 1
         line = json.dumps(record, sort_keys=False)

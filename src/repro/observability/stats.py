@@ -46,8 +46,10 @@ __all__ = [
 #: Schema identifier of a ``repro stats --json`` document.
 STATS_SCHEMA = "repro.observability/stats/v1"
 
-#: Schema identifier of a ``repro profile --json`` document.
-PROFILE_SCHEMA = "repro.observability/profile/v1"
+#: Schema identifier of a ``repro profile --json`` document.  Since v2
+#: its ``spans`` are the trace JSONL's flat span records (``id`` and
+#: ``parent`` links), not nested subtrees.
+PROFILE_SCHEMA = "repro.observability/profile/v2"
 
 #: Counters whose *increase* between baseline and current is a finding.
 #: Everything else is informational -- cache hit counts legitimately

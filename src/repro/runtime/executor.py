@@ -19,14 +19,14 @@ matter more than raw speed:
   :class:`SweepTimeoutError` instead of a silent stall, optionally
   after ``retries`` resubmissions of the timed-out chunk.
 
-:meth:`SweepExecutor.map_instrumented` additionally runs every chunk --
-inline or forked -- under a fresh instrument registry inside a
-``shard:<index>`` span, and ships the finished span subtree plus the
-registry snapshot back as a :class:`~repro.observability.spanio.WorkerTelemetry`
-payload.  The caller merges the snapshots and grafts the spans, so
-cache counters survive the process boundary and ``render_span_tree``
-shows real worker-side wall time, queue wait and chunk sizes.  Timeouts
-and retries also surface as :class:`~repro.telemetry.events.TelemetryEvent`
+Every chunk -- inline or forked -- runs in a fresh instrument scope
+(:func:`~repro.observability.instruments.use_registry`) and returns its
+result with what only the chunk knows: its pid, start wall time,
+duration and registry snapshot.  ``map`` merges each snapshot into the
+caller's registry, so cache counters survive the process boundary, and
+keeps one :class:`ShardRun` per chunk on :attr:`SweepExecutor.shards`
+for the caller to turn into spans and live events.  Timeouts and
+retries also surface as :class:`~repro.telemetry.events.TelemetryEvent`
 records (``EXEC001`` / ``EXEC002``) on :attr:`SweepExecutor.events`.
 """
 
@@ -42,20 +42,20 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.observability.instruments import (
-    Counter,
     InstrumentRegistry,
     get_registry,
     use_registry,
 )
-from repro.observability.live import EventRecorder
-from repro.observability.spanio import WorkerTelemetry, span_to_dict
 from repro.telemetry.events import Severity, TelemetryEvent
-from repro.telemetry.spans import Span
 
-__all__ = ["ShardContext", "SweepExecutor", "SweepTimeoutError"]
+__all__ = ["ShardContext", "ShardRun", "SweepExecutor", "SweepTimeoutError"]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
+
+#: What a chunk call returns: its result, pid, start wall time,
+#: duration and registry snapshot.
+_Outcome = tuple[Any, int, float, float, dict[str, object]]
 
 #: Queue-wait buckets (seconds): submission-to-start latency is
 #: microseconds inline and up to pool spin-up time under load.
@@ -124,52 +124,55 @@ class ShardContext:
         return np.random.SeedSequence(self.seed_entropy)
 
 
-def _instrumented_call(
+@dataclass(frozen=True)
+class ShardRun:
+    """How one chunk ran, as the parent records it.
+
+    Attributes
+    ----------
+    context:
+        The chunk's :class:`ShardContext`.
+    pid:
+        Process that ran the chunk (the parent's own pid when inline).
+    started_unix:
+        Wall-clock start of the worker call (``time.time()``: unlike
+        ``perf_counter`` it is comparable across processes).
+    duration_s:
+        Worker-side wall time of the call.
+    queue_wait_s:
+        Submission-to-start latency.
+    instruments:
+        Snapshot of the chunk's own registry, already merged into the
+        caller's.
+    """
+
+    context: ShardContext
+    pid: int
+    started_unix: float
+    duration_s: float
+    queue_wait_s: float
+    instruments: dict[str, object]
+
+
+def _scoped_call(
     worker: Callable[[Sequence[Any], ShardContext], Any],
     payload: Sequence[Any],
     context: ShardContext,
     submitted_unix: float,
-) -> tuple[Any, WorkerTelemetry]:
-    """Run one chunk under a fresh registry inside a ``shard:`` span.
+) -> _Outcome:
+    """Run one chunk in a fresh instrument scope.
 
-    This is the wrapper that actually crosses the process boundary for
-    instrumented maps.  It runs inline chunks too, so the telemetry a
-    caller receives has identical shape whether or not processes were
-    forked -- and because the registry is *fresh*, counts inherited
-    through ``fork`` are never double-merged into the parent.
-
-    Queue wait is ``time.time()`` based: ``perf_counter`` is not
-    comparable across processes, while same-host wall clocks are.
+    This is the call that crosses the process boundary, and it runs
+    inline chunks too, so the parent sees the same shape either way.
+    Because the registry is fresh, counts a forked worker inherits
+    from its parent are never merged twice.
     """
     registry = InstrumentRegistry()
-    recorder = EventRecorder()
     with use_registry(registry):
-        queue_wait_s = max(0.0, time.time() - submitted_unix)
-        span = Span(
-            f"shard:{context.shard_index}",
-            pid=os.getpid(),
-            lane_offset=context.lane_offset,
-            n_lanes=context.n_lanes,
-            queue_wait_ms=round(queue_wait_s * 1e3, 3),
-        )
-        recorder.emit(
-            "span_start",
-            span.name,
-            pid=os.getpid(),
-            lane_offset=context.lane_offset,
-            n_lanes=context.n_lanes,
-        )
-        span.start()
-        try:
-            result = worker(payload, context)
-        finally:
-            span.finish()
-            recorder.emit(
-                "span_finish",
-                span.name,
-                pid=os.getpid(),
-                duration_s=span.duration_s,
-            )
+        started_unix = time.time()
+        started = time.perf_counter()
+        result = worker(payload, context)
+        duration_s = time.perf_counter() - started
         registry.counter(
             "repro.executor.shards", help="worker chunk calls completed"
         ).inc()
@@ -177,39 +180,13 @@ def _instrumented_call(
             "repro.executor.queue_wait_seconds",
             buckets=_WAIT_BUCKETS,
             help="submission-to-start latency per chunk",
-        ).observe(queue_wait_s)
+        ).observe(max(0.0, started_unix - submitted_unix))
         registry.histogram(
             "repro.executor.shard_seconds",
             buckets=_SHARD_BUCKETS,
             help="worker-side wall time per chunk",
-        ).observe(span.duration_s or 0.0)
-        snapshot = registry.snapshot()
-        recorder.emit(
-            "instruments",
-            span.name,
-            pid=os.getpid(),
-            **_counter_deltas(registry),
-        )
-    telemetry = WorkerTelemetry(
-        spans=(span_to_dict(span),),
-        instruments=snapshot,
-        events=tuple(recorder.events),
-    )
-    return result, telemetry
-
-
-def _counter_deltas(registry: InstrumentRegistry) -> dict[str, float]:
-    """Flatten a fresh worker registry's counters for the delta event.
-
-    The registry was created for this one chunk, so every counter
-    total *is* the chunk's delta; dots become underscores so the
-    fields stay valid as flat JSON keys next to ``event``/``name``.
-    """
-    out: dict[str, float] = {}
-    for instrument in registry.instruments():
-        if isinstance(instrument, Counter):
-            out[instrument.name.replace(".", "_")] = instrument.total()
-    return out
+        ).observe(duration_s)
+    return result, os.getpid(), started_unix, duration_s, registry.snapshot()
 
 
 class SweepExecutor:
@@ -239,8 +216,11 @@ class SweepExecutor:
     ----------
     events:
         :class:`~repro.telemetry.events.TelemetryEvent` records from
-        the most recent ``map`` / ``map_instrumented`` call (timeouts
-        and retries); reset at the start of each call.
+        the most recent ``map`` call (timeouts and retries); reset at
+        the start of each call.
+    shards:
+        One :class:`ShardRun` per chunk of the most recent ``map``
+        call, in chunk order; reset at the start of each call.
     """
 
     def __init__(
@@ -270,6 +250,7 @@ class SweepExecutor:
         self.retries = retries
         self.seed = seed
         self.events: list[TelemetryEvent] = []
+        self.shards: list[ShardRun] = []
         self._call_index = 0
 
     def plan(self, n_items: int) -> list[tuple[int, int]]:
@@ -311,37 +292,15 @@ class SweepExecutor:
 
         ``worker`` must be picklable (a module-level function) when more
         than one process is used.  Results are returned in chunk order
-        regardless of completion order.
+        regardless of completion order.  Each chunk counts into a fresh
+        registry whose snapshot is merged into :func:`get_registry` and
+        kept, with the chunk's timing, on :attr:`shards`.
         """
-        results, _ = self._execute(worker, items, instrument=False)
-        return results
-
-    def map_instrumented(
-        self,
-        worker: Callable[[Sequence[_ItemT], ShardContext], _ResultT],
-        items: Sequence[_ItemT],
-    ) -> tuple[list[_ResultT], list[WorkerTelemetry]]:
-        """Like :meth:`map`, returning per-chunk telemetry as well.
-
-        Each chunk runs under a fresh instrument registry inside a
-        ``shard:<index>`` span; the returned
-        :class:`~repro.observability.spanio.WorkerTelemetry` payloads
-        (in chunk order) carry the serialized span subtree and the
-        registry snapshot for the caller to graft and merge.
-        """
-        return self._execute(worker, items, instrument=True)
-
-    def _execute(
-        self,
-        worker: Callable[[Sequence[_ItemT], ShardContext], _ResultT],
-        items: Sequence[_ItemT],
-        *,
-        instrument: bool,
-    ) -> tuple[list[_ResultT], list[WorkerTelemetry]]:
         chunks = self.plan(len(items))
         call_index = self._call_index
         self._call_index += 1
         self.events = []
+        self.shards = []
         contexts = [
             ShardContext(
                 shard_index=index,
@@ -356,71 +315,84 @@ class SweepExecutor:
             items[offset : offset + length] for offset, length in chunks
         ]
         n_processes = self.effective_jobs(len(chunks))
-        if instrument:
-            # A last-value gauge, not a counter: dashboards tailing
-            # /statsz want "what parallelism is this host actually
-            # getting" -- the clamped count, which can silently differ
-            # from the requested ``jobs`` on small hosts or short item
-            # lists.  Plain map() stays instrument-free by contract.
-            get_registry().gauge(
-                "repro.executor.effective_jobs",
-                help="process count actually used by the latest map call",
-            ).set(float(n_processes), requested=str(self.jobs))
-        results: list[_ResultT] = []
-        telemetries: list[WorkerTelemetry] = []
+        registry = get_registry()
+        # A last-value gauge, not a counter: dashboards tailing /statsz
+        # want "what parallelism is this host actually getting" -- the
+        # clamped count, which can silently differ from the requested
+        # ``jobs`` on small hosts or short item lists.
+        registry.gauge(
+            "repro.executor.effective_jobs",
+            help="process count actually used by the latest map call",
+        ).set(float(n_processes), requested=str(self.jobs))
+        submitted = [0.0] * len(chunks)
+        outcomes: list[_Outcome] = []
         if n_processes <= 1:
-            for payload, context in zip(payloads, contexts):
-                if instrument:
-                    result, telemetry = _instrumented_call(
-                        worker, payload, context, time.time()
-                    )
-                    telemetries.append(telemetry)
-                else:
-                    result = worker(payload, context)
-                results.append(result)
-            return results, telemetries
+            for index, (payload, context) in enumerate(zip(payloads, contexts)):
+                submitted[index] = time.time()
+                outcomes.append(
+                    _scoped_call(worker, payload, context, submitted[index])
+                )
+        else:
+            outcomes = self._pooled(
+                worker, payloads, contexts, submitted, n_processes
+            )
+        results: list[_ResultT] = []
+        for context, sent, outcome in zip(contexts, submitted, outcomes):
+            result, pid, started_unix, duration_s, snapshot = outcome
+            registry.merge(snapshot)
+            self.shards.append(
+                ShardRun(
+                    context=context,
+                    pid=pid,
+                    started_unix=started_unix,
+                    duration_s=duration_s,
+                    queue_wait_s=max(0.0, started_unix - sent),
+                    instruments=snapshot,
+                )
+            )
+            results.append(result)
+        return results
+
+    def _pooled(
+        self,
+        worker: Callable[[Sequence[Any], ShardContext], Any],
+        payloads: list[Sequence[Any]],
+        contexts: list[ShardContext],
+        submitted: list[float],
+        n_processes: int,
+    ) -> list[_Outcome]:
+        """Run the chunks on a process pool, resubmitting timed-out ones."""
         # Imported here: the pool pulls in multiprocessing, pickle,
         # socket and logging, which an inline run never needs.
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures import TimeoutError as FuturesTimeoutError
 
+        outcomes: list[_Outcome] = []
         with ProcessPoolExecutor(max_workers=n_processes) as pool:
-            futures: list[Any]
-            if instrument:
-                futures = [
-                    pool.submit(
-                        _instrumented_call, worker, payload, context, time.time()
-                    )
-                    for payload, context in zip(payloads, contexts)
-                ]
-            else:
-                futures = [
-                    pool.submit(worker, payload, context)
-                    for payload, context in zip(payloads, contexts)
-                ]
+
+            def submit(index: int) -> Any:
+                submitted[index] = time.time()
+                return pool.submit(
+                    _scoped_call,
+                    worker,
+                    payloads[index],
+                    contexts[index],
+                    submitted[index],
+                )
+
+            futures = [submit(index) for index in range(len(contexts))]
             for index, future in enumerate(futures):
                 attempts_left = self.retries
                 while True:
                     try:
-                        outcome = future.result(timeout=self.timeout_s)
+                        outcomes.append(future.result(timeout=self.timeout_s))
                         break
                     except FuturesTimeoutError as exc:
                         future.cancel()
                         if attempts_left > 0:
                             attempts_left -= 1
                             self._note_retry(index, len(futures))
-                            if instrument:
-                                future = pool.submit(
-                                    _instrumented_call,
-                                    worker,
-                                    payloads[index],
-                                    contexts[index],
-                                    time.time(),
-                                )
-                            else:
-                                future = pool.submit(
-                                    worker, payloads[index], contexts[index]
-                                )
+                            future = submit(index)
                             continue
                         for pending in futures:
                             pending.cancel()
@@ -429,13 +401,7 @@ class SweepExecutor:
                             f"shard {index}/{len(futures)} exceeded "
                             f"{self.timeout_s!r} s"
                         ) from exc
-                if instrument:
-                    result, telemetry = outcome
-                    telemetries.append(telemetry)
-                    results.append(result)
-                else:
-                    results.append(outcome)
-            return results, telemetries
+        return outcomes
 
     def _note_timeout(self, index: int, n_shards: int) -> None:
         """Account a terminal shard timeout (counter + EXEC001 event)."""

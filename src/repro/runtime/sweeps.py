@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -48,15 +47,14 @@ from repro.runtime.batch import (
     fast_forward_streams,
 )
 from repro.runtime.kernels import kernel_refusal
-from repro.observability.instruments import get_registry
-from repro.observability.spanio import WorkerTelemetry, graft_spans
+from repro.observability.instruments import Counter, InstrumentRegistry
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import ShardContext, SweepExecutor
+from repro.runtime.executor import ShardContext, ShardRun, SweepExecutor
 from repro.telemetry.spans import Span
 from repro.systems.stimulus import coherent_frequency
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observability.live import EventSink
+    from repro.observability.live import EventStream
     from repro.telemetry.session import TelemetrySession
 
 __all__ = [
@@ -251,7 +249,6 @@ class _ShardResult:
     """One worker's contribution: per-lane metrics plus bookkeeping."""
 
     metrics: tuple[ToneMetrics, ...]
-    wall_s: float
     engine: str
 
 
@@ -301,7 +298,6 @@ def _run_lane_chunk(
     All rungs are bit-identical, so ``engine`` is deliberately not
     part of the cache key.
     """
-    started = time.perf_counter()
     total = spec.n_samples + spec.settle_samples
     t = np.arange(total) / spec.sample_rate
     carrier = np.sin(2.0 * np.pi * spec.signal_frequency * t)
@@ -355,11 +351,7 @@ def _run_lane_chunk(
                 bandwidth=spec.bandwidth,
             )
         )
-    return _ShardResult(
-        metrics=tuple(metrics),
-        wall_s=time.perf_counter() - started,
-        engine=engine_used,
-    )
+    return _ShardResult(metrics=tuple(metrics), engine=engine_used)
 
 
 def _result_from_metrics(
@@ -399,39 +391,64 @@ def _metrics_from_arrays(
     )
 
 
-def _absorb_worker_telemetry(
+def _record_shards(
     spec: SweepSpec,
     shards: Sequence[_ShardResult],
-    telemetries: Sequence[WorkerTelemetry],
-    span: Span | None,
-    stream: "EventSink | None" = None,
+    runs: Sequence[ShardRun],
+    span: Span,
+    stream: "EventStream | None",
 ) -> None:
-    """Merge worker snapshots into this process; graft worker spans.
+    """Attach one ``shard:<index>`` span per chunk; replay its events.
 
-    Snapshots always merge into the current process-wide registry --
-    that is the path that keeps cache/engine counters from dying with
-    the worker processes.  Span grafting needs a parent, so it only
-    happens when the sweep runs under a session; each grafted
-    ``shard:<index>`` root is stamped with the shard's engine and
-    sample count so the merged tree reads like the old flat records
-    but with real worker-side wall time and queue wait.  When the
-    session carries a live event stream, the workers' buffered events
-    are replayed into it in one wall-clock-sorted pass, so a
-    ``--jobs N`` sweep tails a single coherent timeline.
+    The executor already merged each chunk's registry snapshot; what
+    is left is the timeline.  Each span carries the chunk's pid, lane
+    accounting, queue wait, rung and worker-side wall time.  With a
+    live stream, each chunk's ``span_start``/``span_finish`` and
+    ``instruments`` (its counter totals, dots as underscores) are
+    emitted in one pass sorted by the chunks' wall clocks, so a
+    ``--jobs N`` sweep tails a single ordered timeline.
     """
-    registry = get_registry()
-    worker_events: list[Mapping[str, object]] = []
-    for shard, telemetry in zip(shards, telemetries):
-        registry.merge(telemetry.instruments)
-        worker_events.extend(telemetry.events)
-        if span is None:
+    events: list[tuple[float, str, str, dict[str, object]]] = []
+    for shard, run in zip(shards, runs):
+        context = run.context
+        name = f"shard:{context.shard_index}"
+        span.record(
+            name,
+            samples=len(shard.metrics) * spec.n_samples,
+            duration_s=run.duration_s,
+            pid=run.pid,
+            lane_offset=context.lane_offset,
+            n_lanes=context.n_lanes,
+            queue_wait_ms=round(run.queue_wait_s * 1e3, 3),
+            engine=shard.engine,
+        )
+        if stream is None:
             continue
-        for root in graft_spans(span, telemetry.spans):
-            root.attrs["engine"] = shard.engine
-            if root.samples is None:
-                root.samples = len(shard.metrics) * spec.n_samples
-    if stream is not None and worker_events:
-        stream.emit_merged(worker_events)
+        chunk = InstrumentRegistry()
+        chunk.merge(run.instruments)
+        counters: dict[str, object] = {
+            instrument.name.replace(".", "_"): instrument.total()
+            for instrument in chunk.instruments()
+            if isinstance(instrument, Counter)
+        }
+        finished = run.started_unix + run.duration_s
+        events += [
+            (
+                run.started_unix,
+                "span_start",
+                name,
+                {
+                    "pid": run.pid,
+                    "lane_offset": context.lane_offset,
+                    "n_lanes": context.n_lanes,
+                },
+            ),
+            (finished, "span_finish", name, {"pid": run.pid, "duration_s": run.duration_s}),
+            (finished, "instruments", name, {"pid": run.pid, **counters}),
+        ]
+    if stream is not None:
+        for t, event, name, fields in sorted(events, key=lambda item: item[0]):
+            stream.emit(event, name, t=t, **fields)
 
 
 def run_sweep(
@@ -460,14 +477,14 @@ def run_sweep(
         cache hit is valid for every engine.
     telemetry:
         Optional session; the sweep is wrapped in a ``sweep`` span with
-        the workers' ``shard:<index>`` subtrees grafted under it, which
+        one childless ``shard:<index>`` span per chunk under it, which
         existing manifest extractors ignore (they read only
         ``measure``/``device`` spans).  Executor timeout/retry events
         additionally appear as ``event:EXECxxx`` structural spans.
 
     Whether or not a session is passed, each shard's instrument
     snapshot (cache counters, engine choices, shard timings) is merged
-    into the process-wide registry of
+    into the caller's registry,
     :func:`repro.observability.instruments.get_registry`.
 
     Raises
@@ -507,10 +524,8 @@ def run_sweep(
             cache="miss" if cache is not None else "off",
             jobs=executor.jobs,
         ) as span:
-            shards, worker_telemetry = executor.map_instrumented(worker, levels)
-            _absorb_worker_telemetry(
-                spec, shards, worker_telemetry, span, stream=telemetry.stream
-            )
+            shards = executor.map(worker, levels)
+            _record_shards(spec, shards, executor.shards, span, telemetry.stream)
             for event in executor.events:
                 span.record(
                     f"event:{event.rule}",
@@ -519,8 +534,7 @@ def run_sweep(
                     message=event.message,
                 )
     else:
-        shards, worker_telemetry = executor.map_instrumented(worker, levels)
-        _absorb_worker_telemetry(spec, shards, worker_telemetry, None)
+        shards = executor.map(worker, levels)
 
     metrics = tuple(m for shard in shards for m in shard.metrics)
     if cache is not None:

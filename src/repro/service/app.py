@@ -5,9 +5,9 @@ HTTP service.  This module is its core, in three layers:
 
 * :func:`normalize_request` -- the canonicalizer.  A raw JSON request
   becomes a :class:`~repro.service.queue.JobRequest` whose params are
-  fully resolved (design aliases expanded, defaults filled, numbers
-  coerced), so every spelling of the same simulation digests to the
-  same job id and dedups server-side.
+  fully resolved (design aliases expanded, defaults filled, knobs
+  stored as floats), so every spelling of the same simulation digests
+  to the same job id and dedups server-side.
 * :class:`SimulationService` -- owns the shared artifact store (one
   byte-budgeted :class:`~repro.runtime.cache.ResultCache` for every
   job), the :class:`~repro.service.queue.JobQueue`, and the runners
@@ -40,6 +40,7 @@ from repro.service.queue import Job, JobQueue, JobRequest
 __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
+    "MAX_REQUEST_SAMPLES",
     "ServiceConfig",
     "SimulationService",
     "build_server",
@@ -55,6 +56,13 @@ DEFAULT_PORT = 8765
 #: above the sweep engine's 8K lane floor.
 DEFAULT_REPORT_SAMPLES = 1 << 14
 
+#: Largest ``n_samples`` a network request may ask for, report or
+#: sweep: the paper's own 64K-point FFT.  A worker thread runs one job
+#: at a time and holds its arrays in memory, so without a ceiling one
+#: request could occupy a worker for hours or exhaust the host's
+#: memory.  The CLI has no ceiling: a local user sizes their own runs.
+MAX_REQUEST_SAMPLES = 1 << 16
+
 _REQUEST_KINDS = ("report", "sweep")
 
 
@@ -69,8 +77,9 @@ class ServiceConfig:
         :class:`~repro.runtime.executor.SweepExecutor` (bit-identical
         at any value).
     workers:
-        Queue worker threads; 1 (the default) serializes simulations so
-        each manifest's instrument delta stays coherent.
+        Queue worker threads; 1 (the default) runs one simulation at a
+        time.  Concurrent jobs count apart: each report's manifest
+        holds only its own run's instruments.
     max_pending:
         Queue backpressure limit (HTTP 429 past it).
     max_bytes:
@@ -91,12 +100,13 @@ class ServiceConfig:
     ledger_dir: str | None = None
 
 
-def _coerce_float(raw: Mapping[str, Any], key: str, default: float) -> float:
-    value = raw.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ServiceError(f"{key} must be a number, got {value!r}") from exc
+def _check_samples(n_samples: int) -> None:
+    """Refuse a request longer than :data:`MAX_REQUEST_SAMPLES`."""
+    if n_samples > MAX_REQUEST_SAMPLES:
+        raise ServiceError(
+            f"n_samples must be <= {MAX_REQUEST_SAMPLES} (the paper's "
+            f"64K FFT), got {n_samples}"
+        )
 
 
 def normalize_request(raw: Mapping[str, Any]) -> JobRequest:
@@ -105,14 +115,17 @@ def normalize_request(raw: Mapping[str, Any]) -> JobRequest:
     Two requests that mean the same simulation must normalize to the
     same params -- the request digest (and therefore dedup) is computed
     over the *normalized* form.  Aliases are resolved (``mod2`` and
-    ``modulator2`` dedup together), defaults are materialized, and all
-    numeric fields are coerced to their canonical types.
+    ``modulator2`` dedup together), defaults are materialized, and a
+    report's knobs are stored as floats (``1`` and ``1.0`` share a
+    digest).  Fields are checked, never coerced: ``sweep`` must be a
+    JSON boolean and the knobs JSON numbers.
 
     Raises
     ------
     ServiceError
         On an unknown kind, unknown design, malformed sweep spec,
-        non-numeric field or out-of-range degradation knob.
+        mistyped field, out-of-range degradation knob, or ``n_samples``
+        above :data:`MAX_REQUEST_SAMPLES`.
     """
     if not isinstance(raw, Mapping):
         raise ServiceError(
@@ -133,6 +146,7 @@ def normalize_request(raw: Mapping[str, Any]) -> JobRequest:
             spec = sweep_spec_from_mapping(spec_raw)
         except ConfigurationError as exc:
             raise ServiceError(str(exc)) from exc
+        _check_samples(spec.n_samples)
         # The spec's own cache key is the canonical form: dedup at the
         # service level matches dedup at the result-cache level.
         return JobRequest(kind="sweep", params=spec.cache_key())
@@ -158,17 +172,23 @@ def normalize_request(raw: Mapping[str, Any]) -> JobRequest:
         raise ServiceError(
             f"n_samples must be >= {1 << 13}, got {n_samples}"
         )
+    _check_samples(n_samples)
+    sweep = raw.get("sweep", True)
+    if not isinstance(sweep, bool):
+        raise ServiceError(f"sweep must be true or false, got {sweep!r}")
+    noise_scale = raw.get("noise_scale", 1.0)
+    mismatch = raw.get("mismatch", 0.0)
+    try:
+        check_knobs(noise_scale, mismatch)
+    except ConfigurationError as exc:
+        raise ServiceError(str(exc)) from exc
     params: dict[str, Any] = {
         "design": entry.name,
         "n_samples": n_samples,
-        "sweep": bool(raw.get("sweep", True)),
-        "noise_scale": _coerce_float(raw, "noise_scale", 1.0),
-        "mismatch": _coerce_float(raw, "mismatch", 0.0),
+        "sweep": sweep,
+        "noise_scale": float(noise_scale),
+        "mismatch": float(mismatch),
     }
-    try:
-        check_knobs(params["noise_scale"], params["mismatch"])
-    except ConfigurationError as exc:
-        raise ServiceError(str(exc)) from exc
     return JobRequest(kind="report", params=params)
 
 

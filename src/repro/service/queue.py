@@ -88,7 +88,7 @@ class JobRequest:
     """A normalized, JSON-ready simulation request.
 
     ``params`` must already be canonical (aliases resolved, defaults
-    filled, numbers coerced): the digest is computed over exactly these
+    filled, report knobs as floats): the digest is computed over exactly these
     fields, and two requests dedup iff their normalized forms match.
     """
 
@@ -187,9 +187,10 @@ class JobQueue:
         dict.  Exceptions it raises mark the job FAILED (the worker
         thread survives).
     workers:
-        Worker-thread count.  The default of 1 serializes simulations,
-        which keeps the process-wide instrument registry's per-run
-        deltas coherent; the HTTP layer stays concurrent regardless.
+        Worker-thread count.  The default of 1 serializes simulations;
+        the HTTP layer stays concurrent regardless.  Worker threads
+        count into the process registry, and each report counts its
+        own run into a scope of its own.
     max_pending:
         Backpressure limit on *queued* (not running) jobs; new requests
         past it raise :class:`QueueFullError`.

@@ -38,7 +38,7 @@ from repro.analysis.metrics import ToneMetrics, measure_tone
 from repro.analysis.spectrum import Spectrum, compute_spectrum
 from repro.analysis.windows import WindowKind
 from repro.erc.checker import check_design
-from repro.observability.instruments import InstrumentRegistry
+from repro.observability.instruments import get_registry
 from repro.systems.stimulus import SineStimulus, coherent_frequency
 from repro.telemetry.session import TelemetrySession
 
@@ -104,6 +104,11 @@ class TestBench:
     (The name refers to a laboratory bench; ``__test__ = False`` stops
     pytest from trying to collect it as a test class.)
 
+    Every :meth:`measure` call accounts one ``repro.bench.measurements``
+    increment and one ``repro.bench.measure_seconds`` observation
+    (labeled by device type) into the current instrument registry
+    (:func:`~repro.observability.instruments.get_registry`).
+
     Parameters
     ----------
     sample_rate:
@@ -141,14 +146,6 @@ class TestBench:
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; sweep
         results are reconstructed bit for bit on a key hit.
-    observe:
-        Optional
-        :class:`~repro.observability.instruments.InstrumentRegistry`.
-        When set, every :meth:`measure` call accounts one
-        ``repro.bench.measurements`` increment and one
-        ``repro.bench.measure_seconds`` observation (labeled by device
-        type) into it.  None (the default) accounts nothing -- the
-        untraced path stays instrumentation-free.
     """
 
     __test__ = False
@@ -165,7 +162,6 @@ class TestBench:
         metrics: "MetricRegistry | None" = None,
         executor: "SweepExecutor | None" = None,
         cache: "ResultCache | None" = None,
-        observe: InstrumentRegistry | None = None,
     ) -> None:
         if sample_rate <= 0.0:
             raise AnalysisError(f"sample_rate must be positive, got {sample_rate!r}")
@@ -185,7 +181,6 @@ class TestBench:
         self.metrics = metrics
         self.executor = executor
         self.cache = cache
-        self.observe = observe
 
     def preflight(self, device: DeviceUnderTest) -> None:
         """Statically check a device before simulating it.
@@ -336,14 +331,13 @@ class TestBench:
     def _account_measurement(
         self, device: DeviceUnderTest, started: float
     ) -> None:
-        """Account one finished measurement into the observe registry."""
-        if self.observe is None:
-            return
+        """Account one finished measurement into the current registry."""
+        registry = get_registry()
         name = type(device).__name__
-        self.observe.counter(
+        registry.counter(
             "repro.bench.measurements", help="completed bench measurements"
         ).inc(device=name)
-        self.observe.histogram(
+        registry.histogram(
             "repro.bench.measure_seconds",
             buckets=_MEASURE_BUCKETS,
             help="wall time per bench measurement",

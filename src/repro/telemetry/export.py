@@ -19,13 +19,18 @@ from pathlib import Path
 
 from repro.outputs import output_path
 from repro.telemetry.session import TelemetrySession
-from repro.telemetry.spans import Span
+from repro.telemetry.spans import Span, jsonable
 
-__all__ = ["export_jsonl"]
+__all__ = ["export_jsonl", "span_records"]
 
 
-def _span_records(roots: list[Span]) -> list[dict[str, object]]:
-    """Flatten a span forest into records with id/parent links."""
+def span_records(roots: list[Span]) -> list[dict[str, object]]:
+    """Flatten a span forest into records with id/parent links.
+
+    The one span encoding the trace JSONL and ``repro profile --json``
+    both write: depth-first, each record naming its parent's ``id``
+    (``None`` for a root).
+    """
     records: list[dict[str, object]] = []
     next_id = 0
 
@@ -42,7 +47,7 @@ def _span_records(roots: list[Span]) -> list[dict[str, object]]:
                 "duration_s": span.duration_s,
                 "samples": span.samples,
                 "samples_per_second": span.samples_per_second,
-                "attrs": {key: _jsonable(value) for key, value in span.attrs.items()},
+                "attrs": {key: jsonable(value) for key, value in span.attrs.items()},
             }
         )
         for child in span.children:
@@ -51,13 +56,6 @@ def _span_records(roots: list[Span]) -> list[dict[str, object]]:
     for root in roots:
         visit(root, None)
     return records
-
-
-def _jsonable(value: object) -> object:
-    """Coerce a value to something the json encoder accepts."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
 
 
 def export_jsonl(session: TelemetrySession, path: str | Path) -> Path:
@@ -84,11 +82,11 @@ def export_jsonl(session: TelemetrySession, path: str | Path) -> Path:
             "provenance": collect_provenance().as_dict(),
         }
     ]
-    records.extend(_span_records(session.roots))
+    records.extend(span_records(session.roots))
     for probe in session.probes.values():
         record = probe.as_record()
         record["meta"] = {
-            key: _jsonable(value)
+            key: jsonable(value)
             for key, value in record["meta"].items()  # type: ignore[union-attr]
         }
         records.append({"type": "probe", **record})

@@ -32,7 +32,7 @@ from repro.telemetry.probes import SignalProbe
 from repro.telemetry.spans import Span, render_span_tree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observability.live import EventSink
+    from repro.observability.live import EventStream
 
 __all__ = ["TelemetrySession"]
 
@@ -60,7 +60,7 @@ class TelemetrySession:
         self,
         name: str = "telemetry",
         monitor: DynamicRuleMonitor | None = None,
-        stream: "EventSink | None" = None,
+        stream: "EventStream | None" = None,
     ) -> None:
         self.name = name
         self.monitor = monitor if monitor is not None else default_monitor()

@@ -23,7 +23,18 @@ from typing import Iterator
 
 from repro.errors import TelemetryError
 
-__all__ = ["Span", "render_span_tree"]
+__all__ = ["Span", "jsonable", "render_span_tree"]
+
+
+def jsonable(value: object) -> object:
+    """Return ``value`` if JSON encodes it as a scalar, else ``str(value)``.
+
+    Span attributes, probe metadata and live-event fields are free-form;
+    every writer passes them through this one coercion.
+    """
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return str(value)
 
 
 class Span:

@@ -123,12 +123,14 @@ class TestProfile:
         assert "shard:0" in output
         assert "self [ms]" in output or "self" in output
         document = json.loads(json_path.read_text())
-        assert document["schema"] == "repro.observability/profile/v1"
+        assert document["schema"] == "repro.observability/profile/v2"
         assert document["target"] == spec_path
         names = [row["name"] for row in document["rows"]]
         assert "sweep" in names and "shard:0" in names
         assert "sweep;shard:0" in document["collapsed_stacks"]
         assert document["spans"][0]["name"] == "sweep"
+        shard = next(r for r in document["spans"] if r["name"] == "shard:0")
+        assert shard["parent"] == document["spans"][0]["id"]
 
     def test_missing_spec_is_a_usage_error(self, capsys, tmp_path):
         assert main(["profile", str(tmp_path / "absent.json")]) == 2

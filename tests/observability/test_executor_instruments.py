@@ -1,5 +1,6 @@
-"""Executor telemetry: shard spans, timeout/retry counters and events."""
+"""Executor telemetry: shard runs, timeout/retry counters and events."""
 
+import os
 import time
 
 import pytest
@@ -27,37 +28,34 @@ def two_cores(monkeypatch):
 
 
 class TestInlineInstrumentation:
-    def test_map_instrumented_ships_shard_telemetry(self):
+    def test_map_records_shard_runs(self):
         executor = SweepExecutor(jobs=1, chunk_size=2)
-        results, telemetries = executor.map_instrumented(_echo, [1, 2, 3])
+        registry = InstrumentRegistry()
+        with use_registry(registry):
+            results = executor.map(_echo, [1, 2, 3])
         assert results == [[1, 2], [3]]
-        assert [t.spans[0]["name"] for t in telemetries] == [
-            "shard:0",
-            "shard:1",
-        ]
-        span = telemetries[0].spans[0]
-        assert span["duration_s"] > 0.0
-        assert span["attrs"]["lane_offset"] == 0
-        assert span["attrs"]["n_lanes"] == 2
-        assert "queue_wait_ms" in span["attrs"]
-        instruments = telemetries[0].instruments["instruments"]
+        first, second = executor.shards
+        assert [run.context.shard_index for run in executor.shards] == [0, 1]
+        assert (first.context.lane_offset, first.context.n_lanes) == (0, 2)
+        assert first.pid == os.getpid()
+        assert first.duration_s > 0.0 and first.queue_wait_s >= 0.0
+        assert second.started_unix >= first.started_unix
+        instruments = first.instruments["instruments"]
         assert instruments["repro.executor.shards"]["series"][0]["value"] == 1.0
         assert "repro.executor.queue_wait_seconds" in instruments
         assert "repro.executor.shard_seconds" in instruments
+        # Each chunk's snapshot is merged into the caller's registry.
+        assert registry.total("repro.executor.shards") == 2.0
 
     def test_fresh_worker_registry_never_leaks_parent_counts(self):
         parent = InstrumentRegistry()
         parent.counter("repro.executor.shards").inc(100.0)
+        executor = SweepExecutor(jobs=1)
         with use_registry(parent):
-            _, telemetries = SweepExecutor(jobs=1).map_instrumented(_echo, [1])
-        instruments = telemetries[0].instruments["instruments"]
+            executor.map(_echo, [1])
+        instruments = executor.shards[0].instruments["instruments"]
         assert instruments["repro.executor.shards"]["series"][0]["value"] == 1.0
-
-    def test_map_has_no_telemetry_overhead_path(self):
-        registry = InstrumentRegistry()
-        with use_registry(registry):
-            assert SweepExecutor(jobs=1).map(_echo, [1, 2]) == [[1, 2]]
-        assert registry.instruments() == []
+        assert parent.total("repro.executor.shards") == 101.0
 
     def test_rejects_negative_retries(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,7 @@
-"""Instrument registry: kinds, labels, snapshot/merge/delta, exposition."""
+"""Instrument registry: kinds, labels, snapshot/merge, exposition, scopes."""
+
+import sys
+import threading
 
 import pytest
 
@@ -8,7 +11,6 @@ from repro.observability.instruments import (
     get_registry,
     reset_registry,
     set_registry,
-    snapshot_delta,
     use_registry,
 )
 
@@ -147,47 +149,6 @@ class TestSnapshotMerge:
             InstrumentRegistry().merge(snapshot)
 
 
-class TestSnapshotDelta:
-    def test_counter_delta_drops_unchanged_series(self):
-        registry = InstrumentRegistry()
-        registry.counter("repro.test.hits").inc(kind="a")
-        registry.counter("repro.test.misses").inc(kind="b")
-        before = registry.snapshot()
-        registry.counter("repro.test.hits").inc(2.0, kind="a")
-        delta = snapshot_delta(before, registry.snapshot())
-        instruments = delta["instruments"]
-        assert list(instruments) == ["repro.test.hits"]
-        assert instruments["repro.test.hits"]["series"] == [
-            {"labels": {"kind": "a"}, "value": 2.0}
-        ]
-
-    def test_histogram_delta_subtracts_counts(self):
-        registry = InstrumentRegistry()
-        histogram = registry.histogram("repro.test.latency", buckets=(0.1, 1.0))
-        histogram.observe(0.05)
-        before = registry.snapshot()
-        histogram.observe(0.5)
-        delta = snapshot_delta(before, registry.snapshot())
-        series = delta["instruments"]["repro.test.latency"]["series"][0]
-        assert series["count"] == 1
-        assert series["bucket_counts"] == [0, 1, 0]
-
-    def test_registry_swap_clamps_at_after_values(self):
-        before = InstrumentRegistry()
-        before.counter("repro.test.hits").inc(10.0)
-        after = InstrumentRegistry()
-        after.counter("repro.test.hits").inc(3.0)
-        delta = snapshot_delta(before.snapshot(), after.snapshot())
-        # Counter went "down" (fresh registry): clamped, zero, dropped.
-        assert delta["instruments"] == {}
-
-    def test_empty_delta_for_identical_snapshots(self):
-        registry = InstrumentRegistry()
-        registry.counter("repro.test.hits").inc()
-        snapshot = registry.snapshot()
-        assert snapshot_delta(snapshot, snapshot)["instruments"] == {}
-
-
 class TestExposition:
     def test_render_table_lists_every_series(self):
         registry = InstrumentRegistry()
@@ -244,3 +205,92 @@ class TestProcessWideDefault:
             assert fresh is not original
         finally:
             set_registry(original)
+
+    def test_set_registry_leaves_open_scopes_alone(self):
+        scoped = InstrumentRegistry()
+        original = get_registry()
+        try:
+            with use_registry(scoped):
+                set_registry(InstrumentRegistry())
+                assert get_registry() is scoped
+        finally:
+            set_registry(original)
+
+
+class TestContextLocalScopes:
+    def test_new_thread_counts_into_the_process_registry(self):
+        seen = []
+        with use_registry(InstrumentRegistry()):
+            thread = threading.Thread(target=lambda: seen.append(get_registry()))
+            thread.start()
+            thread.join()
+        assert seen == [get_registry()]
+
+    def test_interleaved_thread_scopes_count_apart(self):
+        # A enters, B enters, A exits, B exits: with one process-wide
+        # swap, A's counts land in B's registry and the main thread is
+        # left on A's.  Scopes are per thread, so neither happens.
+        process = get_registry()
+        mine = {"a": InstrumentRegistry(), "b": InstrumentRegistry()}
+        a_entered, b_entered, a_exited = (threading.Event() for _ in range(3))
+        errors = []
+
+        def count(thread: str) -> None:
+            get_registry().counter("repro.test.scoped_hits").inc(thread=thread)
+            if get_registry() is not mine[thread]:
+                errors.append(thread)
+
+        def run_a() -> None:
+            with use_registry(mine["a"]):
+                a_entered.set()
+                b_entered.wait(timeout=10.0)
+                count("a")
+            a_exited.set()
+
+        def run_b() -> None:
+            a_entered.wait(timeout=10.0)
+            with use_registry(mine["b"]):
+                b_entered.set()
+                a_exited.wait(timeout=10.0)
+                count("b")
+
+        threads = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert errors == []
+        assert get_registry() is process
+        for thread, registry in mine.items():
+            assert registry.counter("repro.test.scoped_hits").series() == [
+                ((("thread", thread),), 1.0)
+            ]
+        assert process.get("repro.test.scoped_hits") is None
+
+    def test_many_threads_never_lose_or_leak_counts(self):
+        # More threads than cores, switching every few microseconds: a
+        # shared swap would move counts between registries.
+        process = get_registry()
+        n_threads, n_rounds = 8, 200
+        mine = [InstrumentRegistry() for _ in range(n_threads)]
+
+        def work(registry: InstrumentRegistry) -> None:
+            for _ in range(n_rounds):
+                with use_registry(registry):
+                    get_registry().counter("repro.test.stress_hits").inc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(r,)) for r in mine]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.total("repro.test.stress_hits") for r in mine] == [n_rounds] * n_threads
+        assert process.get("repro.test.stress_hits") is None
+        assert get_registry() is process

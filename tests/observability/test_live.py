@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ObservabilityError
 from repro.observability.live import (
     EVENT_SCHEMA,
-    EventRecorder,
     EventStream,
     open_event_stream,
 )
@@ -76,49 +75,63 @@ class TestEventStream:
 
 
 class TestMerge:
+    """The parent replays sharded chunks' events as one timeline."""
+
+    @staticmethod
+    def _replay(stream, *chunks):
+        """Record ``(started_unix, duration_s, pid)`` chunks as a sweep would."""
+        from repro.observability.instruments import InstrumentRegistry
+        from repro.runtime.executor import ShardContext, ShardRun
+        from repro.runtime.sweeps import (
+            _record_shards,
+            _ShardResult,
+            sweep_spec_for_design,
+        )
+        from repro.telemetry.spans import Span
+
+        counted = InstrumentRegistry()
+        counted.counter("repro.executor.shards").inc()
+        runs = [
+            ShardRun(
+                context=ShardContext(index, len(chunks), index, 1, (0, 0, index)),
+                pid=pid,
+                started_unix=started,
+                duration_s=duration,
+                queue_wait_s=0.0,
+                instruments=counted.snapshot(),
+            )
+            for index, (started, duration, pid) in enumerate(chunks)
+        ]
+        shards = [_ShardResult(metrics=(), engine="kernel") for _ in chunks]
+        spec = sweep_spec_for_design("mod2", levels_db=(-40.0, -20.0))
+        _record_shards(spec, shards, runs, Span("sweep"), stream)
+
     def test_worker_events_sorted_by_wall_clock(self):
         buffer = io.StringIO()
         stream = EventStream([buffer], source="sweep")
-        # Two workers' buffers, interleaved in time, arriving in
-        # arbitrary (chunk) order -- the merge must produce one
-        # wall-clock-ordered timeline.
-        worker_b = EventRecorder()
-        worker_b.emit("span_start", "shard:1", t=10.5, pid=2)
-        worker_b.emit("span_finish", "shard:1", t=12.0, pid=2)
-        worker_a = EventRecorder()
-        worker_a.emit("span_start", "shard:0", t=10.0, pid=1)
-        worker_a.emit("span_finish", "shard:0", t=11.0, pid=1)
-        stream.emit_merged([*worker_b.events, *worker_a.events])
+        # Shard 1 started and finished first: the replay follows the
+        # chunks' wall clocks, not their chunk order.
+        self._replay(stream, (10.5, 1.5, 1), (10.0, 1.0, 2))
         names = [
-            (r["event"], r["name"]) for r in _events(buffer) if "pid" in r
+            (r["event"], r["name"])
+            for r in _events(buffer)
+            if r["event"] in ("span_start", "span_finish")
         ]
         assert names == [
-            ("span_start", "shard:0"),
             ("span_start", "shard:1"),
-            ("span_finish", "shard:0"),
+            ("span_start", "shard:0"),
             ("span_finish", "shard:1"),
+            ("span_finish", "shard:0"),
         ]
 
     def test_merged_events_get_fresh_seq(self):
         buffer = io.StringIO()
         stream = EventStream([buffer], source="x")
-        recorder = EventRecorder()
-        recorder.emit("a", "n", t=1.0)
-        recorder.emit("b", "n", t=2.0)
-        stream.emit_merged(recorder.events)
-        assert [r["seq"] for r in _events(buffer)] == [0, 1, 2]
-
-    def test_recorder_buffers_without_seq(self):
-        recorder = EventRecorder()
-        record = recorder.emit("span_start", "shard:0", pid=7)
-        assert "seq" not in record
-        assert recorder.events == [record]
-
-    def test_recorder_emit_merged_absorbs(self):
-        outer, inner = EventRecorder(), EventRecorder()
-        inner.emit("a", "n", t=1.0)
-        outer.emit_merged(inner.events)
-        assert len(outer.events) == 1
+        self._replay(stream, (1.0, 1.0, 7))
+        records = _events(buffer)
+        assert [r["seq"] for r in records] == [0, 1, 2, 3]
+        assert records[-1]["event"] == "instruments"
+        assert records[-1]["repro_executor_shards"] == 1.0
 
 
 class TestOpenEventStream:

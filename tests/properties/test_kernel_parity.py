@@ -31,7 +31,7 @@ from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
 from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.designs import DESIGNS
-from repro.observability.instruments import get_registry, snapshot_delta
+from repro.observability.instruments import InstrumentRegistry, use_registry
 from repro.runtime.batch import batch_runner_for
 from repro.runtime.engine import consume_fallbacks, force_scalar, use_engine
 from repro.runtime.kernels import store_batch
@@ -275,13 +275,12 @@ class TestLoopProbeParity:
             return out, session.probes
 
         want, want_probes = probed(force_scalar())
-        registry = get_registry()
-        before = registry.snapshot()
-        got, got_probes = probed(use_engine(engine))
-        delta = snapshot_delta(before, registry.snapshot())
+        registry = InstrumentRegistry()
+        with use_registry(registry):
+            got, got_probes = probed(use_engine(engine))
         assert got.tobytes() == want.tobytes()
         _assert_probe_stats_match(got_probes, want_probes)
-        runs = delta["instruments"]["repro.engine.runs"]["series"]
+        runs = registry.snapshot()["instruments"]["repro.engine.runs"]["series"]
         assert [
             (entry["labels"]["engine"], entry["value"]) for entry in runs
         ] == [("kernel", 1.0)]

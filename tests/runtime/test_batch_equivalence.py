@@ -35,7 +35,7 @@ from repro.runtime.batch import (
     batch_runner_for,
     fast_forward_streams,
 )
-from repro.observability.instruments import get_registry, snapshot_delta
+from repro.observability.instruments import InstrumentRegistry, use_registry
 from repro.runtime.engine import force_scalar
 from repro.runtime.kernels import device_parts
 from repro.runtime.kernels.spec import drawn_streams
@@ -380,14 +380,13 @@ class TestRefusals:
             return line
 
         device, twin = make(), make()
-        registry = get_registry()
-        before = registry.snapshot()
-        with pytest.raises(BatchUnsupported) as refusal:
+        refused = InstrumentRegistry()
+        with use_registry(refused), pytest.raises(BatchUnsupported) as refusal:
             batch_runner_for(device, 2, 64)
         assert str(refusal.value) == (
             "fused cells must share one electrical configuration"
         )
-        delta = snapshot_delta(before, registry.snapshot())["instruments"]
+        delta = refused.snapshot()["instruments"]
         assert [
             (entry["labels"], entry["value"])
             for entry in delta["repro.batch.refusals"]["series"]
@@ -400,14 +399,13 @@ class TestRefusals:
         with force_scalar():
             want = run_sweep(spec, engine="scalar")
         session = TelemetrySession("mixed-cells")
-        before = registry.snapshot()
-        got = run_sweep(spec, engine="batch", telemetry=session)
+        registry = InstrumentRegistry()
+        with use_registry(registry):
+            got = run_sweep(spec, engine="batch", telemetry=session)
         assert got.sndr_db.tobytes() == want.sndr_db.tobytes()
         assert got.metrics == want.metrics
         # The fallback ran each lane on the kernel, and the shard says so.
-        runs = snapshot_delta(before, registry.snapshot())["instruments"][
-            "repro.engine.runs"
-        ]["series"]
+        runs = registry.snapshot()["instruments"]["repro.engine.runs"]["series"]
         assert [(entry["labels"]["engine"], entry["value"]) for entry in runs] == [
             ("kernel", 2.0)
         ]

@@ -24,7 +24,7 @@ from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
 from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.devices.current_mirror import CurrentMirror
-from repro.observability.instruments import get_registry, snapshot_delta
+from repro.observability.instruments import InstrumentRegistry, use_registry
 from repro.runtime.engine import (
     ENGINES,
     consume_fallbacks,
@@ -372,13 +372,12 @@ class TestEngineSelector:
         assert ENGINES == ("auto", "scalar", "kernel")
 
     def test_record_engine_run_counts_by_labels(self):
-        registry = get_registry()
-        before = registry.snapshot()
+        registry = InstrumentRegistry()
         device = SIModulator2(cell_config=MOD_CONFIG)
-        record_engine_run("kernel", device)
-        record_engine_run("batch", device, count=5)
-        delta = snapshot_delta(before, registry.snapshot())
-        series = delta["instruments"]["repro.engine.runs"]["series"]
+        with use_registry(registry):
+            record_engine_run("kernel", device)
+            record_engine_run("batch", device, count=5)
+        series = registry.snapshot()["instruments"]["repro.engine.runs"]["series"]
         by_engine = {
             entry["labels"]["engine"]: entry["value"] for entry in series
         }
@@ -419,16 +418,15 @@ class TestEngineLadder:
         device = SIModulator2(
             cell_config=MOD_CONFIG, quantizer=SaturatingQuantizer(seed=1)
         )
-        registry = get_registry()
-        before = registry.snapshot()
+        registry = InstrumentRegistry()
         consume_fallbacks()
-        device.run(3e-6 * np.sin(np.linspace(0.0, 10.0, 128)))
+        with use_registry(registry):
+            device.run(3e-6 * np.sin(np.linspace(0.0, 10.0, 128)))
         # The kernel's refusal is the only one on the ladder: auto
         # names it once, in the notes and in the fallback counter.
         assert consume_fallbacks() == [
             "SIModulator2: " + subclass_refusal("quantizer", "SaturatingQuantizer")
         ]
-        delta = snapshot_delta(before, registry.snapshot())
-        (series,) = delta["instruments"]["repro.single.fallbacks"]["series"]
+        (series,) = registry.snapshot()["instruments"]["repro.single.fallbacks"]["series"]
         assert series["labels"] == {"device": "SIModulator2"}
         assert series["value"] == 1.0

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ServiceError
-from repro.service.app import DEFAULT_REPORT_SAMPLES, normalize_request
+from repro.service.app import (
+    DEFAULT_REPORT_SAMPLES,
+    MAX_REQUEST_SAMPLES,
+    normalize_request,
+)
 
 
 class TestReportRequests:
@@ -39,6 +43,18 @@ class TestReportRequests:
         )
         assert bare.digest() == explicit.digest()
 
+    def test_paper_fft_length_is_accepted(self):
+        request = normalize_request({"design": "mod2", "n_samples": 1 << 16})
+        assert request.params["n_samples"] == MAX_REQUEST_SAMPLES == 1 << 16
+
+    def test_knobs_are_stored_as_floats(self):
+        params = normalize_request(
+            {"design": "mod2", "noise_scale": 1, "mismatch": 0, "sweep": False}
+        ).params
+        assert (params["noise_scale"], params["mismatch"]) == (1.0, 0.0)
+        assert type(params["noise_scale"]) is float
+        assert params["sweep"] is False
+
     def test_different_params_digest_differently(self):
         a = normalize_request({"design": "mod2"})
         b = normalize_request({"design": "mod2", "noise_scale": 2.0})
@@ -64,6 +80,15 @@ class TestReportRequests:
             {"design": "mod2", "mismatch": float("nan")},
             {"design": "mod2", "mismatch": float("inf")},
             {"design": "mod2", "mismatch": 1.0},
+            # Fields are read as sent, not coerced into something else.
+            {"design": "mod2", "sweep": "no"},
+            {"design": "mod2", "sweep": 0},
+            {"design": "mod2", "noise_scale": "1e0"},
+            {"design": "mod2", "noise_scale": True},
+            # Past the paper's 64K FFT a request could hold a worker
+            # and the host's memory indefinitely.
+            {"design": "mod2", "n_samples": MAX_REQUEST_SAMPLES + 1},
+            {"design": "mod2", "n_samples": 10**12},
         ],
     )
     def test_invalid_requests_raise_service_error(self, raw):
@@ -122,6 +147,8 @@ class TestSweepRequests:
             {"kind": "sweep", "spec": dict(SPEC, mismatch=-1.0)},
             {"kind": "sweep", "spec": dict(SPEC, n_samples=0)},
             {"kind": "sweep", "spec": dict(SPEC, n_samples=-5)},
+            {"kind": "sweep", "spec": dict(SPEC, n_samples=MAX_REQUEST_SAMPLES + 1)},
+            {"kind": "sweep", "spec": dict(SPEC, n_samples=10**12)},
             {"kind": "sweep", "spec": dict(SPEC, sample_rate=float("nan"))},
             {"kind": "sweep", "spec": dict(SPEC, full_scale=-1.0)},
             {"kind": "sweep", "spec": dict(SPEC, bandwidth=float("inf"))},

@@ -16,20 +16,26 @@ import pytest
 
 from repro.designs import design_names
 from repro.errors import QueueFullError, ServiceError
-from repro.observability.instruments import InstrumentRegistry, use_registry
+from repro.observability.instruments import InstrumentRegistry, set_registry
 from repro.service import (
     ServiceClient,
     ServiceConfig,
     SimulationService,
     build_server,
 )
+from repro.service.app import MAX_REQUEST_SAMPLES
 from repro.service.queue import JobQueue
 
 
 @pytest.fixture(autouse=True)
 def _fresh_registry():
-    with use_registry(InstrumentRegistry()):
+    # Server and queue threads count into the process registry, so it
+    # is replaced, not scoped to this thread.
+    previous = set_registry(InstrumentRegistry())
+    try:
         yield
+    finally:
+        set_registry(previous)
 
 
 class _Harness:
@@ -131,6 +137,32 @@ class TestEndpoints:
         # The client writes the NaN literal and the server's json.loads
         # reads it back; such a job used to run noiseless and succeed.
         with pytest.raises(ServiceError, match="HTTP 400.*noise_scale"):
+            harness.client.submit(body)
+        assert harness.client.jobs() == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"design": "modulator2", "n_samples": 10**12},
+            {
+                "kind": "sweep",
+                "spec": {
+                    "design": "modulator2",
+                    "levels_db": [-6.0],
+                    "full_scale": 2e-6,
+                    "signal_frequency": 1953.125,
+                    "sample_rate": 1_000_000.0,
+                    "n_samples": 10**12,
+                    "bandwidth": 3400.0,
+                },
+            },
+        ],
+        ids=["report", "sweep"],
+    )
+    def test_oversized_run_400_names_the_ceiling(self, harness, body):
+        with pytest.raises(
+            ServiceError, match=f"HTTP 400.*n_samples must be <= {MAX_REQUEST_SAMPLES}"
+        ):
             harness.client.submit(body)
         assert harness.client.jobs() == []
 

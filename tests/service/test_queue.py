@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.errors import QueueFullError, ServiceError
-from repro.observability.instruments import InstrumentRegistry, use_registry
+from repro.observability.instruments import InstrumentRegistry, set_registry
 from repro.service.queue import JobQueue, JobRequest, JobState
 
 
@@ -46,8 +46,13 @@ def _spin_until_running(job) -> None:
 def registry():
     """Run each test under a fresh process-wide instrument registry."""
     fresh = InstrumentRegistry()
-    with use_registry(fresh):
+    # The queue's worker threads count into the process registry, so
+    # it is replaced, not scoped to this thread.
+    previous = set_registry(fresh)
+    try:
         yield fresh
+    finally:
+        set_registry(previous)
 
 
 def _counter_value(registry: InstrumentRegistry, name: str, **labels) -> float:
