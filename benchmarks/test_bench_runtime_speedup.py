@@ -212,14 +212,18 @@ def test_bench_runtime_speedup_snr_sweep(benchmark):
     # Pinned: under ``auto`` a --jobs 4 plan cuts shards of at most 17
     # lanes, which the crossover sends to the kernel rung, so the
     # figure would never measure the batch engine it names.
+    def batch_sweep():
+        with use_engine("batch"):
+            return run_sweep(spec, executor=SweepExecutor(jobs=4))
+
     t0 = time.perf_counter()
-    batch_result = run_sweep(spec, executor=SweepExecutor(jobs=4), engine="batch")
+    batch_result = batch_sweep()
     batch_s = time.perf_counter() - t0
     speedup = scalar_s / batch_s
 
     run_once(
         benchmark,
-        lambda: run_sweep(spec, executor=SweepExecutor(jobs=4), engine="batch"),
+        batch_sweep,
         n_samples=SWEEP_LANES * (SWEEP_SAMPLES + 256),
         extra={"speedup": speedup, "scalar_wall_s": scalar_s},
     )

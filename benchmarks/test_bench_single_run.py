@@ -23,9 +23,10 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.deltasigma.decimator import SincDecimator
 from repro.designs import DESIGNS
+from repro.observability.instruments import InstrumentRegistry, use_registry
 from repro.reporting.records import PaperComparison
 from repro.reporting.tables import Table
-from repro.runtime.engine import consume_fallbacks, force_scalar
+from repro.runtime.engine import force_scalar
 
 #: Floor on the fast-path-vs-scalar speedup every design asserts (the
 #: committed ``baselines/bench.json`` gates the same figure in CI).
@@ -57,11 +58,11 @@ def _run_single_run_bench(benchmark, design: str) -> None:
     scalar_s = time.perf_counter() - t0
 
     fast_device = setup.build()
-    consume_fallbacks()
-    t0 = time.perf_counter()
-    fast_output = fast_device(stimulus)
-    fast_s = time.perf_counter() - t0
-    fallbacks = consume_fallbacks()
+    with use_registry(InstrumentRegistry()) as scope:
+        t0 = time.perf_counter()
+        fast_output = fast_device(stimulus)
+        fast_s = time.perf_counter() - t0
+    fallbacks = int(scope.total("repro.single.fallbacks"))
     speedup = scalar_s / fast_s
 
     run_once(
@@ -94,7 +95,7 @@ def _run_single_run_bench(benchmark, design: str) -> None:
         "runtime engine",
         f"{design} fast path engaged (no fallback)",
         "0 fallbacks",
-        f"{len(fallbacks)} fallbacks",
+        f"{fallbacks} fallbacks",
         not fallbacks,
     )
     comparison.add(

@@ -452,8 +452,8 @@ def cmd_sweep(
             f"{result_cache.misses} miss(es) in {result_cache.directory}"
         )
     if profile and session is not None:
-        # One merged tree: the parent sweep span with each worker's
-        # shard:<index> subtree grafted under it.
+        # One tree: the parent sweep span with one childless
+        # shard:<index> span per chunk, built in the parent.
         print(session.render_span_tree())
         print(registry.render_table(title=f"instruments: {spec.design}"))
     payload: dict[str, object] = {
@@ -705,7 +705,6 @@ def cmd_report(
     noise_scale: float,
     mismatch: float,
     jobs: int,
-    engine: str,
     profile: bool,
     cache: bool,
     cache_dir: str | None,
@@ -736,7 +735,6 @@ def cmd_report(
             cache_dir=cache_dir,
             provenance=collect_provenance(argv=argv),
             session=session,
-            engine=engine,
         )
     finally:
         if stream is not None:
@@ -1200,15 +1198,6 @@ VERBS: tuple[tuple[str, str, Callable[..., int | None], tuple[Option, ...]], ...
         _degradation,
         _jobs,
         _arg(
-            "--engine",
-            choices=["auto", "scalar", "kernel"],
-            default="auto",
-            help="execution engine for the measurement and sweep "
-            "(bit-identical values on every rung; stamped into the "
-            "manifest's provenance so timings stay attributable; "
-            "default: auto)",
-        ),
-        _arg(
             "--profile",
             action="store_true",
             help="print the traced span tree (wall time per stage) after "
@@ -1253,8 +1242,8 @@ VERBS: tuple[tuple[str, str, Callable[..., int | None], tuple[Option, ...]], ...
         _arg(
             "--profile",
             action="store_true",
-            help="print the merged span tree (parent + grafted worker "
-            "shards) and the run's instrument counters",
+            help="print the span tree (the sweep and one span per "
+            "shard) and the run's instrument counters",
         ),
         _events,
         _ledger(),

@@ -91,13 +91,6 @@ class Provenance:
         runs with the same core count.
     argv:
         The command line that produced the artifact.
-    engine:
-        Execution engine the numbers were produced on (``"auto"``,
-        ``"scalar"`` or ``"kernel"``; older artifacts may carry
-        ``"batch"``; None for artifacts that predate engine selection
-        or do not run devices).  All
-        engines are bit-identical, so this attributes *timings*, not
-        values.
     """
 
     git_sha: str
@@ -109,7 +102,6 @@ class Provenance:
     argv: tuple[str, ...]
     hostname: str = "unknown"
     cpu_count: int | None = None
-    engine: str | None = None
 
     def as_dict(self) -> dict[str, object]:
         """Return the provenance as a JSON-ready dictionary."""
@@ -123,20 +115,20 @@ class Provenance:
             "hostname": self.hostname,
             "cpu_count": self.cpu_count,
             "argv": list(self.argv),
-            "engine": self.engine,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Provenance":
         """Rebuild a provenance block from :meth:`as_dict` output.
 
-        Unknown or missing fields degrade to ``"unknown"``/None rather
-        than raising -- old artifacts must stay loadable.
+        Missing or mistyped fields degrade to ``"unknown"``/None rather
+        than raising, and keys it does not know (the ``engine`` that
+        older artifacts carry) are ignored -- old artifacts must stay
+        loadable.
         """
         dirty = data.get("git_dirty")
         argv = data.get("argv")
         cpus = data.get("cpu_count")
-        engine = data.get("engine")
         return cls(
             git_sha=str(data.get("git_sha", "unknown")),
             git_dirty=dirty if isinstance(dirty, bool) else None,
@@ -147,7 +139,6 @@ class Provenance:
             argv=tuple(str(a) for a in argv) if isinstance(argv, list) else (),
             hostname=str(data.get("hostname", "unknown")),
             cpu_count=cpus if isinstance(cpus, int) else None,
-            engine=engine if isinstance(engine, str) else None,
         )
 
 

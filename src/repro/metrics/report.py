@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
 
 from repro.designs import check_knobs, resolve
-from repro.errors import MetricsError
 from repro.metrics.extractors import (
     delay_line_error_records,
     sweep_records,
@@ -42,7 +40,6 @@ from repro.observability.instruments import (
     use_registry,
 )
 from repro.runtime.cache import ResultCache
-from repro.runtime.engine import ENGINES, use_engine
 from repro.runtime.executor import SweepExecutor
 from repro.runtime.sweeps import run_sweep, sweep_spec_for_design
 from repro.si.memory_cell import MemoryCellConfig
@@ -94,7 +91,6 @@ def build_report(
     cache_dir: str | None = None,
     cache: ResultCache | None = None,
     session: TelemetrySession | None = None,
-    engine: str = "auto",
 ) -> RunManifest:
     """Measure a named design and return its run manifest.
 
@@ -138,13 +134,12 @@ def build_report(
         session (``repro report --profile``) keeps the recorded spans
         readable after the report returns.  A fresh internal session is
         used when omitted.
-    engine:
-        Execution engine for the measurement and the sweep: ``auto``
-        (default, compiled kernel where it lowers), or a pinned
-        ``scalar``/``kernel`` rung.  Every engine is
-        bit-identical, so the manifest's metric values do not change
-        with this knob -- it is stamped into the config block and the
-        provenance so *timings* stay attributable.
+
+    The rung that runs each device is the program's choice
+    (:mod:`repro.runtime.engine`); every rung gives the same bytes,
+    and the manifest's ``instruments`` count each run under the rung
+    that ran it (``repro.engine.runs``) and each refusal with its
+    reason.
 
     Raises
     ------
@@ -152,17 +147,8 @@ def build_report(
         If a degradation knob is out of range
         (:func:`repro.designs.check_knobs`) or the design name is not
         in the catalog (:func:`repro.designs.resolve`).
-    MetricsError
-        If the engine is unknown.
     """
     check_knobs(noise_scale, mismatch)
-    if engine not in ENGINES:
-        raise MetricsError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        )
-    if provenance is not None:
-        provenance = replace(provenance, engine=engine)
-
     with _run_scope() as instruments:
         entry = resolve(design)
         point = entry.point
@@ -178,10 +164,9 @@ def build_report(
             bandwidth=point.bandwidth,
             telemetry=session,
         )
-        with use_engine(engine):
-            result = bench.measure(
-                device, amplitude=point.amplitude, frequency=point.frequency
-            )
+        result = bench.measure(
+            device, amplitude=point.amplitude, frequency=point.frequency
+        )
         tone_records(registry, result.metrics, provenance="span:measure/analysis")
 
         config: dict[str, object] = {
@@ -193,7 +178,6 @@ def build_report(
             "frequency": point.frequency,
             "noise_scale": noise_scale,
             "mismatch": mismatch,
-            "engine": engine,
         }
 
         # The device's (possibly degraded) cell configuration drives the
@@ -252,7 +236,6 @@ def build_report(
                     executor=SweepExecutor(jobs=jobs),
                     cache=cache,
                     telemetry=session,
-                    engine=engine,
                 )
                 sweep_records(registry, sweep_result)
                 config["sweep_levels_db"] = list(SWEEP_LEVELS_DB)

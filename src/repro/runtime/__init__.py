@@ -11,10 +11,11 @@ same devices bit-identically on faster rungs, all lowered through one
   runs, and a lane layout, which runs batches; :func:`store_batch` is
   the elementwise class-AB store pipeline, which the lane layout runs
   buffered, once per period;
-* :mod:`repro.runtime.engine` -- the single-run ladder every device
-  ``run`` method calls: kernel, then the scalar loop, with
-  :func:`force_scalar` as the parity oracle and
-  :func:`consume_fallbacks` naming every refusal;
+* :mod:`repro.runtime.engine` -- the one rung decision: the
+  single-run ladder every device ``run`` method calls (kernel, then the
+  scalar loop), the lane ladder every sweep shard calls (kernel or
+  batch, then lane by lane), the context-local pin, and
+  :func:`force_scalar` as the parity oracle;
 * :mod:`repro.runtime.batch` -- batch runners that lay many lanes out
   step-major and run them through the spec's lane layout on NumPy
   arrays, bit-identical to the scalar loop;
@@ -50,7 +51,7 @@ if TYPE_CHECKING:
     )
     from repro.runtime.cache import ResultCache
     from repro.runtime.executor import ShardContext, SweepExecutor, SweepTimeoutError
-    from repro.runtime.engine import consume_fallbacks, force_scalar, run_single
+    from repro.runtime.engine import force_scalar, run_single
     from repro.runtime.kernels.store import store_batch
     from repro.runtime.lowering import (
         LOWERING_PROTOCOL,
@@ -82,7 +83,7 @@ _EXPORTS = {
     ),
     "repro.runtime.cache": ("ResultCache",),
     "repro.runtime.executor": ("ShardContext", "SweepExecutor", "SweepTimeoutError"),
-    "repro.runtime.engine": ("consume_fallbacks", "force_scalar", "run_single"),
+    "repro.runtime.engine": ("force_scalar", "run_single"),
     "repro.runtime.kernels.store": ("store_batch",),
     "repro.runtime.lowering": (
         "LOWERING_PROTOCOL",

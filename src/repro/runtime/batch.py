@@ -30,7 +30,7 @@ has no side effect: every refusal raises :class:`BatchUnsupported`
 there, and the streams are drained only by ``run``, after its shape
 check.  Callers fall back to single runs lane by lane: the compiled
 kernel when the device lowers there, else the scalar loop (see
-:mod:`repro.runtime.sweeps`).
+:func:`repro.runtime.engine.run_lanes`).
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def batch_runner_for(device: object, n_lanes: int, n_steps: int) -> _LaneRunner:
 
         get_registry().counter(
             "repro.batch.refusals",
-            help="batch lowerings refused (scalar fallback taken)",
-        ).inc(device=type(device).__name__)
+            help="batch lowerings refused (lanes run one at a time)",
+        ).inc(device=type(device).__name__, reason=str(error))
         raise BatchUnsupported(str(error)) from None
     return _RUNNERS[spec.kind](device, program, n_lanes, n_steps)

@@ -3,8 +3,10 @@
 This is the engine behind ``repro sweep`` and
 ``repro report --jobs``: it runs the same experiment as
 :func:`repro.analysis.sweeps.run_amplitude_sweep` -- one lane per
-input level -- but executes all lanes of a shard through the batch
-runners of :mod:`repro.runtime.batch` and shards lanes across a
+input level -- but runs each shard's lanes through the rung ladder,
+:func:`repro.runtime.engine.run_lanes` (the compiled kernel lane by
+lane for narrow shards, the batch runners of :mod:`repro.runtime.batch`
+for wide ones), and shards lanes across a
 :class:`~repro.runtime.executor.SweepExecutor`.
 
 Determinism contract (``docs/RUNTIME.md``):
@@ -40,15 +42,11 @@ from repro.analysis.sweeps import AmplitudeSweepResult
 from repro.analysis.windows import WindowKind
 from repro.config import MODULATOR_FULL_SCALE
 from repro.designs import check_knobs, resolve
-from repro.errors import AnalysisError, ConfigurationError
-from repro.runtime.batch import (
-    BatchUnsupported,
-    batch_runner_for,
-    fast_forward_streams,
-)
-from repro.runtime.kernels import kernel_refusal
+from repro.errors import ConfigurationError
+from repro.runtime.batch import fast_forward_streams
 from repro.observability.instruments import Counter, InstrumentRegistry
 from repro.runtime.cache import ResultCache
+from repro.runtime.engine import current_engine, run_lanes
 from repro.runtime.executor import ShardContext, ShardRun, SweepExecutor
 from repro.telemetry.spans import Span
 from repro.systems.stimulus import coherent_frequency
@@ -252,51 +250,18 @@ class _ShardResult:
     engine: str
 
 
-#: Crossover between the scalar kernel run lane by lane and the lane
-#: layout running all lanes at once: below it the kernel's per-sample
-#: fusion wins, above it the lanes amortise the NumPy dispatch.  With
-#: the kernel's input prologue and folds (16,640-step lanes, no numba,
-#: one pinned core of a shared 2-core x86 host, best of three runs,
-#: measured twice) batch overtakes the kernel at about 8-10 lanes for the
-#: delay line (4-6 before them), 6-8 for modulator2, 8 for the chopper
-#: and 12 or more for modulator1.  No sweep workload sits between 7
-#: and 33 lanes, so a move off 16 could not be measured end to end.
-_KERNEL_CROSSOVER_LANES = 16
-
-
-def _sequential_lanes(
-    device: Any, stimuli: np.ndarray, engine: str
-) -> np.ndarray:
-    """Run lanes one by one against a single device on a pinned engine.
-
-    Lane ``k`` consumes the ``k``-th slice of every random stream,
-    exactly like the scalar reference sweep; the pinned engine only
-    changes *how* each lane executes, never what it computes.
-    """
-    from repro.runtime.engine import use_engine
-
-    outputs = np.empty(stimuli.shape)
-    with use_engine(engine):
-        for lane in range(stimuli.shape[0]):
-            outputs[lane] = np.asarray(device(stimuli[lane]), dtype=float)
-    return outputs
-
-
 def _run_lane_chunk(
     spec: SweepSpec,
     levels: Sequence[float],
     context: ShardContext,
-    engine: str = "auto",
+    engine: str,
 ) -> _ShardResult:
     """Run one contiguous block of sweep lanes; module-level for pickling.
 
-    ``engine`` selects the rung: ``auto`` uses the compiled kernel for
-    narrow shards (``<= _KERNEL_CROSSOVER_LANES`` lanes) when the
-    design lowers, the batch engine otherwise, and the scalar device
-    as the last resort; ``kernel``/``batch``/``scalar`` pin one rung
-    (a pinned rung that refuses falls down the remaining ladder).
-    All rungs are bit-identical, so ``engine`` is deliberately not
-    part of the cache key.
+    ``engine`` is the rung the parent pinned (a worker process does not
+    inherit the pin); :func:`~repro.runtime.engine.run_lanes` takes the
+    rung decision.  All rungs are bit-identical, so the rung is
+    deliberately not part of the cache key.
     """
     total = spec.n_samples + spec.settle_samples
     t = np.arange(total) / spec.sample_rate
@@ -310,31 +275,7 @@ def _run_lane_chunk(
 
     device = _build_device(spec)
     fast_forward_streams(device, context.lane_offset * total)
-    outputs: np.ndarray | None = None
-    if engine == "scalar":
-        outputs = _sequential_lanes(device, stimuli, "scalar")
-        engine_used = "scalar"
-    elif engine == "kernel" or (
-        engine == "auto" and len(levels) <= _KERNEL_CROSSOVER_LANES
-    ):
-        if kernel_refusal(device) is None:
-            outputs = _sequential_lanes(device, stimuli, "kernel")
-            engine_used = "kernel"
-    if outputs is None:
-        try:
-            runner = batch_runner_for(
-                device, n_lanes=len(levels), n_steps=total
-            )
-            outputs = runner.run(stimuli)
-            engine_used = "batch"
-            from repro.runtime.engine import record_engine_run
-
-            record_engine_run("batch", device, count=len(levels))
-        except BatchUnsupported:
-            # ``auto`` runs each lane on the kernel when the device
-            # lowers there, so the shard is labelled by the rung that ran.
-            outputs = _sequential_lanes(device, stimuli, "auto")
-            engine_used = "kernel" if kernel_refusal(device) is None else "scalar"
+    outputs, rung = run_lanes(device, stimuli, engine)
 
     window = WindowKind(spec.window)
     metrics = []
@@ -351,7 +292,7 @@ def _run_lane_chunk(
                 bandwidth=spec.bandwidth,
             )
         )
-    return _ShardResult(metrics=tuple(metrics), engine=engine_used)
+    return _ShardResult(metrics=tuple(metrics), engine=rung)
 
 
 def _result_from_metrics(
@@ -456,7 +397,6 @@ def run_sweep(
     executor: SweepExecutor | None = None,
     cache: ResultCache | None = None,
     telemetry: "TelemetrySession | None" = None,
-    engine: str = "auto",
 ) -> AmplitudeSweepResult:
     """Run an amplitude sweep through the lowered engines.
 
@@ -468,13 +408,10 @@ def run_sweep(
         Shard executor; ``None`` runs a single inline shard.
     cache:
         Result cache; a hit skips computation entirely and reconstructs
-        the result bit for bit from the stored metric arrays.
-    engine:
-        Execution rung per shard: ``auto`` (default) picks the compiled
-        kernel for narrow shards and the batch engine otherwise;
-        ``kernel``/``batch``/``scalar`` pin one rung.  All rungs are
-        bit-identical, so the choice does not enter the cache key and a
-        cache hit is valid for every engine.
+        the result bit for bit from the stored metric arrays.  Every
+        rung is bit-identical, so the rung pinned with
+        :func:`~repro.runtime.engine.use_engine` is not part of the
+        key and a hit is valid on every rung.
     telemetry:
         Optional session; the sweep is wrapped in a ``sweep`` span with
         one childless ``shard:<index>`` span per chunk under it, which
@@ -486,16 +423,7 @@ def run_sweep(
     snapshot (cache counters, engine choices, shard timings) is merged
     into the caller's registry,
     :func:`repro.observability.instruments.get_registry`.
-
-    Raises
-    ------
-    AnalysisError
-        If the engine is unknown.
     """
-    if engine not in ("auto", "scalar", "batch", "kernel"):
-        raise AnalysisError(
-            f"unknown engine {engine!r}; expected auto, scalar, batch or kernel"
-        )
     if executor is None:
         executor = SweepExecutor(jobs=1)
 
@@ -514,7 +442,8 @@ def run_sweep(
                         pass
                 return _result_from_metrics(spec, metrics)
 
-    worker = functools.partial(_run_lane_chunk, spec, engine=engine)
+    # Read once here: worker processes do not inherit the pin.
+    worker = functools.partial(_run_lane_chunk, spec, engine=current_engine())
     levels = list(spec.levels_db)
     if telemetry is not None:
         with telemetry.span(

@@ -23,15 +23,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
-
-if TYPE_CHECKING:  # import cycle: repro.metrics.report drives this bench
-    from repro.analysis.sweeps import AmplitudeSweepResult
-    from repro.metrics.registry import MetricRegistry
-    from repro.runtime.cache import ResultCache
-    from repro.runtime.executor import SweepExecutor
 
 from repro.errors import AnalysisError
 from repro.analysis.metrics import ToneMetrics, measure_tone
@@ -133,19 +127,6 @@ class TestBench:
         run and the spectral analysis), auto-attaches devices exposing
         ``attach_telemetry()`` and evaluates the dynamic rules after
         the run.  None (the default) disables tracing entirely.
-    metrics:
-        Optional :class:`~repro.metrics.registry.MetricRegistry`.  When
-        set, every :meth:`measure` call files its single-tone numbers
-        (THD/SNR/SNDR/ENOB/amplitude) into the registry, so a bench
-        script accumulates a run manifest as a side effect of
-        measuring.  None (the default) files nothing.
-    executor:
-        Optional :class:`~repro.runtime.executor.SweepExecutor` used by
-        :meth:`measure_amplitude_sweep`; None runs a single inline
-        shard through the batch engine.
-    cache:
-        Optional :class:`~repro.runtime.cache.ResultCache`; sweep
-        results are reconstructed bit for bit on a key hit.
     """
 
     __test__ = False
@@ -159,9 +140,6 @@ class TestBench:
         settle_samples: int = 256,
         erc: bool = True,
         telemetry: TelemetrySession | None = None,
-        metrics: "MetricRegistry | None" = None,
-        executor: "SweepExecutor | None" = None,
-        cache: "ResultCache | None" = None,
     ) -> None:
         if sample_rate <= 0.0:
             raise AnalysisError(f"sample_rate must be positive, got {sample_rate!r}")
@@ -178,9 +156,6 @@ class TestBench:
         self.settle_samples = settle_samples
         self.erc = erc
         self.telemetry = telemetry
-        self.metrics = metrics
-        self.executor = executor
-        self.cache = cache
 
     def preflight(self, device: DeviceUnderTest) -> None:
         """Statically check a device before simulating it.
@@ -248,7 +223,6 @@ class TestBench:
             drive = self._make_drive(stimulus, extra_input, total)
             output = self._run_device(device, drive, total)
             measurement = self._analyse(stimulus, output)
-            self._file_metrics(measurement)
             self._account_measurement(device, started)
             return measurement
 
@@ -268,65 +242,8 @@ class TestBench:
             with session.span("analysis", samples=self.n_samples):
                 measurement = self._analyse(stimulus, output)
         session.evaluate_rules()
-        self._file_metrics(measurement)
         self._account_measurement(device, started)
         return measurement
-
-    def measure_amplitude_sweep(
-        self,
-        design: str,
-        levels_db: "tuple[float, ...] | None" = None,
-        noise_scale: float = 1.0,
-        mismatch: float = 0.0,
-    ) -> "AmplitudeSweepResult":
-        """Run a dynamic-range sweep of a named design at bench settings.
-
-        Executes through the batch engine (:mod:`repro.runtime`): one
-        lane per level, sharded across the bench's ``executor`` and
-        memoised in its ``cache`` when configured.  Bit-identical to
-        driving :func:`repro.analysis.sweeps.run_amplitude_sweep` with
-        a freshly built device at the same operating point.
-
-        Raises
-        ------
-        ConfigurationError
-            If ``design`` is not a runnable design of the catalog.
-        """
-        # Imported lazily: repro.runtime.sweeps drives devices from
-        # repro.systems, so a module-level import would be circular.
-        from repro.config import MODULATOR_FULL_SCALE
-        from repro.designs import resolve
-        from repro.runtime.sweeps import DEFAULT_LEVELS_DB, SweepSpec, run_sweep
-
-        entry = resolve(design)
-        point = entry.point
-        spec = SweepSpec(
-            design=entry.name,
-            levels_db=(
-                tuple(float(level) for level in levels_db)
-                if levels_db is not None
-                else DEFAULT_LEVELS_DB
-            ),
-            full_scale=MODULATOR_FULL_SCALE,
-            signal_frequency=coherent_frequency(
-                point.frequency, self.sample_rate, self.n_samples
-            ),
-            sample_rate=self.sample_rate,
-            n_samples=self.n_samples,
-            bandwidth=(
-                self.bandwidth if self.bandwidth is not None else point.bandwidth
-            ),
-            window=self.window_kind.value,
-            settle_samples=self.settle_samples,
-            noise_scale=noise_scale,
-            mismatch=mismatch,
-        )
-        return run_sweep(
-            spec,
-            executor=self.executor,
-            cache=self.cache,
-            telemetry=self.telemetry,
-        )
 
     def _account_measurement(
         self, device: DeviceUnderTest, started: float
@@ -342,16 +259,6 @@ class TestBench:
             buckets=_MEASURE_BUCKETS,
             help="wall time per bench measurement",
         ).observe(time.perf_counter() - started, device=name)
-
-    def _file_metrics(self, measurement: BenchMeasurement) -> None:
-        """File the tone numbers into the bench's metric registry."""
-        if self.metrics is None:
-            return
-        # Imported lazily: repro.metrics.report drives this bench, so a
-        # module-level import would be circular.
-        from repro.metrics.extractors import tone_records
-
-        tone_records(self.metrics, measurement.metrics)
 
     def _make_drive(
         self,

@@ -40,6 +40,28 @@ def _isolated_ledger(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def fallback_notes():
+    """Return a reader of the kernel refusals an instrument scope counted.
+
+    ``fallback_notes(registry)`` lists the registry's
+    ``repro.single.fallbacks`` as ``"<Device>: <reason>"`` notes, one
+    per run that fell to the scalar loop.
+    """
+
+    def read(registry) -> list[str]:
+        counter = registry.get("repro.single.fallbacks")
+        if counter is None:
+            return []
+        return [
+            f"{labels['device']}: {labels['reason']}"
+            for key, value in counter.series()
+            for labels in [dict(key)] * int(value)
+        ]
+
+    return read
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """A seeded random generator for test-local randomness."""
     return np.random.default_rng(12345)

@@ -33,7 +33,7 @@ from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.designs import DESIGNS
 from repro.observability.instruments import InstrumentRegistry, use_registry
 from repro.runtime.batch import batch_runner_for
-from repro.runtime.engine import consume_fallbacks, force_scalar, use_engine
+from repro.runtime.engine import force_scalar, use_engine
 from repro.runtime.kernels import store_batch
 from repro.runtime.kernels.spec import CellSpec, drawn_streams
 from repro.runtime.kernels.store import LaneStore
@@ -111,13 +111,6 @@ class UnpairedProbe(SignalProbe):
 
     def observe(self, value):
         super().observe(value)
-
-
-@pytest.fixture(autouse=True)
-def _drain_fallback_notes():
-    """Keep one case's engine-fallback notes out of the next case."""
-    yield
-    consume_fallbacks()
 
 
 class TestModulatorParity:
@@ -319,14 +312,15 @@ class TestTraceDesignParity:
 class TestSweepParity:
     def test_sweep_identical_on_every_engine(self):
         # One compact dynamic-range sweep per rung: identical SNDR
-        # arrays (bitwise), so `repro report --engine X` can promise
-        # identical manifests for any X.
+        # arrays (bitwise), so a manifest is the same whichever rung
+        # the program picks.
         spec = sweep_spec_for_design(
             "modulator2", levels_db=(-40.0, -20.0, -10.0)
         )
-        results = {
-            engine: run_sweep(spec, engine=engine) for engine in SWEEP_ENGINES
-        }
+        results = {}
+        for engine in SWEEP_ENGINES:
+            with use_engine(engine):
+                results[engine] = run_sweep(spec)
         want = results["scalar"]
         for engine, got in results.items():
             assert got.sndr_db.tobytes() == want.sndr_db.tobytes(), engine
@@ -355,10 +349,11 @@ class TestSweepParity:
         def build(_spec):
             return _build_modulator(kind, dither, quantizer, dac_noise)
 
+        results = {}
         with mock.patch("repro.runtime.sweeps._build_device", build):
-            results = {
-                engine: run_sweep(spec, engine=engine) for engine in SWEEP_ENGINES
-            }
+            for engine in SWEEP_ENGINES:
+                with use_engine(engine):
+                    results[engine] = run_sweep(spec)
         want = results["scalar"]
         for engine, got in results.items():
             assert got.metrics == want.metrics, engine

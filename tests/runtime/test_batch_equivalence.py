@@ -36,7 +36,7 @@ from repro.runtime.batch import (
     fast_forward_streams,
 )
 from repro.observability.instruments import InstrumentRegistry, use_registry
-from repro.runtime.engine import force_scalar
+from repro.runtime.engine import force_scalar, use_engine
 from repro.runtime.kernels import device_parts
 from repro.runtime.kernels.spec import drawn_streams
 from repro.runtime.sweeps import run_sweep, sweep_spec_for_design
@@ -390,18 +390,26 @@ class TestRefusals:
         assert [
             (entry["labels"], entry["value"])
             for entry in delta["repro.batch.refusals"]["series"]
-        ] == [({"device": "DelayLine"}, 1.0)]
+        ] == [
+            (
+                {
+                    "device": "DelayLine",
+                    "reason": "fused cells must share one electrical configuration",
+                },
+                1.0,
+            )
+        ]
         for cell, twin_cell in zip(device.cells, twin.cells):
             assert cell._noise.next() == twin_cell._noise.next()
 
         monkeypatch.setattr(sweeps_module, "_build_device", lambda spec: make())
         spec = sweep_spec_for_design("delay-line", levels_db=(-20.0, -6.0))
         with force_scalar():
-            want = run_sweep(spec, engine="scalar")
+            want = run_sweep(spec)
         session = TelemetrySession("mixed-cells")
         registry = InstrumentRegistry()
-        with use_registry(registry):
-            got = run_sweep(spec, engine="batch", telemetry=session)
+        with use_registry(registry), use_engine("batch"):
+            got = run_sweep(spec, telemetry=session)
         assert got.sndr_db.tobytes() == want.sndr_db.tobytes()
         assert got.metrics == want.metrics
         # The fallback ran each lane on the kernel, and the shard says so.

@@ -24,10 +24,10 @@ from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
 from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.devices.current_mirror import CurrentMirror
+from repro.errors import ConfigurationError
 from repro.observability.instruments import InstrumentRegistry, use_registry
 from repro.runtime.engine import (
     ENGINES,
-    consume_fallbacks,
     current_engine,
     force_scalar,
     record_engine_run,
@@ -52,12 +52,6 @@ from repro.si.memory_cell import ClassABMemoryCell
 from repro.telemetry.probes import SignalProbe
 
 MOD_CONFIG = paper_cell_config(sample_rate=2.45e6)
-
-
-@pytest.fixture(autouse=True)
-def _drain_fallback_notes():
-    yield
-    consume_fallbacks()
 
 
 class TestBuildSpec:
@@ -364,12 +358,12 @@ class TestEngineSelector:
         assert current_engine() == "auto"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(ConfigurationError, match="unknown engine"):
             with use_engine("vectorized"):
                 pass  # pragma: no cover - context never entered
 
-    def test_engines_tuple_is_the_cli_contract(self):
-        assert ENGINES == ("auto", "scalar", "kernel")
+    def test_engines_tuple_names_every_rung(self):
+        assert ENGINES == ("auto", "scalar", "kernel", "batch")
 
     def test_record_engine_run_counts_by_labels(self):
         registry = InstrumentRegistry()
@@ -389,7 +383,7 @@ class TestEngineSelector:
 
 
 class TestEngineLadder:
-    def test_pinned_kernel_falls_back_to_scalar_with_a_note(self):
+    def test_pinned_kernel_falls_back_to_scalar_with_a_note(self, fallback_notes):
         class SaturatingQuantizer(CurrentQuantizer):
             def decide(self, value):
                 return super().decide(min(value, 1e-6))
@@ -400,17 +394,16 @@ class TestEngineLadder:
         )
         with force_scalar():
             want = reference.run(stimulus)
-        consume_fallbacks()
         device = SIModulator2(
             cell_config=MOD_CONFIG, quantizer=SaturatingQuantizer(seed=1)
         )
-        with use_engine("kernel"):
+        with use_registry(InstrumentRegistry()) as scope, use_engine("kernel"):
             got = device.run(stimulus)
         assert got.tobytes() == want.tobytes()
-        notes = consume_fallbacks()
+        notes = fallback_notes(scope)
         assert any("SaturatingQuantizer" in note for note in notes)
 
-    def test_auto_refusal_is_noted_once(self):
+    def test_auto_refusal_is_noted_once(self, fallback_notes):
         class SaturatingQuantizer(CurrentQuantizer):
             def decide(self, value):
                 return super().decide(min(value, 1e-6))
@@ -419,14 +412,12 @@ class TestEngineLadder:
             cell_config=MOD_CONFIG, quantizer=SaturatingQuantizer(seed=1)
         )
         registry = InstrumentRegistry()
-        consume_fallbacks()
         with use_registry(registry):
             device.run(3e-6 * np.sin(np.linspace(0.0, 10.0, 128)))
         # The kernel's refusal is the only one on the ladder: auto
         # names it once, in the notes and in the fallback counter.
-        assert consume_fallbacks() == [
-            "SIModulator2: " + subclass_refusal("quantizer", "SaturatingQuantizer")
-        ]
+        reason = subclass_refusal("quantizer", "SaturatingQuantizer")
+        assert fallback_notes(registry) == ["SIModulator2: " + reason]
         (series,) = registry.snapshot()["instruments"]["repro.single.fallbacks"]["series"]
-        assert series["labels"] == {"device": "SIModulator2"}
+        assert series["labels"] == {"device": "SIModulator2", "reason": reason}
         assert series["value"] == 1.0

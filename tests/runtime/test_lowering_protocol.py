@@ -12,8 +12,9 @@ import pytest
 
 from repro.config import paper_cell_config
 from repro.deltasigma.quantizer import CurrentQuantizer
+from repro.observability.instruments import InstrumentRegistry, use_registry
 from repro.runtime.batch import BatchUnsupported, batch_runner_for
-from repro.runtime.engine import consume_fallbacks, force_scalar, run_single
+from repro.runtime.engine import force_scalar, run_single
 from repro.runtime.lowering import (
     LOWERING_PROTOCOL,
     PROTOCOL_BY_QUALNAME,
@@ -159,12 +160,12 @@ def test_unpaired_probe_refuses_batch():
     assert str(excinfo.value) == probe_pair_refusal("UnpairedProbe")
 
 
-def test_unpaired_probe_falls_back_on_the_single_path():
+def test_unpaired_probe_falls_back_on_the_single_path(fallback_notes):
     cell = ClassABMemoryCell(paper_cell_config())
     cell._probe = UnpairedProbe("cell.input")
-    consume_fallbacks()
-    assert run_single(cell, _stimuli(n_lanes=1)[0]) is None
-    reasons = consume_fallbacks()
+    with use_registry(InstrumentRegistry()) as scope:
+        assert run_single(cell, _stimuli(n_lanes=1)[0]) is None
+    reasons = fallback_notes(scope)
     assert any(probe_pair_refusal("UnpairedProbe") in r for r in reasons)
 
 

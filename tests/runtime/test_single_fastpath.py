@@ -28,7 +28,8 @@ from repro.deltasigma import (
 from repro.deltasigma.dac import FeedbackDac
 from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.designs import DESIGNS
-from repro.runtime.engine import consume_fallbacks, force_scalar, run_single
+from repro.observability.instruments import InstrumentRegistry, use_registry
+from repro.runtime.engine import force_scalar, run_single
 from repro.si import DelayLine
 from repro.si.cascade import BiquadCascade
 from repro.si.memory_cell import ClassABMemoryCell
@@ -126,15 +127,15 @@ class TestFastPathEquivalence:
             _stimulus(),
         )
 
-    def test_noiseless_unseeded_cell_still_fast(self):
+    def test_noiseless_unseeded_cell_still_fast(self, fallback_notes):
         # No randomness at all: the fast path needs no stream replay,
         # so even an unseeded config must not fall back.
         config = _paper_config(
             seed=None, thermal_noise_rms=0.0, flicker_corner_hz=0.0
         )
-        consume_fallbacks()
-        output = ClassABMemoryCell(config).run(_stimulus())
-        assert consume_fallbacks() == []
+        with use_registry(InstrumentRegistry()) as scope:
+            output = ClassABMemoryCell(config).run(_stimulus())
+        assert fallback_notes(scope) == []
         with force_scalar():
             scalar = ClassABMemoryCell(config).run(_stimulus())
         assert output.tobytes() == scalar.tobytes()
@@ -212,7 +213,7 @@ class TestZeroFallbacks:
     @pytest.mark.parametrize(
         "name", sorted(name for name, design in DESIGNS.items() if design.operating_point)
     )
-    def test_baseline_design_never_falls_back(self, name):
+    def test_baseline_design_never_falls_back(self, name, fallback_notes):
         # The tentpole's regression guard: every `repro` verb's design
         # must run on the fast path, so a run that quietly drops to the
         # scalar loop is a bug, not a slowdown.
@@ -222,27 +223,27 @@ class TestZeroFallbacks:
         stimulus = point.amplitude * np.sin(
             2.0 * np.pi * point.frequency * t / point.sample_rate
         )
-        consume_fallbacks()
-        device(stimulus)
-        assert consume_fallbacks() == []
+        with use_registry(InstrumentRegistry()) as scope:
+            device(stimulus)
+        assert fallback_notes(scope) == []
 
-    def test_probed_baseline_design_never_falls_back(self):
+    def test_probed_baseline_design_never_falls_back(self, fallback_notes):
         device = DESIGNS["modulator2"].build()
         device.attach_telemetry(TelemetrySession("fallback-guard"))
-        consume_fallbacks()
-        device(_stimulus(1024))
-        assert consume_fallbacks() == []
+        with use_registry(InstrumentRegistry()) as scope:
+            device(_stimulus(1024))
+        assert fallback_notes(scope) == []
 
-    def test_unknown_device_is_noted(self):
-        consume_fallbacks()
-        assert run_single(object(), np.zeros(4)) is None
-        notes = consume_fallbacks()
+    def test_unknown_device_is_noted(self, fallback_notes):
+        with use_registry(InstrumentRegistry()) as scope:
+            assert run_single(object(), np.zeros(4)) is None
+        notes = fallback_notes(scope)
         assert len(notes) == 1
         assert "object" in notes[0]
 
-    def test_force_scalar_disables_fast_path(self):
+    def test_force_scalar_disables_fast_path(self, fallback_notes):
         device = DEVICE_FACTORIES["memory-cell"]()
-        with force_scalar():
+        with use_registry(InstrumentRegistry()) as scope, force_scalar():
             assert run_single(device, np.zeros(4)) is None
         # force_scalar is not a fallback: the caller asked for scalar.
-        assert consume_fallbacks() == []
+        assert fallback_notes(scope) == []

@@ -77,6 +77,10 @@ class TestScalarParity:
         with pytest.raises(ConfigurationError, match="at least one level"):
             _spec(levels_db=())
 
+    def test_unknown_design_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown design"):
+            _spec(design="not-a-design")
+
     def test_levels_above_the_ceiling_rejected(self):
         with pytest.raises(ConfigurationError, match="at most 40 dBFS"):
             _spec(levels_db=(-10.0, 5000.0))
@@ -207,7 +211,7 @@ class TestWorker:
         # Disable the batch lowering to force the per-lane fallback and
         # check it lands on the same numbers (same noise slicing).  The
         # design lowers, so the fallback runs (and is labelled) kernel.
-        import repro.runtime.sweeps as sweeps_module
+        import repro.runtime.batch as batch_module
         from repro.runtime.batch import BatchUnsupported
         from repro.runtime.executor import ShardContext
         from repro.runtime.sweeps import _run_lane_chunk
@@ -219,7 +223,7 @@ class TestWorker:
         def refuse(*args, **kwargs):
             raise BatchUnsupported("forced scalar path")
 
-        monkeypatch.setattr(sweeps_module, "batch_runner_for", refuse)
+        monkeypatch.setattr(batch_module, "batch_runner_for", refuse)
         scalar = _run_lane_chunk(spec, list(LEVELS), context, engine="batch")
         assert scalar.engine == "kernel"
         assert scalar.metrics == batch.metrics

@@ -195,45 +195,3 @@ class TestTelemetryKnob:
             DelayLine(config, n_cells=2), amplitude=8e-6, frequency=5e3
         )
         np.testing.assert_array_equal(traced.output, plain.output)
-
-
-class TestAmplitudeSweep:
-    def test_sweep_runs_through_bench_settings(self):
-        from repro.config import MODULATOR_CLOCK
-
-        bench = Bench(
-            sample_rate=MODULATOR_CLOCK, n_samples=1 << 13, settle_samples=64
-        )
-        result = bench.measure_amplitude_sweep(
-            "modulator2", levels_db=(-40.0, -20.0, -6.0)
-        )
-        assert tuple(result.levels_db) == (-40.0, -20.0, -6.0)
-        assert len(result.metrics) == 3
-        # Louder drives resolve more SNDR in this range.
-        assert result.sndr_db[2] > result.sndr_db[0]
-
-    def test_sweep_uses_bench_executor_and_cache(self, tmp_path):
-        from repro.config import MODULATOR_CLOCK
-        from repro.runtime.cache import ResultCache
-        from repro.runtime.executor import SweepExecutor
-
-        cache = ResultCache(tmp_path)
-        bench = Bench(
-            sample_rate=MODULATOR_CLOCK,
-            n_samples=1 << 13,
-            settle_samples=64,
-            executor=SweepExecutor(jobs=1, chunk_size=1),
-            cache=cache,
-        )
-        cold = bench.measure_amplitude_sweep("modulator2", levels_db=(-20.0, -6.0))
-        warm = bench.measure_amplitude_sweep("modulator2", levels_db=(-20.0, -6.0))
-        assert cache.misses == 1 and cache.hits == 1
-        assert warm.metrics == cold.metrics
-        assert warm.sndr_db.tobytes() == cold.sndr_db.tobytes()
-
-    def test_sweep_rejects_unknown_design(self):
-        from repro.errors import ConfigurationError
-
-        bench = Bench(sample_rate=2.45e6, n_samples=1 << 13)
-        with pytest.raises(ConfigurationError):
-            bench.measure_amplitude_sweep("not-a-design")
