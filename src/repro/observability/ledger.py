@@ -26,9 +26,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ObservabilityError
 
@@ -175,8 +176,30 @@ class LedgerEntry:
         )
 
 
+def _parse(lines: Iterable[str]) -> Iterator[LedgerEntry]:
+    """Yield the well-formed entries among ``lines``; skip every other line."""
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if not isinstance(data, dict):
+            continue
+        try:
+            yield LedgerEntry.from_dict(data)
+        except ObservabilityError:
+            continue
+
+
 class RunLedger:
     """Append-only, content-addressed run history on disk.
+
+    One instance may serve many appends, from many threads: it keeps
+    the ids it has read and the byte offset they end at, so each append
+    parses only the lines appended since, by any process.
 
     Parameters
     ----------
@@ -192,7 +215,10 @@ class RunLedger:
             directory = os.environ.get(LEDGER_ENV_DIR) or DEFAULT_LEDGER_DIRNAME
         self.directory = Path(directory)
         self.path = self.directory / "ledger.jsonl"
-        self._known_ids: set[str] | None = None
+        self._known_ids: set[str] = set()
+        #: Bytes of ``path`` already parsed into ``_known_ids``.
+        self._parsed = 0
+        self._lock = threading.Lock()
 
     # -- writing -------------------------------------------------------
 
@@ -246,21 +272,44 @@ class RunLedger:
             raise ObservabilityError(
                 f"ledger payload for kind {kind!r} is not JSON-serializable: {exc}"
             ) from exc
-        if entry.entry_id in self._ids():
-            return None
-        self.directory.mkdir(parents=True, exist_ok=True)
-        # One write call per line: POSIX O_APPEND keeps concurrent
-        # appenders (parallel bench sessions) from interleaving bytes.
-        with self.path.open("a") as handle:
-            handle.write(line + "\n")
-        self._ids().add(entry.entry_id)
+        with self._lock:
+            if entry.entry_id in self._ids():
+                return None
+            self.directory.mkdir(parents=True, exist_ok=True)
+            # One write call per line: POSIX O_APPEND keeps concurrent
+            # appenders (parallel bench sessions) from interleaving bytes.
+            with self.path.open("a") as handle:
+                handle.write(line + "\n")
+            self._known_ids.add(entry.entry_id)
         return entry
 
     # -- reading -------------------------------------------------------
 
     def _ids(self) -> set[str]:
-        if self._known_ids is None:
-            self._known_ids = {entry.entry_id for entry in self.entries()}
+        """Return every entry id on disk, parsing only the lines not yet read.
+
+        A trailing line without its newline is left for a later call (it
+        may still be being written).  A file shorter than the parsed
+        offset was replaced, so it is read again from the start; a
+        missing one holds no ids.
+        """
+        try:
+            with self.path.open("rb") as handle:
+                if os.fstat(handle.fileno()).st_size < self._parsed:
+                    self._known_ids, self._parsed = set(), 0
+                handle.seek(self._parsed)
+                tail = handle.read()
+        except FileNotFoundError:
+            self._known_ids, self._parsed = set(), 0
+            return self._known_ids
+        except OSError as exc:
+            raise ObservabilityError(
+                f"cannot read ledger {self.path}: {exc}"
+            ) from exc
+        complete = tail[: tail.rfind(b"\n") + 1]
+        self._parsed += len(complete)
+        lines = complete.decode(errors="replace").splitlines()
+        self._known_ids.update(entry.entry_id for entry in _parse(lines))
         return self._known_ids
 
     def __len__(self) -> int:
@@ -283,20 +332,7 @@ class RunLedger:
             raise ObservabilityError(
                 f"cannot read ledger {self.path}: {exc}"
             ) from exc
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(data, dict):
-                continue
-            try:
-                entry = LedgerEntry.from_dict(data)
-            except ObservabilityError:
-                continue
+        for entry in _parse(text.splitlines()):
             if design is not None and entry.design != design:
                 continue
             if kind is not None and entry.kind != kind:

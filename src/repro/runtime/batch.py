@@ -35,12 +35,18 @@ kernel when the device lowers there, else the scalar loop (see
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
 from repro.runtime.kernels.codegen import KernelProgram, compile_spec
-from repro.runtime.kernels.runner import _kernel_inputs, _probe_owners
+from repro.runtime.kernels.runner import (
+    BLOCK_STEPS,
+    _chopper_signs,
+    _halves,
+    _probe_owners,
+    _stimulus,
+)
 from repro.runtime.kernels.spec import (
     KernelUnsupported,
     build_spec,
@@ -65,12 +71,6 @@ class BatchUnsupported(Exception):
     """The device configuration has no bit-exact batch lowering."""
 
 
-def _step_major(stream: Any, n_lanes: int, n_steps: int) -> np.ndarray:
-    """Drain ``n_lanes * n_steps`` draws lane-major; view them (steps, lanes)."""
-    draws: np.ndarray = stream.take(n_lanes * n_steps)
-    return draws.reshape(n_lanes, n_steps).T
-
-
 def _feed_loop_probes(
     modulator: object, stimuli: np.ndarray, output: np.ndarray
 ) -> None:
@@ -93,6 +93,65 @@ def _feed_loop_probes(
         bitstream_probe.observe_array(output[lane])
 
 
+def _blocks(
+    program: KernelProgram,
+    data: np.ndarray,
+    halves: list[np.ndarray],
+    draws: dict[str, np.ndarray],
+    signs: np.ndarray | None,
+    probes: list[np.ndarray],
+) -> tuple[np.ndarray, Iterator[tuple[Any, ...]]]:
+    """Return the run's lane-major output and the blocks that fill it.
+
+    The blocks are tuples of ``program.lane_args``.  ``data``, the noise
+    ``halves`` and the loop stream ``draws`` are whole and lane-major;
+    each block copies its periods of them into step-major buffers of
+    :data:`BLOCK_STEPS` periods, reused from block to block: the input
+    (through the scalar prologue's elementwise half split, chopped by
+    the absolute step's sign), ``+h``/``-h`` noise rows and the streams.
+    The ``probes`` are whole step-major buffers the blocks view.  When
+    the lane layout asks for the next block, the last one has run, and
+    its output goes into the lane-major result.
+    """
+    n_lanes, n_steps = data.shape
+    result = np.empty((n_lanes, n_steps))
+    size = min(BLOCK_STEPS, n_steps)
+    paired = program.stimulus == ("xa", "xb")
+    buffers = {
+        "x" if paired else "xs": np.empty((size, 2, n_lanes) if paired else (size, n_lanes)),
+        "out": np.empty((size, n_lanes)),
+        "noise": np.empty((size, 2 * len(halves), n_lanes)),
+        **{name: np.empty((size, n_lanes)) for name in draws},
+    }
+
+    def feed() -> Iterator[tuple[Any, ...]]:
+        for start in range(0, n_steps, BLOCK_STEPS):
+            stop = min(start + BLOCK_STEPS, n_steps)
+            block: dict[str, Any] = {name: rows[: stop - start] for name, rows in buffers.items()}
+            chop = None if signs is None else signs[start:stop]
+            stimulus = _stimulus(program, data[:, start:stop], chop)
+            if paired:
+                block["x"][:, 0] = stimulus["xa"].T
+                block["x"][:, 1] = stimulus["xb"].T
+            else:
+                block["xs"][...] = stimulus["xs"].T
+            noise = block["noise"]
+            for j, half in enumerate(halves):
+                noise[:, 2 * j] = half[:, start:stop].T
+                np.negative(noise[:, 2 * j], out=noise[:, 2 * j + 1])
+            for name, lane_major in draws.items():
+                block[name][...] = lane_major[:, start:stop].T
+            block["n_steps"] = stop - start
+            block.update((f"pb{slot}", probe[start:stop]) for slot, probe in enumerate(probes))
+            yield tuple(block[name] for name in program.lane_args)
+            if chop is None:
+                result[:, start:stop] = block["out"].T
+            else:
+                np.multiply(chop, block["out"].T, out=result[:, start:stop])
+
+    return result, feed()
+
+
 class _LaneRunner:
     """Run the lane layout of one device's compiled program."""
 
@@ -113,47 +172,26 @@ class _LaneRunner:
                 f"stimuli must have shape ({n_lanes}, {n_steps}), got {data.shape}"
             )
         program = self._program
-        args: dict[str, Any] = {"n_steps": n_steps}
         noise, loop_streams = drawn_streams(self._device)
-        # The fused store's per-period additive rows: +h on each stage's
-        # pos row, -h on its neg row.
-        args["noise"] = rows = np.empty((n_steps, 2 * len(noise), n_lanes))
-        for j, stream in enumerate(noise):
-            np.multiply(0.5, _step_major(stream, n_lanes, n_steps), out=rows[:, 2 * j])
-            np.negative(rows[:, 2 * j], out=rows[:, 2 * j + 1])
-        for name, stream in loop_streams.items():
-            args[name] = np.ascontiguousarray(_step_major(stream, n_lanes, n_steps))
-
-        # Laid out lane by lane, so the prologue's temporaries are one
-        # lane long.  A differential input is one step-major block whose
-        # x[i] is period i's (2, lanes) input pair.
-        paired = program.stimulus == ("xa", "xb")
-        shape = (n_steps, 2, n_lanes) if paired else (n_steps, n_lanes)
-        args["x" if paired else "xs"] = x = np.empty(shape)
-        for lane in range(n_lanes):
-            inputs, signs = _kernel_inputs(program, data[lane], hoisted=False)
-            if paired:
-                x[:, 0, lane] = inputs["xa"]
-                x[:, 1, lane] = inputs["xb"]
-            else:
-                x[:, lane] = inputs["xs"]
-        args["out"] = out = np.empty((n_steps, n_lanes))
-        probes = _probe_owners(program, device_parts(self._device)[0])
-        buffers = [np.empty((n_steps, n_lanes)) for _ in probes]
-        args.update((f"pb{slot}", buffer) for slot, buffer in enumerate(buffers))
+        # Lane k reads draws [k * n_steps, (k + 1) * n_steps) of each stream.
+        halves = [_halves(stream, n_lanes * n_steps).reshape(n_lanes, n_steps) for stream in noise]
+        draws = {
+            name: stream.take(n_lanes * n_steps).reshape(n_lanes, n_steps)
+            for name, stream in loop_streams.items()
+        }
+        signs = _chopper_signs(n_steps) if program.spec.kind == "chopper" else None
+        owners = _probe_owners(program, device_parts(self._device)[0])
+        probes = [np.empty((n_steps, n_lanes)) for _ in owners]
+        result, blocks = _blocks(program, data, halves, draws, signs, probes)
 
         assert program.lane_fn is not None
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            program.lane_fn(**args)
+            program.lane_fn(n_lanes, blocks)
         # Lane-major, as a scalar device reused lane after lane observes:
         # counts and extrema are exact, mean and RMS agree to
         # summation-order rounding.
-        for probe, buffer in zip(probes, buffers):
-            probe.observe_array(np.ascontiguousarray(buffer.T).reshape(-1))
-        del args, rows, x  # free the noise rows and inputs first
-        result = np.ascontiguousarray(out.T)
-        if signs is not None:
-            np.multiply(signs, result, out=result)
+        for owner, probe in zip(owners, probes):
+            owner.observe_array(np.ascontiguousarray(probe.T).reshape(-1))
         if program.spec.loop is not None:
             _feed_loop_probes(self._device, data, result)
         return result

@@ -35,9 +35,10 @@ quantity); each layout renders the tree its own way.
   every half of every stage, so the lane layout exists only for specs
   whose cells share one electrical configuration.  It lives in
   :mod:`repro.runtime.kernels.lanes`, with the rules its buffers add,
-  and is compiled on a program's first batch run.  A loop's bit
-  stream is written once after the last period from the recorded
-  ``up`` rows.
+  and is compiled on a program's first batch run.  It runs over blocks
+  of periods, the store and its buffers carried from one block to the
+  next, and writes a loop's bit stream after each block from the
+  recorded ``up`` rows.
 
 Both layouts emit the same arithmetic in the same order, so every
 intermediate rounds identically; the lane layout only omits the
@@ -109,12 +110,13 @@ The prologue rules, which move work out of the scalar loop:
   argument.
 
 The scalar source is shared verbatim between the pure-Python mode
-(lists in, preallocated list out) and the optional numba JIT mode
-(arrays in, preallocated array out); the prologue runs in NumPy before
-either -- see :mod:`repro.runtime.kernels.jit` for the bit-exactness
-probe that gates the latter.  A program is cached by its spec, and a
-hit must match the spec's literals: specs that differ only in a zero's
-sign compare equal but do not share a program.
+(lists in, preallocated list out, one call per block of periods that
+takes the state the last call returned) and the optional numba JIT
+mode (arrays in, preallocated array out, one call); the prologue runs
+in NumPy before either -- see :mod:`repro.runtime.kernels.jit` for the
+bit-exactness probe that gates the latter.  A program is cached by its
+spec, and a hit must match the spec's literals: specs that differ only
+in a zero's sign compare equal but do not share a program.
 """
 
 from __future__ import annotations
@@ -543,8 +545,11 @@ class _Layout:
         self.stimulus = ("xa", "xb") if paired else ("xs",)
         self.arg_names.append(_ROWS)
 
-    def begin(self, src: _Source, spec: KernelSpec) -> None:
-        """Open the function: per-cell noise (``0.5 * draw``) and state in."""
+    def begin(self, src: _Source, spec: KernelSpec) -> int:
+        """Open the function and its step loop; return the loop body's depth.
+
+        Per-cell noise (``0.5 * draw``) and the state come in as arguments.
+        """
         n_cells = len(spec.all_stages)
         self.arg_names.extend(f"hn{j}" for j in range(n_cells))
         for j in range(n_cells):
@@ -559,6 +564,7 @@ class _Layout:
         if spec.loop is not None:
             src.line(1, "decision = last")
         src.line(1, "for i in range(n_steps):")
+        return 2
 
     def end_step(self, src: _Source, depth: int) -> None:
         """Close one period: insert the quantiser branch, now complete."""
@@ -946,8 +952,7 @@ def kernel_source(
     if spec.loop is not None:
         _loop_stream_args(layout, spec.loop)
     probe_args = _probe_args(layout, stages)
-    layout.begin(src, spec)
-    d = 2
+    d = layout.begin(src, spec)
 
     if spec.kind in ("cell", "delay"):
         # A lone memory cell is a one-cell line: it outputs the sample
@@ -1043,10 +1048,14 @@ class KernelProgram:
     stimulus: tuple[str, ...]
     #: ``repr(spec)``: the spec's literals, the sign of a zero included.
     literals: str
-    #: The lane-major NumPy function, called by keyword: compiled by the
-    #: first :func:`~repro.runtime.kernels.lanes.lane_function` call,
-    #: None until then.
+    #: The lane-major NumPy function, ``lane_fn(n_lanes, blocks)``:
+    #: compiled by the first
+    #: :func:`~repro.runtime.kernels.lanes.lane_function` call, None
+    #: until then.
     lane_fn: Callable[..., Any] | None = None
+    #: What each of ``lane_fn``'s blocks holds, in order: the block's
+    #: period count (``n_steps``) and its step-major arrays.
+    lane_args: tuple[str, ...] = ()
     #: numba-compiled callable, populated lazily by the runner.
     jit_fn: Callable[..., Any] | None = None
     #: "untried", "active", or the named refusal reason.

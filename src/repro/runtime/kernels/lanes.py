@@ -101,8 +101,11 @@ _UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "neg": "negative"}
 class _LaneLayout(_Layout):
     """The lane layout: every variable is a row of ``n_lanes`` floats.
 
-    Arrays are step-major, so ``xs[i]`` is period ``i`` of every lane
-    and ``x[i]`` the ``(2, lanes)`` input block.  The state and the
+    The function takes ``n_lanes`` and an iterable of blocks, each a
+    tuple of ``arg_names``: a period count ``n_steps`` and that many
+    step-major rows of each array, so ``xs[i]`` is the block's period
+    ``i`` of every lane and ``x[i]`` its ``(2, lanes)`` input block (the
+    walk reads a differential input only as that block).  The state and the
     store targets live in one :class:`~repro.runtime.kernels.store.LaneStore`:
     ``S`` and ``T`` are ``(2 * n_cells, n_lanes)`` blocks whose rows
     alternate pos/neg per stage.  Stage ``j`` reads its state as the
@@ -122,13 +125,15 @@ class _LaneLayout(_Layout):
 
     Every name an assignment writes gets one buffer, allocated with the
     constants in a prologue the walk collects and :meth:`end` inserts
-    before the loop; an operation nested in an expression writes into
-    the destination when the expression does not read it, else into a
-    scratch buffer.  A leaf assignment copies.  A loop's decision is the
-    boolean row ``up``, itself row ``i`` of the ``(steps, lanes)`` record
-    ``ups`` the bit stream is written from after the loop, in place:
-    ``-fs`` with ``fs`` copied where ``ups`` holds is ``decision * fs``
-    bitwise, as the decision is +/-1.
+    before the block loop, so the store, its state and every buffer
+    carry over from one block to the next; an operation nested in an
+    expression writes into the destination when the expression does not
+    read it, else into a scratch buffer.  A leaf assignment copies.  A
+    loop's decision is the boolean row ``up``, itself row ``i`` of the
+    block's ``(steps, lanes)`` record ``ups`` the block's bit stream is
+    written from after its last period, in place: ``-fs`` with ``fs``
+    copied where ``ups`` holds is ``decision * fs`` bitwise, as the
+    decision is +/-1.
     """
 
     def __init__(self, cell: CellSpec) -> None:
@@ -168,14 +173,17 @@ class _LaneLayout(_Layout):
         names = {pair.block, pair.pos, pair.neg}
         self._views.update(dict.fromkeys(names, names))
 
-    def begin(self, src: _Source, spec: KernelSpec) -> None:
-        """Open the function; bind the store, its views and the inputs."""
+    def begin(self, src: _Source, spec: KernelSpec) -> int:
+        """Open the function, its block loop and its step loop.
+
+        Binds the store and its views; returns the step loop body's
+        depth.
+        """
         stages = spec.all_stages
         n = self._n_cells = len(stages)
         self.arg_names.append("noise")
-        src.line(0, f"def lanes({', '.join(self.arg_names)}):")
+        src.line(0, "def lanes(n_lanes, blocks):")
         self._prologue_at = len(src.lines)
-        self._bind("n_lanes", "out.shape[-1]")
         self._prologue.append(
             "add, subtract, multiply, negative, greater_equal, copyto = "
             "np.add, np.subtract, np.multiply, np.negative, np.greater_equal, "
@@ -193,14 +201,13 @@ class _LaneLayout(_Layout):
             if stage.crossed:
                 self._bind(f"S{j}x", f"S[{2 * j + 1}:{2 * j - 1 if j else ''}:-1]")
             self._bind_pair(_target(j), f"T[{2 * j}:{2 * j + 2}]")
-        if "x" in self.arg_names:
-            self._bind("xa", "x[:, 0]")
-            self._bind("xb", "x[:, 1]")
+        if spec.loop is not None and spec.loop.hysteresis != 0.0:
+            self._bind("last", self._constant(1.0))
+        src.line(1, f"for {', '.join(self.arg_names)} in blocks:")
         if spec.loop is not None:
-            self._bind("ups", "np.empty(out.shape, dtype=bool)")
-            if spec.loop.hysteresis != 0.0:
-                self._bind("last", self._constant(1.0))
-        src.line(1, "for i in range(n_steps):")
+            src.line(2, "ups = np.empty(out.shape, dtype=bool)")
+        src.line(2, "for i in range(n_steps):")
+        return 3
 
     def end_step(self, src: _Source, depth: int) -> None:
         src.line(depth, "settle()")
@@ -211,11 +218,11 @@ class _LaneLayout(_Layout):
         src.line(depth, "add(S, noise[i], S)")
 
     def end(self, src: _Source, spec: KernelSpec) -> None:
-        """Insert the prologue; write a loop's bit stream from ``ups``."""
+        """Insert the prologue; write a block's bit stream from ``ups``."""
         if spec.loop is not None:
             fs = spec.loop.full_scale
-            src.line(1, f"copyto(out, {_lit(-fs)})")
-            src.line(1, f"copyto(out, {_lit(fs)}, where=ups)")
+            src.line(2, f"copyto(out, {_lit(-fs)})")
+            src.line(2, f"copyto(out, {_lit(fs)}, where=ups)")
         at = self._prologue_at
         src.lines[at:at] = ["    " + line for line in self._prologue]
 
@@ -440,7 +447,8 @@ def lane_function(program: KernelProgram) -> Callable[..., Any] | None:
             return None
         cell = _fused_cell(program.spec.all_stages)
         assert cell is not None
-        source, _ = kernel_source(program.spec, _LaneLayout(cell))
+        source, layout = kernel_source(program.spec, _LaneLayout(cell))
         namespace = {"np": np, "LaneStore": LaneStore, "_filled": _filled, "cell": cell}
+        program.lane_args = tuple(layout.arg_names)
         program.lane_fn = _define(source, "lanes", program.spec.kind, namespace)
     return program.lane_fn

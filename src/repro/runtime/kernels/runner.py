@@ -16,8 +16,10 @@ compiled :class:`~repro.runtime.kernels.codegen.KernelProgram`:
    both elementwise-identical in NumPy and scalar code), and run the
    program's prologue over them: the input-only work the codegen walk
    hoisted out of the loop, one NumPy row per hoisted value,
-4. run the fused loop (numba-JIT when the bitwise probe passed, plain
-   Python otherwise),
+4. run the fused loop (numba-JIT when the bitwise probe passed, over
+   the whole run; plain Python otherwise, one call per block of
+   :data:`BLOCK_STEPS` periods, each taking the state the last returned,
+   so only one block's rows are ever Python lists),
 5. write state back (stored samples, step/slew counters, quantiser
    hysteresis) and flush probe buffers through ``observe_array``,
 
@@ -42,7 +44,16 @@ from repro.runtime.kernels.spec import (
 )
 from repro.si.differential import DifferentialSample
 
-__all__ = ["kernel_refusal", "run_kernel"]
+__all__ = ["BLOCK_STEPS", "kernel_refusal", "run_kernel"]
+
+#: Clock periods per block of a compiled run.  The scalar layout's
+#: pure-Python loop reads one block of rows as lists, and the lane
+#: layout one block of step-major input, noise and output, so a run's
+#: working set is its whole-run arrays plus one block.  On a 33-lane,
+#: 16,640-period run, 4096-period blocks traced 9.8 MB more than 1024
+#: and 256-period ones 2.5 MB less, for four times the block switches;
+#: the refills cost about 2% of the run at each size.
+BLOCK_STEPS = 1024
 
 
 def kernel_refusal(device: object) -> str | None:
@@ -66,28 +77,18 @@ def _chopper_signs(n: int) -> np.ndarray:
     return signs
 
 
-def _kernel_inputs(
-    program: KernelProgram, data: np.ndarray, hoisted: bool = True
-) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """Return a program's input arguments for ``data``, and chopper signs.
+def _stimulus(
+    program: KernelProgram, data: np.ndarray, signs: np.ndarray | None
+) -> dict[str, np.ndarray]:
+    """Return a program's stimulus rows for ``data``: ``xa``/``xb`` or ``xs``.
 
-    The stimulus is ``xa``/``xb`` (or ``xs``); with ``hoisted`` it goes
-    through the program's prologue, which returns the rows and probe
-    buffers the scalar layout's loop reads instead.  Elementwise along
-    the time axis.  The signs, when not None, also multiply the raw
-    output.
+    Elementwise along the time axis, so any slice of ``data`` with the
+    matching slice of the chopper ``signs`` gives the same slice of rows.
     """
-    signs = _chopper_signs(data.shape[-1]) if program.spec.kind == "chopper" else None
     if program.stimulus == ("xs",):
-        stimulus = {"xs": data}
-    else:
-        xa, xb = _half_split(data if signs is None else signs * data)
-        stimulus = {"xa": xa, "xb": xb}
-    if not hoisted:
-        return stimulus, signs
-    # Elementwise IEEE arithmetic on every input, as the loop would do.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return program.prologue(**stimulus), signs
+        return {"xs": data}
+    xa, xb = _half_split(data if signs is None else signs * data)
+    return {"xa": xa, "xb": xb}
 
 
 def _probe_owners(program: KernelProgram, stages: Sequence[tuple[Any, Any]]) -> list[Any]:
@@ -112,6 +113,48 @@ def _ensure_jit(program: KernelProgram) -> None:
         program.jit_state = "active"
 
 
+def _halves(stream: Any, count: int) -> np.ndarray:
+    """Take ``count`` noise draws from ``stream``, halved in place."""
+    draws: np.ndarray = stream.take(count)
+    return np.multiply(0.5, draws, out=draws)
+
+
+def _run_blocks(
+    program: KernelProgram,
+    arrays: dict[str, np.ndarray],
+    scalars: dict[str, Any],
+    written: list[str],
+    n: int,
+) -> tuple[tuple[Any, ...], dict[str, np.ndarray]]:
+    """Run the scalar layout in pure Python, one block of periods per call.
+
+    Each call reads one block of ``arrays``' rows as lists, fills one
+    block of each ``written`` array, and hands the state it returns to
+    the next call: the same operations on the same values as one call
+    over all ``n`` periods.  Returns the final state with the summed
+    slew counts, and the ``written`` arrays.
+    """
+    names = program.arg_names
+    state = {name: scalars[name] for name in program.state_names}
+    slews = [0] * len(program.slew_names)
+    filled = {name: np.zeros(n) for name in written}
+    for start in range(0, n, BLOCK_STEPS):
+        stop = min(start + BLOCK_STEPS, n)
+        lists: dict[str, Any] = {
+            name: arrays[name][start:stop].tolist()
+            for name in names
+            if name in arrays and name not in written
+        }
+        lists.update((name, [0.0] * (stop - start)) for name in written)
+        lists.update(state, n_steps=stop - start)
+        results = program.fn(*[lists[name] for name in names])
+        state = dict(zip(program.state_names, results))
+        slews = [a + b for a, b in zip(slews, results[len(state) :])]
+        for name, array in filled.items():
+            array[start:stop] = lists[name]
+    return (*state.values(), *slews), filled
+
+
 def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
     """Run ``device`` over 1-D ``data`` on its compiled kernel.
 
@@ -127,14 +170,18 @@ def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
     stages, quantizer, _ = device_parts(device)
     n = data.shape[0]
 
-    arrays, signs = _kernel_inputs(program, data)
+    signs = _chopper_signs(n) if program.spec.kind == "chopper" else None
+    # Elementwise IEEE arithmetic on every input, as the loop would do:
+    # the prologue returns the rows and probe buffers the loop reads.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        arrays = program.prologue(**_stimulus(program, data, signs))
     scalars: dict[str, Any] = {"n_steps": n}
 
     noise, loop_streams = drawn_streams(device)
     for j, stream in enumerate(noise):
-        arrays[f"hn{j}"] = 0.5 * stream.take(n)
+        arrays[f"hn{j}"] = _halves(stream, n)
     for name, stream in loop_streams.items():
-        arrays[name] = np.asarray(stream.take(n))
+        arrays[name] = stream.take(n)
 
     probe_owners = _probe_owners(program, stages)
     # What the loop writes: the output, and every probe the prologue
@@ -144,9 +191,6 @@ def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
         for name in ["out", *(f"pb{slot}" for slot in range(len(probe_owners)))]
         if name in program.arg_names
     ]
-    for name in written:
-        arrays[name] = np.zeros(n)
-
     for j, (cell, _) in enumerate(stages):
         scalars[f"p{j}"] = cell._stored.pos
         scalars[f"m{j}"] = cell._stored.neg
@@ -156,12 +200,10 @@ def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
     _ensure_jit(program)
     results: tuple[Any, ...] | None = None
     if program.jit_fn is not None:
-        args = [
-            arrays[name] if name in arrays else scalars[name]
-            for name in program.arg_names
-        ]
+        outputs = {name: np.zeros(n) for name in written}
+        args = {**scalars, **arrays, **outputs}
         try:
-            results = program.jit_fn(*args)
+            results = program.jit_fn(*[args[name] for name in program.arg_names])
         except Exception as error:  # numba typing/lowering failure
             program.jit_fn = None
             program.jit_state = (
@@ -169,19 +211,8 @@ def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
             )
             results = None
     if results is None:
-        lists: dict[str, list[float]] = {
-            name: arrays[name].tolist()
-            for name in program.arg_names
-            if name in arrays and name not in written
-        }
-        lists.update((name, [0.0] * n) for name in written)
-        args = [
-            lists[name] if name in lists else scalars[name]
-            for name in program.arg_names
-        ]
-        results = program.fn(*args)
-        for name in written:
-            arrays[name] = np.array(lists[name])
+        results, outputs = _run_blocks(program, arrays, scalars, written, n)
+    arrays.update(outputs)
     out = arrays["out"]
 
     values = dict(

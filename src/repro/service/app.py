@@ -31,6 +31,7 @@ from http.server import ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.observability.ledger import RunLedger
     from repro.telemetry.session import TelemetrySession
 
 from repro.errors import ConfigurationError, ServiceError
@@ -205,6 +206,14 @@ class SimulationService:
             workers=self.config.workers,
             max_pending=self.config.max_pending,
         )
+        # One ledger for the service's life: each append parses only the
+        # lines appended since the last, and checks and appends under the
+        # ledger's lock, so concurrent workers never store a run twice.
+        self.ledger: RunLedger | None = None
+        if self.config.ledger:
+            from repro.observability.ledger import RunLedger
+
+            self.ledger = RunLedger(self.config.ledger_dir)
         self.started_at = time.time()
 
     def submit(self, raw: Mapping[str, Any]) -> tuple[Job, str]:
@@ -295,14 +304,13 @@ class SimulationService:
         goes in unchanged, as ``repro report`` appends it, so identical
         runs content-address to the same ledger entry.
         """
-        if not self.config.ledger:
+        if self.ledger is None:
             return
         from repro.errors import ObservabilityError
-        from repro.observability.ledger import RunLedger
 
         design = result.get("design")
         try:
-            RunLedger(self.config.ledger_dir).append(
+            self.ledger.append(
                 job.request.kind,
                 result,
                 design=design if isinstance(design, str) else None,

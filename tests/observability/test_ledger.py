@@ -1,6 +1,8 @@
 """The run ledger: append-only JSONL, content addressing, tolerance."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -155,6 +157,68 @@ class TestTolerance:
         assert len(list(ledger.entries(kind="sweep"))) == 2
         assert len(list(ledger.entries(design="a", kind="sweep"))) == 1
         assert ledger.designs() == ["a", "b"]
+
+
+def _line(payload):
+    """The line an append of a ``sweep`` entry for ``payload`` writes."""
+    entry = LedgerEntry(entry_id_for("sweep", "d", payload), "sweep", "d", payload, PROV)
+    return json.dumps(entry.as_dict(), sort_keys=True) + "\n"
+
+
+class TestIncrementalReads:
+    """One ledger serves many appends, reading only what is new on disk."""
+
+    def test_another_writers_entry_is_deduplicated(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.append("sweep", {"v": 1}, design="d", provenance=PROV)
+        RunLedger(tmp_path).append("sweep", {"v": 2}, design="d", provenance=PROV)
+        assert ledger.append("sweep", {"v": 2}, design="d", provenance=PROV) is None
+        assert len(ledger) == 2
+
+    def test_a_tail_without_its_newline_is_read_once_complete(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.append("sweep", {"v": 1}, design="d", provenance=PROV)
+        line = _line({"v": 2})
+        with ledger.path.open("a") as handle:
+            handle.write(line[:40])  # another writer, mid-line
+        assert ledger.append("sweep", {"v": 1}, design="d", provenance=PROV) is None
+        with ledger.path.open("a") as handle:
+            handle.write(line[40:])
+        assert ledger.append("sweep", {"v": 2}, design="d", provenance=PROV) is None
+        assert len(ledger) == 2
+
+    def test_a_shorter_file_is_read_from_the_start(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.append("sweep", {"v": 1}, design="d", provenance=PROV)
+        ledger.append("sweep", {"v": 2}, design="d", provenance=PROV)
+        assert ledger.append("sweep", {"v": 2}, design="d", provenance=PROV) is None
+        ledger.path.write_text(_line({"v": 3}))  # replaced, by one line of two
+        assert ledger.append("sweep", {"v": 3}, design="d", provenance=PROV) is None
+        assert ledger.append("sweep", {"v": 1}, design="d", provenance=PROV) is not None
+
+    def test_concurrent_appends_of_one_entry_store_it_once(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        results = []
+        start = threading.Barrier(8)
+
+        def append():
+            start.wait(timeout=30.0)
+            results.append(ledger.append("sweep", {"v": 1}, design="d", provenance=PROV))
+
+        threads = [threading.Thread(target=append) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert sum(result is not None for result in results) == 1
+        assert len(ledger.path.read_text().splitlines()) == 1
 
 
 class TestEntryRoundTrip:

@@ -221,6 +221,43 @@ class TestRunKernel:
         # The noise stream sits at the same position: next draws agree.
         assert device._noise.take(1)[0] == reference._noise.take(1)[0]
 
+    def _counted_run(self, monkeypatch, leg):
+        """Run modulator2 with ``leg`` ("fn" or "jit_fn") counting its calls.
+
+        The plain loop stands in for the compiled one: it runs on the
+        whole arrays the numba leg passes as well as on the lists.
+        """
+        data = 3e-6 * np.sin(0.01 * np.arange(2 * runner.BLOCK_STEPS + 3))
+        program = compile_spec(build_spec(SIModulator2(cell_config=MOD_CONFIG)))
+        steps = []
+        loop = program.fn
+
+        def counted(*args):
+            steps.append(args[program.arg_names.index("n_steps")])
+            return loop(*args)
+
+        monkeypatch.setattr(program, "jit_state", "active")
+        monkeypatch.setattr(program, "jit_fn", counted if leg == "jit_fn" else None)
+        monkeypatch.setattr(program, "fn", counted if leg == "fn" else loop)
+        device = SIModulator2(cell_config=MOD_CONFIG)
+        return run_kernel(device, data), device.quantizer._last_decision, steps
+
+    def test_the_python_leg_runs_one_block_per_call(self, monkeypatch):
+        got, last, steps = self._counted_run(monkeypatch, "fn")
+        assert steps == [runner.BLOCK_STEPS, runner.BLOCK_STEPS, 3]
+        reference = SIModulator2(cell_config=MOD_CONFIG)
+        with force_scalar():
+            want = reference.run(3e-6 * np.sin(0.01 * np.arange(got.size)))
+        assert got.tobytes() == want.tobytes()
+        assert last == reference.quantizer._last_decision
+
+    def test_the_jit_leg_runs_the_whole_run_in_one_call(self, monkeypatch):
+        got, last, steps = self._counted_run(monkeypatch, "jit_fn")
+        assert steps == [got.size]
+        monkeypatch.undo()
+        blocks, block_last, _ = self._counted_run(monkeypatch, "fn")
+        assert got.tobytes() == blocks.tobytes() and last == block_last
+
 
 def _loop(program):
     """The generated kernel's source, without the prologue before it."""

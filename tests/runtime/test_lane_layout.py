@@ -62,9 +62,15 @@ def _loop_calls(source):
     """Count a lane function's NumPy calls per period; list masked ufuncs.
 
     The store call (``settle()``) is counted on its own, and a row view
-    (``up = ups[i]``) is no call; a subscript assignment copies.
+    (``up = ups[i]``) is no call; a subscript assignment copies.  The
+    period is the step loop (``for i in range(n_steps)``) inside the
+    loop over blocks.
     """
-    loop = next(node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For))
+    loop = next(
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+    )
     calls, masked = 0, []
     for statement in loop.body:
         value = getattr(statement, "value", None)

@@ -1,13 +1,19 @@
-"""Request normalization: the canonical form behind service dedup."""
+"""Request normalization, the canonical form behind service dedup; ledger appends."""
 
 from __future__ import annotations
+
+import json
+from unittest import mock
 
 import pytest
 
 from repro.errors import ServiceError
+from repro.observability.ledger import LedgerEntry, RunLedger
 from repro.service.app import (
     DEFAULT_REPORT_SAMPLES,
     MAX_REQUEST_SAMPLES,
+    ServiceConfig,
+    SimulationService,
     normalize_request,
 )
 
@@ -170,3 +176,42 @@ class TestSweepRequests:
         params = normalize_request({"kind": "sweep", "spec": spec}).params
         assert (params["noise_scale"], params["mismatch"]) == (2, 0)
         assert type(params["noise_scale"]) is int
+
+
+class TestLedgerAppends:
+    N_JOBS = 6
+
+    def test_each_executed_job_parses_only_new_ledger_lines(self, tmp_path, monkeypatch):
+        # A stand-in report runner: each job's manifest is its own knob,
+        # so every executed job appends one distinct entry.
+        def run_report(service, job, session):
+            params = job.request.params
+            return {"design": params["design"], "noise_scale": params["noise_scale"]}
+
+        monkeypatch.setattr(SimulationService, "_run_report", run_report)
+        ledger_dir = tmp_path / "ledger"
+        service = SimulationService(
+            ServiceConfig(cache_dir=str(tmp_path / "cache"), ledger_dir=str(ledger_dir))
+        )
+        parsed = 0
+        try:
+            for k in range(self.N_JOBS):
+                knob = float(k + 1)
+                if k == 3:
+                    # Another process appends the entry the next job makes.
+                    RunLedger(ledger_dir).append(
+                        "report", {"design": "modulator2", "noise_scale": knob}, design="modulator2"
+                    )
+                with mock.patch.object(
+                    LedgerEntry, "from_dict", wraps=LedgerEntry.from_dict
+                ) as parse:
+                    job, _ = service.submit({"design": "modulator2", "noise_scale": knob})
+                    assert job.wait(timeout=30.0) and job.error is None
+                parsed += parse.call_count
+        finally:
+            service.close()
+        lines = (ledger_dir / "ledger.jsonl").read_text().splitlines()
+        ids = [json.loads(line)["entry_id"] for line in lines]
+        assert len(ids) == len(set(ids)) == self.N_JOBS
+        # Parsing the whole file for every job would read 16 lines here.
+        assert parsed <= len(lines)

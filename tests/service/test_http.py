@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -261,7 +262,13 @@ class TestResultStates:
 
     def test_queue_full_is_429(self, harness):
         harness.gate.clear()
-        harness.client.submit(REQ)  # claimed by the worker
+        first = harness.client.submit(REQ)  # claimed by the worker
+        # The worker pops a job when it starts it; until then the job
+        # still holds one of the two pending places.
+        deadline = time.monotonic() + 10.0
+        while harness.client.job(first["id"])["started_at"] is None:
+            assert time.monotonic() < deadline, "the worker never started the first job"
+            time.sleep(0.005)
         harness.client.submit(dict(REQ, noise_scale=2.0))  # pending 1
         harness.client.submit(dict(REQ, noise_scale=3.0))  # pending 2
         with pytest.raises(QueueFullError):
