@@ -58,9 +58,10 @@ ledger trajectory as sparkline tables; ``repro trend`` judges every
 recorded series for sustained drift against its own rolling
 median/MAD history, exiting non-zero on drift sustained over the last
 runs -- single noisy runs only warn.  ``report`` and ``sweep`` also
-take ``--events PATH`` / ``--follow`` to tail span-level progress as
-JSONL while the run executes (workers' events are merged into one
-monotonically-ordered timeline).
+take ``--events PATH`` / ``--follow`` to tail the run's event stream
+as JSONL while it executes (workers' events are merged into one
+monotonically-ordered timeline); ``trace --json PATH`` writes the
+same stream.
 
 ``repro serve`` boots the simulation service (:mod:`repro.service`):
 an HTTP job queue over the same engines, deduplicating identical
@@ -318,11 +319,12 @@ def cmd_trace(
     """Run a traced simulation; print span, probe and event tables."""
     from repro.designs import resolve
     from repro.systems import TestBench
-    from repro.telemetry import TelemetrySession, export_jsonl
+    from repro.telemetry.session import TelemetrySession
 
     entry = resolve(design)
     point = entry.point
-    session = TelemetrySession(entry.name)
+    stream = open_event_stream(json_path, source=entry.name)
+    session = TelemetrySession(entry.name, stream=stream)
     device = entry.build()
     # Attach before the bench does so --supply reaches the probe
     # metadata; the bench's auto-attach then finds the probes existing.
@@ -333,11 +335,15 @@ def cmd_trace(
         bandwidth=point.bandwidth,
         telemetry=session,
     )
-    result = bench.measure(
-        device,
-        amplitude=overdrive * point.amplitude,
-        frequency=point.frequency,
-    )
+    try:
+        result = bench.measure(
+            device,
+            amplitude=overdrive * point.amplitude,
+            frequency=point.frequency,
+        )
+    finally:
+        if stream is not None:
+            stream.close()
     print(f"{entry.name}: {entry.description}")
     print(
         f"drive: {overdrive * point.amplitude * 1e6:.2f} uA peak at "
@@ -349,8 +355,7 @@ def cmd_trace(
     print(session.render_event_table())
     print(session.summary())
     if json_path is not None:
-        target = export_jsonl(session, json_path)
-        print(f"trace written to {target}")
+        print(f"trace written to {json_path}")
     return session.gate.exit_code(strict)
 
 
@@ -567,7 +572,6 @@ def cmd_profile(
     )
     from repro.observability.stats import PROFILE_SCHEMA
     from repro.outputs import output_path
-    from repro.telemetry.export import span_records
     from repro.telemetry.session import TelemetrySession
 
     if target.endswith(".json"):
@@ -603,7 +607,9 @@ def cmd_profile(
             "target": target,
             "rows": [row.as_dict() for row in rows],
             "collapsed_stacks": collapsed_stacks(session.roots),
-            "spans": span_records(session.roots),
+            "spans": [
+                span.as_record() for root in session.roots for _, span in root.walk()
+            ],
         }
         output_path(json_path).write_text(json.dumps(document, indent=2) + "\n")
         print(f"profile written to {json_path}")
@@ -1004,7 +1010,7 @@ def _events(sub: argparse.ArgumentParser) -> None:
         "--events",
         default=None,
         metavar="PATH",
-        help="stream span/instrument events as JSONL to PATH ('-' = stdout)",
+        help="stream the run's events (spans, probes, findings) as JSONL to PATH ('-' = stdout)",
     )
     sub.add_argument(
         "--follow",
@@ -1188,7 +1194,7 @@ VERBS: tuple[tuple[str, str, Callable[..., int | None], tuple[Option, ...]], ...
             metavar="V",
             help="supply voltage for the dynamic headroom rule (default: 3.3)",
         ),
-        _json("also export the trace as JSONL to PATH"),
+        _json("also write the run's event stream as JSONL to PATH"),
         _arg("--strict", action="store_true", help="also exit non-zero on WARNING events"),
     )),
     ("report", "Measure a design and emit its paper-metrics run manifest.", cmd_report, (

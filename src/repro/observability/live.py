@@ -1,29 +1,32 @@
-"""Live progress streaming: span and instrument events as JSONL.
+"""Live progress streaming: one run's events as JSONL.
 
 Long sweeps used to be silent until they finished.  This module tails
-a run's progress as it happens: every span open/close (and each
-sweep chunk's counter totals) becomes one small JSON line on a
-file, file descriptor or stream, cheap enough to leave on in
-production -- events fire per *span* and per *shard*, never per
-sample, so a 64K-point report emits a few dozen lines while
-simulating tens of thousands of samples per second.
+a run as it happens: every span start and finish, each rule
+evaluation's probes and findings, and each sweep chunk's counter
+totals become one small JSON line on a file, file descriptor or
+stream, cheap enough to leave on in production -- events fire per
+*span*, *probe* and *shard*, never per sample, so a 64K-point report
+emits a few dozen lines while simulating tens of thousands of samples
+per second.  The event kinds and their fields are tabulated in
+``docs/OBSERVABILITY.md`` ("Live event streaming").
 
 :class:`EventStream` assigns a strictly increasing ``seq`` to every
 event, clamps wall-clock timestamps to be non-decreasing (worker
 clocks can disagree by microseconds), and writes one JSON object per
 line, flushing as it goes so ``tail -f`` and the service's
-``/events`` tail see events live.  Sharded workers never write to it:
-the parent process emits each chunk's events from the timing the
+``/events`` tail see events live.  It writes what it is handed; the
+one writer of a run's events is its
+:class:`~repro.telemetry.session.TelemetrySession`.  Sharded workers
+never write to it: the session replays each chunk from the timing the
 chunk returned (:class:`~repro.runtime.executor.ShardRun`), sorted by
 the chunks' wall clocks, so a ``--jobs N`` sweep reads as one
 timeline.
 
-A :class:`~repro.telemetry.session.TelemetrySession` constructed with
-``stream=`` emits ``span_start``/``span_finish`` events for every span
-opened on it; ``repro report --events PATH`` and
-``repro sweep --follow`` wire this up from the CLI.  Timestamps are
-``time.time()`` based -- ``perf_counter`` is not comparable across
-processes, while same-host wall clocks are.
+``repro report --events PATH``, ``repro sweep --follow`` and ``repro
+trace --json PATH`` open the same stream through
+:func:`open_event_stream`.  Timestamps are ``time.time()`` based --
+``perf_counter`` is not comparable across processes, while same-host
+wall clocks are.
 """
 
 from __future__ import annotations
@@ -47,8 +50,11 @@ __all__ = [
     "open_event_stream",
 ]
 
-#: Schema identifier stamped on the stream's header event.
-EVENT_SCHEMA = "repro.observability/event-stream/v1"
+#: Schema identifier stamped on the stream's header event.  Since v2
+#: every span event carries the span's one record (``id``, ``parent``,
+#: ``pid``, ``duration_s``, ``samples``, ``attrs``), and ``probe``,
+#: ``finding`` and ``instruments`` events complete the run.
+EVENT_SCHEMA = "repro.observability/event-stream/v2"
 
 
 class TextSink(Protocol):
@@ -157,6 +163,9 @@ class EventStream:
         :func:`open_event_stream` for path management.
     source:
         Label stamped on the header event (the run's design name).
+    header:
+        Further fields of the ``stream_start`` event (a CLI stream's
+        provenance stamp).
 
     Guarantees:
 
@@ -169,7 +178,7 @@ class EventStream:
     """
 
     def __init__(
-        self, handles: Sequence[TextSink], source: str = "run"
+        self, handles: Sequence[TextSink], source: str = "run", **header: object
     ) -> None:
         if not handles:
             raise ObservabilityError("EventStream needs at least one handle")
@@ -177,12 +186,7 @@ class EventStream:
         self._seq = 0
         self._last_t = 0.0
         self.source = source
-        self.emit("stream_start", source, schema=EVENT_SCHEMA)
-
-    @property
-    def seq(self) -> int:
-        """Return the number of events emitted so far."""
-        return self._seq
+        self.emit("stream_start", source, schema=EVENT_SCHEMA, **header)
 
     def emit(
         self, event: str, name: str, t: float | None = None, **fields: object
@@ -220,9 +224,10 @@ class _OwnedEventStream(EventStream):
         handles: Sequence[TextSink],
         owned: Sequence[IO[str]],
         source: str,
+        **header: object,
     ) -> None:
         self._owned = tuple(owned)
-        super().__init__(handles, source=source)
+        super().__init__(handles, source=source, **header)
 
     def close(self) -> None:
         """Emit ``stream_finish`` and close owned files."""
@@ -243,6 +248,11 @@ def open_event_stream(
     source: str = "run",
 ) -> _OwnedEventStream | None:
     """Open the event stream a CLI invocation asked for, if any.
+
+    The ``stream_start`` event carries the process's provenance stamp
+    (git SHA, timestamp, interpreter and numpy versions, argv -- see
+    ``docs/METRICS.md``), so an archived stream always points back to
+    the tree and process that produced it.
 
     Parameters
     ----------
@@ -272,4 +282,10 @@ def open_event_stream(
         handles.append(sys.stderr)
     if not handles:
         return None
-    return _OwnedEventStream(handles, owned, source=source)
+    # Imported here: provenance loads numpy, which `repro --list` (and
+    # every verb that opens no stream) must not pay for.
+    from repro.metrics.provenance import collect_provenance
+
+    return _OwnedEventStream(
+        handles, owned, source=source, provenance=collect_provenance().as_dict()
+    )

@@ -46,10 +46,11 @@ __all__ = [
 #: Schema identifier of a ``repro stats --json`` document.
 STATS_SCHEMA = "repro.observability/stats/v1"
 
-#: Schema identifier of a ``repro profile --json`` document.  Since v2
-#: its ``spans`` are the trace JSONL's flat span records (``id`` and
-#: ``parent`` links), not nested subtrees.
-PROFILE_SCHEMA = "repro.observability/profile/v2"
+#: Schema identifier of a ``repro profile --json`` document.  Since v3
+#: its ``spans`` are the event stream's span records
+#: (:meth:`~repro.telemetry.spans.Span.as_record`: ``id``, ``parent``,
+#: ``name``, ``pid``, ``duration_s``, ``samples``, ``attrs``).
+PROFILE_SCHEMA = "repro.observability/profile/v3"
 
 #: Counters whose *increase* between baseline and current is a finding.
 #: Everything else is informational -- cache hit counts legitimately

@@ -20,8 +20,8 @@ same devices bit-identically on faster rungs, all lowered through one
   step-major and run them through the spec's lane layout on NumPy
   arrays, bit-identical to the scalar loop;
 * :mod:`repro.runtime.executor` -- :class:`SweepExecutor`, sharding
-  lanes across a ``ProcessPoolExecutor`` with chunking, per-task
-  timeouts and deterministic ``SeedSequence.spawn`` seeding;
+  lanes across a ``ProcessPoolExecutor`` in contiguous chunks whose
+  lane offsets depend on the plan alone, with per-chunk timeouts;
 * :mod:`repro.runtime.cache` -- a keyed on-disk cache so repeated
   reports on unchanged configs skip recomputation;
 * :mod:`repro.runtime.sweeps` -- the batched amplitude sweep behind

@@ -7,10 +7,10 @@ matter more than raw speed:
 
 * **Determinism** -- chunk boundaries depend only on the item count and
   the configured job/chunk settings, never on scheduling; each chunk
-  receives a :class:`ShardContext` carrying its lane offset and a
-  ``SeedSequence`` spawned from ``(seed, call_index, chunk_index)``, so
-  any randomness a worker draws is a pure function of the executor
-  configuration.  Results are reassembled in submission order.
+  receives a :class:`ShardContext` carrying its lane offset, which is
+  all a sweep worker needs to fast-forward its device's own random
+  streams to the right lane.  Results are reassembled in submission
+  order.
 * **Honesty about cores** -- the effective process count is clamped to
   ``min(jobs, os.cpu_count(), n_chunks)``.  On a single-core host a
   ``--jobs 4`` request runs inline (one fully vectorized pass) instead
@@ -27,7 +27,8 @@ caller's registry, so cache counters survive the process boundary, and
 keeps one :class:`ShardRun` per chunk on :attr:`SweepExecutor.shards`
 for the caller to turn into spans and live events.  Timeouts and
 retries also surface as :class:`~repro.telemetry.events.TelemetryEvent`
-records (``EXEC001`` / ``EXEC002``) on :attr:`SweepExecutor.events`.
+findings (``EXEC001`` / ``EXEC002``) on :attr:`SweepExecutor.events`,
+kept there even when ``map`` raises.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.observability.instruments import (
+    Counter,
     InstrumentRegistry,
     get_registry,
     use_registry,
@@ -107,21 +107,12 @@ class ShardContext:
         lane-sliced noise streams fast-forward by this many lanes.
     n_lanes:
         Number of items in this chunk.
-    seed_entropy:
-        Entropy tuple for ``np.random.SeedSequence``; spawned from the
-        executor seed, the ``map`` call index and the shard index, so a
-        worker can build a private, reproducible ``Generator``.
     """
 
     shard_index: int
     n_shards: int
     lane_offset: int
     n_lanes: int
-    seed_entropy: tuple[int, ...]
-
-    def seed_sequence(self) -> np.random.SeedSequence:
-        """Return the shard's private ``SeedSequence``."""
-        return np.random.SeedSequence(self.seed_entropy)
 
 
 @dataclass(frozen=True)
@@ -152,6 +143,17 @@ class ShardRun:
     duration_s: float
     queue_wait_s: float
     instruments: dict[str, object]
+
+    @property
+    def counters(self) -> dict[str, float]:
+        """Return the chunk's counter totals, keyed by registry name."""
+        chunk = InstrumentRegistry()
+        chunk.merge(self.instruments)
+        return {
+            instrument.name: instrument.total()
+            for instrument in chunk.instruments()
+            if isinstance(instrument, Counter)
+        }
 
 
 def _scoped_call(
@@ -209,8 +211,6 @@ class SweepExecutor:
         call fails with :class:`SweepTimeoutError`.  Each retry is
         counted (``repro.executor.retries``) and recorded as an
         ``EXEC002`` event; the final timeout as ``EXEC001``.
-    seed:
-        Root seed for the per-shard ``SeedSequence`` spawning.
 
     Attributes
     ----------
@@ -230,7 +230,6 @@ class SweepExecutor:
         chunk_size: int | None = None,
         timeout_s: float | None = None,
         retries: int = 0,
-        seed: int = 0,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs!r}")
@@ -248,10 +247,8 @@ class SweepExecutor:
         self.chunk_size = chunk_size
         self.timeout_s = timeout_s
         self.retries = retries
-        self.seed = seed
         self.events: list[TelemetryEvent] = []
         self.shards: list[ShardRun] = []
-        self._call_index = 0
 
     def plan(self, n_items: int) -> list[tuple[int, int]]:
         """Return the ``(offset, length)`` chunk plan for ``n_items``.
@@ -297,8 +294,6 @@ class SweepExecutor:
         kept, with the chunk's timing, on :attr:`shards`.
         """
         chunks = self.plan(len(items))
-        call_index = self._call_index
-        self._call_index += 1
         self.events = []
         self.shards = []
         contexts = [
@@ -307,7 +302,6 @@ class SweepExecutor:
                 n_shards=len(chunks),
                 lane_offset=offset,
                 n_lanes=length,
-                seed_entropy=(self.seed, call_index, index),
             )
             for index, (offset, length) in enumerate(chunks)
         ]

@@ -44,7 +44,6 @@ from repro.config import MODULATOR_FULL_SCALE
 from repro.designs import check_knobs, resolve
 from repro.errors import ConfigurationError
 from repro.runtime.batch import fast_forward_streams
-from repro.observability.instruments import Counter, InstrumentRegistry
 from repro.runtime.cache import ResultCache
 from repro.runtime.engine import current_engine, run_lanes
 from repro.runtime.executor import ShardContext, ShardRun, SweepExecutor
@@ -52,7 +51,6 @@ from repro.telemetry.spans import Span
 from repro.systems.stimulus import coherent_frequency
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observability.live import EventStream
     from repro.telemetry.session import TelemetrySession
 
 __all__ = [
@@ -332,64 +330,34 @@ def _metrics_from_arrays(
     )
 
 
-def _record_shards(
+def _shard_spans(
     spec: SweepSpec,
     shards: Sequence[_ShardResult],
     runs: Sequence[ShardRun],
-    span: Span,
-    stream: "EventStream | None",
-) -> None:
-    """Attach one ``shard:<index>`` span per chunk; replay its events.
+) -> list[tuple[Span, float, dict[str, float]]]:
+    """Return one closed ``shard:<index>`` span per chunk, to replay.
 
     The executor already merged each chunk's registry snapshot; what
-    is left is the timeline.  Each span carries the chunk's pid, lane
-    accounting, queue wait, rung and worker-side wall time.  With a
-    live stream, each chunk's ``span_start``/``span_finish`` and
-    ``instruments`` (its counter totals, dots as underscores) are
-    emitted in one pass sorted by the chunks' wall clocks, so a
-    ``--jobs N`` sweep tails a single ordered timeline.
+    is left is the timeline.  Each span carries the chunk's pid,
+    worker-side wall time, lane accounting, queue wait and rung, and
+    goes with its wall-clock start and counter totals to
+    :meth:`~repro.telemetry.session.TelemetrySession.replay`.
     """
-    events: list[tuple[float, str, str, dict[str, object]]] = []
+    out = []
     for shard, run in zip(shards, runs):
         context = run.context
-        name = f"shard:{context.shard_index}"
-        span.record(
-            name,
+        span = Span(
+            f"shard:{context.shard_index}",
             samples=len(shard.metrics) * spec.n_samples,
-            duration_s=run.duration_s,
-            pid=run.pid,
             lane_offset=context.lane_offset,
             n_lanes=context.n_lanes,
             queue_wait_ms=round(run.queue_wait_s * 1e3, 3),
             engine=shard.engine,
         )
-        if stream is None:
-            continue
-        chunk = InstrumentRegistry()
-        chunk.merge(run.instruments)
-        counters: dict[str, object] = {
-            instrument.name.replace(".", "_"): instrument.total()
-            for instrument in chunk.instruments()
-            if isinstance(instrument, Counter)
-        }
-        finished = run.started_unix + run.duration_s
-        events += [
-            (
-                run.started_unix,
-                "span_start",
-                name,
-                {
-                    "pid": run.pid,
-                    "lane_offset": context.lane_offset,
-                    "n_lanes": context.n_lanes,
-                },
-            ),
-            (finished, "span_finish", name, {"pid": run.pid, "duration_s": run.duration_s}),
-            (finished, "instruments", name, {"pid": run.pid, **counters}),
-        ]
-    if stream is not None:
-        for t, event, name, fields in sorted(events, key=lambda item: item[0]):
-            stream.emit(event, name, t=t, **fields)
+        span.duration_s = run.duration_s
+        span.pid = run.pid
+        out.append((span, run.started_unix, run.counters))
+    return out
 
 
 def run_sweep(
@@ -416,8 +384,9 @@ def run_sweep(
         Optional session; the sweep is wrapped in a ``sweep`` span with
         one childless ``shard:<index>`` span per chunk under it, which
         existing manifest extractors ignore (they read only
-        ``measure``/``device`` spans).  Executor timeout/retry events
-        additionally appear as ``event:EXECxxx`` structural spans.
+        ``measure``/``device`` spans).  The executor's timeout and
+        retry findings go to the session's stream as ``finding``
+        events, also when a terminal timeout ends the sweep.
 
     Whether or not a session is passed, each shard's instrument
     snapshot (cache counters, engine choices, shard timings) is merged
@@ -452,16 +421,12 @@ def run_sweep(
             design=spec.design,
             cache="miss" if cache is not None else "off",
             jobs=executor.jobs,
-        ) as span:
-            shards = executor.map(worker, levels)
-            _record_shards(spec, shards, executor.shards, span, telemetry.stream)
-            for event in executor.events:
-                span.record(
-                    f"event:{event.rule}",
-                    severity=event.severity.name,
-                    source=event.source,
-                    message=event.message,
-                )
+        ):
+            try:
+                shards = executor.map(worker, levels)
+                telemetry.replay(_shard_spans(spec, shards, executor.shards))
+            finally:
+                telemetry.emit_findings(executor.events)
     else:
         shards = executor.map(worker, levels)
 

@@ -12,9 +12,12 @@ The static ERC layer (:mod:`repro.erc`) checks what a design
 * :class:`~repro.telemetry.monitor.DynamicRuleMonitor` -- headroom and
   class-AB bias rules (DYN001-DYN004) evaluated against the observed
   statistics, reporting through the shared ERC
-  :class:`~repro.erc.rules.Severity` model;
-* :func:`~repro.telemetry.export.export_jsonl` -- a JSONL trace
-  exporter for CI artifacts and offline tooling.
+  :class:`~repro.erc.rules.Severity` model.
+
+A session handed an :class:`~repro.observability.live.EventStream`
+writes the run as one JSONL stream -- span starts and finishes with
+``id``/``parent`` links, probes and findings -- which is what ``repro
+trace --json`` and ``repro report --events`` write.
 
 Telemetry is strictly opt-in: devices hold no probe until
 ``attach_telemetry(session)`` is called, and a bench constructed
@@ -27,7 +30,6 @@ from repro import _lazy_exports
 
 if TYPE_CHECKING:
     from repro.telemetry.events import Severity, TelemetryEvent
-    from repro.telemetry.export import export_jsonl
     from repro.telemetry.monitor import (
         ClipRule,
         CmffResidualRule,
@@ -43,7 +45,6 @@ if TYPE_CHECKING:
 
 _EXPORTS = {
     "repro.telemetry.events": ("TelemetryEvent", "Severity"),
-    "repro.telemetry.export": ("export_jsonl",),
     "repro.telemetry.monitor": (
         "DynamicRule",
         "ClipRule",

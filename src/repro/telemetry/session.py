@@ -1,4 +1,4 @@
-"""The telemetry session: one run's spans, probes and events.
+"""The telemetry session: one run's spans, probes, findings and stream.
 
 A :class:`TelemetrySession` is the single object a caller threads
 through a traced simulation: the bench opens spans on it, devices
@@ -7,6 +7,12 @@ observed statistics into severity events at the end.  Everything is
 explicit -- there is no global/ambient session, so untraced code paths
 carry literally no telemetry state and a disabled bench
 (``telemetry=None``, the default) runs the exact seed code path.
+
+The session is also the one writer of a run's event stream: it assigns
+every span its ``id`` and its parent's ``id`` and writes the span's
+record (:meth:`Span.as_record`) into its ``span_start`` and
+``span_finish`` events, and it writes the probes and findings of each
+rule evaluation, so the stream alone rebuilds the tree.
 
 Typical use::
 
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.errors import TelemetryError
 from repro.findings import Report
@@ -43,17 +49,17 @@ class TelemetrySession:
     Parameters
     ----------
     name:
-        Session label, used in reports and the JSONL trace header.
+        Session label, used in reports and rendered tables.
     monitor:
         Dynamic-rule monitor evaluated by :meth:`evaluate_rules`; the
         default four-rule monitor when omitted.
     stream:
         Optional live event sink
         (:class:`~repro.observability.live.EventStream`): every span
-        opened on the session additionally emits ``span_start`` /
-        ``span_finish`` events as it happens, so long sweeps show
-        progress before they finish.  None (the default) emits
-        nothing and costs nothing.
+        attached to the session emits ``span_start``/``span_finish``
+        as it happens, each rule evaluation emits ``probe`` and
+        ``finding`` events, so long sweeps show progress before they
+        finish.  None (the default) emits nothing and costs nothing.
     """
 
     def __init__(
@@ -64,7 +70,7 @@ class TelemetrySession:
     ) -> None:
         self.name = name
         self.monitor = monitor if monitor is not None else default_monitor()
-        #: Live event sink; span open/close mirror into it when set.
+        #: Live event sink; the run's events are written into it when set.
         self.stream = stream
         #: Root spans, in creation order.
         self.roots: list[Span] = []
@@ -73,8 +79,25 @@ class TelemetrySession:
         #: Events from the last :meth:`evaluate_rules` call.
         self.events: tuple[TelemetryEvent, ...] = ()
         self._stack: list[Span] = []
+        self._next_id = 0
 
     # -- spans ---------------------------------------------------------
+
+    def _attach(self, span: Span, parent: Span | None) -> Span:
+        """Give ``span`` its ids and pid and hang it under ``parent``."""
+        span.id = self._next_id
+        self._next_id += 1
+        span.parent = None if parent is None else parent.id
+        if span.pid is None:
+            span.pid = os.getpid()
+        (self.roots if parent is None else parent.children).append(span)
+        return span
+
+    def _emit_span(self, span: Span, finished: bool, t: float | None = None) -> None:
+        """Write the span's record as its ``span_start``/``span_finish`` event."""
+        if self.stream is not None:
+            event = "span_finish" if finished else "span_start"
+            self.stream.emit(event, t=t, **span.as_record())
 
     @contextmanager
     def span(
@@ -85,31 +108,16 @@ class TelemetrySession:
         The span measures wall time from entry to exit (including an
         exceptional exit, so partial runs still report honest timings).
         """
-        span = Span(name, samples=samples, **attrs)
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            self.roots.append(span)
+        span = self._attach(Span(name, samples=samples, **attrs), self.current_span)
         self._stack.append(span)
-        if self.stream is not None:
-            self.stream.emit(
-                "span_start", span.name, pid=os.getpid(), depth=len(self._stack)
-            )
+        self._emit_span(span, finished=False)
         span.start()
         try:
             yield span
         finally:
             span.finish()
             self._stack.pop()
-            if self.stream is not None:
-                self.stream.emit(
-                    "span_finish",
-                    span.name,
-                    pid=os.getpid(),
-                    duration_s=span.duration_s,
-                    samples=span.samples,
-                )
+            self._emit_span(span, finished=True)
 
     @property
     def current_span(self) -> Span | None:
@@ -120,6 +128,11 @@ class TelemetrySession:
         self, name: str, samples: int | None = None, **attrs: object
     ) -> Span:
         """Attach a closed structural span under the current span.
+
+        Structural spans represent hierarchy levels whose work is
+        interleaved with their siblings' (the stages of a feedback
+        loop, the clock phases of a cell) and therefore carry sample
+        counts and attributes but no wall time of their own.
 
         Raises
         ------
@@ -132,7 +145,40 @@ class TelemetrySession:
             raise TelemetryError(
                 f"cannot record structural span {name!r}: no span is open"
             )
-        return parent.record(name, samples=samples, **attrs)
+        span = self._attach(Span(name, samples=samples, **attrs), parent)
+        self._emit_span(span, finished=False)
+        self._emit_span(span, finished=True)
+        return span
+
+    def replay(
+        self, runs: Iterable[tuple[Span, float, Mapping[str, float]]]
+    ) -> None:
+        """Attach spans whose work ran elsewhere under the current span.
+
+        Outside any span they become roots, as in :meth:`span`.  Each
+        item is a closed span (a sweep chunk, with its worker's
+        ``pid`` and ``duration_s``), its wall-clock start
+        (``time.time()``) and the counter totals its work recorded.
+        With a stream, every span's ``span_start``, ``span_finish``
+        and ``instruments`` events are written in one pass sorted by
+        those wall clocks, so chunks that ran in parallel read as one
+        timeline (the stream clamps ``t``, so writing chunk by chunk
+        would bend it).
+        """
+        parent = self.current_span
+        timeline: list[tuple[float, bool, Span, Mapping[str, float]]] = []
+        for span, started, counters in runs:
+            self._attach(span, parent)
+            timeline.append((started, False, span, counters))
+            timeline.append((started + (span.duration_s or 0.0), True, span, counters))
+        if self.stream is None:
+            return
+        for t, finished, span, counters in sorted(timeline, key=lambda item: item[0]):
+            self._emit_span(span, finished, t)
+            if finished:
+                self.stream.emit(
+                    "instruments", span.name, t=t, id=span.id, pid=span.pid, **counters
+                )
 
     # -- probes --------------------------------------------------------
 
@@ -166,11 +212,36 @@ class TelemetrySession:
         """Evaluate the dynamic rules over the current probe statistics.
 
         Replaces (never appends to) :attr:`events`, so evaluating after
-        every measurement on a shared session stays idempotent.
+        every measurement on a shared session stays idempotent.  With a
+        stream, each probe's statistics are written as a ``probe``
+        event and each finding as a ``finding`` event.
         """
         active = monitor if monitor is not None else self.monitor
         self.events = active.evaluate(self)
+        if self.stream is not None:
+            for probe in self.probes.values():
+                self.stream.emit("probe", **probe.as_record())
+        self.emit_findings(self.events)
         return self.events
+
+    def emit_findings(self, findings: Iterable[TelemetryEvent]) -> None:
+        """Write findings to the stream as ``finding`` events.
+
+        The dynamic rules' findings arrive through
+        :meth:`evaluate_rules`; a sweep hands over its executor's
+        timeout and retry findings (``EXEC001``/``EXEC002``) here.
+        """
+        if self.stream is None:
+            return
+        for finding in findings:
+            self.stream.emit(
+                "finding",
+                finding.rule,
+                severity=finding.severity.name,
+                source=finding.source,
+                message=finding.message,
+                sample_index=finding.sample_index,
+            )
 
     @property
     def gate(self) -> Report[TelemetryEvent]:

@@ -4,8 +4,9 @@ A span covers one level of the run hierarchy the telemetry layer
 traces: ``run -> device -> stage -> clock phase``.  Timed spans are
 opened and closed around real work (the bench's stimulus generation,
 the device loop, the FFT analysis) and measure wall time with
-:func:`time.perf_counter`; *structural* spans (:meth:`Span.record`)
-carry sample counts and attributes for levels whose work is interleaved
+:func:`time.perf_counter`; *structural* spans
+(:meth:`~repro.telemetry.session.TelemetrySession.record`) carry
+sample counts and attributes for levels whose work is interleaved
 inside a per-sample loop and therefore cannot be timed separately --
 an SI modulator advances both integrator stages within one loop
 iteration, so the stage and clock-phase spans under its device span are
@@ -13,7 +14,8 @@ structural.
 
 Sample counts turn wall time into the throughput figure the ROADMAP's
 perf work needs: ``samples_per_second`` is the measured simulation rate
-of the subtree.
+of the subtree.  :meth:`Span.as_record` is the one encoding of a span,
+shared by the live event stream and ``repro profile --json``.
 """
 
 from __future__ import annotations
@@ -27,13 +29,19 @@ __all__ = ["Span", "jsonable", "render_span_tree"]
 
 
 def jsonable(value: object) -> object:
-    """Return ``value`` if JSON encodes it as a scalar, else ``str(value)``.
+    """Return ``value`` with everything JSON cannot encode as ``str``.
 
-    Span attributes, probe metadata and live-event fields are free-form;
-    every writer passes them through this one coercion.
+    Scalars pass through, mappings and sequences are rendered item by
+    item, anything else becomes ``str(value)``.  Span attributes, probe
+    metadata and event fields are free-form; every writer passes them
+    through this one coercion.
     """
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
+    if isinstance(value, dict):
+        return {str(key): jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(item) for item in value]
     return str(value)
 
 
@@ -50,10 +58,30 @@ class Span:
         span does not process samples.
     attrs:
         Free-form attributes (clock phase, sample rate, device type...)
-        exported verbatim to the JSONL trace.
+        written verbatim into the span's record.
+
+    Attributes
+    ----------
+    id, parent:
+        The span's id and its parent span's id (None for a root), both
+        assigned by the :class:`~repro.telemetry.session.TelemetrySession`
+        the span is attached to; None until then.
+    pid:
+        The process that did the span's work: the recording process,
+        or the worker that ran a sweep chunk.
     """
 
-    __slots__ = ("name", "samples", "attrs", "children", "duration_s", "_started")
+    __slots__ = (
+        "name",
+        "samples",
+        "attrs",
+        "children",
+        "duration_s",
+        "id",
+        "parent",
+        "pid",
+        "_started",
+    )
 
     def __init__(
         self,
@@ -66,6 +94,9 @@ class Span:
         self.attrs: dict[str, object] = attrs
         self.children: list[Span] = []
         self.duration_s: float | None = None
+        self.id: int | None = None
+        self.parent: int | None = None
+        self.pid: int | None = None
         self._started: float | None = None
 
     def __repr__(self) -> str:
@@ -102,33 +133,22 @@ class Span:
         self.duration_s = time.perf_counter() - self._started
         return self
 
-    @property
-    def running(self) -> bool:
-        """Return True while the span is started but not finished."""
-        return self._started is not None and self.duration_s is None
+    def as_record(self) -> dict[str, object]:
+        """Return the span's one JSON record.
 
-    def add_samples(self, n: int) -> None:
-        """Add ``n`` processed samples to the span's accounting."""
-        self.samples = n if self.samples is None else self.samples + n
-
-    def record(
-        self,
-        name: str,
-        samples: int | None = None,
-        duration_s: float | None = None,
-        **attrs: object,
-    ) -> "Span":
-        """Attach a closed structural child span and return it.
-
-        Structural spans represent hierarchy levels whose work is
-        interleaved with their siblings' (the stages of a feedback
-        loop, the clock phases of a cell) and therefore carry sample
-        counts and attributes but usually no wall time of their own.
+        The same record is written into the span's ``span_start`` and
+        ``span_finish`` events and into ``repro profile --json``, so
+        ``id``/``parent`` rebuild the tree wherever it was written.
         """
-        child = Span(name, samples=samples, **attrs)
-        child.duration_s = duration_s
-        self.children.append(child)
-        return child
+        return {
+            "id": self.id,
+            "parent": self.parent,
+            "name": self.name,
+            "pid": self.pid,
+            "duration_s": self.duration_s,
+            "samples": self.samples,
+            "attrs": jsonable(self.attrs),
+        }
 
     @property
     def samples_per_second(self) -> float | None:

@@ -288,14 +288,15 @@ class TestOutputsInNewDirectories:
         assert len(list(RunLedger(directory).entries())) == 1
 
     def test_library_writers_create_the_parent(self, tmp_path):
+        from repro.observability.live import open_event_stream
         from repro.observability.stats import write_stats_json
         from repro.staticcheck import run_lint
-        from repro.telemetry.export import export_jsonl
-        from repro.telemetry.session import TelemetrySession
 
+        with open_event_stream(tmp_path / "trace" / "t.jsonl"):
+            pass
         written = [
             write_stats_json(tmp_path / "stats" / "s.json", {"instruments": {}}),
             run_lint([]).write_json(tmp_path / "lint" / "l.json"),
-            export_jsonl(TelemetrySession("empty"), tmp_path / "trace" / "t.jsonl"),
+            tmp_path / "trace" / "t.jsonl",
         ]
         assert all(path.read_text() for path in written)

@@ -123,7 +123,7 @@ class TestProfile:
         assert "shard:0" in output
         assert "self [ms]" in output or "self" in output
         document = json.loads(json_path.read_text())
-        assert document["schema"] == "repro.observability/profile/v2"
+        assert document["schema"] == "repro.observability/profile/v3"
         assert document["target"] == spec_path
         names = [row["name"] for row in document["rows"]]
         assert "sweep" in names and "shard:0" in names

@@ -83,17 +83,17 @@ class TestMerge:
         from repro.observability.instruments import InstrumentRegistry
         from repro.runtime.executor import ShardContext, ShardRun
         from repro.runtime.sweeps import (
-            _record_shards,
+            _shard_spans,
             _ShardResult,
             sweep_spec_for_design,
         )
-        from repro.telemetry.spans import Span
+        from repro.telemetry.session import TelemetrySession
 
         counted = InstrumentRegistry()
         counted.counter("repro.executor.shards").inc()
         runs = [
             ShardRun(
-                context=ShardContext(index, len(chunks), index, 1, (0, 0, index)),
+                context=ShardContext(index, len(chunks), index, 1),
                 pid=pid,
                 started_unix=started,
                 duration_s=duration,
@@ -104,7 +104,8 @@ class TestMerge:
         ]
         shards = [_ShardResult(metrics=(), engine="kernel") for _ in chunks]
         spec = sweep_spec_for_design("mod2", levels_db=(-40.0, -20.0))
-        _record_shards(spec, shards, runs, Span("sweep"), stream)
+        session = TelemetrySession("sweep", stream=stream)
+        session.replay(_shard_spans(spec, shards, runs))
 
     def test_worker_events_sorted_by_wall_clock(self):
         buffer = io.StringIO()
@@ -131,7 +132,7 @@ class TestMerge:
         records = _events(buffer)
         assert [r["seq"] for r in records] == [0, 1, 2, 3]
         assert records[-1]["event"] == "instruments"
-        assert records[-1]["repro_executor_shards"] == 1.0
+        assert records[-1]["repro.executor.shards"] == 1.0
 
 
 class TestOpenEventStream:
@@ -222,7 +223,7 @@ class TestSweepIntegration:
         assert starts.count("shard:2") == 1
         deltas = [r for r in records if r["event"] == "instruments"]
         assert len(deltas) == 3
-        assert all("repro_executor_shards" in r for r in deltas)
+        assert all("repro.executor.shards" in r for r in deltas)
 
     def test_event_count_bounded_by_shards_not_samples(self, spec):
         # The <5% overhead promise rests on this: events fire per span

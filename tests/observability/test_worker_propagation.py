@@ -55,7 +55,7 @@ class TestSpanPropagation:
         assert [s.name for s in shards] == ["shard:0", "shard:1"]
         for shard in shards:
             # The span was timed in the worker process, not here.
-            assert shard.attrs["pid"] != os.getpid()
+            assert shard.pid != os.getpid()
             assert shard.duration_s is not None and shard.duration_s > 0.0
             assert "queue_wait_ms" in shard.attrs
         assert registry.counter("repro.executor.shards").total() == 2.0

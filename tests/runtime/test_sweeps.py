@@ -196,12 +196,10 @@ class TestWorker:
         from repro.runtime.sweeps import _run_lane_chunk
 
         spec = _spec()
-        context = ShardContext(0, 1, 0, len(LEVELS), seed_entropy=(0, 0, 0))
+        context = ShardContext(0, 1, 0, len(LEVELS))
         whole = _run_lane_chunk(spec, list(LEVELS), context, engine="batch")
         assert whole.engine == "batch"
-        tail_context = ShardContext(
-            1, 2, 1, len(LEVELS) - 1, seed_entropy=(0, 0, 1)
-        )
+        tail_context = ShardContext(1, 2, 1, len(LEVELS) - 1)
         tail = _run_lane_chunk(
             spec, list(LEVELS[1:]), tail_context, engine="batch"
         )
@@ -217,7 +215,7 @@ class TestWorker:
         from repro.runtime.sweeps import _run_lane_chunk
 
         spec = _spec()
-        context = ShardContext(0, 1, 0, len(LEVELS), seed_entropy=(0, 0, 0))
+        context = ShardContext(0, 1, 0, len(LEVELS))
         batch = _run_lane_chunk(spec, list(LEVELS), context, engine="batch")
 
         def refuse(*args, **kwargs):
@@ -227,9 +225,7 @@ class TestWorker:
         scalar = _run_lane_chunk(spec, list(LEVELS), context, engine="batch")
         assert scalar.engine == "kernel"
         assert scalar.metrics == batch.metrics
-        tail_context = ShardContext(
-            1, 2, 1, len(LEVELS) - 1, seed_entropy=(0, 0, 1)
-        )
+        tail_context = ShardContext(1, 2, 1, len(LEVELS) - 1)
         tail = _run_lane_chunk(
             spec, list(LEVELS[1:]), tail_context, engine="batch"
         )

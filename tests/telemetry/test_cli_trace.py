@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.observability.live import EVENT_SCHEMA
+from repro.telemetry.session import TelemetrySession
+from repro.telemetry.spans import jsonable
 
 # 8192 samples keeps the runs fast while leaving the stimulus tone
 # clear of the analysis window's main lobe for every trace design.
@@ -46,8 +49,11 @@ class TestTraceCommand:
         records = [
             json.loads(line) for line in target.read_text().splitlines()
         ]
-        assert records[0]["type"] == "session"
-        assert any(record["type"] == "probe" for record in records)
+        assert records[0]["event"] == "stream_start"
+        assert records[0]["schema"] == EVENT_SCHEMA
+        assert records[0]["provenance"]["git_sha"]
+        assert records[-1]["event"] == "stream_finish"
+        assert any(record["event"] == "probe" for record in records)
 
     def test_alias_accepted(self, capsys):
         assert main(["trace", "mod1", *FAST]) == 0
@@ -65,6 +71,53 @@ class TestTraceCommand:
         assert "--overdrive" in output
         assert "--supply" in output
         assert "--json" in output
+
+
+class TestTraceStream:
+    """``--json`` writes the session's stream: its findings and probes."""
+
+    @pytest.fixture()
+    def sessions(self, monkeypatch):
+        made = []
+
+        class Recorded(TelemetrySession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr("repro.telemetry.session.TelemetrySession", Recorded)
+        return made
+
+    @pytest.mark.parametrize(("overdrive", "code"), [("1", 0), ("8", 1)])
+    def test_findings_and_probes_match_the_session(
+        self, sessions, tmp_path, overdrive, code
+    ):
+        target = tmp_path / "trace.jsonl"
+        argv = [
+            "trace", "modulator1", "--samples", "8192",
+            "--overdrive", overdrive, "--json", str(target),
+        ]
+        assert main(argv) == code
+        (session,) = sessions
+        assert bool(session.events) == bool(code)
+        records = [json.loads(line) for line in target.read_text().splitlines()]
+        findings = [
+            (r["name"], r["severity"], r["source"], r["message"], r["sample_index"])
+            for r in records
+            if r["event"] == "finding"
+        ]
+        assert findings == [
+            (e.rule, e.severity.name, e.source, e.message, e.sample_index)
+            for e in session.events
+        ]
+        probes = {
+            r["name"]: {k: v for k, v in r.items() if k not in ("t", "event", "seq")}
+            for r in records
+            if r["event"] == "probe"
+        }
+        assert probes == {
+            name: jsonable(probe.as_record()) for name, probe in session.probes.items()
+        }
 
 
 class TestAnalysisRefusal:

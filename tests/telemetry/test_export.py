@@ -1,14 +1,19 @@
-"""Tests for the JSONL trace exporter."""
+"""The run's JSONL trace: the session's event stream, record by record."""
 
+import io
 import json
 
 import numpy as np
 
-from repro.telemetry import TelemetrySession, export_jsonl
+from repro.observability.live import EVENT_SCHEMA, EventStream
+from repro.telemetry import TelemetrySession
 
 
-def _traced_session():
-    session = TelemetrySession("export-test")
+def _traced_stream():
+    """Trace a small run into a buffer; return the session and its lines."""
+    buffer = io.StringIO()
+    stream = EventStream([buffer], source="export-test")
+    session = TelemetrySession("export-test", stream=stream)
     with session.span("measure", samples=64):
         with session.span("device", samples=64):
             session.record("phase", phase="PHI1")
@@ -21,40 +26,40 @@ def _traced_session():
     )
     probe.observe_array(np.array([8e-6, -8e-6]))
     session.evaluate_rules()
-    return session
+    stream.finish()
+    return session, buffer.getvalue()
 
 
-def _load(path):
-    return [json.loads(line) for line in path.read_text().splitlines()]
+def _load():
+    return [json.loads(line) for line in _traced_stream()[1].splitlines()]
 
 
 class TestExport:
-    def test_record_types_in_order(self, tmp_path):
-        path = export_jsonl(_traced_session(), tmp_path / "trace.jsonl")
-        types = [record["type"] for record in _load(path)]
-        assert types[0] == "session"
-        assert types.count("span") == 3
-        assert types.count("probe") == 1
-        assert "event" in types
-        # Grouped: session, then spans, then probes, then events.
-        assert types == sorted(
-            types, key=["session", "span", "probe", "event"].index
-        )
+    def test_record_types_in_order(self):
+        kinds = [record["event"] for record in _load()]
+        assert kinds[0] == "stream_start"
+        assert kinds[-1] == "stream_finish"
+        assert kinds.count("span_start") == kinds.count("span_finish") == 3
+        assert kinds.count("probe") == 1
+        assert "finding" in kinds
+        # The spans closed before the rules ran: their probes, then
+        # the findings drawn from them.
+        last_span = len(kinds) - 1 - kinds[::-1].index("span_finish")
+        assert last_span < kinds.index("probe") < kinds.index("finding")
 
-    def test_session_header_counts(self, tmp_path):
-        path = export_jsonl(_traced_session(), tmp_path / "trace.jsonl")
-        header = _load(path)[0]
+    def test_session_header_counts(self):
+        records = _load()
+        header, footer = records[0], records[-1]
         assert header["name"] == "export-test"
-        assert header["n_spans"] == 3
-        assert header["n_probes"] == 1
-        assert header["ok"] is False
+        assert header["schema"] == EVENT_SCHEMA
+        assert footer["n_events"] == len(records) - 1
+        assert [r["seq"] for r in records] == list(range(len(records)))
 
-    def test_span_parent_links_rebuild_the_tree(self, tmp_path):
-        path = export_jsonl(_traced_session(), tmp_path / "trace.jsonl")
+    def test_span_parent_links_rebuild_the_tree(self):
         spans = {
             record["id"]: record
-            for record in _load(path)
-            if record["type"] == "span"
+            for record in _load()
+            if record["event"] == "span_finish"
         }
         roots = [span for span in spans.values() if span["parent"] is None]
         assert [span["name"] for span in roots] == ["measure"]
@@ -63,33 +68,32 @@ class TestExport:
             by_parent.setdefault(span["parent"], []).append(span["name"])
         assert by_parent[roots[0]["id"]] == ["device"]
 
-    def test_structural_span_serialises_null_duration(self, tmp_path):
-        path = export_jsonl(_traced_session(), tmp_path / "trace.jsonl")
+    def test_structural_span_serialises_null_duration(self):
         phase = next(
             record
-            for record in _load(path)
-            if record["type"] == "span" and record["name"] == "phase"
+            for record in _load()
+            if record["event"] == "span_finish" and record["name"] == "phase"
         )
         assert phase["duration_s"] is None
         assert phase["attrs"]["phase"] == "PHI1"
 
-    def test_probe_record_round_trips_statistics(self, tmp_path):
-        session = _traced_session()
-        path = export_jsonl(session, tmp_path / "trace.jsonl")
-        record = next(r for r in _load(path) if r["type"] == "probe")
+    def test_probe_record_round_trips_statistics(self):
+        session, text = _traced_stream()
+        record = next(
+            r for r in map(json.loads, text.splitlines()) if r["event"] == "probe"
+        )
         probe = session.probes["cell"]
         assert record["name"] == "cell"
         assert record["count"] == probe.count
         assert record["rms"] == probe.rms
         assert record["meta"]["kind"] == "memory_cell"
 
-    def test_event_record_carries_rule_and_severity(self, tmp_path):
-        path = export_jsonl(_traced_session(), tmp_path / "trace.jsonl")
-        events = [r for r in _load(path) if r["type"] == "event"]
-        assert {event["rule"] for event in events} == {"DYN002"}
-        assert all(event["severity"] == "ERROR" for event in events)
+    def test_event_record_carries_rule_and_severity(self):
+        findings = [r for r in _load() if r["event"] == "finding"]
+        assert {finding["name"] for finding in findings} == {"DYN002"}
+        assert all(finding["severity"] == "ERROR" for finding in findings)
+        assert all(finding["source"] == "cell" for finding in findings)
 
-    def test_every_line_is_valid_json(self, tmp_path):
-        path = export_jsonl(_traced_session(), tmp_path / "trace.jsonl")
-        for line in path.read_text().splitlines():
+    def test_every_line_is_valid_json(self):
+        for line in _traced_stream()[1].splitlines():
             json.loads(line)
