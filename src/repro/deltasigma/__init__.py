@@ -16,7 +16,8 @@ if TYPE_CHECKING:
     from repro.deltasigma.dither import DitheredQuantizer, idle_tone_power_ratio
     from repro.deltasigma.dac import FeedbackDac
     from repro.deltasigma.modulator1 import SIModulator1
-    from repro.deltasigma.modulator2 import ModulatorTrace, SIModulator2
+    from repro.deltasigma.loop import ModulatorTrace
+    from repro.deltasigma.modulator2 import SIModulator2
     from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
     from repro.deltasigma.ideal import IdealSecondOrderModulator
     from repro.deltasigma.decimator import SincDecimator
@@ -31,7 +32,8 @@ _EXPORTS = {
     "repro.deltasigma.dither": ("DitheredQuantizer", "idle_tone_power_ratio"),
     "repro.deltasigma.dac": ("FeedbackDac",),
     "repro.deltasigma.modulator1": ("SIModulator1",),
-    "repro.deltasigma.modulator2": ("SIModulator2", "ModulatorTrace"),
+    "repro.deltasigma.loop": ("ModulatorTrace",),
+    "repro.deltasigma.modulator2": ("SIModulator2",),
     "repro.deltasigma.chopper_modulator": ("ChopperStabilizedSIModulator",),
     "repro.deltasigma.ideal": ("IdealSecondOrderModulator",),
     "repro.deltasigma.decimator": ("SincDecimator",),

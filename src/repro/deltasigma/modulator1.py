@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from repro.clocks.phases import Phase
 from repro.errors import ConfigurationError
 from repro.si.differential import DifferentialSample
 from repro.si.integrator import SIIntegrator
 from repro.si.memory_cell import MemoryCellConfig
+from repro.si.stages import Stage
 from repro.deltasigma.dac import FeedbackDac
 from repro.deltasigma.loop import FeedbackLoop
 from repro.deltasigma.quantizer import CurrentQuantizer
@@ -82,79 +81,26 @@ class SIModulator1(FeedbackLoop):
         self.quantizer = quantizer if quantizer is not None else CurrentQuantizer()
         self.dac = dac if dac is not None else FeedbackDac(full_scale=full_scale)
         self._integrator = SIIntegrator(gain=1.0, config=base, seed_offset=505)
-        self._telemetry = None
-        self._telemetry_name = self.telemetry_name
 
     @property
     def order(self) -> int:
         """Return the noise-shaping order (1)."""
         return 1
 
-    def loop_stages(self) -> tuple[tuple[str, SIIntegrator, Phase], ...]:
+    def stages(self) -> tuple[Stage, ...]:
         """Declare the one delaying integrator."""
-        return (("int", self._integrator, Phase.PHI1),)
+        return (Stage("int", self._integrator, Phase.PHI1),)
 
     def reset(self) -> None:
         """Zero the loop state."""
         self._integrator.reset()
         self.quantizer.reset()
 
-    def run(self, stimulus: np.ndarray) -> np.ndarray:
-        """Run the modulator; return the analog bit-stream values."""
-        data = np.asarray(stimulus, dtype=float)
-        if data.ndim != 1:
-            raise ConfigurationError(
-                f"stimulus must be 1-D, got shape {data.shape}"
-            )
-        session = self._telemetry
-        if session is None:
-            return self._run_loop(data)
-        name = self._telemetry_name
-        with session.span(
-            name,
-            samples=data.shape[0],
-            device="SIModulator1",
-            order=self.order,
-        ):
-            output = self._run_loop(data)
-            session.probe(f"{name}.input", full_scale=self.full_scale).observe_array(
-                data
-            )
-            session.probe(
-                f"{name}.bitstream", full_scale=self.full_scale
-            ).observe_array(output)
-            session.record(
-                "integrator", samples=data.shape[0], phase="PHI1", role="integrator"
-            )
-            session.record(
-                "quantizer+dac", samples=data.shape[0], phase="PHI2", role="quantizer"
-            )
-        return output
-
-    def _run_loop(self, data: np.ndarray) -> np.ndarray:
-        from repro.runtime.engine import run_single
-
-        fast = run_single(self, data)
-        if fast is not None:
-            return fast
-        n_samples = data.shape[0]
-        output = np.empty(n_samples)
-        integrator = self._integrator
-        quantizer = self.quantizer
-        dac = self.dac
-        a = self.a
-        for n in range(n_samples):
-            w = integrator.state
-            decision = quantizer.decide(w.differential)
-            feedback = dac.convert(decision)
-            u = DifferentialSample.from_components(
-                a * (float(data[n]) - feedback)
-            )
-            integrator.step(u)
-            output[n] = decision * self.full_scale
-        return output
-
-    def __call__(self, stimulus: np.ndarray) -> np.ndarray:
-        """Run with a fresh state: the device-under-test interface."""
-        self.reset()
-        return self.run(stimulus)
+    def _period(self, x: float) -> float:
+        """Decide on the state, feed back, integrate; return the bit."""
+        w = self._integrator.state
+        decision = self.quantizer.decide(w.differential)
+        feedback = self.dac.convert(decision)
+        u = DifferentialSample.from_components(self.a * (x - feedback))
+        self._integrator.step(u)
+        return decision * self.full_scale

@@ -25,24 +25,25 @@ output bit-identical to the scalar loop.  A shard that starts at lane
 ``k`` first advances the streams with :func:`fast_forward_streams`.
 
 Attached :class:`~repro.telemetry.probes.SignalProbe`\\ s are fed
-lane-major through ``observe_array`` after the run.  Building a runner
-has no side effect: every refusal raises :class:`BatchUnsupported`
-there, and the streams are drained only by ``run``, after its shape
-check.  Callers fall back to single runs lane by lane: the compiled
-kernel when the device lowers there, else the scalar loop (see
-:func:`repro.runtime.engine.run_lanes`).
+lane-major through ``observe_array`` after the run, and a loop's
+``input``/``bitstream`` probes through the device's own
+:meth:`~repro.si.stages.StagedDevice.observe_lanes`, which a single
+run feeds too.  Building a runner has no side effect: every refusal
+raises :class:`BatchUnsupported` there, and the streams are drained
+only by ``run``, after its shape check.  Callers fall back to single
+runs lane by lane: the compiled kernel when the device lowers there,
+else the scalar loop (see :func:`repro.runtime.engine.run_lanes`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, cast
 
 import numpy as np
 
 from repro.runtime.kernels.codegen import KernelProgram, compile_spec
 from repro.runtime.kernels.runner import (
     BLOCK_STEPS,
-    _chopper_signs,
     _halves,
     _probe_owners,
     _stimulus,
@@ -53,6 +54,7 @@ from repro.runtime.kernels.spec import (
     device_parts,
     drawn_streams,
 )
+from repro.si.stages import StagedDevice, chopper_signs
 
 __all__ = [
     "BatchUnsupported",
@@ -69,28 +71,6 @@ __all__ = [
 
 class BatchUnsupported(Exception):
     """The device configuration has no bit-exact batch lowering."""
-
-
-def _feed_loop_probes(
-    modulator: object, stimuli: np.ndarray, output: np.ndarray
-) -> None:
-    """Feed a modulator's top-level ``input``/``bitstream`` probes.
-
-    The scalar ``run()`` telemetry block observes the stimulus and the
-    reconstructed bit stream once per run; lane ``k`` of a batch is run
-    ``k`` of the scalar sweep, so feeding whole lanes in lane order
-    reproduces the scalar probe state exactly.
-    """
-    session = getattr(modulator, "_telemetry", None)
-    if session is None:
-        return
-    name = modulator._telemetry_name  # type: ignore[attr-defined]
-    full_scale = modulator.full_scale  # type: ignore[attr-defined]
-    input_probe = session.probe(f"{name}.input", full_scale=full_scale)
-    bitstream_probe = session.probe(f"{name}.bitstream", full_scale=full_scale)
-    for lane in range(stimuli.shape[0]):
-        input_probe.observe_array(stimuli[lane])
-        bitstream_probe.observe_array(output[lane])
 
 
 def _blocks(
@@ -156,7 +136,7 @@ class _LaneRunner:
     """Run the lane layout of one device's compiled program."""
 
     def __init__(
-        self, device: object, program: KernelProgram, n_lanes: int, n_steps: int
+        self, device: StagedDevice, program: KernelProgram, n_lanes: int, n_steps: int
     ) -> None:
         self.n_lanes = n_lanes
         self.n_steps = n_steps
@@ -179,7 +159,7 @@ class _LaneRunner:
             name: stream.take(n_lanes * n_steps).reshape(n_lanes, n_steps)
             for name, stream in loop_streams.items()
         }
-        signs = _chopper_signs(n_steps) if program.spec.kind == "chopper" else None
+        signs = chopper_signs(n_steps) if program.spec.kind == "chopper" else None
         owners = _probe_owners(program, device_parts(self._device)[0])
         probes = [np.empty((n_steps, n_lanes)) for _ in owners]
         result, blocks = _blocks(program, data, halves, draws, signs, probes)
@@ -192,8 +172,7 @@ class _LaneRunner:
         # summation-order rounding.
         for owner, probe in zip(owners, probes):
             owner.observe_array(np.ascontiguousarray(probe.T).reshape(-1))
-        if program.spec.loop is not None:
-            _feed_loop_probes(self._device, data, result)
+        self._device.observe_lanes(data, result)
         return result
 
 
@@ -297,4 +276,5 @@ def batch_runner_for(device: object, n_lanes: int, n_steps: int) -> _LaneRunner:
             help="batch lowerings refused (lanes run one at a time)",
         ).inc(device=type(device).__name__, reason=str(error))
         raise BatchUnsupported(str(error)) from None
-    return _RUNNERS[spec.kind](device, program, n_lanes, n_steps)
+    # build_spec lowers nothing but the staged devices.
+    return _RUNNERS[spec.kind](cast(StagedDevice, device), program, n_lanes, n_steps)

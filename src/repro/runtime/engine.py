@@ -9,10 +9,11 @@ Every supported device executes bit-identically on three rungs:
 * ``scalar`` -- the original per-sample Python loop, the parity
   oracle that :func:`force_scalar` runs.
 
-Two entry points take the decision.  Every device ``run`` method
-first calls :func:`run_single`, which runs the kernel and returns its
-output, or returns ``None`` so the caller falls through to its scalar
-loop.  A sweep shard calls :func:`run_lanes`, the one ladder for many
+Two entry points take the decision.  The one device run path,
+:meth:`~repro.si.stages.StagedDevice.run`, first calls
+:func:`run_single`, which runs the kernel and returns its output, or
+returns ``None`` so the run path falls through to the device's scalar
+recurrence.  A sweep shard calls :func:`run_lanes`, the one ladder for many
 lanes: the kernel lane by lane for narrow shards, the batch rung for
 wide ones, and lane-by-lane single runs when the batch rung refuses.
 
@@ -136,11 +137,13 @@ def record_engine_run(engine: str, device: object, count: int = 1) -> None:
 def run_single(device: object, data: np.ndarray) -> np.ndarray | None:
     """Run ``device`` over 1-D ``data`` on the compiled kernel.
 
-    Returns the output array, bit-identical to the device's scalar loop
-    with device state and random streams advanced identically, or
-    ``None`` when the caller must run its scalar loop instead: inside
-    :func:`force_scalar`, under a pinned ``scalar`` engine, or when the
-    kernel refuses (an exotic subclass, a non-1-D input).  A refusal is
+    The run path calls this once per device run, after refusing a
+    stimulus that is not 1-D.  Returns the output array, bit-identical
+    to the device's scalar loop with device state and random streams
+    advanced identically, or ``None`` when the caller must run its
+    scalar loop instead: inside :func:`force_scalar`, under a pinned
+    ``scalar`` engine, or when the kernel refuses (an exotic
+    subclass).  A refusal is
     counted in ``repro.single.fallbacks`` with its reason.  Each
     executed run is counted in ``repro.engine.runs`` under the rung
     that ran (forced-scalar parity runs are not recorded).

@@ -43,6 +43,7 @@ from repro.runtime.kernels.spec import (
     drawn_streams,
 )
 from repro.si.differential import DifferentialSample
+from repro.si.stages import chopper_signs
 
 __all__ = ["BLOCK_STEPS", "kernel_refusal", "run_kernel"]
 
@@ -69,12 +70,6 @@ def _half_split(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise twin of the scalar ``0.0 +/- 0.5 * x`` prologue."""
     half = 0.5 * data
     return 0.0 + half, 0.0 - half
-
-
-def _chopper_signs(n: int) -> np.ndarray:
-    signs = np.ones(n)
-    signs[1::2] = -1.0
-    return signs
 
 
 def _stimulus(
@@ -170,7 +165,7 @@ def run_kernel(device: object, data: np.ndarray) -> np.ndarray:
     stages, quantizer, _ = device_parts(device)
     n = data.shape[0]
 
-    signs = _chopper_signs(n) if program.spec.kind == "chopper" else None
+    signs = chopper_signs(n) if program.spec.kind == "chopper" else None
     # Elementwise IEEE arithmetic on every input, as the loop would do:
     # the prologue returns the rows and probe buffers the loop reads.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -12,7 +12,9 @@ generation (:mod:`repro.runtime.kernels.codegen`), which emits both
 the scalar kernel and the lane-major function the NumPy batch runners
 (:mod:`repro.runtime.batch`) call, so two devices with identical
 electrical configuration share one compiled program.  Adding a device
-means lowering it here and wiring it once in the codegen walk.
+means declaring its stages and its scalar recurrence on
+:class:`~repro.si.stages.StagedDevice`, lowering it here and wiring it
+once in the codegen walk.
 
 The linear part of each design is also exposed as explicit state-space
 matrices (:func:`state_matrices`) -- the A/B/C/D formulation of the
@@ -46,7 +48,6 @@ import numpy as np
 from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
 from repro.deltasigma.dac import FeedbackDac
 from repro.deltasigma.dither import DitheredQuantizer
-from repro.deltasigma.loop import FeedbackLoop
 from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
 from repro.deltasigma.quantizer import CurrentQuantizer
@@ -58,6 +59,7 @@ from repro.runtime.lowering import (
 from repro.si.cascade import BiquadCascade
 from repro.si.delay_line import DelayLine
 from repro.si.memory_cell import ClassABMemoryCell
+from repro.si.stages import StagedDevice
 
 __all__ = [
     "KernelUnsupported",
@@ -260,7 +262,7 @@ def _cell_spec(cell: Any) -> CellSpec:
     return CellSpec.from_cell(cell)
 
 
-def _stage_spec(stage: Any, crossed: bool) -> StageSpec:
+def _stage_spec(stage: Any) -> StageSpec:
     _refuse(stage)
     cmff = stage.cmff
     cmff_spec: CmffSpec | None = None
@@ -278,7 +280,7 @@ def _stage_spec(stage: Any, crossed: bool) -> StageSpec:
     return StageSpec(
         cell=_cell_spec(stage._cell),
         gain=stage.gain,
-        crossed=crossed,
+        crossed=stage.crossed,
         cmff=cmff_spec,
     )
 
@@ -311,8 +313,11 @@ def _loop_spec(quantizer: Any, dac: Any, full_scale: float) -> LoopSpec:
     )
 
 
-#: The kernel kind of each modulator loop.
-_LOOP_KINDS: tuple[tuple[type[FeedbackLoop], str], ...] = (
+#: The kernel kind of each lowered device type.
+_KINDS: tuple[tuple[type[StagedDevice], str], ...] = (
+    (ClassABMemoryCell, "cell"),
+    (DelayLine, "delay"),
+    (BiquadCascade, "cascade"),
     (SIModulator1, "mod1"),
     (SIModulator2, "mod2"),
     (ChopperStabilizedSIModulator, "chopper"),
@@ -322,25 +327,16 @@ _LOOP_KINDS: tuple[tuple[type[FeedbackLoop], str], ...] = (
 def _stages_of(device: object) -> tuple[str, tuple[Any, ...]]:
     """Return ``(kind, stages)``: the device's live stages in spec order.
 
-    A stage is a bare memory cell for the open-loop cell and delay
-    line, and an integrator/differentiator (``._cell`` plus ``.cmff``)
-    everywhere else.  This is the one place that maps each lowered
-    device to its shape; a modulator loop's stages are its own
-    :meth:`~repro.deltasigma.loop.FeedbackLoop.loop_stages`.
+    This is the one place that maps each lowered device to its shape;
+    the stages are the parts of its declaration,
+    :meth:`~repro.si.stages.StagedDevice.stages`.  A stage is a bare
+    memory cell for the open-loop cell and delay line, and an
+    integrator/differentiator (``._cell`` plus ``.cmff``) everywhere
+    else.
     """
-    if isinstance(device, ClassABMemoryCell):
-        return "cell", (device,)
-    if isinstance(device, DelayLine):
-        return "delay", tuple(device.cells)
-    if isinstance(device, BiquadCascade):
-        return "cascade", tuple(
-            stage
-            for section in device.sections
-            for stage in (section._int1, section._int2)
-        )
-    for loop, kind in _LOOP_KINDS:
-        if isinstance(device, loop):
-            return kind, tuple(stage for _, stage, _ in device.loop_stages())
+    for device_type, kind in _KINDS:
+        if isinstance(device, device_type):
+            return kind, tuple(stage.part for stage in device.stages())
     raise KernelUnsupported(
         f"no kernel lowering for {type(device).__name__}"
     )
@@ -413,9 +409,7 @@ def build_spec(device: object) -> KernelSpec:
                 for cell in stages
             ),
         )
-    specs = tuple(
-        _stage_spec(stage, crossed=kind == "chopper") for stage in stages
-    )
+    specs = tuple(_stage_spec(stage) for stage in stages)
     if kind == "cascade":
         return KernelSpec(
             kind=kind,

@@ -5,9 +5,11 @@ runners, both built from :func:`repro.runtime.kernels.spec.build_spec`
 -- do not *execute* a device's Python methods; they transliterate its
 configuration into fused kernels.  That is what makes them bit-exact,
 and it is also why subclassing is dangerous: a subclass that overrides
-a behavioural hook (``run``, ``step``, ``decide``, ``_store_half``,
-...) changes the scalar reference while the lowered path keeps
-simulating the base class.  The contract is therefore *declared*, per
+a behavioural hook (``run``, ``step``, the one-period recurrence
+``_period``, ``decide``, ``_store_half``, ...) changes the scalar
+reference while the lowered path keeps simulating the base class.
+Hooks inherited from :class:`~repro.si.stages.StagedDevice` -- the
+stage declaration and the run path -- count as the base's own.  The contract is therefore *declared*, per
 base class, as an explicit allowlist of hooks a subclass may override
 while keeping its lowering:
 
@@ -149,6 +151,8 @@ LOWERING_PROTOCOL: tuple[LoweredBase, ...] = (
         ChopperStabilizedSIModulator, "modulator", overridable=_COMMON_OVERRIDABLE
     ),
     LoweredBase(SIIntegrator, "integrator", overridable=_COMMON_OVERRIDABLE),
+    # SIDifferentiator is SIIntegrator with ``crossed`` set, an attribute
+    # the lowering reads: a base of its own, or it would refuse itself.
     LoweredBase(
         SIDifferentiator, "differentiator", overridable=_COMMON_OVERRIDABLE
     ),

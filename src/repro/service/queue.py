@@ -21,7 +21,10 @@ condition variable.  A worker that crashes inside the runner marks the
 job FAILED and keeps draining -- one poisoned request never wedges the
 queue.  When ``max_pending`` queued jobs exist, further *new* requests
 are rejected with :class:`~repro.errors.QueueFullError` (backpressure;
-duplicates still coalesce, they cost nothing).
+duplicates still coalesce, they cost nothing).  At most
+:data:`MAX_FINISHED_JOBS` terminal jobs are kept, the oldest-finished
+evicted first; a queued or running job is never evicted, and an
+evicted request is simply new again.
 
 Every transition is accounted in the process-wide instrument registry
 (``repro.service.*`` counters, the ``queue_depth`` gauge and the
@@ -45,7 +48,22 @@ from repro.observability.instruments import get_registry
 from repro.observability.live import EventBuffer, EventStream
 from repro.runtime.cache import ResultCache
 
-__all__ = ["Job", "JobQueue", "JobRequest", "JobState", "TERMINAL_STATES"]
+__all__ = [
+    "Job",
+    "JobQueue",
+    "JobRequest",
+    "JobState",
+    "MAX_FINISHED_JOBS",
+    "TERMINAL_STATES",
+]
+
+#: Terminal jobs kept, each with its result and its event buffer (a
+#: 16K modulator2 report's holds about 7 KB of events), so a
+#: long-lived server's memory stays bounded.  A 20 s perfbench
+#: service-mix run creates a few hundred jobs; the bound sits far
+#: above that so every repeat there still finds its finished job and
+#: the mix's dedup does not change.
+MAX_FINISHED_JOBS = 1024
 
 #: Latency buckets (seconds) for the job-duration histogram: service
 #: jobs span sub-second cached replays to multi-minute 64K sweeps.
@@ -212,6 +230,8 @@ class JobQueue:
         self._runner = runner
         self.max_pending = max_pending
         self._jobs: dict[str, Job] = {}
+        # The terminal jobs in ``_jobs``, oldest-finished first.
+        self._finished: dict[str, Job] = {}
         self._pending: deque[Job] = deque()
         self._cond = threading.Condition()
         self._closed = False
@@ -259,6 +279,7 @@ class JobQueue:
                     ).inc(mode="completed")
                     return existing, "completed"
                 disposition = "retried"
+                del self._finished[digest]
             else:
                 disposition = "new"
             if len(self._pending) >= self.max_pending:
@@ -297,7 +318,7 @@ class JobQueue:
                 # Already claimed by a worker between states.
                 return False
             self._set_depth_locked()
-        job._finish(JobState.CANCELLED, error="cancelled before execution")
+        self._finish(job, JobState.CANCELLED, error="cancelled before execution")
         get_registry().counter(
             "repro.service.cancelled", help="jobs cancelled while queued"
         ).inc(kind=job.request.kind)
@@ -337,9 +358,29 @@ class JobQueue:
             self._set_depth_locked()
             self._cond.notify_all()
         for job in abandoned:
-            job._finish(JobState.CANCELLED, error="queue shut down")
+            self._finish(job, JobState.CANCELLED, error="queue shut down")
         for thread in self._threads:
             thread.join(timeout=timeout)
+
+    def _finish(
+        self,
+        job: Job,
+        state: JobState,
+        result: dict[str, Any] | None = None,
+        error: str | None = None,
+    ) -> None:
+        """Keep ``job`` as the newest terminal job, then finish it.
+
+        Past :data:`MAX_FINISHED_JOBS` the oldest-finished jobs are
+        evicted, before the job's waiters wake.
+        """
+        with self._cond:
+            self._finished[job.id] = job
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                oldest = next(iter(self._finished))
+                del self._finished[oldest]
+                del self._jobs[oldest]
+        job._finish(state, result, error)
 
     def _set_depth_locked(self) -> None:
         get_registry().gauge(
@@ -388,8 +429,8 @@ class JobQueue:
                     )
                 except Exception:  # noqa: BLE001
                     pass
-                job._finish(
-                    JobState.FAILED, error=f"{type(exc).__name__}: {exc}"
+                self._finish(
+                    job, JobState.FAILED, error=f"{type(exc).__name__}: {exc}"
                 )
             else:
                 job.stream.emit(
@@ -398,7 +439,7 @@ class JobQueue:
                     job=job.id,
                     state=JobState.DONE.value,
                 )
-                job._finish(JobState.DONE, result=result)
+                self._finish(job, JobState.DONE, result=result)
             registry.histogram(
                 "repro.service.job_seconds",
                 buckets=_JOB_BUCKETS,

@@ -15,9 +15,11 @@ import math
 
 import numpy as np
 
+from repro.clocks.phases import Phase
 from repro.errors import ConfigurationError
 from repro.si.biquad import SIBiquad
 from repro.si.memory_cell import MemoryCellConfig
+from repro.si.stages import Stage, StagedDevice
 
 __all__ = ["BiquadCascade", "butterworth_q_values"]
 
@@ -45,7 +47,7 @@ def butterworth_q_values(n_sections: int) -> list[float]:
     return q_values
 
 
-class BiquadCascade:
+class BiquadCascade(StagedDevice):
     """A cascade of SI biquad band-pass sections.
 
     Parameters
@@ -88,6 +90,20 @@ class BiquadCascade:
         """Return the filter order (2 per section)."""
         return 2 * len(self.sections)
 
+    def stages(self) -> tuple[Stage, ...]:
+        """Declare each section's two integrators, ``section[i].int1``/``int2``.
+
+        They sample on PHI1 and PHI2, as in the section's ERC sub-graph.
+        """
+        return tuple(
+            stage
+            for index, section in enumerate(self.sections)
+            for stage in (
+                Stage(f"section[{index}].int1", section._int1, Phase.PHI1),
+                Stage(f"section[{index}].int2", section._int2, Phase.PHI2),
+            )
+        )
+
     def reset(self) -> None:
         """Reset every section."""
         for section in self.sections:
@@ -100,22 +116,9 @@ class BiquadCascade:
             signal, _ = section.step(signal)
         return signal
 
-    def run(self, stimulus: np.ndarray) -> np.ndarray:
-        """Run the cascade over an input array."""
-        data = np.asarray(stimulus, dtype=float)
-        if data.ndim != 1:
-            raise ConfigurationError(
-                f"stimulus must be 1-D, got shape {data.shape}"
-            )
-        from repro.runtime.engine import run_single
-
-        fast = run_single(self, data)
-        if fast is not None:
-            return fast
-        output = np.empty_like(data)
-        for n in range(data.shape[0]):
-            output[n] = self.step(float(data[n]))
-        return output
+    def _period(self, x: float) -> float:
+        """Advance one period through the cascade (band-pass path)."""
+        return self.step(x)
 
     def describe_graph(self, peak_signal_current: float | None = None):
         """Return the cascade's circuit graph for static rule checking.

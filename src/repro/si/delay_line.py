@@ -15,16 +15,16 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
+from repro.clocks.phases import alternating_phases
 from repro.errors import ConfigurationError
 from repro.si.differential import DifferentialSample
 from repro.si.memory_cell import ClassABMemoryCell, MemoryCellConfig
+from repro.si.stages import Stage, StagedDevice
 
 __all__ = ["DelayLine"]
 
 
-class DelayLine:
+class DelayLine(StagedDevice):
     """Cascade of ``n_cells`` class-AB memory cells.
 
     Parameters
@@ -47,7 +47,6 @@ class DelayLine:
         for index in range(n_cells):
             seed = None if base.seed is None else base.seed + index
             self.cells.append(ClassABMemoryCell(replace(base, seed=seed)))
-        self._telemetry = None
         self._telemetry_name = "delay_line"
 
     @property
@@ -73,6 +72,15 @@ class DelayLine:
         """Return whether the cascade inverts overall."""
         return self.config.inverting and (len(self.cells) % 2 == 1)
 
+    def stages(self) -> tuple[Stage, ...]:
+        """Declare the cells, ``cell[i]``, on alternating phases from PHI1."""
+        return tuple(
+            Stage(f"cell[{index}]", cell, phase)
+            for index, (cell, phase) in enumerate(
+                zip(self.cells, alternating_phases(len(self.cells)))
+            )
+        )
+
     def attach_telemetry(
         self,
         session,
@@ -83,17 +91,17 @@ class DelayLine:
     ) -> None:
         """Attach a probe per cascaded cell and trace :meth:`run`.
 
-        Each cell's probe (``<name>.cell[i]``) observes its input
-        differential current; a traced :meth:`run` additionally opens a
-        device span with one structural stage record per cell carrying
-        its clock phase (first cell on PHI1, second on PHI2, ...).
+        Each declared stage's probe (``<name>.cell[i]``) observes the
+        cell's input differential current; a traced :meth:`run`
+        additionally opens a device span with one structural record
+        per stage carrying its clock phase.
         """
         self._telemetry = session
         self._telemetry_name = name
-        for index, cell in enumerate(self.cells):
+        for stage, cell, _ in self.stages():
             cell.attach_telemetry(
                 session,
-                f"{name}.cell[{index}]",
+                f"{name}.{stage}",
                 full_scale=full_scale,
                 supply_voltage=supply_voltage,
                 clip_limit=clip_limit,
@@ -117,51 +125,9 @@ class DelayLine:
             value = cell.step(value)
         return value
 
-    def run(self, differential_input: np.ndarray) -> np.ndarray:
-        """Run the delay line over an array of differential currents.
-
-        Returns the differential output trace, one sample per input
-        sample (the first ``delay_samples`` outputs carry the start-up
-        transient).
-        """
-        data = np.asarray(differential_input, dtype=float)
-        session = self._telemetry
-        if session is None:
-            return self._run_loop(data)
-        from repro.clocks.phases import alternating_phases
-
-        with session.span(
-            self._telemetry_name,
-            samples=data.shape[0],
-            device="DelayLine",
-            n_cells=self.n_cells,
-        ):
-            output = self._run_loop(data)
-            for index, phase in enumerate(alternating_phases(self.n_cells)):
-                session.record(
-                    f"cell[{index}]",
-                    samples=data.shape[0],
-                    phase=phase.name,
-                    role="memory_cell",
-                )
-        return output
-
-    def _run_loop(self, data: np.ndarray) -> np.ndarray:
-        from repro.runtime.engine import run_single
-
-        fast = run_single(self, data)
-        if fast is not None:
-            return fast
-        output = np.empty_like(data)
-        for n in range(data.shape[0]):
-            result = self.step(DifferentialSample.from_components(float(data[n])))
-            output[n] = result.differential
-        return output
-
-    def __call__(self, differential_input: np.ndarray) -> np.ndarray:
-        """Run with a fresh state: the device-under-test interface."""
-        self.reset()
-        return self.run(differential_input)
+    def _period(self, x: float) -> float:
+        """Step a differential input through the cascade; return the output."""
+        return self.step(DifferentialSample.from_components(x)).differential
 
     @property
     def slew_event_fraction(self) -> float:
@@ -175,23 +141,21 @@ class DelayLine:
     ):
         """Return the declarative circuit graph for static rule checking.
 
-        The cells are annotated with alternating sample phases (first
-        cell on PHI1, second on PHI2, ...), exactly how the chip clocks
-        its cascade.  Defaults describe the Table 1 operating point:
+        The cells are the declared stages, annotated with their
+        alternating sample phases (first cell on PHI1, second on PHI2,
+        ...), exactly how the chip clocks its cascade.  Defaults describe the Table 1 operating point:
         8 uA peak input at the 3.3 V supply.
         """
-        from repro.clocks.phases import alternating_phases
         from repro.erc.graph import CircuitGraph
 
+        stages = self.stages()
         graph = CircuitGraph(
             f"DelayLine[{self.n_cells}]",
             supply_voltage=supply_voltage,
             sample_rate=self.config.sample_rate,
         )
         graph.add_node("in", "source")
-        names = []
-        for index, phase in enumerate(alternating_phases(self.n_cells)):
-            name = f"cell[{index}]"
+        for name, _, phase in stages:
             graph.add_node(
                 name,
                 "memory_cell",
@@ -203,7 +167,6 @@ class DelayLine:
                 cell_class="class_ab",
                 **self.config.erc_params(),
             )
-            names.append(name)
         graph.add_node("out", "sink")
-        graph.chain("in", *names, "out")
+        graph.chain("in", *(stage.name for stage in stages), "out")
         return graph

@@ -14,28 +14,21 @@ chopped differentiator *is* an (inverted) integrator in the chopped
 domain, which is how the Fig. 3(b) loop realises the same second-order
 noise shaping as Fig. 3(a).
 
-The realisation is the same memory-cell state holder as
-:class:`~repro.si.integrator.SIIntegrator` with the state fed back
-crossed (a free wire-crossing in a fully differential circuit):
-``y[n] = -y[n-1] + gain * x[n-1]``.
+The realisation is :class:`~repro.si.integrator.SIIntegrator` with
+the state fed back crossed (a free wire-crossing in a fully
+differential circuit), ``y[n] = -y[n-1] + gain * x[n-1]``: one class
+attribute, :attr:`~repro.si.integrator.SIIntegrator.crossed`, which the
+stage's step, its ERC sub-graph and its kernel lowering read.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.clocks.phases import Phase
-from repro.errors import ConfigurationError
-from repro.si.cmff import CommonModeFeedforward
-from repro.si.differential import DifferentialSample
-from repro.si.memory_cell import ClassABMemoryCell, MemoryCellConfig
+from repro.si.integrator import SIIntegrator
 
 __all__ = ["SIDifferentiator"]
 
-_CMFF_DEFAULT = object()
 
-
-class SIDifferentiator:
+class SIDifferentiator(SIIntegrator):
     """Delaying SI differentiator: ``y[n] = -y[n-1] + gain * x[n-1]``.
 
     Note that the state feedback's sign inversion is a *wire crossing*,
@@ -43,134 +36,8 @@ class SIDifferentiator:
     untouched -- so the block's common-mode recursion is still
     ``cm[n+1] = cm[n] + ...``, an integrator.  The differentiator
     therefore needs common-mode control exactly as much as the
-    integrator does, and embeds a CMFF stage by default.
-
-    Parameters
-    ----------
-    gain:
-        Input scaling coefficient (swing-optimising scaling).
-    config:
-        Memory-cell configuration; defaults to the standard cell.
-    seed_offset:
-        Added to ``config.seed`` (when set) for independent noise.
-    cmff:
-        Common-mode feedforward stage; ``None`` disables it.
+    integrator does, and embeds a CMFF stage by default.  The
+    constructor parameters are the integrator's.
     """
 
-    def __init__(
-        self,
-        gain: float,
-        config: MemoryCellConfig | None = None,
-        seed_offset: int = 0,
-        cmff: CommonModeFeedforward | None | object = _CMFF_DEFAULT,
-    ) -> None:
-        if gain == 0.0:
-            raise ConfigurationError("differentiator gain must be non-zero")
-        base = config if config is not None else MemoryCellConfig()
-        if base.seed is not None:
-            base = replace(base, seed=base.seed + seed_offset)
-        self._cell = ClassABMemoryCell(replace(base, inverting=False))
-        self.gain = gain
-        if cmff is _CMFF_DEFAULT:
-            self.cmff: CommonModeFeedforward | None = CommonModeFeedforward()
-        else:
-            self.cmff = cmff  # type: ignore[assignment]
-
-    @property
-    def state(self) -> DifferentialSample:
-        """Return the block state (last stored sample)."""
-        return self._cell.stored
-
-    @property
-    def slew_event_fraction(self) -> float:
-        """Return the fraction of periods in which the cell slewed."""
-        return self._cell.slew_event_fraction
-
-    def attach_telemetry(
-        self,
-        session,
-        name: str,
-        full_scale: float | None = None,
-        supply_voltage: float | None = None,
-        clip_limit: float | None = None,
-    ):
-        """Attach probes to the state-holding cell and the CMFF stage.
-
-        Mirrors :meth:`repro.si.integrator.SIIntegrator.attach_telemetry`.
-        """
-        probe = self._cell.attach_telemetry(
-            session,
-            f"{name}.cell",
-            full_scale=full_scale,
-            supply_voltage=supply_voltage,
-            clip_limit=clip_limit,
-        )
-        if self.cmff is not None and full_scale is not None:
-            self.cmff.attach_telemetry(session, f"{name}.cmff", full_scale)
-        return probe
-
-    def detach_telemetry(self) -> None:
-        """Drop every probe this stage attached."""
-        self._cell.detach_telemetry()
-        if self.cmff is not None:
-            self.cmff.detach_telemetry()
-
-    def reset(self) -> None:
-        """Zero the block state."""
-        self._cell.reset()
-
-    def step(self, sample: DifferentialSample) -> DifferentialSample:
-        """Advance one period; return the (delayed) block output.
-
-        The state recursion uses the *crossed* (sign-inverted) previous
-        state, putting the pole at z = -1.
-        """
-        output = self._cell.stored
-        target = output.crossed() + sample.scaled(self.gain)
-        if self.cmff is not None:
-            target = self.cmff.apply(target)
-        self._cell.step(target)
-        return output
-
-    def step_differential(self, differential_input: float) -> float:
-        """Scalar convenience wrapper around :meth:`step`."""
-        result = self.step(DifferentialSample.from_components(differential_input))
-        return result.differential
-
-    def describe_subgraph(
-        self,
-        sample_phase: Phase = Phase.PHI1,
-        peak_signal_current: float | None = None,
-    ):
-        """Return this stage's circuit sub-graph for static rule checking.
-
-        Mirrors :meth:`repro.si.integrator.SIIntegrator.describe_subgraph`;
-        the differentiator's common-mode recursion is still an
-        integrator (the state crossing flips only the differential
-        component), so its cell is likewise marked ``integrating``.
-        """
-        from repro.erc.graph import CircuitGraph
-
-        config = self._cell.config
-        graph = CircuitGraph("SIDifferentiator")
-        graph.add_node(
-            "cell",
-            "memory_cell",
-            sample_phase=sample_phase,
-            read_phase=sample_phase.other,
-            peak_signal_current=peak_signal_current,
-            differential=True,
-            integrating=True,
-            cell_class="class_ab",
-            gain=self.gain,
-            **config.erc_params(),
-        )
-        if self.cmff is not None:
-            graph.add_node("cmff", "cmff", **self.cmff.erc_params())
-            graph.connect("cell", "cmff")
-        return graph
-
-    @property
-    def output_node(self) -> str:
-        """Return the name of this stage's output node in its sub-graph."""
-        return "cmff" if self.cmff is not None else "cell"
+    crossed = True

@@ -29,6 +29,7 @@ CMFF ablation bench does exactly that).
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import ClassVar
 
 from repro.clocks.phases import Phase
 from repro.errors import ConfigurationError
@@ -61,6 +62,11 @@ class SIIntegrator:
         common mode then integrates unboundedly).
     """
 
+    #: Whether the stored state is fed back crossed (sign-inverted
+    #: differential), which puts the pole at z = -1: the
+    #: :class:`~repro.si.differentiator.SIDifferentiator`.
+    crossed: ClassVar[bool] = False
+
     def __init__(
         self,
         gain: float,
@@ -69,7 +75,7 @@ class SIIntegrator:
         cmff: CommonModeFeedforward | None | object = _CMFF_DEFAULT,
     ) -> None:
         if gain == 0.0:
-            raise ConfigurationError("integrator gain must be non-zero")
+            raise ConfigurationError(f"{type(self).__name__} gain must be non-zero")
         base = config if config is not None else MemoryCellConfig()
         if base.seed is not None:
             base = replace(base, seed=base.seed + seed_offset)
@@ -84,7 +90,7 @@ class SIIntegrator:
 
     @property
     def state(self) -> DifferentialSample:
-        """Return the integrator state (last stored sample)."""
+        """Return the stage state (last stored sample)."""
         return self._cell.stored
 
     @property
@@ -126,18 +132,20 @@ class SIIntegrator:
             self.cmff.detach_telemetry()
 
     def reset(self) -> None:
-        """Zero the integrator state."""
+        """Zero the stage state."""
         self._cell.reset()
 
     def step(self, sample: DifferentialSample) -> DifferentialSample:
-        """Advance one period; return the (delayed) integrator output.
+        """Advance one period; return the (delayed) stage output.
 
         The returned value is the state as of the *start* of the period
-        (``z^-1`` numerator); the state is then updated with the scaled
-        input through the memory cell's full error pipeline.
+        (``z^-1`` numerator); the state, crossed when :attr:`crossed`
+        is set, is then updated with the scaled input through the
+        memory cell's full error pipeline.
         """
         output = self._cell.stored
-        target = output + sample.scaled(self.gain)
+        fed_back = output.crossed() if self.crossed else output
+        target = fed_back + sample.scaled(self.gain)
         if self.cmff is not None:
             target = self.cmff.apply(target)
         self._cell.step(target)
@@ -161,12 +169,15 @@ class SIIntegrator:
         control is attached, a ``cmff`` node at the cell output.
         Composite designs splice it in with
         :meth:`repro.erc.graph.CircuitGraph.include`; the stage's
-        output node is ``cmff`` when present, else ``cell``.
+        output node is ``cmff`` when present, else ``cell``.  A
+        :attr:`crossed` stage's common mode still integrates (the
+        crossing flips only the differential component), so its cell
+        is marked ``integrating`` too.
         """
         from repro.erc.graph import CircuitGraph
 
         config = self._cell.config
-        graph = CircuitGraph("SIIntegrator")
+        graph = CircuitGraph("SIDifferentiator" if self.crossed else "SIIntegrator")
         graph.add_node(
             "cell",
             "memory_cell",

@@ -41,11 +41,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.clocks.phases import Phase
 from repro.errors import ConfigurationError
 from repro.noise.flicker import FlickerNoiseSource
 from repro.si.differential import DifferentialSample
 from repro.si.errors_model import ChargeInjectionResidue, TransmissionError
 from repro.si.gga import GroundedGateAmplifier
+from repro.si.stages import Stage, StagedDevice
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.probes import SignalProbe
@@ -276,7 +278,7 @@ class _NoiseFeed:
         return out
 
 
-class ClassABMemoryCell:
+class ClassABMemoryCell(StagedDevice):
     """Stateful behavioural model of the Fig. 1 memory cell.
 
     Each call to :meth:`step` performs one sample-and-deliver clock
@@ -395,23 +397,13 @@ class ClassABMemoryCell:
 
         return -held if config.inverting else held
 
-    def run(self, differential_input: np.ndarray) -> np.ndarray:
-        """Run the cell over an array of differential input currents.
+    def stages(self) -> tuple[Stage, ...]:
+        """Declare the cell as its own one stage, sampling on PHI1."""
+        return (Stage("cell", self, Phase.PHI1),)
 
-        Convenience wrapper around :meth:`step` for open-loop use; the
-        common-mode input is taken as zero.
-        """
-        data = np.asarray(differential_input, dtype=float)
-        from repro.runtime.engine import run_single
-
-        fast = run_single(self, data)
-        if fast is not None:
-            return fast
-        output = np.empty_like(data)
-        for n in range(data.shape[0]):
-            result = self.step(DifferentialSample.from_components(float(data[n])))
-            output[n] = result.differential
-        return output
+    def _period(self, x: float) -> float:
+        """Step a differential input with zero common mode; return the output."""
+        return self.step(DifferentialSample.from_components(x)).differential
 
 
 class ClassAMemoryCell:

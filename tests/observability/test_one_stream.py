@@ -85,7 +85,7 @@ class TestReportStream:
     def test_structural_and_shard_spans_are_in_it(self, report_run):
         session, records = report_run
         finished = {r["name"]: r for r in records if r["event"] == "span_finish"}
-        for stage in ("integrator1", "integrator2", "quantizer+dac"):
+        for stage in ("int1", "int2", "quantizer", "dac"):
             assert finished[stage]["duration_s"] is None
             assert finished[stage]["samples"] == finished["device"]["samples"]
         sweep = finished["sweep"]

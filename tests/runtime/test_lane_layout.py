@@ -120,7 +120,7 @@ class TestPeriodCallBudget:
 
 
 def _stages(device):
-    return [stage for _, stage, _ in device.loop_stages()]
+    return [stage for _, stage, _ in device.stages()]
 
 
 def _unmatched_subtract(device):

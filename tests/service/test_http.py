@@ -229,6 +229,18 @@ class TestDedupOverHTTP:
 
 
 class TestResultStates:
+    def test_evicted_job_is_404_then_new(self, harness, monkeypatch):
+        monkeypatch.setattr("repro.service.queue.MAX_FINISHED_JOBS", 1)
+        first = harness.client.submit(REQ)
+        harness.service.queue.get(first["id"]).wait(timeout=10.0)
+        second = harness.client.submit(dict(REQ, noise_scale=2.0))
+        harness.service.queue.get(second["id"]).wait(timeout=10.0)
+        with pytest.raises(ServiceError, match="404"):
+            harness.client.job(first["id"])
+        again = harness.client.submit(REQ)
+        assert again["id"] == first["id"]
+        assert again["disposition"] == "new"
+
     def test_failed_job_returns_500(self, harness):
         descriptor = harness.client.submit(dict(REQ, mismatch=0.5))
         job = harness.service.queue.get(descriptor["id"])

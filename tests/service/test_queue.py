@@ -273,3 +273,46 @@ class TestLifecycle:
             assert descriptor["n_events"] >= 2  # stream_start + job events
         finally:
             queue.close()
+
+
+class TestFinishedJobBound:
+    def test_oldest_finished_job_is_evicted_and_new_again(
+        self, registry, monkeypatch
+    ):
+        monkeypatch.setattr("repro.service.queue.MAX_FINISHED_JOBS", 2)
+        gate = threading.Event()
+
+        def runner(job):
+            if job.request.params["design"] == "held":
+                gate.wait(timeout=10.0)
+            return {"design": job.request.params["design"]}
+
+        queue = JobQueue(runner, workers=1)
+        try:
+            first, _ = queue.submit(_request("first"))
+            assert first.wait(timeout=10.0)
+            for tag in ("second", "third"):
+                job, _ = queue.submit(_request(tag))
+                assert job.wait(timeout=10.0)
+            assert queue.get(first.id) is None
+            assert [job.request.params["design"] for job in queue.jobs()] == [
+                "second",
+                "third",
+            ]
+            # A running and a queued job outlive any number of finishes.
+            held, _ = queue.submit(_request("held"))
+            _spin_until_running(held)
+            waiting, _ = queue.submit(_request("waiting"))
+            again, disposition = queue.submit(_request("first"))
+            assert disposition == "new"
+            assert again is not first
+            assert queue.get(held.id) is held
+            assert queue.get(waiting.id) is waiting
+            gate.set()
+            for job in (held, waiting, again):
+                assert job.wait(timeout=10.0)
+            assert queue.get(again.id) is again
+            assert queue.get(held.id) is None
+        finally:
+            gate.set()
+            queue.close()

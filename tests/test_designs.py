@@ -82,7 +82,7 @@ class TestDerivedStructure:
         device.attach_telemetry(TelemetrySession(name))
         device.detach_telemetry()
         assert device._telemetry is None
-        for _, stage, _ in device.loop_stages():
+        for _, stage, _ in device.stages():
             assert stage._cell._probe is None
             assert stage.cmff._probe is None
 
